@@ -10,7 +10,6 @@ figure-ready rate-curve datasets.
 from .mi import (
     Constellation,
     NoiseModel,
-    RatePoint,
     awgn_capacity,
     bpsk_mi,
     constellation_mi,
@@ -52,7 +51,6 @@ __all__ = [
     "__version__",
     "NoiseModel",
     "Constellation",
-    "RatePoint",
     "noise_entropy",
     "awgn_capacity",
     "low_snr_capacity",

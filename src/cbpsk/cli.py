@@ -258,7 +258,7 @@ def cmd_cocktail(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     config = SimConfig(
-        params=CocktailParams(args.alpha, args.beta, args.eta),
+        params=CocktailParams(args.alpha, args.beta),
         noise=NoiseModel(args.noise_var),
         n_symbols=args.n,
         seed=args.seed,
@@ -330,7 +330,6 @@ def build_parser():
     p = sub.add_parser("simulate", help="seeded Monte Carlo link simulation")
     p.add_argument("--alpha", type=positive_float, required=True)
     p.add_argument("--beta", type=positive_float, required=True)
-    p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--noise-var", type=positive_float, required=True, help="total noise power")
     p.add_argument("--n", type=int, default=10000, help="number of symbols")
     p.add_argument("--seed", type=int, default=0)
@@ -342,6 +341,11 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     return parser, sub
+
+
+# The repeatable (append) flags and their converters. argparse does not
+# convert list defaults, so config values for these are converted here.
+_REPEATABLE = {"snr": nonneg_float, "ratio": ratio_arg}
 
 
 def _apply_config(parser, sub, args, argv):
@@ -356,15 +360,15 @@ def _apply_config(parser, sub, args, argv):
     unknown = [k for k in cfg if not hasattr(args, k)]
     if unknown:
         command_parser.error(f"unknown config keys {unknown} for command {args.command!r}")
-    append_dests = {
-        a.dest for a in command_parser._actions if isinstance(a, argparse._AppendAction)
-    }
-    command_parser.set_defaults(**{k: v for k, v in cfg.items() if k not in append_dests})
+    command_parser.set_defaults(**{k: v for k, v in cfg.items() if k not in _REPEATABLE})
     args = parser.parse_args(argv)
-    for k in cfg:
-        if k in append_dests and getattr(args, k) is None:
+    for k, convert in _REPEATABLE.items():
+        if k in cfg and getattr(args, k) is None:
             value = cfg[k] if isinstance(cfg[k], list) else [cfg[k]]
-            setattr(args, k, [float(v) for v in value])
+            try:
+                setattr(args, k, [convert(str(v)) for v in value])
+            except argparse.ArgumentTypeError as exc:
+                command_parser.error(f"config key {k!r}: {exc}")
     return args
 
 

@@ -61,6 +61,10 @@ class SimConfig:
             raise ValueError(
                 f"detection_mode must be one of {DETECTION_MODES}, got {self.detection_mode!r}"
             )
+        if self.params.eta != 0.5:
+            raise ValueError(
+                f"the simulator draws equiprobable independent streams (eta = 0.5), got eta={self.params.eta}"
+            )
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,27 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(shard,))))
 
 
+def _sharded_sums(n: int, seed: int, draw, max_workers: int = 1) -> tuple:
+    """Run ``draw(rng, count)`` on each shard of an n-draw run and sum the
+    returned tuples elementwise, in shard order, so the result does not
+    depend on ``max_workers``."""
+    shards = [
+        (i, min(_SHARD_SYMBOLS, n - i * _SHARD_SYMBOLS))
+        for i in range((n + _SHARD_SYMBOLS - 1) // _SHARD_SYMBOLS)
+    ]
+
+    def run(shard):
+        i, count = shard
+        return draw(_shard_rng(seed, i), count)
+
+    if max_workers > 1 and len(shards) > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            results = list(pool.map(run, shards))
+    else:
+        results = [run(sc) for sc in shards]
+    return tuple(sum(column) for column in zip(*results))
+
+
 def _bpsk_mixture_neg_log2_pdf(y: np.ndarray, amplitude: np.ndarray, variance: float) -> np.ndarray:
     """-log2 of 0.5*N(y; a, var) + 0.5*N(y; -a, var), elementwise in (y, a).
 
@@ -100,8 +125,7 @@ def _bpsk_mixture_neg_log2_pdf(y: np.ndarray, amplitude: np.ndarray, variance: f
     return -logp / _LN2
 
 
-def _run_shard(config: SimConfig, shard: int, count: int) -> tuple:
-    rng = _shard_rng(config.seed, shard)
+def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple:
     p = config.params
     var = config.noise.variance
     sigma = math.sqrt(var)
@@ -142,21 +166,9 @@ def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
     ``max_workers``.
     """
     n = config.n_symbols
-    shards = [
-        (i, min(_SHARD_SYMBOLS, n - i * _SHARD_SYMBOLS))
-        for i in range((n + _SHARD_SYMBOLS - 1) // _SHARD_SYMBOLS)
-    ]
-    if max_workers > 1 and len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda sc: _run_shard(config, *sc), shards))
-    else:
-        results = [_run_shard(config, i, c) for i, c in shards]
-
-    err1 = sum(r[0] for r in results)
-    err2 = sum(r[1] for r in results)
-    case1 = sum(r[2] for r in results)
-    sum_z1 = sum(r[3] for r in results)
-    sum_z2 = sum(r[4] for r in results)
+    err1, err2, case1, sum_z1, sum_z2 = _sharded_sums(
+        n, config.seed, lambda rng, count: _run_shard(config, rng, count), max_workers
+    )
     h_n = noise_entropy(config.noise)
     return LinkSimReport(
         n_symbols=n,
@@ -187,20 +199,14 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
         raise ValueError(f"n_samples must be >= 10000 for a usable estimate, got {n_samples}")
     var = noise.variance
     sigma = math.sqrt(var)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    shard = 0
-    while done < n_samples:
-        m = min(_SHARD_SYMBOLS, n_samples - done)
-        rng = _shard_rng(seed, shard)
+
+    def draw(rng, m):
         x = np.where(rng.integers(0, 2, m) == 1, amplitude, -amplitude)
         y = x + sigma * rng.standard_normal(m)
         z = _bpsk_mixture_neg_log2_pdf(y, x, var)
-        total += float(z.sum())
-        total_sq += float(np.dot(z, z))
-        done += m
-        shard += 1
+        return float(z.sum()), float(np.dot(z, z))
+
+    total, total_sq = _sharded_sums(n_samples, seed, draw)
     mean = total / n_samples
     sample_var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     return mean - noise_entropy(noise), math.sqrt(sample_var / n_samples)

@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "NoiseModel",
     "Constellation",
-    "RatePoint",
     "noise_entropy",
     "awgn_capacity",
     "low_snr_capacity",
@@ -161,20 +160,6 @@ class Constellation:
             ang = k * math.pi / 4.0
             pts.append((math.cos(ang), math.sin(ang)))
         return cls(tuple(pts))
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    """One (SNR, rate) sample of a rate curve, both nonnegative."""
-
-    snr_linear: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.snr_linear) and self.snr_linear >= 0):
-            raise ValueError(f"snr_linear must be finite and >= 0, got {self.snr_linear!r}")
-        if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate!r}")
 
 
 def noise_entropy(noise: NoiseModel) -> float:

@@ -141,19 +141,22 @@ def _axis_value(axis_mode: str, rho: float, rate: float) -> float:
     return 10.0 * math.log10(rho / rate)
 
 
+def _curve(label: str, spec: SweepSpec, rate_at) -> RateCurve:
+    # Callers pass lambdas that look rate functions up in module globals at
+    # call time, so wrappers swapped onto module attributes see every call.
+    rows = []
+    for rho in spec.snr_grid:
+        rate = rate_at(rho)
+        rows.append((_axis_value(spec.axis_mode, rho, rate), rate))
+    return RateCurve(label, tuple(rows))
+
+
 def modulation_rate_curves(spec: SweepSpec) -> list:
     """Rate curves of the conventional schemes (and capacity) over the grid."""
     bad = [s for s in spec.schemes if s not in CONVENTIONAL_SCHEMES]
     if bad:
         raise ValueError(f"modulation curves support {CONVENTIONAL_SCHEMES}, got {bad}")
-    curves = []
-    for scheme in spec.schemes:
-        rows = []
-        for rho in spec.snr_grid:
-            rate = scheme_rate(scheme, rho)
-            rows.append((_axis_value(spec.axis_mode, rho, rate), rate))
-        curves.append(RateCurve(scheme, tuple(rows)))
-    return curves
+    return [_curve(s, spec, lambda rho, s=s: scheme_rate(s, rho)) for s in spec.schemes]
 
 
 def _cocktail_total(ratio: float, eta: float, rho: float) -> float:
@@ -162,41 +165,37 @@ def _cocktail_total(ratio: float, eta: float, rho: float) -> float:
     return adr_breakdown(params, NoiseModel(_TOTAL_NOISE)).total
 
 
+def _cocktail_curves(spec: SweepSpec) -> list:
+    if not spec.ratios:
+        raise ValueError("ratios must be nonempty")
+    return [
+        _curve(f"cocktail r={r:g}", spec, lambda rho, r=r: _cocktail_total(r, spec.eta, rho))
+        for r in spec.ratios
+    ]
+
+
 def cocktail_rate_curves(spec: SweepSpec) -> list:
     """Cocktail total-rate curves per amplitude ratio, plus any reference
     curves ("capacity", "bpsk") present in the scheme set."""
-    if not spec.ratios:
-        raise ValueError("ratios must be nonempty")
-    curves = []
-    for ref in ("capacity", "bpsk"):
-        if ref in spec.schemes:
-            rows = []
-            for rho in spec.snr_grid:
-                rate = scheme_rate(ref, rho)
-                rows.append((_axis_value(spec.axis_mode, rho, rate), rate))
-            curves.append(RateCurve(ref, tuple(rows)))
-    for ratio in spec.ratios:
-        rows = []
-        for rho in spec.snr_grid:
-            total = _cocktail_total(ratio, spec.eta, rho)
-            rows.append((_axis_value(spec.axis_mode, rho, total), total))
-        curves.append(RateCurve(f"cocktail r={ratio:g}", tuple(rows)))
-    return curves
+    cocktails = _cocktail_curves(spec)
+    refs = [
+        _curve(ref, spec, lambda rho, ref=ref: scheme_rate(ref, rho))
+        for ref in ("capacity", "bpsk")
+        if ref in spec.schemes
+    ]
+    return refs + cocktails
 
 
 def cocktail_gain_curves(spec: SweepSpec) -> list:
-    """Curves of (cocktail total rate - capacity) per amplitude ratio."""
-    if not spec.ratios:
-        raise ValueError("ratios must be nonempty")
-    curves = []
-    for ratio in spec.ratios:
-        rows = []
-        for rho in spec.snr_grid:
-            total = _cocktail_total(ratio, spec.eta, rho)
-            gain = total - awgn_capacity(rho)
-            rows.append((_axis_value(spec.axis_mode, rho, total), gain))
-        curves.append(RateCurve(f"gain r={ratio:g}", tuple(rows)))
-    return curves
+    """Curves of (cocktail total rate - capacity) per amplitude ratio; each
+    row keeps the axis value of its cocktail rate row."""
+    return [
+        RateCurve(
+            f"gain r={ratio:g}",
+            tuple((x, total - awgn_capacity(rho)) for (x, total), rho in zip(curve.rows, spec.snr_grid)),
+        )
+        for ratio, curve in zip(spec.ratios, _cocktail_curves(spec))
+    ]
 
 
 def sweep_to_table(curves) -> list:

@@ -23,6 +23,75 @@ GOLDEN_CAPACITY_CSV = (
     "low_snr,3,4.32808512267\n"
 )
 
+# `cocktail --ratio 1.5 --ratio 3.5 --grid 0.01:10:log:4` on each axis.
+GOLDEN_COCKTAIL_ARGV = ("cocktail", "--ratio", "1.5", "--ratio", "3.5", "--grid", "0.01:10:log:4")
+GOLDEN_COCKTAIL = {
+    "ebn0": {
+        "cocktail_rates.csv": (
+            "curve,x,y\n"
+            "capacity,-1.57012060436,0.0143552929771\n"
+            "capacity,-1.38313827807,0.13750352375\n"
+            "capacity,0,1\n"
+            "capacity,4.60995249521,3.45943161864\n"
+            "bpsk,-1.54866815901,0.0142845583004\n"
+            "bpsk,-1.18648516287,0.131416082353\n"
+            "bpsk,1.41792804637,0.72145159079\n"
+            "bpsk,10.0000724045,0.999983328394\n"
+            "cocktail r=1.5,-2.3236998635,0.0170753646263\n"
+            "cocktail r=1.5,-1.84632496787,0.152979239214\n"
+            "cocktail r=1.5,0.9268698053,0.807817057822\n"
+            "cocktail r=1.5,7.28336461324,1.86923342649\n"
+            "cocktail r=3.5,-3.34199092861,0.0215873380692\n"
+            "cocktail r=3.5,-2.79379794347,0.190274151676\n"
+            "cocktail r=3.5,0.601701254296,0.870622475705\n"
+            "cocktail r=3.5,8.48866248904,1.41622987376\n"
+        ),
+        "cocktail_gain.csv": (
+            "curve,x,y\n"
+            "gain r=1.5,-2.3236998635,0.00272007164921\n"
+            "gain r=1.5,-1.84632496787,0.0154757154639\n"
+            "gain r=1.5,0.9268698053,-0.192182942178\n"
+            "gain r=1.5,7.28336461324,-1.59019819214\n"
+            "gain r=3.5,-3.34199092861,0.00723204509213\n"
+            "gain r=3.5,-2.79379794347,0.0527706279265\n"
+            "gain r=3.5,0.601701254296,-0.129377524295\n"
+            "gain r=3.5,8.48866248904,-2.04320174488\n"
+        ),
+    },
+    "linear": {
+        "cocktail_rates.csv": (
+            "curve,x,y\n"
+            "capacity,0.01,0.0143552929771\n"
+            "capacity,0.1,0.13750352375\n"
+            "capacity,1,1\n"
+            "capacity,10,3.45943161864\n"
+            "bpsk,0.01,0.0142845583004\n"
+            "bpsk,0.1,0.131416082353\n"
+            "bpsk,1,0.72145159079\n"
+            "bpsk,10,0.999983328394\n"
+            "cocktail r=1.5,0.01,0.0170753646263\n"
+            "cocktail r=1.5,0.1,0.152979239214\n"
+            "cocktail r=1.5,1,0.807817057822\n"
+            "cocktail r=1.5,10,1.86923342649\n"
+            "cocktail r=3.5,0.01,0.0215873380692\n"
+            "cocktail r=3.5,0.1,0.190274151676\n"
+            "cocktail r=3.5,1,0.870622475705\n"
+            "cocktail r=3.5,10,1.41622987376\n"
+        ),
+        "cocktail_gain.csv": (
+            "curve,x,y\n"
+            "gain r=1.5,0.01,0.00272007164921\n"
+            "gain r=1.5,0.1,0.0154757154639\n"
+            "gain r=1.5,1,-0.192182942178\n"
+            "gain r=1.5,10,-1.59019819214\n"
+            "gain r=3.5,0.01,0.00723204509213\n"
+            "gain r=3.5,0.1,0.0527706279265\n"
+            "gain r=3.5,1,-0.129377524295\n"
+            "gain r=3.5,10,-2.04320174488\n"
+        ),
+    },
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -152,6 +221,14 @@ class TestCocktail:
         assert "-3.41" in out
         assert "1.82" in out
 
+    @pytest.mark.parametrize("axis", sorted(GOLDEN_COCKTAIL))
+    def test_golden_file_bytes(self, axis, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, _, _ = run_cli(capsys, *GOLDEN_COCKTAIL_ARGV, "--axis", axis)
+        assert code == EXIT_OK
+        for name, text in GOLDEN_COCKTAIL[axis].items():
+            assert (tmp_path / name).read_bytes() == text.encode()
+
     def test_curve_labels_in_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
         run_cli(capsys, "cocktail", "--ratio", "1.5", "--ratio", "3.5", "--grid", "0.1:1:log:3")
@@ -189,6 +266,16 @@ class TestSimulate:
                 "--n", "10000", "--mode", mode,
             )
             assert code == EXIT_OK
+
+    def test_eta_flag_removed_and_report_keeps_half(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--alpha", "2", "--beta", "1", "--noise-var", "1", "--eta", "0.2"])
+        assert exc.value.code == 2
+        code, out, _ = run_cli(
+            capsys, "simulate", "--alpha", "2", "--beta", "1", "--noise-var", "1", "--n", "10000"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["eta"] == 0.5
 
     def test_invalid_amplitudes_are_numeric_failure(self, capsys):
         code, _, err = run_cli(
@@ -228,6 +315,16 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["mi", "--scheme", "bpsk", "--config", str(cfg)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("ratio", [[1.0], ["abc"], 0.5])
+    def test_config_ratio_validated_like_flag(self, ratio, tmp_path, capsys):
+        # same exit code as `--ratio 1.0` on the command line
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ratio": ratio}))
+        with pytest.raises(SystemExit) as exc:
+            main(["cocktail", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "ratio" in capsys.readouterr().err
 
     def test_config_ratio_list(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))

@@ -40,6 +40,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(seed=-1)
 
+    def test_eta_off_half_rejected(self):
+        # the simulator always draws independent equiprobable streams
+        with pytest.warns(UserWarning, match="eta"):
+            params = CocktailParams(3.5, 1.0, eta=0.2)
+        with pytest.raises(ValueError, match="eta"):
+            make_config(params=params)
+
 
 class TestRunLink:
     def test_noise_free_roundtrip(self):
@@ -65,6 +72,20 @@ class TestRunLink:
     def test_worker_count_does_not_change_result(self):
         cfg = make_config(n_symbols=3_000_000, seed=31)
         assert run_link(cfg, max_workers=1) == run_link(cfg, max_workers=4)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_three_shard_golden_report(self, workers):
+        # 2.5e6 symbols: two full 2**20 shards and a partial third
+        cfg = make_config(noise=NoiseModel(0.5), n_symbols=2_500_000, seed=9)
+        assert run_link(cfg, max_workers=workers) == LinkSimReport(
+            n_symbols=2_500_000,
+            errors_x1=299328,
+            errors_x2=577941,
+            case1_count=1250565,
+            empirical_mi_x1=0.6456622419779561,
+            empirical_mi_x2=0.45779318372270383,
+            seed=9,
+        )
 
     def test_report_echoes_inputs(self):
         report = run_link(make_config(seed=77, n_symbols=12_345))
@@ -143,6 +164,13 @@ class TestMcBpskMi:
     def test_deterministic(self):
         assert mc_bpsk_mi(1.0, NoiseModel(1.0), 50_000, seed=9) == mc_bpsk_mi(
             1.0, NoiseModel(1.0), 50_000, seed=9
+        )
+
+    def test_three_shard_golden_estimate(self):
+        # 2.5e6 samples: two full 2**20 shards and a partial third
+        assert mc_bpsk_mi(1.0, NoiseModel(1.0), 2_500_000, seed=9) == (
+            0.4853096190287869,
+            0.0005532412506568794,
         )
 
     def test_standard_error_shrinks(self):

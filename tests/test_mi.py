@@ -14,7 +14,6 @@ import pytest
 from cbpsk.mi import (
     Constellation,
     NoiseModel,
-    RatePoint,
     awgn_capacity,
     bpsk_mi,
     constellation_mi,
@@ -211,14 +210,3 @@ class TestConstellationMi:
             bpsk_mi(1.0, noise), abs=1e-9
         )
 
-
-class TestRatePoint:
-    def test_accepts_valid(self):
-        rp = RatePoint(1.0, 0.5)
-        assert rp.snr_linear == 1.0 and rp.rate == 0.5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            RatePoint(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            RatePoint(1.0, -0.1)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cbpsk.mi import NoiseModel, bpsk_mi
+from cbpsk.mi import NoiseModel, awgn_capacity, bpsk_mi
 from cbpsk.sweep import (
     RateCurve,
     SweepSpec,
@@ -198,6 +198,15 @@ class TestCocktailCurves:
             cocktail_rate_curves(spec)
         with pytest.raises(ValueError):
             cocktail_gain_curves(spec)
+
+    def test_gain_rows_derive_from_rate_rows(self):
+        spec = SweepSpec(snr_grid=(0.01, 0.1, 1.0), ratios=(1.5, 3.5), axis_mode="eb_n0_db")
+        rates = by_label(cocktail_rate_curves(spec))
+        for ratio, gain in zip(spec.ratios, cocktail_gain_curves(spec)):
+            assert gain.label == f"gain r={ratio:g}"
+            for rho, (x, total), (gx, g) in zip(spec.snr_grid, rates[f"cocktail r={ratio:g}"].rows, gain.rows):
+                assert gx == x
+                assert g == total - awgn_capacity(rho)
 
 
 class TestTable:
