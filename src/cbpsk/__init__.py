@@ -22,7 +22,6 @@ from .cocktail import (
     AdrBreakdown,
     CocktailParams,
     EnergyReport,
-    ReceivedSample,
     SymbolPair,
     adr_breakdown,
     adr_gain_low_snr,
@@ -30,7 +29,6 @@ from .cocktail import (
     eb_over_n0,
     encode,
     energy_report,
-    transmit,
 )
 from .linksim import LinkSimReport, SimConfig, mc_bpsk_mi, run_link
 from .sweep import (
@@ -62,10 +60,8 @@ __all__ = [
     "SymbolPair",
     "EnergyReport",
     "AdrBreakdown",
-    "ReceivedSample",
     "encode",
     "detect",
-    "transmit",
     "energy_report",
     "adr_breakdown",
     "adr_gain_low_snr",

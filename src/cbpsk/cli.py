@@ -27,6 +27,7 @@ from .cocktail import CocktailParams, eb_over_n0, energy_report
 from .linksim import SimConfig, run_link
 from .mi import NoiseModel, awgn_capacity, low_snr_capacity
 from .sweep import (
+    DEFAULT_RATIOS,
     SweepSpec,
     cocktail_gain_curves,
     cocktail_rate_curves,
@@ -45,6 +46,7 @@ OUTPUT_DIR_ENV = "CBPSK_OUTPUT_DIR"
 
 MI_SCHEMES = ("bpsk", "4ask", "qpsk", "8psk")
 _MODE_FLAGS = {"dd": "decision_directed", "genie": "genie_aided"}
+_AXIS_FLAGS = {"linear": "linear_snr", "ebn0": "eb_n0_db"}
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,16 @@ def positive_float(s: str) -> float:
     v = nonneg_float(s)
     if v == 0:
         raise argparse.ArgumentTypeError("expected a value > 0")
+    return v
+
+
+def positive_int(s: str) -> int:
+    try:
+        v = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {s}")
     return v
 
 
@@ -195,8 +207,7 @@ def cmd_mi(args) -> int:
         return EXIT_OK
 
     started = time.monotonic()
-    axis_mode = "eb_n0_db" if args.axis == "ebn0" else "linear_snr"
-    spec = SweepSpec(snr_grid=args.grid, schemes=(args.scheme,), axis_mode=axis_mode)
+    spec = SweepSpec(snr_grid=args.grid, schemes=(args.scheme,), axis_mode=_AXIS_FLAGS[args.axis])
     curves = modulation_rate_curves(spec)
     out = _write_text(_resolve(args.output or f"mi_{args.scheme}.csv"), _csv_text(sweep_to_table(curves)))
     _write_manifest("mi", args, [], [out], started)
@@ -204,12 +215,12 @@ def cmd_mi(args) -> int:
 
 
 def cmd_cocktail(args) -> int:
-    ratios = tuple(args.ratio) if args.ratio else (1.5, 2.5, 3.5, 5.0)
+    ratios = tuple(args.ratio) if args.ratio else DEFAULT_RATIOS
 
     if args.report_limit:
         cap_limit_db = 10.0 * math.log10(math.log(2.0))
         for r in ratios:
-            params = CocktailParams.from_ratio(r, 1e-4, args.eta)
+            params = CocktailParams.from_ratio(r, 1e-4)
             rep = energy_report(params)
             measured_db = 10.0 * math.log10(eb_over_n0(params, NoiseModel(1.0)))
             closed_db = cap_limit_db - 10.0 * math.log10(rep.e_total / rep.e1)
@@ -222,14 +233,8 @@ def cmd_cocktail(args) -> int:
         return EXIT_OK
 
     started = time.monotonic()
-    axis_mode = "eb_n0_db" if args.axis == "ebn0" else "linear_snr"
-    spec = SweepSpec(
-        snr_grid=args.grid,
-        ratios=ratios,
-        eta=args.eta,
-        schemes=("capacity", "bpsk"),
-        axis_mode=axis_mode,
-    )
+    axis_mode = _AXIS_FLAGS[args.axis]
+    spec = SweepSpec(snr_grid=args.grid, ratios=ratios, schemes=("capacity", "bpsk"), axis_mode=axis_mode)
     rates = cocktail_rate_curves(spec)
     gains = cocktail_gain_curves(spec)
     outputs = [
@@ -269,7 +274,7 @@ def cmd_simulate(args) -> int:
         "config": {
             "alpha": config.params.alpha,
             "beta": config.params.beta,
-            "eta": config.params.eta,
+            "eta": 0.5,
             "noise_variance": config.noise.variance,
             "n_symbols": config.n_symbols,
             "seed": config.seed,
@@ -308,7 +313,7 @@ def build_parser():
     p = sub.add_parser("mi", help="rate curve of one modulation scheme")
     p.add_argument("--scheme", choices=MI_SCHEMES, required=True)
     p.add_argument("--grid", type=grid_arg, default="0.001:100:log:40", help=grid_help)
-    p.add_argument("--axis", choices=("linear", "ebn0"), default="linear")
+    p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), default="linear")
     p.add_argument("--output", help="CSV path (default: mi_<scheme>.csv)")
     p.add_argument("--check", action="store_true", help="run the qpsk = 2 x bpsk consistency check and exit")
     p.add_argument("--config", help=config_help)
@@ -316,10 +321,9 @@ def build_parser():
 
     p = sub.add_parser("cocktail", help="cocktail-BPSK rate and gain datasets")
     p.add_argument("--ratio", type=ratio_arg, action="append",
-                   help="alpha/beta ratio, > 1 (repeatable; default 1.5 2.5 3.5 5)")
-    p.add_argument("--eta", type=float, default=0.5, help="case-I probability (default 0.5)")
+                   help=f"alpha/beta ratio, > 1 (repeatable; default {' '.join(f'{r:g}' for r in DEFAULT_RATIOS)})")
     p.add_argument("--grid", type=grid_arg, default="0.001:100:log:60", help=grid_help)
-    p.add_argument("--axis", choices=("linear", "ebn0"), default="ebn0")
+    p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), default="ebn0")
     p.add_argument("--prefix", default="cocktail", help="output file prefix (default: cocktail)")
     p.add_argument("--plot", action="store_true", help="also render SVG charts")
     p.add_argument("--report-limit", action="store_true",
@@ -331,11 +335,11 @@ def build_parser():
     p.add_argument("--alpha", type=positive_float, required=True)
     p.add_argument("--beta", type=positive_float, required=True)
     p.add_argument("--noise-var", type=positive_float, required=True, help="total noise power")
-    p.add_argument("--n", type=int, default=10000, help="number of symbols")
+    p.add_argument("--n", type=positive_int, default=10000, help="number of symbols")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=tuple(_MODE_FLAGS), default="dd",
                    help="dd = decision-directed, genie = error-free first stream")
-    p.add_argument("--workers", type=int, default=1, help="parallel shard workers")
+    p.add_argument("--workers", type=positive_int, default=1, help="parallel shard workers")
     p.add_argument("--output", help="JSON report path (default: print to stdout)")
     p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_simulate)

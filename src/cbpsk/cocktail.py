@@ -22,7 +22,6 @@ occupies one real dimension of a complex channel whose total noise power is
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .mi import LOG2E, NoiseModel, bpsk_mi
@@ -32,11 +31,9 @@ __all__ = [
     "SymbolPair",
     "EnergyReport",
     "AdrBreakdown",
-    "ReceivedSample",
     "ALL_PAIRS",
     "encode",
     "detect",
-    "transmit",
     "energy_report",
     "adr_breakdown",
     "adr_gain_low_snr",
@@ -46,20 +43,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CocktailParams:
-    """Scheme parameters: case-I amplitude alpha, detection offset beta
-    (case-II amplitude beta/2), and case-I probability eta.
+    """Scheme parameters: case-I amplitude alpha and detection offset beta
+    (case-II amplitude beta/2).
 
-    Construction enforces alpha > beta > 0 strictly and 0 < eta < 1. The
-    closed-form low-SNR gain assumes eta = 1/2; other values are accepted
-    with a warning.
+    Construction enforces alpha > beta > 0 strictly. The two streams are
+    independent and equiprobable, so each case occurs with probability 1/2;
+    that split is part of the scheme, not a parameter.
     """
 
     alpha: float
     beta: float
-    eta: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "eta"):
+        for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
@@ -67,14 +63,6 @@ class CocktailParams:
         if not self.alpha > self.beta > 0.0:
             raise ValueError(
                 f"amplitudes must satisfy alpha > beta > 0, got alpha={self.alpha}, beta={self.beta}"
-            )
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie strictly inside (0, 1), got {self.eta}")
-        if self.eta != 0.5:
-            warnings.warn(
-                "the closed-form low-SNR gain assumes equal case probabilities (eta = 1/2); "
-                f"eta = {self.eta} makes adr_gain_low_snr an extrapolation",
-                stacklevel=2,
             )
 
     @property
@@ -84,16 +72,19 @@ class CocktailParams:
     @classmethod
     def from_ratio(cls, ratio: float, input_energy: float, eta: float = 0.5) -> "CocktailParams":
         """Solve (alpha, beta) from an amplitude ratio and a target mean
-        input energy eta*alpha^2 + (1-eta)*(beta/2)^2.
+        input energy (alpha^2 + (beta/2)^2) / 2, i.e.
+        beta = sqrt(2*E_in / (ratio^2 + 1/4)).
 
-        For eta = 1/2 this is beta = sqrt(2*E_in / (ratio^2 + 1/4)).
+        ``eta`` is the case-I probability; only the scheme's 1/2 is accepted.
         """
+        if eta != 0.5:
+            raise ValueError(f"the case split is fixed at eta = 0.5, got eta={eta!r}")
         if not (isinstance(ratio, (int, float)) and math.isfinite(ratio) and ratio > 1.0):
             raise ValueError(f"amplitude ratio must be finite and > 1, got {ratio!r}")
         if not (isinstance(input_energy, (int, float)) and math.isfinite(input_energy) and input_energy > 0):
             raise ValueError(f"input energy must be finite and > 0, got {input_energy!r}")
-        beta = math.sqrt(input_energy / (eta * ratio * ratio + (1.0 - eta) * 0.25))
-        return cls(ratio * beta, beta, eta)
+        beta = math.sqrt(input_energy / (0.5 * ratio * ratio + 0.125))
+        return cls(ratio * beta, beta)
 
 
 @dataclass(frozen=True)
@@ -138,18 +129,6 @@ class AdrBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class ReceivedSample:
-    """The raw receive sample y1 and the offset-corrected sample y2."""
-
-    y1: float
-    y2: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.y1) and math.isfinite(self.y2)):
-            raise ValueError(f"received samples must be finite, got y1={self.y1!r}, y2={self.y2!r}")
-
-
 def _sign(y: float) -> int:
     # Deterministic tie-break: sign(0) maps to +1 (measure-zero event).
     return 1 if y >= 0.0 else -1
@@ -180,41 +159,32 @@ def detect(y1: float, params: CocktailParams) -> tuple[int, float, int]:
     return x1_hat, y2, _sign(y2)
 
 
-def transmit(pair: SymbolPair, params: CocktailParams, noise_sample: float = 0.0) -> ReceivedSample:
-    """Form the channel pair (y1, y2) for one symbol pair and one noise draw,
-    with y2 based on the true x1 (the defining relation, not the detector)."""
-    y1 = encode(pair, params) + noise_sample
-    return ReceivedSample(y1, y1 - params.beta * pair.x1)
-
-
 def energy_report(params: CocktailParams) -> EnergyReport:
     """Mean per-symbol energies of the two stages.
 
-    e1 is the transmitted (input) energy eta*alpha^2 + (1-eta)*(beta/2)^2;
-    e2 is the energy available to the second stage,
-    eta*(alpha-beta)^2 + (1-eta)*(beta/2)^2, which equals the total minus
-    the input, i.e. the reused energy.
+    Each case occurs with probability 1/2. e1 is the transmitted (input)
+    energy (alpha^2 + (beta/2)^2) / 2; e2 is the energy available to the
+    second stage, ((alpha-beta)^2 + (beta/2)^2) / 2, which equals the total
+    minus the input, i.e. the reused energy.
     """
-    eta = params.eta
     half_beta_sq = (0.5 * params.beta) ** 2
-    e1 = eta * params.alpha**2 + (1.0 - eta) * half_beta_sq
-    e2 = eta * (params.alpha - params.beta) ** 2 + (1.0 - eta) * half_beta_sq
+    e1 = 0.5 * params.alpha**2 + 0.5 * half_beta_sq
+    e2 = 0.5 * (params.alpha - params.beta) ** 2 + 0.5 * half_beta_sq
     return EnergyReport(e_in=e1, e1=e1, e2=e2, e_total=e1 + e2, delta_e=e2)
 
 
 def adr_breakdown(params: CocktailParams, noise: NoiseModel) -> AdrBreakdown:
     """Achievable data rates of both streams, in bits.
 
-    Each stage is a case-weighted pair of antipodal detections: stage 1 at
+    Each stage is an equally weighted pair of antipodal detections: stage 1 at
     amplitudes alpha and beta/2, stage 2 (with the first stream known) at
     amplitudes alpha - beta and beta/2. The kernels are evaluated at
     variance/2, the per-dimension share of the total noise power.
     """
     stage_noise = NoiseModel(noise.variance / 2.0)
-    eta = params.eta
     r_half_beta = bpsk_mi(0.5 * params.beta, stage_noise)
-    r1 = eta * bpsk_mi(params.alpha, stage_noise) + (1.0 - eta) * r_half_beta
-    r2 = eta * bpsk_mi(params.alpha - params.beta, stage_noise) + (1.0 - eta) * r_half_beta
+    r1 = 0.5 * bpsk_mi(params.alpha, stage_noise) + 0.5 * r_half_beta
+    r2 = 0.5 * bpsk_mi(params.alpha - params.beta, stage_noise) + 0.5 * r_half_beta
     return AdrBreakdown(r1=r1, r2=r2, total=r1 + r2)
 
 

@@ -61,10 +61,6 @@ class SimConfig:
             raise ValueError(
                 f"detection_mode must be one of {DETECTION_MODES}, got {self.detection_mode!r}"
             )
-        if self.params.eta != 0.5:
-            raise ValueError(
-                f"the simulator draws equiprobable independent streams (eta = 0.5), got eta={self.params.eta}"
-            )
 
 
 @dataclass(frozen=True)

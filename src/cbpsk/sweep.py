@@ -19,6 +19,7 @@ __all__ = [
     "CONVENTIONAL_SCHEMES",
     "ALL_SCHEMES",
     "AXIS_MODES",
+    "DEFAULT_RATIOS",
     "SweepSpec",
     "RateCurve",
     "log_grid",
@@ -33,6 +34,7 @@ __all__ = [
 CONVENTIONAL_SCHEMES = ("capacity", "bpsk", "qpsk", "4ask", "8psk")
 ALL_SCHEMES = CONVENTIONAL_SCHEMES + ("cocktail",)
 AXIS_MODES = ("linear_snr", "eb_n0_db")
+DEFAULT_RATIOS = (1.5, 2.5, 3.5, 5.0)
 
 # The reference channel: total complex noise power 1, so each real
 # dimension carries variance 1/2.
@@ -50,8 +52,7 @@ class SweepSpec:
     """A sweep request: SNR grid, amplitude ratios, scheme set, axis mode."""
 
     snr_grid: tuple
-    ratios: tuple = (1.5, 2.5, 3.5, 5.0)
-    eta: float = 0.5
+    ratios: tuple = DEFAULT_RATIOS
     schemes: tuple = CONVENTIONAL_SCHEMES
     axis_mode: str = "linear_snr"
 
@@ -66,8 +67,6 @@ class SweepSpec:
         ratios = tuple(float(r) for r in self.ratios)
         if any(not math.isfinite(r) or r <= 1.0 for r in ratios):
             raise ValueError("amplitude ratios must all be > 1")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie strictly inside (0, 1), got {self.eta}")
         unknown = [s for s in self.schemes if s not in ALL_SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; valid schemes: {ALL_SCHEMES}")
@@ -159,19 +158,16 @@ def modulation_rate_curves(spec: SweepSpec) -> list:
     return [_curve(s, spec, lambda rho, s=s: scheme_rate(s, rho)) for s in spec.schemes]
 
 
-def _cocktail_total(ratio: float, eta: float, rho: float) -> float:
+def _cocktail_total(ratio: float, rho: float) -> float:
     # Same mean input energy as the comparison schemes: E_in = rho * noise.
-    params = CocktailParams.from_ratio(ratio, rho * _TOTAL_NOISE, eta)
+    params = CocktailParams.from_ratio(ratio, rho * _TOTAL_NOISE)
     return adr_breakdown(params, NoiseModel(_TOTAL_NOISE)).total
 
 
 def _cocktail_curves(spec: SweepSpec) -> list:
     if not spec.ratios:
         raise ValueError("ratios must be nonempty")
-    return [
-        _curve(f"cocktail r={r:g}", spec, lambda rho, r=r: _cocktail_total(r, spec.eta, rho))
-        for r in spec.ratios
-    ]
+    return [_curve(f"cocktail r={r:g}", spec, lambda rho, r=r: _cocktail_total(r, rho)) for r in spec.ratios]
 
 
 def cocktail_rate_curves(spec: SweepSpec) -> list:

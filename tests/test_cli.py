@@ -277,6 +277,13 @@ class TestSimulate:
         assert code == EXIT_OK
         assert json.loads(out)["config"]["eta"] == 0.5
 
+    @pytest.mark.parametrize("flag,value", [("--workers", "-3"), ("--workers", "0"), ("--n", "0"), ("--n", "2.5")])
+    def test_out_of_range_counts_are_usage_errors(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--alpha", "2", "--beta", "1", "--noise-var", "1", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_invalid_amplitudes_are_numeric_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--alpha", "1", "--beta", "2", "--noise-var", "1"

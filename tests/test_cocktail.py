@@ -16,25 +16,24 @@ from cbpsk.cocktail import (
     eb_over_n0,
     encode,
     energy_report,
-    transmit,
 )
 from cbpsk.mi import NoiseModel, awgn_capacity, bpsk_mi
+from cbpsk.sweep import SweepSpec
 
 LOG2E = math.log2(math.e)
 
 
-def random_params(rng, eta=0.5):
+def random_params(rng):
     beta = float(rng.uniform(0.05, 4.0))
     ratio = float(rng.uniform(1.001, 8.0))
-    return CocktailParams(ratio * beta, beta, eta)
+    return CocktailParams(ratio * beta, beta)
 
 
-def relaxed_params(alpha, beta, eta=0.5):
+def relaxed_params(alpha, beta):
     """Bypass validation for boundary-value tests (e.g. alpha == beta)."""
     p = object.__new__(CocktailParams)
     object.__setattr__(p, "alpha", float(alpha))
     object.__setattr__(p, "beta", float(beta))
-    object.__setattr__(p, "eta", float(eta))
     return p
 
 
@@ -49,14 +48,14 @@ class TestParams:
         with pytest.raises(ValueError):
             CocktailParams(1.0, 0.0)
 
-    def test_eta_bounds(self):
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                CocktailParams(2.0, 1.0, bad)
-
-    def test_eta_warning_off_half(self):
-        with pytest.warns(UserWarning, match="eta"):
+    def test_case_split_is_not_settable(self):
+        # independent equiprobable streams fix the case-I probability at 1/2
+        with pytest.raises(TypeError):
             CocktailParams(2.0, 1.0, 0.3)
+        with pytest.raises(ValueError, match="eta"):
+            CocktailParams.from_ratio(3.5, 1.0, eta=0.3)
+        with pytest.raises(TypeError):
+            SweepSpec(snr_grid=(1.0,), eta=0.5)
 
     def test_from_ratio_hits_target_energy(self):
         p = CocktailParams.from_ratio(3.5, 2.0)
@@ -115,14 +114,6 @@ class TestEncodeDetect:
             for pair in ALL_PAIRS:
                 x1_hat, _, x2_hat = detect(encode(pair, p), p)
                 assert (x1_hat, x2_hat) == (pair.x1, pair.x2)
-
-    def test_transmit_table_row(self):
-        p = CocktailParams(3.5, 1.0)
-        s = transmit(SymbolPair(1, 1), p, noise_sample=0.25)
-        assert s.y1 == pytest.approx(3.75)
-        assert s.y2 == pytest.approx(2.5 + 0.25)
-        s = transmit(SymbolPair(-1, 1), p, noise_sample=0.0)
-        assert (s.y1, s.y2) == (-0.5, 0.5)
 
 
 class TestEnergyReport:
@@ -240,3 +231,32 @@ class TestBreakdownType:
     def test_total_is_sum(self):
         out = AdrBreakdown(0.25, 0.5, 0.75)
         assert out.total == out.r1 + out.r2
+
+
+class TestGoldenBits:
+    # float.hex values captured with the general case-weight arithmetic at
+    # eta = 1/2; rewriting the fixed 1/2 weights must not move a single ulp.
+    def test_ratio_3_5_at_energy_0_01(self):
+        p = CocktailParams.from_ratio(3.5, 0.01)
+        rep = energy_report(p)
+        out = adr_breakdown(p, NoiseModel(1.0))
+        got = {
+            "alpha": p.alpha,
+            "beta": p.beta,
+            "e1": rep.e1,
+            "e2": rep.e2,
+            "e_total": rep.e_total,
+            "r1": out.r1,
+            "r2": out.r2,
+            "total": out.total,
+        }
+        assert {k: v.hex() for k, v in got.items()} == {
+            "alpha": "0x1.1eb851eb851ecp-3",
+            "beta": "0x1.47ae147ae147bp-5",
+            "e1": "0x1.47ae147ae147cp-7",
+            "e2": "0x1.54c985f06f695p-8",
+            "e_total": "0x1.f212d77318fc6p-7",
+            "r1": "0x1.cfe276bdfc8c0p-7",
+            "r2": "0x1.e6fa8187d8400p-8",
+            "total": "0x1.61afdbc0f4560p-6",
+        }

@@ -40,13 +40,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(seed=-1)
 
-    def test_eta_off_half_rejected(self):
-        # the simulator always draws independent equiprobable streams
-        with pytest.warns(UserWarning, match="eta"):
-            params = CocktailParams(3.5, 1.0, eta=0.2)
-        with pytest.raises(ValueError, match="eta"):
-            make_config(params=params)
-
 
 class TestRunLink:
     def test_noise_free_roundtrip(self):
