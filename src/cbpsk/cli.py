@@ -163,7 +163,7 @@ def _write_manifest(command: str, args, seeds, outputs, started: float) -> str:
     config = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
-        if k not in ("func", "command", "config") and not k.startswith("_")
+        if k not in ("func", "command", "config")
     }
     manifest = RunManifest(
         command=command,
@@ -179,12 +179,12 @@ def _write_manifest(command: str, args, seeds, outputs, started: float) -> str:
 
 
 def cmd_capacity(args) -> int:
+    started = time.monotonic()
     values = tuple(args.snr) if args.snr else args.grid
     rows = [("capacity", v, awgn_capacity(v)) for v in values]
     rows += [("low_snr", v, low_snr_capacity(v)) for v in values]
     text = _csv_text(rows)
     if args.output:
-        started = time.monotonic()
         out = _write_text(_resolve(args.output), text)
         _write_manifest("capacity", args, [], [out], started)
     else:
@@ -300,7 +300,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     grid_help = "SNR grid as start:stop:lin|log:count (e.g. 0.001:100:log:60)"
-    config_help = "JSON file of flag defaults; explicit flags override it"
+    config_help = "JSON file of flag values; explicit flags override it"
 
     p = sub.add_parser("capacity", help="Shannon capacity and its low-SNR approximation")
     g = p.add_mutually_exclusive_group(required=True)
@@ -334,7 +334,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="seeded Monte Carlo link simulation")
     p.add_argument("--alpha", type=positive_float, required=True)
     p.add_argument("--beta", type=positive_float, required=True)
-    p.add_argument("--noise-var", type=positive_float, required=True, help="total noise power")
+    p.add_argument("--noise-var", type=positive_float, required=True, help="noise variance per real dimension")
     p.add_argument("--n", type=positive_int, default=10000, help="number of symbols")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=tuple(_MODE_FLAGS), default="dd",
@@ -344,45 +344,48 @@ def build_parser():
     p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_simulate)
 
-    return parser, sub
+    return parser
 
 
-# The repeatable (append) flags and their converters. argparse does not
-# convert list defaults, so config values for these are converted here.
-_REPEATABLE = {"snr": nonneg_float, "ratio": ratio_arg}
-
-
-def _apply_config(parser, sub, args, argv):
-    path = getattr(args, "config", None)
+def _load_config(argv) -> dict:
+    """The JSON object in the ``--config`` file named in argv; {} without one."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
     if not path:
-        return args
+        return {}
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path!r} must hold a JSON object")
-    command_parser = sub.choices[args.command]
-    unknown = [k for k in cfg if not hasattr(args, k)]
-    if unknown:
-        command_parser.error(f"unknown config keys {unknown} for command {args.command!r}")
-    command_parser.set_defaults(**{k: v for k, v in cfg.items() if k not in _REPEATABLE})
-    args = parser.parse_args(argv)
-    for k, convert in _REPEATABLE.items():
-        if k in cfg and getattr(args, k) is None:
-            value = cfg[k] if isinstance(cfg[k], list) else [cfg[k]]
-            try:
-                setattr(args, k, [convert(str(v)) for v in value])
-            except argparse.ArgumentTypeError as exc:
-                command_parser.error(f"config key {k!r}: {exc}")
-    return args
+    return cfg
+
+
+def _as_flags(key: str, value) -> list:
+    """A config entry as typed flags: one per (list) value, bare for true, none for false or null."""
+    flag = "--" + key.replace("_", "-")
+    values = value if isinstance(value, list) else [value]
+    return [flag if v is True else f"{flag}={v}" for v in values if v is not False and v is not None]
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser, sub = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
-        args = _apply_config(parser, sub, args, argv)
+        cfg = _load_config(argv)
+        flags = {k: _as_flags(k, v) for k, v in cfg.items()}
+        # The file's flags go right after the command name, so explicit
+        # flags, later in argv, override them.
+        args = parser.parse_args(argv[:1] + [f for fs in flags.values() for f in fs] + argv[1:])
+        for key, value in cfg.items():
+            # argparse also takes a prefix of a flag name, so check the key.
+            if not hasattr(args, key):
+                parser.error(f"config key {key!r} is not a flag of {args.command!r}")
+            parsed = getattr(args, key)
+            if isinstance(value, list) and not isinstance(parsed, list):
+                parser.error(f"config key {key!r}: a list needs a repeatable flag and one or more values")
+            if isinstance(parsed, list) and len(parsed) > len(flags[key]):
+                del parsed[: len(flags[key])]  # explicit repeated flags replace the file's values
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"cbpsk: error: {exc}", file=sys.stderr)

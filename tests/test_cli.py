@@ -7,10 +7,14 @@ through a real subprocess in the acceptance suite.
 import json
 import math
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
-from cbpsk import __version__
+import cbpsk
+from cbpsk import __version__, cli
 from cbpsk.cli import EXIT_NUMERIC, EXIT_OK, grid_arg, main
 
 GOLDEN_CAPACITY_CSV = (
@@ -156,6 +160,17 @@ class TestCapacity:
         assert manifest["config"]["snr"] == [2.0]
         assert manifest["seeds"] == []
 
+    def test_manifest_times_the_compute(self, tmp_path, capsys, monkeypatch):
+        def slow_capacity(snr):
+            time.sleep(0.05)
+            return 1.0
+
+        monkeypatch.setattr(cli, "awgn_capacity", slow_capacity)
+        out_file = tmp_path / "cap.csv"
+        code, _, _ = run_cli(capsys, "capacity", "--snr", "1", "--output", str(out_file))
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "cap.manifest.json").read_text())["duration_s"] >= 0.05
+
 
 class TestMi:
     def test_bpsk_saturates(self, tmp_path, capsys):
@@ -292,7 +307,103 @@ class TestSimulate:
         assert "alpha > beta > 0" in err
 
 
+SIMULATE_ARGV = ("simulate", "--alpha", "2", "--beta", "1", "--noise-var", "1")
+COCKTAIL_ARGV = ("cocktail", "--ratio", "2")
+
+# (argv, config entries, text stderr must hold): each entry is rejected as
+# its flag would be on the command line, or as a key no flag takes.
+BAD_CONFIG_VALUES = [
+    pytest.param(SIMULATE_ARGV, {"n": 0}, "--n", id="n=0"),
+    pytest.param(SIMULATE_ARGV, {"n": 2.5}, "--n", id="n=2.5"),
+    pytest.param(SIMULATE_ARGV, {"workers": -3}, "--workers", id="workers=-3"),
+    pytest.param(SIMULATE_ARGV, {"mode": "bogus"}, "--mode", id="mode=bogus"),
+    pytest.param(COCKTAIL_ARGV, {"axis": "x"}, "--axis", id="axis=x"),
+    pytest.param(COCKTAIL_ARGV, {"plot": "no"}, "--plot", id="plot=no"),
+    pytest.param(COCKTAIL_ARGV, {"grid": [1, 2]}, "--grid", id="grid=[1,2]"),
+    pytest.param(("mi",), {"scheme": "16qam"}, "--scheme", id="scheme=16qam"),
+    pytest.param(SIMULATE_ARGV[:5], {"nois": 1}, "'nois'", id="nois=1"),
+    pytest.param(SIMULATE_ARGV, {"n": [5, 6]}, "'n'", id="n=[5,6]"),
+    # the same group conflict as `capacity --grid ... --snr 1`
+    pytest.param(("capacity", "--snr", "1"), {"grid": "1:2:lin:2"}, "--grid", id="grid-with-snr"),
+]
+
+# (flags, the same run as config entries), for each command; outputs are
+# relative, so both runs write the same names into their own directory.
+SAME_RUN_AS_FLAGS_AND_FILE = {
+    "capacity": (
+        ["capacity", "--snr", "1", "--snr", "2.5", "--output", "cap.csv"],
+        {"snr": [1, 2.5], "output": "cap.csv"},
+    ),
+    "mi": (
+        ["mi", "--scheme", "qpsk", "--grid", "0.01:10:log:4", "--axis", "ebn0", "--output", "mi.csv"],
+        {"scheme": "qpsk", "grid": "0.01:10:log:4", "axis": "ebn0", "output": "mi.csv", "check": False},
+    ),
+    "cocktail": (
+        ["cocktail", "--ratio", "1.5", "--ratio", "3.5", "--grid", "0.01:10:log:4",
+         "--axis", "linear", "--prefix", "c", "--plot"],
+        {"ratio": [1.5, 3.5], "grid": "0.01:10:log:4", "axis": "linear", "prefix": "c",
+         "plot": True, "report_limit": False},
+    ),
+    "simulate": (
+        ["simulate", "--alpha", "2", "--beta", "1", "--noise-var", "0.5", "--n", "3000",
+         "--seed", "9", "--mode", "genie", "--workers", "2", "--output", "sim.json"],
+        {"alpha": 2, "beta": 1, "noise_var": 0.5, "n": 3000, "seed": 9, "mode": "genie",
+         "workers": 2, "output": "sim.json"},
+    ),
+}
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("argv,entries,named", BAD_CONFIG_VALUES)
+    def test_bad_value_is_usage_error_naming_its_flag(self, argv, entries, named, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(SAME_RUN_AS_FLAGS_AND_FILE))
+    def test_every_flag_from_file_matches_flags(self, command, tmp_path, capsys, monkeypatch):
+        flags, entries = SAME_RUN_AS_FLAGS_AND_FILE[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        written = {}
+        for name, argv in (("flags", flags), ("file", [command, "--config", str(cfg)])):
+            out_dir = tmp_path / name
+            monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(out_dir))
+            code, _, err = run_cli(capsys, *argv)
+            assert code == EXIT_OK, err
+            written[name] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        assert sorted(written["file"]) == sorted(written["flags"])
+        for name, data in written["flags"].items():
+            if name.endswith(".manifest.json"):
+                assert json.loads(written["file"][name])["config"] == json.loads(data)["config"]
+            else:
+                assert written["file"][name] == data, name
+
+    def test_explicit_repeatable_flag_replaces_file_list(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ratio": [2.0], "grid": "0.1:1:log:3"}))
+        code, _, _ = run_cli(capsys, "cocktail", "--config", str(cfg), "--ratio", "3")
+        assert code == EXIT_OK
+        labels = {line.split(",")[0] for line in (tmp_path / "cocktail_rates.csv").read_text().splitlines()}
+        assert {l for l in labels if l.startswith("cocktail")} == {"cocktail r=3"}
+
+    @pytest.mark.parametrize("plot", [True, False])
+    def test_plot_switch_from_file(self, plot, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ratio": 2.5, "grid": "0.1:1:log:3", "plot": plot}))
+        code, _, _ = run_cli(capsys, "cocktail", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert (tmp_path / "cocktail_rates.svg").exists() is plot
+        assert (tmp_path / "cocktail_gain.svg").exists() is plot
+
     def test_config_supplies_defaults_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 20000, "seed": 5, "noise_var": 1e-8}))
@@ -350,3 +461,27 @@ class TestVersionFlag:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+def run_package(*argv, cwd):
+    """Run ``python -m cbpsk`` (the package entry point) in a subprocess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cbpsk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "cbpsk", *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestPackageEntryPoint:
+    def test_version(self, tmp_path):
+        proc = run_package("--version", cwd=tmp_path)
+        assert proc.returncode == 0
+        assert __version__ in proc.stdout
+
+    def test_capacity_from_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr": [1, 3]}))
+        proc = run_package("capacity", "--config", str(cfg), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "capacity,1,1\n" in proc.stdout
+        assert "capacity,3,2\n" in proc.stdout

@@ -101,9 +101,8 @@ class TestModulationCurves:
         assert (1.0, 1.0) in [(x, round(y, 12)) for x, y in curve.rows]
 
     def test_rejects_cocktail_scheme(self):
-        spec = SweepSpec(snr_grid=(1.0,), schemes=("cocktail",))
         with pytest.raises(ValueError):
-            modulation_rate_curves(spec)
+            SweepSpec(snr_grid=(1.0,), schemes=("cocktail",))
 
     def test_monotone_rates(self):
         spec = SweepSpec(snr_grid=log_grid(1e-3, 1e2, 20))
