@@ -313,18 +313,19 @@ def build_parser():
     p = sub.add_parser("mi", help="rate curve of one modulation scheme")
     p.add_argument("--scheme", choices=MI_SCHEMES, required=True)
     p.add_argument("--grid", type=grid_arg, default="0.001:100:log:40", help=grid_help)
-    p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), default="linear")
+    p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), help="abscissa (default: linear)")
     p.add_argument("--output", help="CSV path (default: mi_<scheme>.csv)")
-    p.add_argument("--check", action="store_true", help="run the qpsk = 2 x bpsk consistency check and exit")
+    p.add_argument("--check", action="store_true",
+                   help="run the qpsk = 2 x bpsk consistency check (needs --scheme qpsk) and exit")
     p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("cocktail", help="cocktail-BPSK rate and gain datasets")
     p.add_argument("--ratio", type=ratio_arg, action="append",
                    help=f"alpha/beta ratio, > 1 (repeatable; default {' '.join(f'{r:g}' for r in DEFAULT_RATIOS)})")
-    p.add_argument("--grid", type=grid_arg, default="0.001:100:log:60", help=grid_help)
-    p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), default="ebn0")
-    p.add_argument("--prefix", default="cocktail", help="output file prefix (default: cocktail)")
+    p.add_argument("--grid", type=grid_arg, help=grid_help + " (default: 0.001:100:log:60)")
+    p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), help="abscissa (default: ebn0)")
+    p.add_argument("--prefix", help="output file prefix (default: cocktail)")
     p.add_argument("--plot", action="store_true", help="also render SVG charts")
     p.add_argument("--report-limit", action="store_true",
                    help="print the low-SNR limiting Eb/N0 per ratio instead of writing datasets")
@@ -345,6 +346,31 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     return parser
+
+
+# Flags that a mode never reads, with their defaults. The parser leaves them
+# None (False for a switch), so that main can reject one given with the mode,
+# and fills in the default otherwise.
+_UNREAD_IN_MODE = {
+    "check": {"axis": "linear", "output": None},
+    "report_limit": {"grid": grid_arg("0.001:100:log:60"), "axis": "ebn0", "prefix": "cocktail", "plot": False},
+}
+
+
+def _resolve_mode_flags(parser, args) -> None:
+    """Usage error for a flag that ``--check`` or ``--report-limit`` would
+    ignore; otherwise fill in the defaults of the flags it leaves unread."""
+    for mode, unread in _UNREAD_IN_MODE.items():
+        if not hasattr(args, mode):
+            continue
+        for dest, default in unread.items():
+            value = getattr(args, dest)
+            if getattr(args, mode) and value is not None and value is not False:
+                parser.error(f"--{dest} has no effect with --{mode.replace('_', '-')}")
+            if value is None:
+                setattr(args, dest, default)
+    if getattr(args, "check", False) and args.scheme != "qpsk":
+        parser.error(f"--scheme {args.scheme} has no effect with --check, which checks qpsk")
 
 
 def _load_config(argv) -> dict:
@@ -386,6 +412,7 @@ def main(argv=None) -> int:
                 parser.error(f"config key {key!r}: a list needs a repeatable flag and one or more values")
             if isinstance(parsed, list) and len(parsed) > len(flags[key]):
                 del parsed[: len(flags[key])]  # explicit repeated flags replace the file's values
+        _resolve_mode_flags(parser, args)
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"cbpsk: error: {exc}", file=sys.stderr)

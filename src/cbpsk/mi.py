@@ -7,6 +7,13 @@ Gauss-Hermite quadrature against each mixture component. Densities are
 evaluated in log space so that far tails underflow gracefully, and the
 0*log(0) convention is that vanished density contributes nothing.
 
+Two-dimensional mixtures take two shortcuts that leave the quadrature value
+unchanged. The exponent is written in the coded-modulation form, affine in
+the noise sample, so each component costs one small matrix product and one
+log-sum-exp over the tensor-product nodes. And components whose terms the
+rule's symmetry makes equal are evaluated once, as one symmetry class: one
+term for QPSK, two for 8-PSK.
+
 An adaptive-Simpson integrator over a truncated window is provided as an
 independent cross-check of the quadrature; the two routes agree to better
 than 1e-9 bits over the supported SNR range.
@@ -227,28 +234,124 @@ def gaussian_mixture_entropy(
     The integral H = -E[log2 p(Y)] is split over the components: the
     expectation under component k is taken with Hermite nodes centered on
     mean_k, which matches the Gaussian weight exactly. 2-D mixtures use the
-    tensor-product rule.
+    tensor-product rule, in two reductions that leave the value unchanged:
+
+    * Affine exponent. With y = m_k + n, |y - m_j|^2 = |n|^2 +
+      2 n.(m_k - m_j) + |m_k - m_j|^2. The |n|^2 term leaves the
+      log-sum-exp and integrates in closed form, and the rest is one
+      (nodes x 2) @ (2 x n) product.
+    * Symmetry classes. A component's term depends only on the priors and
+      offsets of the others as seen from it, and the tensor-product rule is
+      invariant under the eight signed permutations of the axes. So
+      components whose offsets such a map carries onto each other, prior
+      for prior, have equal terms; one representative per class is
+      evaluated and weighted by the class's summed prior. QPSK and square
+      16-QAM have one and three classes. 8-PSK has two: the rule is not
+      rotation-invariant, so the terms of points on an axis and of points
+      on a diagonal differ by the rule's own error (up to about 2e-12 bits
+      at order 192), and each keeps its own, as in an all-components sum.
     """
     means = np.atleast_2d(np.asarray(means, dtype=float).reshape(len(means), -1))
     priors = np.asarray(priors, dtype=float)
     n, d = means.shape
     if d not in (1, 2):
         raise ValueError(f"only 1-D and 2-D mixtures are supported, got dimension {d}")
+    if d == 2:
+        return _mixture_entropy_2d(means, priors, var_per_dim, order)
     t, w = _hermgauss(order)
     sig = math.sqrt(var_per_dim)
-    if d == 1:
-        offsets = (math.sqrt(2.0) * sig * t)[:, None]
-        weights = w / math.sqrt(math.pi)
-    else:
-        tx, ty = np.meshgrid(t, t, indexing="ij")
-        offsets = np.column_stack([tx.ravel(), ty.ravel()]) * (math.sqrt(2.0) * sig)
-        weights = np.outer(w, w).ravel() / math.pi
+    offsets = (math.sqrt(2.0) * sig * t)[:, None]
+    weights = w / math.sqrt(math.pi)
     h_nats = 0.0
     for k in range(n):
         if priors[k] == 0.0:
             continue
         lp = _mixture_logpdf(offsets + means[k], means, priors, var_per_dim)
         h_nats -= float(priors[k]) * float(np.dot(weights, lp))
+    return h_nats / _LN2
+
+
+@lru_cache(maxsize=16)
+def _hermgauss_2d(order: int) -> tuple:
+    """Unit tensor-product rule: nodes as a (2, order**2) array and weights
+    summing to 1, read-only because every caller shares them."""
+    t, w = _hermgauss(order)
+    nodes = np.stack([np.repeat(t, order), np.tile(t, order)])
+    weights = np.outer(w, w).ravel() / math.pi
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+_AXIS_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
+
+
+def _symmetry_classes(means: np.ndarray, priors: np.ndarray) -> list:
+    """(representative index, summed prior) for each class of components of a
+    2-D mixture whose quadrature terms are equal; zero-prior components are
+    left out. Indices refer to ``means``.
+
+    Component k's term depends only on the priors p_j and the offsets
+    m_j - m_k, and the tensor-product rule is invariant under the eight
+    signed permutations of the axes. So k joins the class of r when one of
+    those maps takes k's offsets onto r's within a tolerance relative to the
+    constellation's extent, each onto one of the same prior. k's own zero
+    offset can only land on r's, so a class never mixes priors.
+    """
+    live = np.flatnonzero(priors > 0.0)
+    pts, pri = means[live], priors[live]
+    n = len(pts)
+    offsets = pts[None, :, :] - pts[:, None, :]  # offsets[k, j] = m_j - m_k
+    tol = 1e-12 * float(np.abs(offsets).max())
+    # images[k, g]: k's offsets under map g.
+    swapped = np.stack([offsets, offsets[..., ::-1]], axis=1)[:, :, None]
+    images = (swapped * _AXIS_SIGNS[:, None, :]).reshape(n, 8, n, 2)
+    same_prior = pri[:, None] == pri[None, :]
+    reps, mass = [], []
+    for k in range(n):
+        # hit[c, g, j, i]: map g takes k's offset j onto offset i of
+        # representative c. The points are distinct, so each offset hits at
+        # most one, and n hits are a bijection.
+        gap = np.abs(images[k][None, :, :, None, :] - offsets[reps][:, None, None, :, :])
+        hit = (np.maximum(gap[..., 0], gap[..., 1]) <= tol) & same_prior
+        match = np.flatnonzero((np.count_nonzero(hit, axis=(2, 3)) == n).any(axis=1))
+        if match.size:
+            mass[match[0]] += pri[k]
+        else:
+            reps.append(k)
+            mass.append(pri[k])
+    return [(int(live[r]), float(w)) for r, w in zip(reps, mass)]
+
+
+def _mixture_entropy_2d(means: np.ndarray, priors: np.ndarray, var_per_dim: float, order: int) -> float:
+    """The 2-D branch of :func:`gaussian_mixture_entropy`, in bits."""
+    nodes, weights = _hermgauss_2d(order)
+    live = priors > 0.0
+    pts = means[live]
+    log_pri = np.log(priors[live])
+    # With y = m_k + n and n = sqrt(2v) * node, component k's term
+    # -E[log p(Y)] is log(2 pi v) + E|n|^2 / 2v - E[L_k] = H(N) - E[L_k] in
+    # nats, where E|n|^2 / 2v = 1 in closed form and
+    # L_k = logsumexp_j(log p_j - n.(m_k - m_j) / v - |m_k - m_j|^2 / 2v).
+    # Rows index j, so each reduction over j combines whole contiguous rows.
+    h_n = math.log(2.0 * math.pi * var_per_dim) + 1.0
+    # One set of buffers for every class: fresh multi-megabyte temporaries
+    # per class cost more in page faults than the arithmetic.
+    a = np.empty((len(pts), weights.size))
+    m = np.empty(weights.size)
+    lse = np.empty(weights.size)
+    h_nats = 0.0
+    for k, weight in _symmetry_classes(means, priors):
+        delta = means[k] - pts
+        np.matmul(delta * -math.sqrt(2.0 / var_per_dim), nodes, out=a)
+        a += (log_pri - np.sum(delta * delta, axis=1) / (2.0 * var_per_dim))[:, None]
+        np.max(a, axis=0, out=m)
+        a -= m
+        np.exp(a, out=a)
+        np.sum(a, axis=0, out=lse)
+        np.log(lse, out=lse)
+        lse += m
+        h_nats += weight * (h_n - float(np.dot(weights, lse)))
     return h_nats / _LN2
 
 

@@ -253,6 +253,35 @@ class TestCocktail:
         assert text.startswith("curve,x,y\n")
 
 
+CHECK_ARGV = ("mi", "--scheme", "qpsk", "--grid", "0.01:10:log:4", "--check")
+REPORT_LIMIT_ARGV = ("cocktail", "--ratio", "3.5", "--report-limit")
+
+# (argv, the flag that --check or --report-limit would ignore), one row per
+# ignored flag; the flag may equal its default and is still rejected.
+IGNORED_MODE_FLAGS = [
+    pytest.param(("mi", "--scheme", "8psk", "--grid", "0.01:10:log:4", "--check"), "--scheme", id="check-scheme"),
+    pytest.param((*CHECK_ARGV, "--axis", "linear"), "--axis", id="check-axis"),
+    pytest.param((*CHECK_ARGV, "--output", "x.csv"), "--output", id="check-output"),
+    pytest.param((*REPORT_LIMIT_ARGV, "--grid", "0.01:10:log:4"), "--grid", id="report-limit-grid"),
+    pytest.param((*REPORT_LIMIT_ARGV, "--axis", "ebn0"), "--axis", id="report-limit-axis"),
+    pytest.param((*REPORT_LIMIT_ARGV, "--prefix", "zz"), "--prefix", id="report-limit-prefix"),
+    pytest.param((*REPORT_LIMIT_ARGV, "--plot"), "--plot", id="report-limit-plot"),
+]
+
+
+class TestModeFlags:
+    @pytest.mark.parametrize("argv,flag", IGNORED_MODE_FLAGS)
+    def test_ignored_flag_is_usage_error(self, argv, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulate:
     def test_noise_free_run_has_zero_errors(self, capsys):
         code, out, _ = run_cli(

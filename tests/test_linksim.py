@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
 
 from cbpsk.cocktail import CocktailParams
 from cbpsk.linksim import LinkSimReport, SimConfig, mc_bpsk_mi, run_link
@@ -12,7 +11,7 @@ from cbpsk.mi import NoiseModel, bpsk_mi
 
 
 def qfunc(x: float) -> float:
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def make_config(**kw):

@@ -14,6 +14,9 @@ import pytest
 from cbpsk.mi import (
     Constellation,
     NoiseModel,
+    _hermgauss,
+    _mixture_logpdf,
+    _symmetry_classes,
     awgn_capacity,
     bpsk_mi,
     constellation_mi,
@@ -167,11 +170,19 @@ class TestConstellationMi:
     def test_qpsk_is_two_independent_antipodal_channels(self):
         # 2-D tensor quadrature vs two 1-D detections at the same
         # per-dimension SNR: the total noise splits evenly across rails.
-        for rho in (0.05, 1.0, 10.0):
+        for rho in (1e-3, 0.05, 1.0, 10.0, 100.0):
             var = 1.0 / rho
             q = constellation_mi(Constellation.qpsk(), NoiseModel(var))
             rail = bpsk_mi(math.sqrt(0.5), NoiseModel(var / 2.0))
             assert q == pytest.approx(2.0 * rail, abs=1e-8)
+
+    @pytest.mark.parametrize("rho", [1e-3, 1.0, 10.0, 100.0])
+    def test_8psk_half_order_agrees(self, rho):
+        # The cross-check behind the 8psk error bounds of the benchmark's
+        # reference table: tensor order 96 against the default 192.
+        c = Constellation.psk8().scaled(math.sqrt(rho))
+        noise = NoiseModel(1.0)
+        assert constellation_mi(c, noise, order=96) == pytest.approx(constellation_mi(c, noise), abs=1e-9)
 
     def test_8psk_reaches_three_bits(self):
         v = constellation_mi(Constellation.psk8().scaled(100.0), NoiseModel(1.0))
@@ -210,3 +221,93 @@ class TestConstellationMi:
             bpsk_mi(1.0, noise), abs=1e-9
         )
 
+
+def all_components_entropy_2d(means, priors, var_per_dim, order):
+    """Reference 2-D mixture entropy, in bits: every component's expectation
+    taken separately on the tensor-product rule centred on its mean, with the
+    full (nodes, n, 2) difference array."""
+    means = np.asarray(means, dtype=float)
+    priors = np.asarray(priors, dtype=float)
+    t, w = _hermgauss(order)
+    tx, ty = np.meshgrid(t, t, indexing="ij")
+    offsets = np.column_stack([tx.ravel(), ty.ravel()]) * (math.sqrt(2.0) * math.sqrt(var_per_dim))
+    weights = np.outer(w, w).ravel() / math.pi
+    h_nats = 0.0
+    for k in range(len(means)):
+        if priors[k] == 0.0:
+            continue
+        lp = _mixture_logpdf(offsets + means[k], means, priors, var_per_dim)
+        h_nats -= float(priors[k]) * float(np.dot(weights, lp))
+    return h_nats / math.log(2.0)
+
+
+def _psk8_points():
+    return np.array(Constellation.psk8().points)
+
+
+def _random_set(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    priors = rng.random(n) + 0.05
+    return rng.normal(0.0, 1.0, (n, 2)), priors / priors.sum()
+
+
+_QAM16 = np.array([(x, y) for x in (-3.0, -1.0, 1.0, 3.0) for y in (-3.0, -1.0, 1.0, 3.0)]) / math.sqrt(10.0)
+_PSK8_SKEWED = np.array([0.2, 0.05, 0.2, 0.05, 0.2, 0.05, 0.2, 0.05])
+
+# (means, priors) with unit-order energy, scaled per test to each SNR.
+MIXTURES_2D = {
+    "qpsk": (np.array(Constellation.qpsk().points), np.full(4, 0.25)),
+    "8psk": (_psk8_points(), np.full(8, 0.125)),
+    "8psk-shifted": (_psk8_points() + (0.7, -1.3), np.full(8, 0.125)),
+    "8psk-nonuniform": (_psk8_points(), _PSK8_SKEWED),
+    "qpsk-zero-prior": (
+        np.vstack([Constellation.qpsk().points, [(2.0, 0.5)]]),
+        np.array([0.25, 0.25, 0.25, 0.25, 0.0]),
+    ),
+    "8psk-centroid": (np.vstack([_psk8_points(), [(0.0, 0.0)]]), np.array([0.1] * 8 + [0.2])),
+    "16qam": (_QAM16, np.full(16, 1.0 / 16.0)),
+    "random-1": _random_set(1),
+    "random-2": _random_set(2),
+    "random-3": _random_set(3),
+}
+
+
+class TestSymmetryClasses:
+    @pytest.mark.parametrize("name", sorted(MIXTURES_2D))
+    @pytest.mark.parametrize("rho", [1e-3, 1.0, 7.0, 100.0])
+    def test_matches_all_components_sum(self, name, rho):
+        # Order 96 keeps the reference cheap; the grouping is exact at any
+        # order, because it uses only the rule's own symmetry.
+        means, priors = MIXTURES_2D[name]
+        means = means * math.sqrt(rho)
+        got = gaussian_mixture_entropy(means, priors, 0.5, order=96)
+        want = all_components_entropy_2d(means, priors, 0.5, order=96)
+        assert abs(got - want) <= 1e-12, f"{name} at rho={rho}: {got!r} vs {want!r}"
+
+    @pytest.mark.parametrize(
+        "name,classes",
+        [
+            ("qpsk", 1),
+            # Points on an axis and on a diagonal see the rule differently.
+            ("8psk", 2),
+            ("8psk-shifted", 2),
+            ("8psk-nonuniform", 2),
+            ("qpsk-zero-prior", 1),
+            ("8psk-centroid", 3),
+            ("16qam", 3),
+        ],
+    )
+    def test_class_count(self, name, classes):
+        means, priors = MIXTURES_2D[name]
+        found = _symmetry_classes(means, priors)
+        assert len(found) == classes
+        assert sum(weight for _, weight in found) == pytest.approx(1.0, abs=1e-12)
+        assert all(priors[k] > 0.0 for k, _ in found)
+
+    def test_classes_never_mix_priors(self):
+        means, priors = MIXTURES_2D["8psk-nonuniform"]
+        for k, weight in _symmetry_classes(means, priors):
+            assert weight == pytest.approx(4 * priors[k], abs=1e-15)
+        means, priors = MIXTURES_2D["qpsk"]
+        assert len(_symmetry_classes(means, np.array([0.4, 0.1, 0.4, 0.1]))) == 2
