@@ -36,7 +36,6 @@ from .sweep import (
     SweepSpec,
     cocktail_gain_curves,
     cocktail_rate_curves,
-    curves_from_table,
     log_grid,
     modulation_rate_curves,
     scheme_rate,
@@ -78,5 +77,4 @@ __all__ = [
     "cocktail_rate_curves",
     "cocktail_gain_curves",
     "sweep_to_table",
-    "curves_from_table",
 ]

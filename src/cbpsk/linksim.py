@@ -68,10 +68,13 @@ class LinkSimReport:
     """Tallies of one simulation run.
 
     ``empirical_mi_x1``/``empirical_mi_x2`` are plug-in estimates of the
-    per-stream rates of the simulated real channel: the sample mean of
-    -log2 p(y) under the exact conditional two-Gaussian mixture of each
-    symbol's case, minus the noise entropy. In decision-directed mode the
-    stage-2 estimate absorbs whatever error propagation occurred.
+    per-stream terms of the ADR formula (:func:`cbpsk.cocktail.adr_breakdown`)
+    on the simulated real channel: the sample mean of -log2 p(y) under the
+    two-Gaussian mixture conditioned on each symbol's case x1*x2, minus the
+    noise entropy. The receiver never observes the case, so these check the
+    formula's integral, not a rate the receiver can achieve. In
+    decision-directed mode the stage-2 estimate absorbs whatever error
+    propagation occurred.
     """
 
     n_symbols: int

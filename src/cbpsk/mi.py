@@ -7,16 +7,21 @@ Gauss-Hermite quadrature against each mixture component. Densities are
 evaluated in log space so that far tails underflow gracefully, and the
 0*log(0) convention is that vanished density contributes nothing.
 
-Two-dimensional mixtures take two shortcuts that leave the quadrature value
-unchanged. The exponent is written in the coded-modulation form, affine in
-the noise sample, so each component costs one small matrix product and one
-log-sum-exp over the tensor-product nodes. And components whose terms the
-rule's symmetry makes equal are evaluated once, as one symmetry class: one
-term for QPSK, two for 8-PSK.
+One kernel serves 1-D and 2-D mixtures, with two shortcuts that leave the
+quadrature value unchanged. The exponent is written in the coded-modulation
+form, affine in the noise sample, so each component costs one small matrix
+product and one log-sum-exp over the tensor-product nodes. And components
+whose terms the rule's symmetry makes equal are evaluated once, as one
+symmetry class: one term for BPSK and QPSK, two for 4-ASK and 8-PSK.
 
-An adaptive-Simpson integrator over a truncated window is provided as an
-independent cross-check of the quadrature; the two routes agree to better
-than 1e-9 bits over the supported SNR range.
+Measured accuracy. In 1-D (order 256), antipodal MI is within 5e-16 bits of
+40-digit values over SNR 1e-5..1, and an adaptive-Simpson integrator over a
+truncated window, provided as an independent cross-check, agrees to better
+than 1e-9 bits over the supported SNR range. In 2-D (order 192 per
+dimension), QPSK is within 6.5e-9 bits of two antipodal channels; the error
+peaks at 6.2e-9 bits near SNR 12.8 and is the rule's own, because order 256
+meets the same oracle to 1e-15. 8-PSK is within 2.5e-12 bits of order 256
+over SNR 1e-3..1e2.
 
 Noise convention: a :class:`NoiseModel` carries a variance in power units.
 One-dimensional constellations are integrated against that variance as
@@ -28,7 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import permutations, product
 
 import numpy as np
 
@@ -51,6 +57,9 @@ _LN2 = math.log(2.0)
 # 256; 256 nodes already put the Hermite/Simpson discrepancy below 1e-9.
 _MIN_ORDER = 8
 _MAX_ORDER = 256
+# Per-dimension default of constellation_mi: the 2-D tensor rule has
+# order**2 nodes, so it runs at a lower order.
+_DEFAULT_ORDER = {1: _MAX_ORDER, 2: 192}
 
 
 @dataclass(frozen=True)
@@ -232,109 +241,42 @@ def gaussian_mixture_entropy(
         order: Gauss-Hermite order per dimension.
 
     The integral H = -E[log2 p(Y)] is split over the components: the
-    expectation under component k is taken with Hermite nodes centered on
-    mean_k, which matches the Gaussian weight exactly. 2-D mixtures use the
-    tensor-product rule, in two reductions that leave the value unchanged:
+    expectation under component k is taken with the d-dimensional
+    tensor-product Hermite rule centred on mean_k, which matches the Gaussian
+    weight exactly. One kernel serves both dimensions, in two reductions that
+    leave the value unchanged:
 
     * Affine exponent. With y = m_k + n, |y - m_j|^2 = |n|^2 +
       2 n.(m_k - m_j) + |m_k - m_j|^2. The |n|^2 term leaves the
       log-sum-exp and integrates in closed form, and the rest is one
-      (nodes x 2) @ (2 x n) product.
+      (nodes x d) @ (d x n) product.
     * Symmetry classes. A component's term depends only on the priors and
       offsets of the others as seen from it, and the tensor-product rule is
-      invariant under the eight signed permutations of the axes. So
-      components whose offsets such a map carries onto each other, prior
-      for prior, have equal terms; one representative per class is
-      evaluated and weighted by the class's summed prior. QPSK and square
-      16-QAM have one and three classes. 8-PSK has two: the rule is not
-      rotation-invariant, so the terms of points on an axis and of points
-      on a diagonal differ by the rule's own error (up to about 2e-12 bits
-      at order 192), and each keeps its own, as in an all-components sum.
+      invariant under the signed permutations of the axes: x -> -x in 1-D,
+      eight maps in 2-D. So components whose offsets such a map carries onto
+      each other, prior for prior, have equal terms; one representative per
+      class is evaluated and weighted by the class's summed prior. BPSK and
+      QPSK have one class; 4-ASK, the cocktail 4-PAM and 8-PSK have two;
+      square 16-QAM has three. In 8-PSK the rule is not rotation-invariant,
+      so the terms of points on an axis and of points on a diagonal differ by
+      the rule's own error (up to about 2e-12 bits at order 192), and each
+      keeps its own, as in an all-components sum.
     """
     means = np.atleast_2d(np.asarray(means, dtype=float).reshape(len(means), -1))
     priors = np.asarray(priors, dtype=float)
-    n, d = means.shape
+    d = means.shape[1]
     if d not in (1, 2):
         raise ValueError(f"only 1-D and 2-D mixtures are supported, got dimension {d}")
-    if d == 2:
-        return _mixture_entropy_2d(means, priors, var_per_dim, order)
-    t, w = _hermgauss(order)
-    sig = math.sqrt(var_per_dim)
-    offsets = (math.sqrt(2.0) * sig * t)[:, None]
-    weights = w / math.sqrt(math.pi)
-    h_nats = 0.0
-    for k in range(n):
-        if priors[k] == 0.0:
-            continue
-        lp = _mixture_logpdf(offsets + means[k], means, priors, var_per_dim)
-        h_nats -= float(priors[k]) * float(np.dot(weights, lp))
-    return h_nats / _LN2
-
-
-@lru_cache(maxsize=16)
-def _hermgauss_2d(order: int) -> tuple:
-    """Unit tensor-product rule: nodes as a (2, order**2) array and weights
-    summing to 1, read-only because every caller shares them."""
-    t, w = _hermgauss(order)
-    nodes = np.stack([np.repeat(t, order), np.tile(t, order)])
-    weights = np.outer(w, w).ravel() / math.pi
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-_AXIS_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
-
-
-def _symmetry_classes(means: np.ndarray, priors: np.ndarray) -> list:
-    """(representative index, summed prior) for each class of components of a
-    2-D mixture whose quadrature terms are equal; zero-prior components are
-    left out. Indices refer to ``means``.
-
-    Component k's term depends only on the priors p_j and the offsets
-    m_j - m_k, and the tensor-product rule is invariant under the eight
-    signed permutations of the axes. So k joins the class of r when one of
-    those maps takes k's offsets onto r's within a tolerance relative to the
-    constellation's extent, each onto one of the same prior. k's own zero
-    offset can only land on r's, so a class never mixes priors.
-    """
-    live = np.flatnonzero(priors > 0.0)
-    pts, pri = means[live], priors[live]
-    n = len(pts)
-    offsets = pts[None, :, :] - pts[:, None, :]  # offsets[k, j] = m_j - m_k
-    tol = 1e-12 * float(np.abs(offsets).max())
-    # images[k, g]: k's offsets under map g.
-    swapped = np.stack([offsets, offsets[..., ::-1]], axis=1)[:, :, None]
-    images = (swapped * _AXIS_SIGNS[:, None, :]).reshape(n, 8, n, 2)
-    same_prior = pri[:, None] == pri[None, :]
-    reps, mass = [], []
-    for k in range(n):
-        # hit[c, g, j, i]: map g takes k's offset j onto offset i of
-        # representative c. The points are distinct, so each offset hits at
-        # most one, and n hits are a bijection.
-        gap = np.abs(images[k][None, :, :, None, :] - offsets[reps][:, None, None, :, :])
-        hit = (np.maximum(gap[..., 0], gap[..., 1]) <= tol) & same_prior
-        match = np.flatnonzero((np.count_nonzero(hit, axis=(2, 3)) == n).any(axis=1))
-        if match.size:
-            mass[match[0]] += pri[k]
-        else:
-            reps.append(k)
-            mass.append(pri[k])
-    return [(int(live[r]), float(w)) for r, w in zip(reps, mass)]
-
-
-def _mixture_entropy_2d(means: np.ndarray, priors: np.ndarray, var_per_dim: float, order: int) -> float:
-    """The 2-D branch of :func:`gaussian_mixture_entropy`, in bits."""
-    nodes, weights = _hermgauss_2d(order)
+    nodes, weights = _unit_rule(order, d)
     live = priors > 0.0
     pts = means[live]
     log_pri = np.log(priors[live])
     # With y = m_k + n and n = sqrt(2v) * node, component k's term
-    # -E[log p(Y)] is log(2 pi v) + E|n|^2 / 2v - E[L_k] = H(N) - E[L_k] in
-    # nats, where E|n|^2 / 2v = 1 in closed form and
+    # -E[log p(Y)] is (d/2) log(2 pi v) + E|n|^2 / 2v - E[L_k] = H(N) - E[L_k]
+    # in nats, where E|n|^2 / 2v = d/2 in closed form and
     # L_k = logsumexp_j(log p_j - n.(m_k - m_j) / v - |m_k - m_j|^2 / 2v).
     # Rows index j, so each reduction over j combines whole contiguous rows.
-    h_n = math.log(2.0 * math.pi * var_per_dim) + 1.0
+    h_n = 0.5 * d * (math.log(2.0 * math.pi * var_per_dim) + 1.0)
     # One set of buffers for every class: fresh multi-megabyte temporaries
     # per class cost more in page faults than the arithmetic.
     a = np.empty((len(pts), weights.size))
@@ -353,6 +295,65 @@ def _mixture_entropy_2d(means: np.ndarray, priors: np.ndarray, var_per_dim: floa
         lse += m
         h_nats += weight * (h_n - float(np.dot(weights, lse)))
     return h_nats / _LN2
+
+
+@lru_cache(maxsize=16)
+def _unit_rule(order: int, d: int) -> tuple:
+    """Unit d-dimensional tensor-product rule: nodes as a (d, order**d) array
+    and weights summing to 1, read-only because every caller shares them."""
+    t, w = _hermgauss(order)
+    nodes = np.stack([axis.ravel() for axis in np.meshgrid(*[t] * d, indexing="ij")])
+    weights = reduce(np.multiply.outer, [w] * d).ravel() / math.pi ** (d / 2)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _axis_maps(d: int) -> tuple:
+    """The signed permutations of d axes as (axis orders, signs), two arrays
+    of shape (2**d * d!, d): map g takes x to signs[g] * x[orders[g]]."""
+    maps = [(p, s) for p in permutations(range(d)) for s in product((1.0, -1.0), repeat=d)]
+    return np.array([p for p, _ in maps]), np.array([s for _, s in maps])
+
+
+_AXIS_MAPS = {d: _axis_maps(d) for d in (1, 2)}
+
+
+def _symmetry_classes(means: np.ndarray, priors: np.ndarray) -> list:
+    """(representative index, summed prior) for each class of components of a
+    mixture whose quadrature terms are equal; zero-prior components are left
+    out. ``means`` has shape (n, d) and indices refer to it.
+
+    Component k's term depends only on the priors p_j and the offsets
+    m_j - m_k, and the tensor-product rule is invariant under the signed
+    permutations of the axes. So k joins the class of r when one of those
+    maps takes k's offsets onto r's within a tolerance relative to the
+    constellation's extent, each onto one of the same prior. k's own zero
+    offset can only land on r's, so a class never mixes priors.
+    """
+    live = np.flatnonzero(priors > 0.0)
+    pts, pri = means[live], priors[live]
+    n = len(pts)
+    offsets = pts[None, :, :] - pts[:, None, :]  # offsets[k, j] = m_j - m_k
+    tol = 1e-12 * float(np.abs(offsets).max())
+    # images[k, g]: k's offsets under map g.
+    orders, signs = _AXIS_MAPS[means.shape[1]]
+    images = (offsets[..., orders] * signs).transpose(0, 2, 1, 3)
+    same_prior = pri[:, None] == pri[None, :]
+    reps, mass = [0], [pri[0]]
+    for k in range(1, n):
+        # hit[c, g, j, i]: map g takes k's offset j onto offset i of
+        # representative c. The points are distinct, so each offset hits at
+        # most one, and n hits are a bijection.
+        gap = np.abs(images[k][None, :, :, None, :] - offsets[reps][:, None, None, :, :])
+        hit = (gap.max(axis=-1) <= tol) & same_prior
+        match = np.flatnonzero((np.count_nonzero(hit, axis=(2, 3)) == n).any(axis=1))
+        if match.size:
+            mass[match[0]] += pri[k]
+        else:
+            reps.append(k)
+            mass.append(pri[k])
+    return [(int(live[r]), float(w)) for r, w in zip(reps, mass)]
 
 
 def gaussian_mixture_entropy_simpson(
@@ -424,22 +425,17 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
 def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = None) -> float:
     """Mutual information I(X; Y), in bits, of a finite constellation over AWGN.
 
-    1-D constellations see the noise variance as given; 2-D constellations
-    treat it as total complex noise power, variance/2 per real dimension.
+    The noise variance is split equally across the constellation's real
+    dimensions: 1-D constellations see it as given; 2-D constellations treat
+    it as total complex noise power, variance/2 per real dimension. The
+    default order per dimension is 256 in 1-D and 192 in 2-D.
     Reduces exactly to :func:`bpsk_mi` for the two-point {+A, -A} alphabet.
     The result is clamped into [0, log2(alphabet size)].
     """
-    pts = c.as_array()
-    pri = np.asarray(c.priors)
-    if c.dimension == 1:
-        var_per_dim = noise.variance
-        h_n = noise_entropy(noise)
-        if order is None:
-            order = _MAX_ORDER
-    else:
-        var_per_dim = noise.variance / 2.0
-        h_n = math.log2(2.0 * math.pi * math.e * var_per_dim)
-        if order is None:
-            order = 192
-    h_y = gaussian_mixture_entropy(pts, pri, var_per_dim, order)
+    d = c.dimension
+    var_per_dim = noise.variance / d
+    h_n = 0.5 * d * math.log2(2.0 * math.pi * math.e * var_per_dim)
+    if order is None:
+        order = _DEFAULT_ORDER[d]
+    h_y = gaussian_mixture_entropy(c.as_array(), np.asarray(c.priors), var_per_dim, order)
     return min(math.log2(len(c.points)), max(0.0, h_y - h_n))

@@ -27,7 +27,6 @@ __all__ = [
     "cocktail_rate_curves",
     "cocktail_gain_curves",
     "sweep_to_table",
-    "curves_from_table",
 ]
 
 CONVENTIONAL_SCHEMES = ("capacity", "bpsk", "qpsk", "4ask", "8psk")
@@ -193,14 +192,3 @@ def sweep_to_table(curves) -> list:
     """Flatten curves into long-format (label, axis, value) rows, losslessly."""
     return [(c.label, x, y) for c in curves for x, y in c.rows]
 
-
-def curves_from_table(rows) -> list:
-    """Rebuild curves from a long-format table; inverse of sweep_to_table."""
-    order = []
-    grouped = {}
-    for label, x, y in rows:
-        if label not in grouped:
-            grouped[label] = []
-            order.append(label)
-        grouped[label].append((x, y))
-    return [RateCurve(label, tuple(grouped[label])) for label in order]

@@ -1,16 +1,20 @@
 """Tests for the mutual-information kernels.
 
 Frozen expected values were produced by independent routes before being
-pinned here: the entropy closed form with 40-digit mpmath arithmetic, and
-the antipodal MI by the Monte Carlo plug-in oracle (10^7 samples, agreeing
-to 3 decimals) cross-checked against adaptive-Simpson integration.
+pinned here: the entropy closed form and a table of antipodal MI values
+with 40-digit mpmath arithmetic, and the antipodal MI at amplitude 1 by the
+Monte Carlo plug-in oracle (10^7 samples, agreeing to 3 decimals)
+cross-checked against adaptive-Simpson integration.
 """
 
 import math
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from cbpsk.cocktail import CocktailParams
 from cbpsk.mi import (
     Constellation,
     NoiseModel,
@@ -34,6 +38,38 @@ H_N_UNIT_VARIANCE = 2.047095585180641
 # Antipodal MI at amplitude 1, variance 1; Monte Carlo oracle gave
 # 0.48610 +/- 0.00088 (1e7 samples), Simpson integration 0.485944154133.
 BPSK_MI_1_1 = 0.4859441541329357
+
+# (amplitude, I) for antipodal signaling at variance 0.5, amplitude
+# sqrt(rho) for 25 log-spaced rho in 1e-5..1: 40-digit mpmath quadrature of
+# I = -E_n[log1p(expm1(u) / 2)] / ln 2, u = -2A(A + n) / v, at the float
+# amplitudes listed, checked against a 60-digit run on other breakpoints.
+BPSK_MI_40_DIGITS = (
+    (0.0031622776601683794, "0.00001442680614130909104679765314067485379443"),
+    (0.004019450333615123, "0.00002330777708891273323148448403840274339272"),
+    (0.00510896977450693, "0.00003765562584757263708516422309987478404384"),
+    (0.006493816315762113, "0.00006083538005501090480598491879503081572846"),
+    (0.008254041852680182, "0.0000982829731536880999047500100813416732662"),
+    (0.010491397291363102, "0.0001587791261550925523957383652964961816366"),
+    (0.01333521432163324, "0.0002565058774071832897761078097357924125668"),
+    (0.01694988151390346, "0.0004143650620932356086056535142890803370111"),
+    (0.021544346900318846, "0.0006693290921221075316138385503646250438319"),
+    (0.027384196342643614, "0.001081058179610740321167581288564770562278"),
+    (0.03480700588428411, "0.001745750768656589642984867859643762879867"),
+    (0.04424185553847917, "0.002818334402105940015537194292002597339019"),
+    (0.05623413251903491, "0.004547835702508093317344244342663797876335"),
+    (0.07147705767941857, "0.007333282055638685521622883478218432778641"),
+    (0.09085175756516867, "0.01181083570566772205651776324617996928938"),
+    (0.11547819846894582, "0.01898651340726992785037137743174836196322"),
+    (0.146779926762207, "0.03043056536501154943109389947892379467595"),
+    (0.18656635785769118, "0.04854294465923118967370648114140059448654"),
+    (0.23713737056616555, "0.07686908902519022908298782153625360054835"),
+    (0.30141625298773905, "0.120361649502118436685869256612707959149"),
+    (0.38311868495572887, "0.1853028487162961356819410402894409360773"),
+    (0.4869675251658631, "0.2782983679476339245879652149189479876124"),
+    (0.6189658188912603, "0.4034472187330794293274520567365310451137"),
+    (0.7867438076599402, "0.5570551867449502413421911205207774662329"),
+    (1.0, "0.721451590790388129327597271228883369939"),
+)
 
 
 class TestNoiseModel:
@@ -116,6 +152,11 @@ class TestBpskMi:
         ratio = bpsk_mi(math.sqrt(rho), NoiseModel(1.0)) / (rho * LOG2E)
         assert ratio == pytest.approx(0.5, abs=5e-4)
 
+    def test_matches_40_digit_values(self):
+        noise = NoiseModel(0.5)
+        worst = max(abs(Fraction(bpsk_mi(a, noise)) - Fraction(want)) for a, want in BPSK_MI_40_DIGITS)
+        assert worst <= Fraction(5e-16), f"largest error {float(worst):.3g} bits"
+
     def test_quadrature_matches_simpson(self):
         # Dual-route self-consistency across easy and awkward separations.
         for snr in (1e-3, 0.05, 0.5, 1.0, 4.0, 8.0, 16.0, 50.0, 400.0):
@@ -169,12 +210,20 @@ class TestConstellationMi:
 
     def test_qpsk_is_two_independent_antipodal_channels(self):
         # 2-D tensor quadrature vs two 1-D detections at the same
-        # per-dimension SNR: the total noise splits evenly across rails.
-        for rho in (1e-3, 0.05, 1.0, 10.0, 100.0):
+        # per-dimension SNR: the total noise splits evenly across rails. The
+        # order-192 tensor rule's error peaks near rho = 12.8 at 6.2e-9 bits;
+        # the dense grid over 3..30 holds it to the bound the docs state.
+        for rho in (1e-3, 0.05, 1.0, 100.0, *np.geomspace(3.0, 30.0, 121)):
             var = 1.0 / rho
             q = constellation_mi(Constellation.qpsk(), NoiseModel(var))
             rail = bpsk_mi(math.sqrt(0.5), NoiseModel(var / 2.0))
-            assert q == pytest.approx(2.0 * rail, abs=1e-8)
+            assert abs(q - 2.0 * rail) <= 6.5e-9, f"rho={rho}"
+
+    def test_8psk_within_stated_bound_of_order_256(self):
+        for rho in np.geomspace(1e-3, 1e2, 31):
+            c = Constellation.psk8().scaled(math.sqrt(rho))
+            noise = NoiseModel(1.0)
+            assert abs(constellation_mi(c, noise) - constellation_mi(c, noise, order=256)) <= 2.5e-12, f"rho={rho}"
 
     @pytest.mark.parametrize("rho", [1e-3, 1.0, 10.0, 100.0])
     def test_8psk_half_order_agrees(self, rho):
@@ -222,16 +271,20 @@ class TestConstellationMi:
         )
 
 
-def all_components_entropy_2d(means, priors, var_per_dim, order):
-    """Reference 2-D mixture entropy, in bits: every component's expectation
-    taken separately on the tensor-product rule centred on its mean, with the
-    full (nodes, n, 2) difference array."""
+def all_components_entropy(means, priors, var_per_dim, order):
+    """Reference mixture entropy in d in {1, 2} dimensions, in bits: every
+    component's expectation taken separately on the tensor-product rule
+    centred on its mean, with the full (nodes, n, d) difference array: the
+    direct loop, kept as the reference for the library's affine,
+    symmetry-class kernel in both dimensions."""
     means = np.asarray(means, dtype=float)
+    means = means.reshape(len(means), -1)
     priors = np.asarray(priors, dtype=float)
+    d = means.shape[1]
     t, w = _hermgauss(order)
-    tx, ty = np.meshgrid(t, t, indexing="ij")
-    offsets = np.column_stack([tx.ravel(), ty.ravel()]) * (math.sqrt(2.0) * math.sqrt(var_per_dim))
-    weights = np.outer(w, w).ravel() / math.pi
+    axes = np.meshgrid(*[t] * d, indexing="ij")
+    offsets = np.column_stack([axis.ravel() for axis in axes]) * (math.sqrt(2.0) * math.sqrt(var_per_dim))
+    weights = reduce(np.multiply.outer, [w] * d).ravel() / math.pi ** (d / 2)
     h_nats = 0.0
     for k in range(len(means)):
         if priors[k] == 0.0:
@@ -245,18 +298,24 @@ def _psk8_points():
     return np.array(Constellation.psk8().points)
 
 
-def _random_set(seed):
+def _column(points):
+    return np.array(points, dtype=float)[:, None]
+
+
+def _random_set(seed, d=2):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 8))
     priors = rng.random(n) + 0.05
-    return rng.normal(0.0, 1.0, (n, 2)), priors / priors.sum()
+    return rng.normal(0.0, 1.0, (n, d)), priors / priors.sum()
 
 
 _QAM16 = np.array([(x, y) for x in (-3.0, -1.0, 1.0, 3.0) for y in (-3.0, -1.0, 1.0, 3.0)]) / math.sqrt(10.0)
 _PSK8_SKEWED = np.array([0.2, 0.05, 0.2, 0.05, 0.2, 0.05, 0.2, 0.05])
+_COCKTAIL = CocktailParams.from_ratio(3.5, 1.0)
 
-# (means, priors) with unit-order energy, scaled per test to each SNR.
-MIXTURES_2D = {
+# (means, priors) with unit-order energy, scaled per test to each SNR; 1-D
+# means are (n, 1) columns.
+MIXTURES = {
     "qpsk": (np.array(Constellation.qpsk().points), np.full(4, 0.25)),
     "8psk": (_psk8_points(), np.full(8, 0.125)),
     "8psk-shifted": (_psk8_points() + (0.7, -1.3), np.full(8, 0.125)),
@@ -270,19 +329,31 @@ MIXTURES_2D = {
     "random-1": _random_set(1),
     "random-2": _random_set(2),
     "random-3": _random_set(3),
+    "1d-bpsk": (_column(Constellation.bpsk().points), np.full(2, 0.5)),
+    "1d-4ask": (_column(Constellation.ask4().points), np.full(4, 0.25)),
+    "1d-cocktail-4pam": (
+        _column((_COCKTAIL.alpha, -_COCKTAIL.alpha, 0.5 * _COCKTAIL.beta, -0.5 * _COCKTAIL.beta)),
+        np.full(4, 0.25),
+    ),
+    "1d-4ask-nonuniform": (_column(Constellation.ask4().points), np.array([0.1, 0.4, 0.4, 0.1])),
+    "1d-bpsk-zero-prior": (_column((1.0, -1.0, 5.0)), np.array([0.5, 0.5, 0.0])),
+    "1d-with-origin": (_column((-1.0, 0.0, 1.0)), np.full(3, 1.0 / 3.0)),
+    "1d-random-1": _random_set(1, d=1),
+    "1d-random-2": _random_set(2, d=1),
+    "1d-random-3": _random_set(3, d=1),
 }
 
 
 class TestSymmetryClasses:
-    @pytest.mark.parametrize("name", sorted(MIXTURES_2D))
+    @pytest.mark.parametrize("name", sorted(MIXTURES))
     @pytest.mark.parametrize("rho", [1e-3, 1.0, 7.0, 100.0])
     def test_matches_all_components_sum(self, name, rho):
         # Order 96 keeps the reference cheap; the grouping is exact at any
         # order, because it uses only the rule's own symmetry.
-        means, priors = MIXTURES_2D[name]
+        means, priors = MIXTURES[name]
         means = means * math.sqrt(rho)
         got = gaussian_mixture_entropy(means, priors, 0.5, order=96)
-        want = all_components_entropy_2d(means, priors, 0.5, order=96)
+        want = all_components_entropy(means, priors, 0.5, order=96)
         assert abs(got - want) <= 1e-12, f"{name} at rho={rho}: {got!r} vs {want!r}"
 
     @pytest.mark.parametrize(
@@ -296,18 +367,24 @@ class TestSymmetryClasses:
             ("qpsk-zero-prior", 1),
             ("8psk-centroid", 3),
             ("16qam", 3),
+            ("1d-bpsk", 1),
+            ("1d-4ask", 2),
+            ("1d-cocktail-4pam", 2),
+            ("1d-4ask-nonuniform", 2),
+            ("1d-bpsk-zero-prior", 1),
+            ("1d-with-origin", 2),
         ],
     )
     def test_class_count(self, name, classes):
-        means, priors = MIXTURES_2D[name]
+        means, priors = MIXTURES[name]
         found = _symmetry_classes(means, priors)
         assert len(found) == classes
         assert sum(weight for _, weight in found) == pytest.approx(1.0, abs=1e-12)
         assert all(priors[k] > 0.0 for k, _ in found)
 
     def test_classes_never_mix_priors(self):
-        means, priors = MIXTURES_2D["8psk-nonuniform"]
+        means, priors = MIXTURES["8psk-nonuniform"]
         for k, weight in _symmetry_classes(means, priors):
             assert weight == pytest.approx(4 * priors[k], abs=1e-15)
-        means, priors = MIXTURES_2D["qpsk"]
+        means, priors = MIXTURES["qpsk"]
         assert len(_symmetry_classes(means, np.array([0.4, 0.1, 0.4, 0.1]))) == 2
