@@ -8,13 +8,15 @@ cross-checked against adaptive-Simpson integration.
 """
 
 import math
+import warnings
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from cbpsk.cocktail import CocktailParams
+from cbpsk import mi
+from cbpsk.cocktail import CocktailParams, adr_breakdown
 from cbpsk.mi import (
     Constellation,
     NoiseModel,
@@ -169,6 +171,52 @@ class TestBpskMi:
         for snr in np.logspace(-2, 2, 12):
             v = bpsk_mi(math.sqrt(snr), NoiseModel(1.0))
             assert v <= awgn_capacity(snr) + 1e-9
+
+    def test_matches_low_snr_series(self):
+        # I = (s/2 - s^2/4 + s^3/6 - ...) / ln 2 with s = A^2 / v; over this
+        # range the dropped terms are below 1e-12 relative, so the bound
+        # measures the kernel, and H(Y) - H(N) would miss it by 4e-4 at 1e-12.
+        worst = 0.0
+        for s in np.logspace(-12, -4, 41):
+            series = (s / 2 - s**2 / 4 + s**3 / 6) / math.log(2.0)
+            worst = max(worst, abs(bpsk_mi(math.sqrt(s), NoiseModel(1.0)) / series - 1.0))
+        assert worst <= 1e-9, f"largest relative error {worst:.3g}"
+
+    @pytest.mark.parametrize("var", [0.5, 1.0])
+    def test_matches_constellation_mi(self, var):
+        # The general mixture kernel is an independent route to the same rate.
+        noise = NoiseModel(var)
+        for a in np.logspace(-3, 2, 61):
+            a = float(a)
+            want = constellation_mi(Constellation((a, -a)), noise)
+            assert abs(bpsk_mi(a, noise) - want) <= 2e-15, f"A={a!r}"
+
+    def test_matches_simpson_route(self):
+        noise = NoiseModel(1.0)
+        for snr in (1e-3, 0.05, 0.5, 1.0, 4.0, 8.0, 16.0, 50.0, 400.0):
+            a = math.sqrt(snr)
+            want = gaussian_mixture_entropy_simpson([a, -a], [0.5, 0.5], 1.0) - noise_entropy(noise)
+            assert abs(bpsk_mi(a, noise) - want) < 1e-9, f"snr={snr}"
+
+    @pytest.mark.parametrize(
+        "amplitude,var", [(1e150, 1e-150), (1e300, 1e-10), (1.0, 1e-300), (1e-300, 1.0), (1.0, 1e300)]
+    )
+    def test_extreme_scales_stay_in_range_without_warnings(self, amplitude, var):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = bpsk_mi(amplitude, NoiseModel(var))
+        assert 0.0 <= v <= 1.0
+
+    def test_bypasses_the_mixture_kernel(self, monkeypatch):
+        # bpsk_mi takes the closed antipodal form, so neither it nor the
+        # cocktail rates that call it pay for the general kernel.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("general mixture kernel called")
+
+        monkeypatch.setattr(mi, "gaussian_mixture_entropy", unreachable)
+        monkeypatch.setattr(mi, "_symmetry_classes", unreachable)
+        assert 0.0 < bpsk_mi(0.3, NoiseModel(0.5)) < 1.0
+        assert adr_breakdown(CocktailParams.from_ratio(3.5, 0.01), NoiseModel(1.0)).total > 0.0
 
 
 class TestConstellation:
