@@ -6,15 +6,24 @@ quadrature mutual-information kernels.
 
 Reproducibility contract: all randomness comes from numpy's Philox
 generator, which is counter-based. A run is split into fixed-size shards of
-2**20 symbols; shard i draws from ``SeedSequence(seed, spawn_key=(i,))``, so
-the merged result is bit-identical no matter how many workers execute the
-shards. Gaussian draws use ``Generator.standard_normal`` (ziggurat) scaled
-by the noise standard deviation; golden tests pin this choice.
+2**20 symbols; shard i draws from ``SeedSequence(seed, spawn_key=(i,))``, and
+the per-shard sums are merged in shard order, so the result is bit-identical
+no matter how many workers execute the shards. Gaussian draws use
+``Generator.standard_normal`` (ziggurat) scaled by the noise standard
+deviation; golden tests pin this choice. No sum goes through BLAS, so the
+BLAS thread count does not move a bit either.
+
+Execution: :func:`run_link` runs its shards on ``max_workers`` threads and
+:func:`mc_bpsk_mi` on every core the process may use. Each worker allocates
+its shard buffers (a few float64 and bool arrays of one shard's length) once
+per call, and every shard writes into them with ``out=`` ufunc calls, so a
+run allocates nothing per shard beyond the generator's integer draws.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -90,69 +99,130 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(shard,))))
 
 
-def _sharded_sums(n: int, seed: int, draw, max_workers: int = 1) -> tuple:
-    """Run ``draw(rng, count)`` on each shard of an n-draw run and sum the
-    returned tuples elementwise, in shard order, so the result does not
-    depend on ``max_workers``."""
-    shards = [
-        (i, min(_SHARD_SYMBOLS, n - i * _SHARD_SYMBOLS))
-        for i in range((n + _SHARD_SYMBOLS - 1) // _SHARD_SYMBOLS)
-    ]
+def _available_cores() -> int:
+    return len(os.sched_getaffinity(0))
 
-    def run(shard):
-        i, count = shard
-        return draw(_shard_rng(seed, i), count)
 
-    if max_workers > 1 and len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, shards))
+def _sharded_sums(n: int, seed: int, draw, dtypes: tuple, max_workers: int = 1) -> tuple:
+    """Run ``draw(rng, count, buffers)`` on each shard of an n-draw run and
+    sum the returned tuples elementwise, in shard order, so the result does
+    not depend on ``max_workers``.
+
+    Worker k runs shards k, k + workers, ... . It allocates one buffer per
+    entry of ``dtypes`` once, as long as the longest shard, and hands
+    ``draw`` each buffer sliced to the shard's length; ``draw`` may
+    overwrite them freely.
+    """
+    counts = [min(_SHARD_SYMBOLS, n - start) for start in range(0, n, _SHARD_SYMBOLS)]
+    workers = max(1, min(max_workers, len(counts)))
+
+    def run(first):
+        buffers = [np.empty(counts[0], dtype) for dtype in dtypes]
+        return [
+            draw(_shard_rng(seed, i), counts[i], [b[: counts[i]] for b in buffers])
+            for i in range(first, len(counts), workers)
+        ]
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(workers)))
     else:
-        results = [run(sc) for sc in shards]
+        parts = [run(0)]
+    results = [parts[i % workers][i // workers] for i in range(len(counts))]
     return tuple(sum(column) for column in zip(*results))
 
 
-def _bpsk_mixture_neg_log2_pdf(y: np.ndarray, amplitude: np.ndarray, variance: float) -> np.ndarray:
-    """-log2 of 0.5*N(y; a, var) + 0.5*N(y; -a, var), elementwise in (y, a).
+def _bpsk_mixture_neg_log2_pdf(y, amplitude, variance: float, out, tmp1, tmp2) -> np.ndarray:
+    """-log2 of 0.5*N(y; a, var) + 0.5*N(y; -a, var), elementwise in (y, a),
+    written into ``out`` and returned; ``tmp1`` and ``tmp2`` are scratch.
+    None of the three may alias ``y`` or ``amplitude``.
 
     Uses the identity p(y) = N(y; 0, var) * exp(-a^2/(2 var)) * cosh(a y / var)
-    with log-cosh evaluated stably for any separation.
+    with log-cosh evaluated stably for any separation:
+
+        u = |a y| / var,   log_cosh = u + log1p(exp(-2 u)) - ln 2,
+        -log2 p = -(-(y^2 + a^2) / (2 var) + log_cosh - ln(2 pi var) / 2) / ln 2,
+
+    one ufunc call per operation, in this order, so the bits do not depend
+    on the buffers.
     """
-    u = np.abs(amplitude * y) / variance
-    log_cosh = u + np.log1p(np.exp(-2.0 * u)) - _LN2
-    logp = -(y * y + amplitude * amplitude) / (2.0 * variance) + log_cosh
-    logp -= 0.5 * math.log(2.0 * math.pi * variance)
-    return -logp / _LN2
+    u, e = tmp1, tmp2
+    np.multiply(amplitude, y, out=u)
+    np.abs(u, out=u)
+    np.divide(u, variance, out=u)
+    np.multiply(-2.0, u, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=e)
+    np.add(u, e, out=u)
+    np.subtract(u, _LN2, out=u)  # log_cosh
+    np.multiply(y, y, out=out)
+    np.multiply(amplitude, amplitude, out=e)
+    np.add(out, e, out=out)
+    np.negative(out, out=out)
+    np.divide(out, 2.0 * variance, out=out)
+    np.add(out, u, out=out)  # log p + ln(2 pi var) / 2
+    np.subtract(out, 0.5 * math.log(2.0 * math.pi * variance), out=out)
+    np.negative(out, out=out)
+    np.divide(out, _LN2, out=out)
+    return out
 
 
-def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple:
+# Per-shard buffers: five float64 (received signal, amplitude, -log2 p and
+# two scratch) plus bool masks (a symbol or decision is +1, the case).
+_LINK_BUFFERS = 5 * (np.float64,) + 5 * (np.bool_,)
+_MC_BUFFERS = 5 * (np.float64,) + (np.bool_,)
+
+# The selections below are products with 0 and +-1, which are exact, so they
+# give np.where's bits; a masked (where=) ufunc loop costs about ten times a
+# plain one on random masks.
+
+
+def _signs(is_plus, out):
+    """out = where(is_plus, 1.0, -1.0), as 2 is_plus - 1."""
+    np.multiply(is_plus, 2.0, out=out)
+    return np.subtract(out, 1.0, out=out)
+
+
+def _select(mask, if_true: float, if_false: float, out, tmp):
+    """out = where(mask, if_true, if_false), as mask if_true + (1 - mask) if_false."""
+    np.multiply(mask, if_true, out=out)
+    np.subtract(1.0, mask, out=tmp)
+    np.multiply(tmp, if_false, out=tmp)
+    return np.add(out, tmp, out=out)
+
+
+def _run_shard(config: SimConfig, rng: np.random.Generator, count: int, buffers) -> tuple:
     p = config.params
     var = config.noise.variance
     sigma = math.sqrt(var)
+    y, amp, z, tmp1, tmp2, x1, x2, case1, hat, mask = buffers
 
-    x1 = np.where(rng.integers(0, 2, count) == 1, 1.0, -1.0)
-    x2 = np.where(rng.integers(0, 2, count) == 1, 1.0, -1.0)
-    case1 = x1 == x2
+    # The draw order (integers, integers, standard_normal) is part of the
+    # seed contract.
+    np.equal(rng.integers(0, 2, count), 1, out=x1)
+    np.equal(rng.integers(0, 2, count), 1, out=x2)
+    np.equal(x1, x2, out=case1)
 
-    x = np.where(case1, p.alpha * x1, 0.5 * p.beta * x1)
-    y1 = x + sigma * rng.standard_normal(count)
+    # y1 = x + sigma n, x = where(case1, alpha, beta/2) * x1
+    _select(case1, p.alpha, 0.5 * p.beta, amp, tmp1)
+    rng.standard_normal(out=y)
+    y *= sigma
+    y += np.multiply(_signs(x1, z), amp, out=z)
 
-    x1_hat = np.where(y1 >= 0.0, 1.0, -1.0)
-    ref = x1 if config.detection_mode == "genie_aided" else x1_hat
-    y2 = y1 - p.beta * ref
-    x2_hat = np.where(y2 >= 0.0, 1.0, -1.0)
+    np.greater_equal(y, 0.0, out=hat)  # x1_hat
+    errors_x1 = int(np.count_nonzero(np.not_equal(hat, x1, out=mask)))
+    sum_z1 = float(_bpsk_mixture_neg_log2_pdf(y, amp, var, z, tmp1, tmp2).sum())
 
-    amp1 = np.where(case1, p.alpha, 0.5 * p.beta)
-    amp2 = np.where(case1, p.alpha - p.beta, 0.5 * p.beta)
-    z1 = _bpsk_mixture_neg_log2_pdf(y1, amp1, var)
-    z2 = _bpsk_mixture_neg_log2_pdf(y2, amp2, var)
+    # y2 = y1 - beta * ref, in place
+    ref = x1 if config.detection_mode == "genie_aided" else hat
+    y -= np.multiply(_signs(ref, z), p.beta, out=z)
 
-    return (
-        int(np.count_nonzero(x1_hat != x1)),
-        int(np.count_nonzero(x2_hat != x2)),
-        int(np.count_nonzero(case1)),
-        float(z1.sum()),
-        float(z2.sum()),
-    )
+    np.greater_equal(y, 0.0, out=hat)  # x2_hat
+    errors_x2 = int(np.count_nonzero(np.not_equal(hat, x2, out=mask)))
+    _select(case1, p.alpha - p.beta, 0.5 * p.beta, amp, tmp1)
+    sum_z2 = float(_bpsk_mixture_neg_log2_pdf(y, amp, var, z, tmp1, tmp2).sum())
+
+    return errors_x1, errors_x2, int(np.count_nonzero(case1)), sum_z1, sum_z2
 
 
 def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
@@ -166,7 +236,11 @@ def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
     """
     n = config.n_symbols
     err1, err2, case1, sum_z1, sum_z2 = _sharded_sums(
-        n, config.seed, lambda rng, count: _run_shard(config, rng, count), max_workers
+        n,
+        config.seed,
+        lambda rng, count, buffers: _run_shard(config, rng, count, buffers),
+        _LINK_BUFFERS,
+        max_workers,
     )
     h_n = noise_entropy(config.noise)
     return LinkSimReport(
@@ -189,8 +263,9 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     two-Gaussian mixture density; the estimate is that mean minus the noise
     entropy. The standard error comes from the sample variance of
     -log2 p(y). This is the independent oracle for the quadrature kernel.
-    The draw is sharded like :func:`run_link`, so the result depends only
-    on (amplitude, noise, n_samples, seed).
+    The draw is sharded like :func:`run_link` and runs on every available
+    core; the result depends only on (amplitude, noise, n_samples, seed),
+    not on the number of cores or BLAS threads.
     """
     if not (isinstance(amplitude, (int, float)) and math.isfinite(amplitude) and amplitude >= 0):
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude!r}")
@@ -199,13 +274,19 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     var = noise.variance
     sigma = math.sqrt(var)
 
-    def draw(rng, m):
-        x = np.where(rng.integers(0, 2, m) == 1, amplitude, -amplitude)
-        y = x + sigma * rng.standard_normal(m)
-        z = _bpsk_mixture_neg_log2_pdf(y, x, var)
-        return float(z.sum()), float(np.dot(z, z))
+    def draw(rng, m, buffers):
+        y, x, z, tmp1, tmp2, plus = buffers
+        np.equal(rng.integers(0, 2, m), 1, out=plus)
+        np.multiply(_signs(plus, x), amplitude, out=x)
+        rng.standard_normal(out=y)
+        y *= sigma
+        y += x
+        _bpsk_mixture_neg_log2_pdf(y, x, var, z, tmp1, tmp2)
+        # Sum of squares by numpy's pairwise sum: np.dot would go through
+        # BLAS, whose summation order depends on its thread count.
+        return float(z.sum()), float(np.multiply(z, z, out=tmp1).sum())
 
-    total, total_sq = _sharded_sums(n_samples, seed, draw)
+    total, total_sq = _sharded_sums(n_samples, seed, draw, _MC_BUFFERS, _available_cores())
     mean = total / n_samples
     sample_var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     return mean - noise_entropy(noise), math.sqrt(sample_var / n_samples)

@@ -64,6 +64,10 @@ _SQRT_PI_LN2 = math.sqrt(math.pi) * _LN2
 # Above this q = A / sqrt(v), 2q(q + sqrt(2) t) overflows at the outer
 # Hermite nodes; bpsk_mi already rounds to 1.0 from q of about 10 on.
 _Q_SATURATED = math.sqrt(sys.float_info.max) / 4.0
+# At or below this s = q^2, bpsk_mi returns the series (s/2 - s^2/4 + s^3/6)
+# / ln 2: the dropped terms are 5/12 s^3 relative (4e-25 here), while the
+# quadrature loses about 1e-16 / q relative to rounding (7e-13 just above).
+_SERIES_MAX_S = 1e-8
 
 # numpy's hermgauss develops overflow (NaN weights) somewhere above order
 # 256; 256 nodes already put the Hermite/Simpson discrepancy below 1e-9.
@@ -428,9 +432,12 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
 
     This is not H(Y) - H(N): no two entropies cancel, so the rate keeps its
     relative accuracy at low SNR, where I = (s/2 - s^2/4 + s^3/6 - ...) / ln 2
-    with s = q^2 (within 4e-11 relative down to s = 1e-12). The result is
-    clamped into [0, 1], and is 1 once q is too large for q^2 to be formed.
-    Amplitude 0 is the degenerate no-information case.
+    with s = q^2 (within 1e-12 relative down to s = 1e-8). Below that the
+    quadrature would lose about 1e-16 / q relative to rounding, so for
+    s <= 1e-8 the rate is this three-term series, whose dropped terms are
+    below 5e-25 relative. The result is clamped into [0, 1], and is 1 once q
+    is too large for q^2 to be formed. Amplitude 0 is the degenerate
+    no-information case.
     """
     if not (isinstance(amplitude, (int, float)) and math.isfinite(amplitude)):
         raise ValueError(f"amplitude must be a finite number, got {amplitude!r}")
@@ -442,6 +449,9 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
     q = amplitude / math.sqrt(noise.variance)
     if q > _Q_SATURATED:
         return 1.0
+    s = q * q
+    if s <= _SERIES_MAX_S:
+        return s * (0.5 - s * (0.25 - s / 6.0)) / _LN2
     u = -2.0 * q * (q + _SQRT2 * t)
     f = np.maximum(u, 0.0) + np.log1p(np.expm1(-np.abs(u)) / 2.0)
     return min(1.0, max(0.0, -float(np.dot(w, f)) / _SQRT_PI_LN2))

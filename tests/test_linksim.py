@@ -1,13 +1,32 @@
 """Tests for the Monte Carlo link simulator and the plug-in MI oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+from cbpsk import linksim
 from cbpsk.cocktail import CocktailParams
 from cbpsk.linksim import LinkSimReport, SimConfig, mc_bpsk_mi, run_link
 from cbpsk.mi import NoiseModel, bpsk_mi
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Three-shard goldens, 2.5e6 draws: two full 2**20 shards and a partial third.
+GOLDEN_REPORT = LinkSimReport(
+    n_symbols=2_500_000,
+    errors_x1=299328,
+    errors_x2=577941,
+    case1_count=1250565,
+    empirical_mi_x1=0.6456622419779561,
+    empirical_mi_x2=0.45779318372270383,
+    seed=9,
+)
+GOLDEN_MC = (0.4853096190287869, 0.0005532412506568777)
 
 
 def qfunc(x: float) -> float:
@@ -67,17 +86,26 @@ class TestRunLink:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_three_shard_golden_report(self, workers):
-        # 2.5e6 symbols: two full 2**20 shards and a partial third
         cfg = make_config(noise=NoiseModel(0.5), n_symbols=2_500_000, seed=9)
-        assert run_link(cfg, max_workers=workers) == LinkSimReport(
-            n_symbols=2_500_000,
-            errors_x1=299328,
-            errors_x2=577941,
-            case1_count=1250565,
-            empirical_mi_x1=0.6456622419779561,
-            empirical_mi_x2=0.45779318372270383,
-            seed=9,
-        )
+        assert run_link(cfg, max_workers=workers) == GOLDEN_REPORT
+
+    @pytest.mark.parametrize("mode", ["decision_directed", "genie_aided"])
+    def test_buffer_reuse_leaks_no_state(self, mode):
+        big = make_config(noise=NoiseModel(0.5), n_symbols=2_500_000, seed=9, detection_mode=mode)
+        first = run_link(big, max_workers=2)
+        run_link(make_config(n_symbols=50_000, seed=3, detection_mode=mode), max_workers=2)
+        assert run_link(big, max_workers=2) == first
+
+    def test_concurrent_calls_match_sequential(self):
+        configs = [
+            make_config(noise=NoiseModel(0.5), n_symbols=2_500_000, seed=9),
+            make_config(n_symbols=2_200_000, seed=4, detection_mode="genie_aided"),
+        ]
+        sequential = [run_link(c, max_workers=3) for c in configs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run_link, c, 3) for c in configs]
+            concurrent = [f.result(timeout=120) for f in futures]
+        assert concurrent == sequential
 
     def test_report_echoes_inputs(self):
         report = run_link(make_config(seed=77, n_symbols=12_345))
@@ -159,13 +187,47 @@ class TestMcBpskMi:
         )
 
     def test_three_shard_golden_estimate(self):
-        # 2.5e6 samples: two full 2**20 shards and a partial third
-        assert mc_bpsk_mi(1.0, NoiseModel(1.0), 2_500_000, seed=9) == (
-            0.4853096190287869,
-            0.0005532412506568794,
-        )
+        assert mc_bpsk_mi(1.0, NoiseModel(1.0), 2_500_000, seed=9) == GOLDEN_MC
+
+    def test_core_count_does_not_change_result(self, monkeypatch):
+        # Five shards, so on three cores two workers run two shards each.
+        results = []
+        for cores in (1, 3):
+            monkeypatch.setattr(linksim, "_available_cores", lambda cores=cores: cores)
+            results.append(mc_bpsk_mi(0.7, NoiseModel(0.5), 4_500_000, seed=12))
+        assert results[0] == results[1]
+
+    def test_buffer_reuse_leaks_no_state(self):
+        first = mc_bpsk_mi(1.0, NoiseModel(1.0), 2_500_000, seed=9)
+        mc_bpsk_mi(2.0, NoiseModel(0.5), 50_000, seed=3)
+        assert mc_bpsk_mi(1.0, NoiseModel(1.0), 2_500_000, seed=9) == first
 
     def test_standard_error_shrinks(self):
         _, se_small = mc_bpsk_mi(1.0, NoiseModel(1.0), 20_000, seed=3)
         _, se_big = mc_bpsk_mi(1.0, NoiseModel(1.0), 320_000, seed=3)
         assert se_big < se_small / 3.0
+
+
+_GOLDENS_SCRIPT = """
+from cbpsk.cocktail import CocktailParams
+from cbpsk.linksim import SimConfig, mc_bpsk_mi, run_link
+from cbpsk.mi import NoiseModel
+cfg = SimConfig(CocktailParams(3.5, 1.0), NoiseModel(0.5), 2_500_000, 9)
+print(repr(run_link(cfg, max_workers=3)))
+print(repr(mc_bpsk_mi(1.0, NoiseModel(1.0), 2_500_000, seed=9)))
+"""
+
+
+def test_goldens_do_not_depend_on_blas_threads():
+    # A sum routed through BLAS (np.dot) splits by thread and moves the
+    # last bits with OPENBLAS_NUM_THREADS; every simulator sum must not.
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", _GOLDENS_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert child.returncode == 0, child.stderr
+        outputs.append(child.stdout.splitlines())
+    assert outputs[0] == outputs[1] == [repr(GOLDEN_REPORT), repr(GOLDEN_MC)]

@@ -182,6 +182,19 @@ class TestBpskMi:
             worst = max(worst, abs(bpsk_mi(math.sqrt(s), NoiseModel(1.0)) / series - 1.0))
         assert worst <= 1e-9, f"largest relative error {worst:.3g}"
 
+    def test_matches_series_of_exact_snr_below_1e_8(self):
+        # Reference: the series at the exact rational square of the float
+        # amplitude; its dropped terms are below 5e-25 relative here. The
+        # quadrature misses it by 1.4e-8 at s = 1e-16.
+        ln2 = Fraction(math.log(2.0))
+        for s in np.logspace(-300, -8, 147):
+            a = math.sqrt(s)
+            s_exact = Fraction(a) ** 2
+            want = (s_exact / 2 - s_exact**2 / 4 + s_exact**3 / 6) / ln2
+            assert abs(Fraction(bpsk_mi(a, NoiseModel(1.0))) / want - 1) <= Fraction(1e-12), f"s={s!r}"
+        # I = 5e-601 underflows to zero.
+        assert bpsk_mi(1e-300, NoiseModel(1.0)) == 0.0
+
     @pytest.mark.parametrize("var", [0.5, 1.0])
     def test_matches_constellation_mi(self, var):
         # The general mixture kernel is an independent route to the same rate.
