@@ -340,7 +340,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=tuple(_MODE_FLAGS), default="dd",
                    help="dd = decision-directed, genie = error-free first stream")
-    p.add_argument("--workers", type=positive_int, default=1, help="parallel shard workers")
+    p.add_argument("--workers", type=positive_int, default=1,
+                   help="parallel shard workers, capped at the available cores")
     p.add_argument("--output", help="JSON report path (default: print to stdout)")
     p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_simulate)

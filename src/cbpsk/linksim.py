@@ -13,11 +13,12 @@ no matter how many workers execute the shards. Gaussian draws use
 deviation; golden tests pin this choice. No sum goes through BLAS, so the
 BLAS thread count does not move a bit either.
 
-Execution: :func:`run_link` runs its shards on ``max_workers`` threads and
-:func:`mc_bpsk_mi` on every core the process may use. Each worker allocates
-its shard buffers (a few float64 and bool arrays of one shard's length) once
-per call, and every shard writes into them with ``out=`` ufunc calls, so a
-run allocates nothing per shard beyond the generator's integer draws.
+Execution: :func:`run_link` runs its shards on ``max_workers`` threads, at
+most one per core the process may use, and :func:`mc_bpsk_mi` on every such
+core. Each worker allocates its shard buffers (a few float64 and bool arrays
+of one shard's length) once per call, and every shard writes into them with
+``out=`` ufunc calls, so a run allocates nothing per shard beyond the
+generator's integer draws.
 """
 
 from __future__ import annotations
@@ -108,13 +109,15 @@ def _sharded_sums(n: int, seed: int, draw, dtypes: tuple, max_workers: int = 1) 
     sum the returned tuples elementwise, in shard order, so the result does
     not depend on ``max_workers``.
 
-    Worker k runs shards k, k + workers, ... . It allocates one buffer per
-    entry of ``dtypes`` once, as long as the longest shard, and hands
-    ``draw`` each buffer sliced to the shard's length; ``draw`` may
-    overwrite them freely.
+    It starts min(max_workers, shards, available cores) workers: a worker
+    beyond the core count adds its buffers (about 45 MB for ``run_link``)
+    but no speed. Worker k runs shards k, k + workers, ... . It allocates
+    one buffer per entry of ``dtypes`` once, as long as the longest shard,
+    and hands ``draw`` each buffer sliced to the shard's length; ``draw``
+    may overwrite them freely.
     """
     counts = [min(_SHARD_SYMBOLS, n - start) for start in range(0, n, _SHARD_SYMBOLS)]
-    workers = max(1, min(max_workers, len(counts)))
+    workers = max(1, min(max_workers, len(counts), _available_cores()))
 
     def run(first):
         buffers = [np.empty(counts[0], dtype) for dtype in dtypes]
@@ -232,7 +235,8 @@ def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
     adds Gaussian noise of the configured variance, runs two-stage detection
     per ``detection_mode``, and tallies errors and case frequencies. Fully
     reproducible from the seed; the result does not depend on
-    ``max_workers``.
+    ``max_workers``. At most ``max_workers`` threads run the shards, and no
+    more than there are shards or cores the process may use.
     """
     n = config.n_symbols
     err1, err2, case1, sum_z1, sum_z2 = _sharded_sums(

@@ -15,10 +15,21 @@ product and one log-sum-exp over the tensor-product nodes. And components
 whose terms the rule's symmetry makes equal are evaluated once, as one
 symmetry class: one term for BPSK and QPSK, two for 4-ASK and 8-PSK.
 
+The kernel's tensor-product rule is pruned once, when it is built, to the
+nodes whose normalised weight is above 1e-30: 116 of 256 nodes at order 256
+in 1-D and 7556 of 36864 at order 192 in 2-D (a pruned multivariate
+Gauss-Hermite rule; P. Jaeckel, "A note on multivariate Gauss-Hermite
+quadrature", 2005). The log-sum-exp each component evaluates at a unit
+node t lies between ln p_min and |t|^2 whatever the SNR, so the dropped
+nodes can move an entropy by at most 2e-25 bits at any order, for priors
+down to e^-700.
+
 :func:`bpsk_mi`, the antipodal rate every cocktail rate is built from, takes
 no mixture: it is the closed form I = -E_n[log1p(expm1(u)/2)] / ln 2 in the
-log-likelihood ratio u, one pass over the 1-D Hermite rule. It does not
-subtract two entropies, so it keeps its relative accuracy at low SNR.
+log-likelihood ratio u, one pass over the full 1-D Hermite rule. It does not
+subtract two entropies, so it keeps its relative accuracy at low SNR. It is
+not pruned: that would save a few us a call and move the last bits of the
+cocktail rates, which tests pin to the bit.
 
 Measured accuracy. In 1-D (order 256), :func:`bpsk_mi` is within 5e-16 bits
 of 40-digit values over SNR 1e-5..1 and within 2e-15 bits of the mixture
@@ -76,6 +87,9 @@ _MAX_ORDER = 256
 # Per-dimension default of constellation_mi: the 2-D tensor rule has
 # order**2 nodes, so it runs at a lower order.
 _DEFAULT_ORDER = {1: _MAX_ORDER, 2: 192}
+# The mixture kernel's rule keeps only nodes whose normalised weight is above
+# this; the bound on what the dropped ones carry is in _unit_rule.
+_WEIGHT_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -277,6 +291,16 @@ def gaussian_mixture_entropy(
       so the terms of points on an axis and of points on a diagonal differ by
       the rule's own error (up to about 2e-12 bits at order 192), and each
       keeps its own, as in an all-components sum.
+
+    The rule is the pruned one of :func:`_unit_rule`: only nodes of weight
+    above ``_WEIGHT_FLOOR`` = 1e-30, 116 of 256 at order 256 in 1-D and 7556
+    of 36864 at order 192 in 2-D, so the (components x nodes) work buffers
+    are a fifth of the full rule's in 2-D. The a-priori bound on what the
+    dropped nodes carry, 2e-25 bits at any order and SNR for priors down to
+    e^-700, is derived there. Measured against the full rule (QPSK, 8-PSK,
+    16-QAM, 4-ASK and random sets, SNR 1e-6..1e4, orders 96 to 256, one
+    prior of 1e-200 or none), entropies move by at most 2.7e-15 bits: the
+    summation order changed, and nothing else.
     """
     means = np.atleast_2d(np.asarray(means, dtype=float).reshape(len(means), -1))
     priors = np.asarray(priors, dtype=float)
@@ -315,11 +339,30 @@ def gaussian_mixture_entropy(
 
 @lru_cache(maxsize=16)
 def _unit_rule(order: int, d: int) -> tuple:
-    """Unit d-dimensional tensor-product rule: nodes as a (d, order**d) array
-    and weights summing to 1, read-only because every caller shares them."""
+    """Unit d-dimensional tensor-product rule, pruned to the nodes whose
+    weight exceeds ``_WEIGHT_FLOOR``: nodes as a contiguous (d, kept) array
+    and weights summing to 1, read-only because every caller shares them.
+
+    Pruning keeps 116 of 256 nodes at order 256 in 1-D and 7556 of 36864 at
+    order 192 in 2-D; the dropped weight is 2.1e-31 and 1.1e-28. The weights
+    are products of the symmetric 1-D weights, so the kept set is still
+    invariant under the signed permutations of the axes.
+
+    The error this adds has an a-priori bound with no SNR cap. With priors
+    p_j summing to 1, term j of component k's log-sum-exp L_k at unit node t
+    is ln p_j + sqrt(2) D.t - |D|^2 / 2 <= ln p_j + |t|^2, D the scaled
+    separation (m_j - m_k) / sqrt(v), so ln p_k <= L_k <= |t|^2. A dropped
+    node therefore changes the entropy by at most w (|t|^2 + |ln p_min|)
+    nats. Summed over the dropped nodes with |ln p_min| <= 700, that is at
+    most 2e-25 bits at every order from 8 to 256 in either dimension:
+    1.2e-25 bits at order 192 in 2-D and 2.3e-28 bits at order 256 in 1-D.
+    """
     t, w = _hermgauss(order)
     nodes = np.stack([axis.ravel() for axis in np.meshgrid(*[t] * d, indexing="ij")])
     weights = reduce(np.multiply.outer, [w] * d).ravel() / math.pi ** (d / 2)
+    kept = weights > _WEIGHT_FLOOR
+    nodes = np.ascontiguousarray(nodes[:, kept])
+    weights = weights[kept]
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

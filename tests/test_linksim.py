@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -88,6 +89,22 @@ class TestRunLink:
     def test_three_shard_golden_report(self, workers):
         cfg = make_config(noise=NoiseModel(0.5), n_symbols=2_500_000, seed=9)
         assert run_link(cfg, max_workers=workers) == GOLDEN_REPORT
+
+    def test_workers_capped_at_available_cores(self, monkeypatch):
+        # Each worker holds about 45 MB of shard buffers; on one core, eight
+        # requested workers must run as one.
+        threads = set()
+        run_shard = linksim._run_shard
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return run_shard(*args)
+
+        monkeypatch.setattr(linksim, "_available_cores", lambda: 1)
+        monkeypatch.setattr(linksim, "_run_shard", recording)
+        cfg = make_config(noise=NoiseModel(0.5), n_symbols=2_500_000, seed=9)
+        assert run_link(cfg, max_workers=8) == GOLDEN_REPORT
+        assert len(threads) == 1
 
     @pytest.mark.parametrize("mode", ["decision_directed", "genie_aided"])
     def test_buffer_reuse_leaks_no_state(self, mode):

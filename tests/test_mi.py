@@ -332,6 +332,14 @@ class TestConstellationMi:
         )
 
 
+def unpruned_rule(order, d):
+    """The full order**d tensor-product rule, with every node the library's
+    pruned rule drops: nodes as a (d, order**d) array, weights summing to 1."""
+    t, w = _hermgauss(order)
+    nodes = np.stack([axis.ravel() for axis in np.meshgrid(*[t] * d, indexing="ij")])
+    return nodes, reduce(np.multiply.outer, [w] * d).ravel() / math.pi ** (d / 2)
+
+
 def all_components_entropy(means, priors, var_per_dim, order):
     """Reference mixture entropy in d in {1, 2} dimensions, in bits: every
     component's expectation taken separately on the tensor-product rule
@@ -341,11 +349,8 @@ def all_components_entropy(means, priors, var_per_dim, order):
     means = np.asarray(means, dtype=float)
     means = means.reshape(len(means), -1)
     priors = np.asarray(priors, dtype=float)
-    d = means.shape[1]
-    t, w = _hermgauss(order)
-    axes = np.meshgrid(*[t] * d, indexing="ij")
-    offsets = np.column_stack([axis.ravel() for axis in axes]) * (math.sqrt(2.0) * math.sqrt(var_per_dim))
-    weights = reduce(np.multiply.outer, [w] * d).ravel() / math.pi ** (d / 2)
+    nodes, weights = unpruned_rule(order, means.shape[1])
+    offsets = nodes.T * (math.sqrt(2.0) * math.sqrt(var_per_dim))
     h_nats = 0.0
     for k in range(len(means)):
         if priors[k] == 0.0:
@@ -407,7 +412,7 @@ MIXTURES = {
 
 class TestSymmetryClasses:
     @pytest.mark.parametrize("name", sorted(MIXTURES))
-    @pytest.mark.parametrize("rho", [1e-3, 1.0, 7.0, 100.0])
+    @pytest.mark.parametrize("rho", [1e-6, 1e-3, 1.0, 7.0, 100.0, 1e4])
     def test_matches_all_components_sum(self, name, rho):
         # Order 96 keeps the reference cheap; the grouping is exact at any
         # order, because it uses only the rule's own symmetry.
@@ -449,3 +454,38 @@ class TestSymmetryClasses:
             assert weight == pytest.approx(4 * priors[k], abs=1e-15)
         means, priors = MIXTURES["qpsk"]
         assert len(_symmetry_classes(means, np.array([0.4, 0.1, 0.4, 0.1]))) == 2
+
+
+class TestPrunedRule:
+    @pytest.mark.parametrize("order,d,kept", [(256, 1, 116), (192, 2, 7556), (96, 2, 3660)])
+    def test_keeps_the_weight(self, order, d, kept):
+        nodes, weights = mi._unit_rule(order, d)
+        full_nodes, full_weights = unpruned_rule(order, d)
+        keep = full_weights > mi._WEIGHT_FLOOR
+        assert nodes.shape == (d, kept) and weights.shape == (kept,)
+        assert nodes.flags.c_contiguous and not nodes.flags.writeable and not weights.flags.writeable
+        np.testing.assert_array_equal(nodes, full_nodes[:, keep])
+        assert weights.min() > mi._WEIGHT_FLOOR
+        # The full rule sums to 1 only to rounding; pruning takes off less
+        # than 1e-27 of that sum.
+        assert abs(math.fsum(weights) - 1.0) <= 1e-15
+        assert abs(math.fsum(full_weights) - math.fsum(weights)) <= 1e-27
+        # The a-priori bound of _unit_rule, for any prior down to e^-700.
+        dropped = ~keep
+        t2 = np.sum(full_nodes[:, dropped] ** 2, axis=0)
+        assert math.fsum(full_weights[dropped] * (t2 + 700.0)) / math.log(2.0) <= 1e-20
+
+    @pytest.mark.parametrize("name", ["qpsk", "8psk", "16qam", "1d-4ask", "random-1"])
+    @pytest.mark.parametrize("rho", [1e-6, 1e-3, 1.0, 10.0, 1e2, 1e4])
+    @pytest.mark.parametrize("tiny_prior", [False, True])
+    def test_matches_unpruned_rule(self, monkeypatch, name, rho, tiny_prior):
+        means, priors = MIXTURES[name]
+        means = means * math.sqrt(rho)
+        if tiny_prior:
+            priors = np.full(len(priors), 1.0 / (len(priors) - 1))
+            priors[0] = 1e-200
+        order = mi._DEFAULT_ORDER[means.shape[1]]
+        got = gaussian_mixture_entropy(means, priors, 0.5, order)
+        monkeypatch.setattr(mi, "_unit_rule", unpruned_rule)
+        want = gaussian_mixture_entropy(means, priors, 0.5, order)
+        assert abs(got - want) <= 1e-14, f"{name} at rho={rho}: {got!r} vs {want!r}"
