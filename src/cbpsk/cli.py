@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import __version__
 from .cocktail import CocktailParams, eb_over_n0, energy_report
@@ -49,20 +49,8 @@ _MODE_FLAGS = {"dd": "decision_directed", "genie": "genie_aided"}
 _AXIS_FLAGS = {"linear": "linear_snr", "ebn0": "eb_n0_db"}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one CLI run, sufficient to reproduce it."""
-
-    command: str
-    config: dict
-    version: str
-    seeds: list
-    outputs: list
-    duration_s: float
-
-
 def grid_arg(spec: str):
-    """Parse a grid flag ``start:stop:lin|log:count`` into a value tuple."""
+    """Parse a grid flag ``start:stop:lin|log:count`` into a tuple of values >= 0."""
     parts = spec.split(":")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
@@ -78,6 +66,8 @@ def grid_arg(spec: str):
         raise argparse.ArgumentTypeError(f"grid mode must be lin or log, got {mode!r}")
     if count < 1 or not (math.isfinite(start) and math.isfinite(stop)):
         raise argparse.ArgumentTypeError(f"bad grid bounds or count in {spec!r}")
+    if start < 0:
+        raise argparse.ArgumentTypeError(f"grid values must be >= 0, got {spec!r}")
     if count == 1:
         return (start,)
     if stop <= start:
@@ -165,16 +155,16 @@ def _write_manifest(command: str, args, seeds, outputs, started: float) -> str:
         for k, v in vars(args).items()
         if k not in ("func", "command", "config")
     }
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        version=__version__,
-        seeds=list(seeds),
-        outputs=[os.path.abspath(o) for o in outputs],
-        duration_s=round(time.monotonic() - started, 6),
-    )
+    manifest = {
+        "command": command,
+        "config": config,
+        "version": __version__,
+        "seeds": list(seeds),
+        "outputs": [os.path.abspath(o) for o in outputs],
+        "duration_s": round(time.monotonic() - started, 6),
+    }
     path = _manifest_path(outputs[0])
-    _write_text(path, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -273,6 +273,8 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     """
     if not (isinstance(amplitude, (int, float)) and math.isfinite(amplitude) and amplitude >= 0):
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude!r}")
+    if not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be >= 10000 for a usable estimate, got {n_samples}")
     var = noise.variance

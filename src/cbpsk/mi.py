@@ -12,24 +12,23 @@ alphabets in :func:`constellation_mi`, with two shortcuts that leave the
 quadrature value unchanged. The exponent is written in the coded-modulation
 form, affine in the noise sample, so each component costs one small matrix
 product and one log-sum-exp over the tensor-product nodes. And components
-whose terms the rule's symmetry makes equal are evaluated once, as one
+that a symmetry of the alphabet carries onto each other have equal terms, so
+each orbit of the alphabet's symmetry group is evaluated once, as one
 symmetry class: one term for BPSK and QPSK, two for 4-ASK and 8-PSK.
 
-The kernel's tensor-product rule is pruned once, when it is built, to the
-nodes whose normalised weight is above 1e-30: 116 of 256 nodes at order 256
-in 1-D and 7556 of 36864 at order 192 in 2-D (a pruned multivariate
-Gauss-Hermite rule; P. Jaeckel, "A note on multivariate Gauss-Hermite
-quadrature", 2005). The log-sum-exp each component evaluates at a unit
-node t lies between ln p_min and |t|^2 whatever the SNR, so the dropped
-nodes can move an entropy by at most 2e-25 bits at any order, for priors
-down to e^-700.
+Every kernel runs on one Gauss-Hermite rule, :func:`_unit_rule`: the
+tensor-product rule pruned once, when it is built, to the nodes whose
+normalised weight is above 1e-30: 116 of 256 nodes at order 256 in 1-D and
+7556 of 36864 at order 192 in 2-D (a pruned multivariate Gauss-Hermite
+rule; P. Jaeckel, "A note on multivariate Gauss-Hermite quadrature", 2005).
+The integrand each kernel evaluates at a unit node t lies between ln p_min
+and |t|^2 whatever the SNR, so the dropped nodes can move a rate by at most
+2e-25 bits at any order, for priors down to e^-700.
 
 :func:`bpsk_mi`, the antipodal rate every cocktail rate is built from, takes
 no mixture: it is the closed form I = -E_n[log1p(expm1(u)/2)] / ln 2 in the
-log-likelihood ratio u, one pass over the full 1-D Hermite rule. It does not
-subtract two entropies, so it keeps its relative accuracy at low SNR. It is
-not pruned: that would save a few us a call and move the last bits of the
-cocktail rates, which tests pin to the bit.
+log-likelihood ratio u, one pass over the 1-D rule. It does not subtract
+two entropies, so it keeps its relative accuracy at low SNR.
 
 Measured accuracy. In 1-D (order 256), :func:`bpsk_mi` is within 5e-16 bits
 of 40-digit values over SNR 1e-5..1 and within 2e-15 bits of the mixture
@@ -71,7 +70,6 @@ __all__ = [
 LOG2E = math.log2(math.e)
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
-_SQRT_PI_LN2 = math.sqrt(math.pi) * _LN2
 # Above this q = A / sqrt(v), 2q(q + sqrt(2) t) overflows at the outer
 # Hermite nodes; bpsk_mi already rounds to 1.0 from q of about 10 on.
 _Q_SATURATED = math.sqrt(sys.float_info.max) / 4.0
@@ -87,8 +85,8 @@ _MAX_ORDER = 256
 # Per-dimension default of constellation_mi: the 2-D tensor rule has
 # order**2 nodes, so it runs at a lower order.
 _DEFAULT_ORDER = {1: _MAX_ORDER, 2: 192}
-# The mixture kernel's rule keeps only nodes whose normalised weight is above
-# this; the bound on what the dropped ones carry is in _unit_rule.
+# The quadrature rule keeps only nodes whose normalised weight is above this;
+# the bound on what the dropped ones carry is in _unit_rule.
 _WEIGHT_FLOOR = 1e-30
 
 
@@ -233,14 +231,6 @@ def low_snr_capacity(snr_linear: float) -> float:
     return snr_linear * LOG2E
 
 
-@lru_cache(maxsize=16)
-def _hermgauss(order: int) -> tuple:
-    if not (_MIN_ORDER <= order <= _MAX_ORDER):
-        raise ValueError(f"quadrature order must lie in [{_MIN_ORDER}, {_MAX_ORDER}], got {order}")
-    t, w = np.polynomial.hermite.hermgauss(order)
-    return t, w
-
-
 def _mixture_logpdf(y: np.ndarray, means: np.ndarray, priors: np.ndarray, var_per_dim: float) -> np.ndarray:
     """Natural log of sum_k prior_k * N(y; mean_k, var_per_dim * I).
 
@@ -283,14 +273,16 @@ def gaussian_mixture_entropy(
     * Symmetry classes. A component's term depends only on the priors and
       offsets of the others as seen from it, and the tensor-product rule is
       invariant under the signed permutations of the axes: x -> -x in 1-D,
-      eight maps in 2-D. So components whose offsets such a map carries onto
-      each other, prior for prior, have equal terms; one representative per
-      class is evaluated and weighted by the class's summed prior. BPSK and
-      QPSK have one class; 4-ASK, the cocktail 4-PAM and 8-PSK have two;
-      square 16-QAM has three. In 8-PSK the rule is not rotation-invariant,
-      so the terms of points on an axis and of points on a diagonal differ by
-      the rule's own error (up to about 2e-12 bits at order 192), and each
-      keeps its own, as in an all-components sum.
+      eight maps in 2-D. Those of them that carry the alphabet, centred on
+      its prior-weighted centroid, onto itself prior for prior form its
+      symmetry group, and components in one orbit of that group have equal
+      terms (:func:`_symmetry_classes`); one representative per orbit is
+      evaluated and weighted by the orbit's summed prior. BPSK and QPSK have
+      one class; 4-ASK, the cocktail 4-PAM and 8-PSK have two; square 16-QAM
+      has three. In 8-PSK the rule is not rotation-invariant, so the terms
+      of points on an axis and of points on a diagonal differ by the rule's
+      own error (up to about 2e-12 bits at order 192), and each keeps its
+      own, as in an all-components sum.
 
     The rule is the pruned one of :func:`_unit_rule`: only nodes of weight
     above ``_WEIGHT_FLOOR`` = 1e-30, 116 of 256 at order 256 in 1-D and 7556
@@ -339,9 +331,11 @@ def gaussian_mixture_entropy(
 
 @lru_cache(maxsize=16)
 def _unit_rule(order: int, d: int) -> tuple:
-    """Unit d-dimensional tensor-product rule, pruned to the nodes whose
-    weight exceeds ``_WEIGHT_FLOOR``: nodes as a contiguous (d, kept) array
-    and weights summing to 1, read-only because every caller shares them.
+    """The Gauss-Hermite rule of every kernel: the unit d-dimensional
+    tensor-product rule of ``order`` nodes per dimension, pruned to the nodes
+    whose weight exceeds ``_WEIGHT_FLOOR``; nodes as a contiguous (d, kept)
+    array and weights summing to 1, read-only because every caller shares
+    them.
 
     Pruning keeps 116 of 256 nodes at order 256 in 1-D and 7556 of 36864 at
     order 192 in 2-D; the dropped weight is 2.1e-31 and 1.1e-28. The weights
@@ -351,13 +345,16 @@ def _unit_rule(order: int, d: int) -> tuple:
     The error this adds has an a-priori bound with no SNR cap. With priors
     p_j summing to 1, term j of component k's log-sum-exp L_k at unit node t
     is ln p_j + sqrt(2) D.t - |D|^2 / 2 <= ln p_j + |t|^2, D the scaled
-    separation (m_j - m_k) / sqrt(v), so ln p_k <= L_k <= |t|^2. A dropped
-    node therefore changes the entropy by at most w (|t|^2 + |ln p_min|)
+    separation (m_j - m_k) / sqrt(v), so ln p_k <= L_k <= |t|^2. The
+    antipodal integrand of :func:`bpsk_mi` is this L_k for p_k = 1/2. A
+    dropped node therefore changes a rate by at most w (|t|^2 + |ln p_min|)
     nats. Summed over the dropped nodes with |ln p_min| <= 700, that is at
     most 2e-25 bits at every order from 8 to 256 in either dimension:
     1.2e-25 bits at order 192 in 2-D and 2.3e-28 bits at order 256 in 1-D.
     """
-    t, w = _hermgauss(order)
+    if not (_MIN_ORDER <= order <= _MAX_ORDER):
+        raise ValueError(f"quadrature order must lie in [{_MIN_ORDER}, {_MAX_ORDER}], got {order}")
+    t, w = np.polynomial.hermite.hermgauss(order)
     nodes = np.stack([axis.ravel() for axis in np.meshgrid(*[t] * d, indexing="ij")])
     weights = reduce(np.multiply.outer, [w] * d).ravel() / math.pi ** (d / 2)
     kept = weights > _WEIGHT_FLOOR
@@ -385,34 +382,30 @@ def _symmetry_classes(means: np.ndarray, priors: np.ndarray) -> list:
 
     Component k's term depends only on the priors p_j and the offsets
     m_j - m_k, and the tensor-product rule is invariant under the signed
-    permutations of the axes. So k joins the class of r when one of those
-    maps takes k's offsets onto r's within a tolerance relative to the
-    constellation's extent, each onto one of the same prior. k's own zero
-    offset can only land on r's, so a class never mixes priors.
+    permutations of the axes. A map g of those takes k's offsets onto r's,
+    prior for prior, exactly when it carries the alphabet, centred on its
+    prior-weighted centroid c, onto itself and m_k - c onto m_r - c (then
+    x -> m_r + g(x - m_k) permutes the points, so it fixes c). So the
+    classes are the orbits of the components under those symmetries, found
+    within a tolerance relative to the constellation's extent; each is
+    represented by its lowest index. A symmetry keeps priors, so a class
+    never mixes them.
     """
     live = np.flatnonzero(priors > 0.0)
     pts, pri = means[live], priors[live]
-    n = len(pts)
-    offsets = pts[None, :, :] - pts[:, None, :]  # offsets[k, j] = m_j - m_k
-    tol = 1e-12 * float(np.abs(offsets).max())
-    # images[k, g]: k's offsets under map g.
+    centred = pts - pri @ pts / pri.sum()
+    tol = 1e-12 * float(np.ptp(pts, axis=0).max())
     orders, signs = _AXIS_MAPS[means.shape[1]]
-    images = (offsets[..., orders] * signs).transpose(0, 2, 1, 3)
-    same_prior = pri[:, None] == pri[None, :]
-    reps, mass = [0], [pri[0]]
-    for k in range(1, n):
-        # hit[c, g, j, i]: map g takes k's offset j onto offset i of
-        # representative c. The points are distinct, so each offset hits at
-        # most one, and n hits are a bijection.
-        gap = np.abs(images[k][None, :, :, None, :] - offsets[reps][:, None, None, :, :])
-        hit = (gap.max(axis=-1) <= tol) & same_prior
-        match = np.flatnonzero((np.count_nonzero(hit, axis=(2, 3)) == n).any(axis=1))
-        if match.size:
-            mass[match[0]] += pri[k]
-        else:
-            reps.append(k)
-            mass.append(pri[k])
-    return [(int(live[r]), float(w)) for r, w in zip(reps, mass)]
+    images = (centred[:, orders] * signs).transpose(1, 0, 2)
+    # hit[g, i, j]: map g takes point i onto point j, of the same prior. The
+    # points are distinct, so g is a symmetry when every point hits one.
+    gap = np.abs(images[:, :, None, :] - centred[None, None, :, :]).max(axis=-1)
+    hit = (gap <= tol) & (pri[:, None] == pri[None, :])
+    symmetric = hit[hit.any(axis=2).all(axis=1)]
+    # The lowest index any symmetry takes k to represents k's orbit.
+    rep = symmetric.argmax(axis=2).min(axis=0)
+    mass = np.bincount(rep, weights=pri)
+    return [(int(live[r]), float(mass[r])) for r in np.flatnonzero(mass)]
 
 
 def gaussian_mixture_entropy_simpson(
@@ -468,9 +461,9 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
     The rate depends only on q = A / sqrt(v). Given X = +A, the output is
     Y = A + n, and I = 1 - E_n[log2(1 + exp(u))] with u = -2A(A + n)/v, the
     log-likelihood ratio against the other point. With n = sqrt(2v) t on the
-    Gauss-Hermite rule (nodes t, weights w),
+    1-D rule of :func:`_unit_rule` (nodes t, weights w summing to 1),
 
-        I = -sum_i w_i f(u_i) / (sqrt(pi) ln 2),   u = -2q(q + sqrt(2) t),
+        I = -sum_i w_i f(u_i) / ln 2,   u = -2q(q + sqrt(2) t),
         f(u) = log1p(expm1(u) / 2) = max(u, 0) + log1p(expm1(-|u|) / 2).
 
     This is not H(Y) - H(N): no two entropies cancel, so the rate keeps its
@@ -488,16 +481,16 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
         raise ValueError(f"amplitude must be >= 0, got {amplitude}")
     if amplitude == 0.0:
         return 0.0
-    t, w = _hermgauss(order)
+    nodes, w = _unit_rule(order, 1)
     q = amplitude / math.sqrt(noise.variance)
     if q > _Q_SATURATED:
         return 1.0
     s = q * q
     if s <= _SERIES_MAX_S:
         return s * (0.5 - s * (0.25 - s / 6.0)) / _LN2
-    u = -2.0 * q * (q + _SQRT2 * t)
+    u = -2.0 * q * (q + _SQRT2 * nodes[0])
     f = np.maximum(u, 0.0) + np.log1p(np.expm1(-np.abs(u)) / 2.0)
-    return min(1.0, max(0.0, -float(np.dot(w, f)) / _SQRT_PI_LN2))
+    return min(1.0, max(0.0, -float(np.dot(w, f)) / _LN2))
 
 
 def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = None) -> float:

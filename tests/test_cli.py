@@ -114,7 +114,9 @@ class TestGridFlag:
         assert g[-1] == pytest.approx(100.0, rel=1e-12)
         assert all(b > a for a, b in zip(g, g[1:]))
 
-    @pytest.mark.parametrize("bad", ["1:3:lin", "1:3:geom:3", "a:3:lin:3", "3:1:lin:3", "1:3:lin:0"])
+    @pytest.mark.parametrize(
+        "bad", ["1:3:lin", "1:3:geom:3", "a:3:lin:3", "3:1:lin:3", "1:3:lin:0", "-1:1:lin:3", "-1:1:lin:1"]
+    )
     def test_malformed(self, bad):
         with pytest.raises(Exception):
             grid_arg(bad)
@@ -149,6 +151,12 @@ class TestCapacity:
         with pytest.raises(SystemExit) as exc:
             main(["capacity"])
         assert exc.value.code == 2
+
+    def test_negative_grid_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "--grid=-1:1:lin:3"])
+        assert exc.value.code == 2
+        assert "grid values must be >= 0" in capsys.readouterr().err
 
     def test_manifest_alongside_output(self, tmp_path, capsys):
         out_file = tmp_path / "cap.csv"
@@ -349,6 +357,7 @@ BAD_CONFIG_VALUES = [
     pytest.param(COCKTAIL_ARGV, {"axis": "x"}, "--axis", id="axis=x"),
     pytest.param(COCKTAIL_ARGV, {"plot": "no"}, "--plot", id="plot=no"),
     pytest.param(COCKTAIL_ARGV, {"grid": [1, 2]}, "--grid", id="grid=[1,2]"),
+    pytest.param(("capacity",), {"grid": "-1:1:lin:3"}, "--grid", id="grid=-1:1:lin:3"),
     pytest.param(("mi",), {"scheme": "16qam"}, "--scheme", id="scheme=16qam"),
     pytest.param(SIMULATE_ARGV[:5], {"nois": 1}, "'nois'", id="nois=1"),
     pytest.param(SIMULATE_ARGV, {"n": [5, 6]}, "'n'", id="n=[5,6]"),

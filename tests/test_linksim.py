@@ -8,6 +8,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cbpsk import linksim
@@ -185,6 +186,13 @@ class TestMcBpskMi:
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
             mc_bpsk_mi(1.0, NoiseModel(1.0), 100, seed=0)
+
+    def test_requires_integral_samples(self):
+        for bad in (1e5, 20_000.0, "20000"):
+            with pytest.raises(ValueError, match="n_samples"):
+                mc_bpsk_mi(1.0, NoiseModel(1.0), bad, seed=0)
+        noise = NoiseModel(1.0)
+        assert mc_bpsk_mi(1.0, noise, np.int64(50_000), seed=9) == mc_bpsk_mi(1.0, noise, 50_000, seed=9)
 
     def test_zero_amplitude_estimates_zero(self):
         est, se = mc_bpsk_mi(0.0, NoiseModel(1.0), 200_000, seed=4)

@@ -20,7 +20,6 @@ from cbpsk.cocktail import CocktailParams, adr_breakdown
 from cbpsk.mi import (
     Constellation,
     NoiseModel,
-    _hermgauss,
     _mixture_logpdf,
     _symmetry_classes,
     awgn_capacity,
@@ -72,6 +71,19 @@ BPSK_MI_40_DIGITS = (
     (0.7867438076599402, "0.5570551867449502413421911205207774662329"),
     (1.0, "0.721451590790388129327597271228883369939"),
 )
+
+# Linear SNRs at which the antipodal entropies are checked against Simpson.
+SIMPSON_SNRS = (1e-3, 0.05, 0.5, 1.0, 4.0, 8.0, 16.0, 50.0, 400.0)
+
+
+@pytest.fixture(scope="module")
+def simpson_entropies():
+    """Adaptive-Simpson entropy, in bits, of the {+A, -A} mixture at unit
+    variance and A = sqrt(snr), for each snr in SIMPSON_SNRS."""
+    return {
+        snr: gaussian_mixture_entropy_simpson([math.sqrt(snr), -math.sqrt(snr)], [0.5, 0.5], 1.0)
+        for snr in SIMPSON_SNRS
+    }
 
 
 class TestNoiseModel:
@@ -159,12 +171,11 @@ class TestBpskMi:
         worst = max(abs(Fraction(bpsk_mi(a, noise)) - Fraction(want)) for a, want in BPSK_MI_40_DIGITS)
         assert worst <= Fraction(5e-16), f"largest error {float(worst):.3g} bits"
 
-    def test_quadrature_matches_simpson(self):
+    def test_quadrature_matches_simpson(self, simpson_entropies):
         # Dual-route self-consistency across easy and awkward separations.
-        for snr in (1e-3, 0.05, 0.5, 1.0, 4.0, 8.0, 16.0, 50.0, 400.0):
+        for snr, simp in simpson_entropies.items():
             a = math.sqrt(snr)
             gh = gaussian_mixture_entropy(np.array([a, -a]), np.array([0.5, 0.5]), 1.0)
-            simp = gaussian_mixture_entropy_simpson([a, -a], [0.5, 0.5], 1.0)
             assert abs(gh - simp) < 1e-9, f"snr={snr}: gh={gh!r} simpson={simp!r}"
 
     def test_capacity_dominance(self):
@@ -204,11 +215,11 @@ class TestBpskMi:
             want = constellation_mi(Constellation((a, -a)), noise)
             assert abs(bpsk_mi(a, noise) - want) <= 2e-15, f"A={a!r}"
 
-    def test_matches_simpson_route(self):
+    def test_matches_simpson_route(self, simpson_entropies):
         noise = NoiseModel(1.0)
-        for snr in (1e-3, 0.05, 0.5, 1.0, 4.0, 8.0, 16.0, 50.0, 400.0):
+        for snr, h_y in simpson_entropies.items():
             a = math.sqrt(snr)
-            want = gaussian_mixture_entropy_simpson([a, -a], [0.5, 0.5], 1.0) - noise_entropy(noise)
+            want = h_y - noise_entropy(noise)
             assert abs(bpsk_mi(a, noise) - want) < 1e-9, f"snr={snr}"
 
     @pytest.mark.parametrize(
@@ -335,7 +346,7 @@ class TestConstellationMi:
 def unpruned_rule(order, d):
     """The full order**d tensor-product rule, with every node the library's
     pruned rule drops: nodes as a (d, order**d) array, weights summing to 1."""
-    t, w = _hermgauss(order)
+    t, w = np.polynomial.hermite.hermgauss(order)
     nodes = np.stack([axis.ravel() for axis in np.meshgrid(*[t] * d, indexing="ij")])
     return nodes, reduce(np.multiply.outer, [w] * d).ravel() / math.pi ** (d / 2)
 
@@ -345,7 +356,10 @@ def all_components_entropy(means, priors, var_per_dim, order):
     component's expectation taken separately on the tensor-product rule
     centred on its mean, with the full (nodes, n, d) difference array: the
     direct loop, kept as the reference for the library's affine,
-    symmetry-class kernel in both dimensions."""
+    symmetry-class kernel in both dimensions. Component k's term is taken in
+    coordinates centred on m_k, which leaves it unchanged: forming
+    y = m_k + n far from the origin would round n to the magnitude of m_k
+    (1e-12 bits lost for 8-PSK at 1e4 from the origin)."""
     means = np.asarray(means, dtype=float)
     means = means.reshape(len(means), -1)
     priors = np.asarray(priors, dtype=float)
@@ -355,7 +369,7 @@ def all_components_entropy(means, priors, var_per_dim, order):
     for k in range(len(means)):
         if priors[k] == 0.0:
             continue
-        lp = _mixture_logpdf(offsets + means[k], means, priors, var_per_dim)
+        lp = _mixture_logpdf(offsets, means - means[k], priors, var_per_dim)
         h_nats -= float(priors[k]) * float(np.dot(weights, lp))
     return h_nats / math.log(2.0)
 
@@ -385,6 +399,7 @@ MIXTURES = {
     "qpsk": (np.array(Constellation.qpsk().points), np.full(4, 0.25)),
     "8psk": (_psk8_points(), np.full(8, 0.125)),
     "8psk-shifted": (_psk8_points() + (0.7, -1.3), np.full(8, 0.125)),
+    "8psk-far": (_psk8_points() + (1e3, -1e3), np.full(8, 0.125)),
     "8psk-nonuniform": (_psk8_points(), _PSK8_SKEWED),
     "qpsk-zero-prior": (
         np.vstack([Constellation.qpsk().points, [(2.0, 0.5)]]),
@@ -454,6 +469,24 @@ class TestSymmetryClasses:
             assert weight == pytest.approx(4 * priors[k], abs=1e-15)
         means, priors = MIXTURES["qpsk"]
         assert len(_symmetry_classes(means, np.array([0.4, 0.1, 0.4, 0.1]))) == 2
+
+    @pytest.mark.parametrize("name", sorted(MIXTURES))
+    def test_independent_of_component_order(self, name):
+        # Listing the components in another order changes only the order of
+        # the sums: the classes keep their summed priors, and the entropy
+        # moves by rounding alone (at most 1.8e-15 bits when measured).
+        means, priors = MIXTURES[name]
+        want_weights = sorted(weight for _, weight in _symmetry_classes(means, priors))
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            perm = rng.permutation(len(priors))
+            got_weights = sorted(weight for _, weight in _symmetry_classes(means[perm], priors[perm]))
+            assert got_weights == pytest.approx(want_weights, abs=1e-15)
+            for rho in (1e-3, 1.0, 100.0):
+                scaled = means * math.sqrt(rho)
+                want = gaussian_mixture_entropy(scaled, priors, 0.5, order=96)
+                got = gaussian_mixture_entropy(scaled[perm], priors[perm], 0.5, order=96)
+                assert abs(got - want) <= 4e-15, f"{name} at rho={rho}: {got!r} vs {want!r}"
 
 
 class TestPrunedRule:
