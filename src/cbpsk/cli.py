@@ -68,15 +68,15 @@ def grid_arg(spec: str):
         raise argparse.ArgumentTypeError(f"bad grid bounds or count in {spec!r}")
     if start < 0:
         raise argparse.ArgumentTypeError(f"grid values must be >= 0, got {spec!r}")
-    if count == 1:
-        return (start,)
     if stop <= start:
         raise argparse.ArgumentTypeError(f"grid needs start < stop, got {spec!r}")
+    if mode == "log" and start <= 0:
+        raise argparse.ArgumentTypeError("log grids need start > 0")
+    if count == 1:
+        return (start,)
     if mode == "lin":
         step = (stop - start) / (count - 1)
         return tuple(start + i * step for i in range(count))
-    if start <= 0:
-        raise argparse.ArgumentTypeError("log grids need start > 0")
     return log_grid(start, stop, count)
 
 

@@ -115,7 +115,11 @@ class TestGridFlag:
         assert all(b > a for a, b in zip(g, g[1:]))
 
     @pytest.mark.parametrize(
-        "bad", ["1:3:lin", "1:3:geom:3", "a:3:lin:3", "3:1:lin:3", "1:3:lin:0", "-1:1:lin:3", "-1:1:lin:1"]
+        "bad",
+        [
+            "1:3:lin", "1:3:geom:3", "a:3:lin:3", "3:1:lin:3", "1:3:lin:0", "-1:1:lin:3", "-1:1:lin:1",
+            "5:1:lin:1", "1:-1:log:1", "0:1:log:1",
+        ],
     )
     def test_malformed(self, bad):
         with pytest.raises(Exception):

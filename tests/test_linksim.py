@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -60,6 +61,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(seed=-1)
 
+    def test_numpy_integers_stored_as_int(self):
+        cfg = make_config(n_symbols=np.int64(12_345), seed=np.uint64(77))
+        assert type(cfg.n_symbols) is int and type(cfg.seed) is int
+        assert cfg == make_config(n_symbols=12_345, seed=77)
+        assert run_link(cfg) == run_link(make_config(n_symbols=12_345, seed=77))
+
+    @pytest.mark.parametrize("field", ["n_symbols", "seed"])
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0, np.float64(3.0)])
+    def test_non_integers_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            make_config(**{field: bad})
+
 
 class TestRunLink:
     def test_noise_free_roundtrip(self):
@@ -92,8 +105,8 @@ class TestRunLink:
         assert run_link(cfg, max_workers=workers) == GOLDEN_REPORT
 
     def test_workers_capped_at_available_cores(self, monkeypatch):
-        # Each worker holds about 45 MB of shard buffers; on one core, eight
-        # requested workers must run as one.
+        # A worker beyond the core count adds memory but no speed; on one
+        # core, eight requested workers must run as one.
         threads = set()
         run_shard = linksim._run_shard
 
@@ -206,6 +219,21 @@ class TestMcBpskMi:
         est, se = mc_bpsk_mi(1.0, NoiseModel(1.0), 1_000_000, seed=21)
         assert abs(est - bpsk_mi(1.0, NoiseModel(1.0))) <= 3.0 * se
 
+    @pytest.mark.parametrize("amplitude", [np.int64(1), np.float32(1.0), np.float64(1.0), 1])
+    def test_numpy_amplitudes_match_float(self, amplitude):
+        noise = NoiseModel(1.0)
+        expected = mc_bpsk_mi(1.0, noise, 50_000, seed=9)
+        assert mc_bpsk_mi(amplitude, noise, 50_000, seed=np.int64(9)) == expected
+
+    def test_bools_and_negative_seeds_rejected(self):
+        noise = NoiseModel(1.0)
+        for kwargs in ({"amplitude": True}, {"amplitude": np.True_}, {"seed": True}, {"seed": -1}):
+            args = {"amplitude": 1.0, "noise": noise, "n_samples": 50_000, "seed": 9, **kwargs}
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                mc_bpsk_mi(**args)
+        with pytest.raises(ValueError, match="n_samples"):
+            mc_bpsk_mi(1.0, noise, True, seed=9)
+
     def test_deterministic(self):
         assert mc_bpsk_mi(1.0, NoiseModel(1.0), 50_000, seed=9) == mc_bpsk_mi(
             1.0, NoiseModel(1.0), 50_000, seed=9
@@ -231,6 +259,53 @@ class TestMcBpskMi:
         _, se_small = mc_bpsk_mi(1.0, NoiseModel(1.0), 20_000, seed=3)
         _, se_big = mc_bpsk_mi(1.0, NoiseModel(1.0), 320_000, seed=3)
         assert se_big < se_small / 3.0
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, 7, 8, 129, 1000, 12_345, linksim._BLOCK, linksim._BLOCK + 1, 3 * linksim._BLOCK + 5,
+     402_848, 999_983, (1 << 20) - 1, 1 << 20],
+)
+def test_block_tree_is_numpys_pairwise_sum(n):
+    # The simulator's bits rest on this: block sums added by _tree_sum equal
+    # one ndarray.sum() over the shard. If numpy changes its summation
+    # tree, this fails here rather than through a golden.
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    blocks = []
+
+    def block(lo, hi):
+        blocks.append((lo, hi))
+        return (data[lo:hi].sum(), hi - lo)
+
+    total, count = linksim._tree_sum(0, n, block)
+    starts = [lo for lo, _ in blocks]
+    assert starts == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == n
+    assert all(0 < hi - lo <= linksim._BLOCK for lo, hi in blocks)
+    assert count == n
+    assert total.hex() == data.sum().hex()
+
+
+def test_peak_memory_per_worker(monkeypatch):
+    # Block-sized float buffers: at 2.5e6 draws a worker holds its shard's
+    # integer streams and a few cache-sized blocks, not whole-shard float
+    # arrays (56 and 52 MB with those).
+    monkeypatch.setattr(linksim, "_available_cores", lambda: 1)
+    cfg = make_config(noise=NoiseModel(0.5), n_symbols=2_500_000, seed=9)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = run_link(cfg)
+        link_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        estimate = mc_bpsk_mi(1.0, NoiseModel(1.0), 2_500_000, seed=9)
+        mc_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report == GOLDEN_REPORT and estimate == GOLDEN_MC
+    assert link_peak < 16e6
+    assert mc_peak < 8e6
 
 
 _GOLDENS_SCRIPT = """
