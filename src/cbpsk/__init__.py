@@ -5,6 +5,11 @@ Gauss-Hermite quadrature, implements the cocktail-BPSK amplitude mapping
 with its two-stage detector and energy accounting, cross-checks everything
 against a seeded Monte Carlo link simulator, and sweeps SNR grids into
 figure-ready rate-curve datasets.
+
+Numeric arguments may be Python or numpy numbers, but not ``bool``; they are
+stored and used as plain ``int`` or ``float``. Anything else, and any value
+that is not finite, raises ``ValueError`` naming the argument. Counts and
+seeds take integers only.
 """
 
 from .mi import (

@@ -24,8 +24,8 @@ from dataclasses import asdict
 
 from . import __version__
 from .cocktail import CocktailParams, eb_over_n0, energy_report
-from .linksim import SimConfig, run_link
-from .mi import NoiseModel, awgn_capacity, low_snr_capacity
+from .linksim import SimConfig, _checked_seed, run_link
+from .mi import NoiseModel, _real, awgn_capacity, low_snr_capacity
 from .sweep import (
     DEFAULT_RATIOS,
     SweepSpec,
@@ -57,15 +57,15 @@ def grid_arg(spec: str):
             f"grid must look like start:stop:lin|log:count, got {spec!r}"
         )
     try:
-        start, stop = float(parts[0]), float(parts[1])
+        start, stop = (_real("grid bounds", float(x)) for x in parts[:2])
         count = int(parts[3])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric grid bounds in {spec!r}") from None
+        raise argparse.ArgumentTypeError(f"grid needs finite bounds and an integer count, got {spec!r}") from None
     mode = parts[2]
     if mode not in ("lin", "log"):
         raise argparse.ArgumentTypeError(f"grid mode must be lin or log, got {mode!r}")
-    if count < 1 or not (math.isfinite(start) and math.isfinite(stop)):
-        raise argparse.ArgumentTypeError(f"bad grid bounds or count in {spec!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"grid count must be >= 1, got {spec!r}")
     if start < 0:
         raise argparse.ArgumentTypeError(f"grid values must be >= 0, got {spec!r}")
     if stop <= start:
@@ -80,33 +80,33 @@ def grid_arg(spec: str):
     return log_grid(start, stop, count)
 
 
-def ratio_arg(s: str) -> float:
+def _positive_grid_arg(spec: str):
+    """:func:`grid_arg` for the rate commands, whose grid values must be > 0."""
+    grid = grid_arg(spec)
+    if grid[0] <= 0:
+        raise argparse.ArgumentTypeError(f"grid values must be > 0 for a rate, got {spec!r}")
+    return grid
+
+
+def _float_arg(s: str, what: str, **bounds) -> float:
+    """``s`` as a number held to the package's rule, with ``bounds`` as in
+    :func:`cbpsk.mi._real`; a usage error expecting ``what`` otherwise."""
     try:
-        v = float(s)
+        return _real(what, float(s), **bounds)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"ratio must be a number, got {s!r}") from None
-    if not (math.isfinite(v) and v > 1.0):
-        raise argparse.ArgumentTypeError(
-            f"ratio must be > 1 (the scheme requires alpha > beta > 0), got {s}"
-        )
-    return v
+        raise argparse.ArgumentTypeError(f"expected {what}, got {s!r}") from None
+
+
+def ratio_arg(s: str) -> float:
+    return _float_arg(s, "a ratio > 1 (the scheme requires alpha > beta > 0)", above=1.0)
 
 
 def nonneg_float(s: str) -> float:
-    try:
-        v = float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {s!r}") from None
-    if not (math.isfinite(v) and v >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {s}")
-    return v
+    return _float_arg(s, "a finite value >= 0", at_least=0.0)
 
 
 def positive_float(s: str) -> float:
-    v = nonneg_float(s)
-    if v == 0:
-        raise argparse.ArgumentTypeError("expected a value > 0")
-    return v
+    return _float_arg(s, "a finite value > 0", above=0.0)
 
 
 def positive_int(s: str) -> int:
@@ -117,6 +117,13 @@ def positive_int(s: str) -> int:
     if v < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {s}")
     return v
+
+
+def _seed_arg(s: str) -> int:
+    try:
+        return _checked_seed(int(s))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {s!r}") from None
 
 
 def _fmt(v: float) -> str:
@@ -302,7 +309,7 @@ def build_parser():
 
     p = sub.add_parser("mi", help="rate curve of one modulation scheme")
     p.add_argument("--scheme", choices=MI_SCHEMES, required=True)
-    p.add_argument("--grid", type=grid_arg, default="0.001:100:log:40", help=grid_help)
+    p.add_argument("--grid", type=_positive_grid_arg, default="0.001:100:log:40", help=grid_help)
     p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), help="abscissa (default: linear)")
     p.add_argument("--output", help="CSV path (default: mi_<scheme>.csv)")
     p.add_argument("--check", action="store_true",
@@ -313,7 +320,7 @@ def build_parser():
     p = sub.add_parser("cocktail", help="cocktail-BPSK rate and gain datasets")
     p.add_argument("--ratio", type=ratio_arg, action="append",
                    help=f"alpha/beta ratio, > 1 (repeatable; default {' '.join(f'{r:g}' for r in DEFAULT_RATIOS)})")
-    p.add_argument("--grid", type=grid_arg, help=grid_help + " (default: 0.001:100:log:60)")
+    p.add_argument("--grid", type=_positive_grid_arg, help=grid_help + " (default: 0.001:100:log:60)")
     p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), help="abscissa (default: ebn0)")
     p.add_argument("--prefix", help="output file prefix (default: cocktail)")
     p.add_argument("--plot", action="store_true", help="also render SVG charts")
@@ -327,7 +334,7 @@ def build_parser():
     p.add_argument("--beta", type=positive_float, required=True)
     p.add_argument("--noise-var", type=positive_float, required=True, help="noise variance per real dimension")
     p.add_argument("--n", type=positive_int, default=10000, help="number of symbols")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0, help="integer in [0, 2**64)")
     p.add_argument("--mode", choices=tuple(_MODE_FLAGS), default="dd",
                    help="dd = decision-directed, genie = error-free first stream")
     p.add_argument("--workers", type=positive_int, default=1,

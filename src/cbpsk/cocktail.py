@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mi import LOG2E, NoiseModel, bpsk_mi
+from .mi import LOG2E, NoiseModel, _is_integer, _real, bpsk_mi
 
 __all__ = [
     "CocktailParams",
@@ -56,10 +56,7 @@ class CocktailParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not self.alpha > self.beta > 0.0:
             raise ValueError(
                 f"amplitudes must satisfy alpha > beta > 0, got alpha={self.alpha}, beta={self.beta}"
@@ -79,17 +76,15 @@ class CocktailParams:
         """
         if eta != 0.5:
             raise ValueError(f"the case split is fixed at eta = 0.5, got eta={eta!r}")
-        if not (isinstance(ratio, (int, float)) and math.isfinite(ratio) and ratio > 1.0):
-            raise ValueError(f"amplitude ratio must be finite and > 1, got {ratio!r}")
-        if not (isinstance(input_energy, (int, float)) and math.isfinite(input_energy) and input_energy > 0):
-            raise ValueError(f"input energy must be finite and > 0, got {input_energy!r}")
+        ratio = _real("ratio", ratio, above=1.0)
+        input_energy = _real("input_energy", input_energy, above=0.0)
         beta = math.sqrt(input_energy / (0.5 * ratio * ratio + 0.125))
         return cls(ratio * beta, beta)
 
 
 @dataclass(frozen=True)
 class SymbolPair:
-    """One symbol from each stream; both entries exactly +1 or -1."""
+    """One symbol from each stream; both entries the integer +1 or -1."""
 
     x1: int
     x2: int
@@ -97,7 +92,7 @@ class SymbolPair:
     def __post_init__(self) -> None:
         for name in ("x1", "x2"):
             v = getattr(self, name)
-            if v not in (1, -1):
+            if not (_is_integer(v) and v in (1, -1)):
                 raise ValueError(f"{name} must be +1 or -1, got {v!r}")
             object.__setattr__(self, name, int(v))
 
@@ -152,8 +147,7 @@ def detect(y1: float, params: CocktailParams) -> tuple[int, float, int]:
     resolve to +1. Noise-free samples produced by :func:`encode` recover the
     original pair for every one of the 4 combinations.
     """
-    if not math.isfinite(y1):
-        raise ValueError(f"y1 must be finite, got {y1!r}")
+    y1 = _real("y1", y1)
     x1_hat = _sign(y1)
     y2 = y1 - params.beta * x1_hat
     return x1_hat, y2, _sign(y2)

@@ -23,9 +23,6 @@ in cache. The blocks' float sums are added in the tree of numpy's pairwise
 sum (:func:`_tree_sum`), so they have the bits of one whole-shard
 ``ndarray.sum()``. A worker peaks at about 7 MB in ``run_link`` and 6 MB in
 ``mc_bpsk_mi``.
-
-Numeric arguments may be Python or numpy numbers, but not ``bool``; they are
-stored and used as plain ``int`` or ``float``.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocktail import CocktailParams
-from .mi import NoiseModel, noise_entropy
+from .mi import NoiseModel, _is_integer, _real, noise_entropy
 
 __all__ = [
     "SimConfig",
@@ -75,7 +72,7 @@ class SimConfig:
     detection_mode: str = "decision_directed"
 
     def __post_init__(self) -> None:
-        if not (_is_integer(self.n_symbols) and int(self.n_symbols) >= 1):
+        if not (_is_integer(self.n_symbols) and self.n_symbols >= 1):
             raise ValueError(f"n_symbols must be an integer >= 1, got {self.n_symbols!r}")
         seed = _checked_seed(self.seed)
         if self.detection_mode not in DETECTION_MODES:
@@ -109,16 +106,6 @@ class LinkSimReport:
     seed: int
 
 
-def _is_integer(value) -> bool:
-    """int or numpy integer, but not bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """int, float or numpy integer or floating, but not bool."""
-    return _is_integer(value) or isinstance(value, (float, np.floating))
-
-
 def _checked_seed(seed) -> int:
     if not (_is_integer(seed) and 0 <= int(seed) < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
@@ -130,7 +117,10 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
 
 
 def _available_cores() -> int:
-    return len(os.sched_getaffinity(0))
+    # sched_getaffinity exists on Linux only; elsewhere count every core.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sharded_sums(n: int, seed: int, draw, max_workers: int = 1) -> tuple:
@@ -324,13 +314,10 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     not on the number of cores or BLAS threads. ``seed``, as in
     :class:`SimConfig`, is an integer in [0, 2**64).
     """
-    if not (_is_real(amplitude) and math.isfinite(amplitude) and amplitude >= 0):
-        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude!r}")
-    if not _is_integer(n_samples):
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 10_000:
-        raise ValueError(f"n_samples must be >= 10000 for a usable estimate, got {n_samples}")
-    amplitude, n_samples, seed = float(amplitude), int(n_samples), _checked_seed(seed)
+    amplitude = _real("amplitude", amplitude, at_least=0.0)
+    if not (_is_integer(n_samples) and n_samples >= 10_000):
+        raise ValueError(f"n_samples must be an integer >= 10000 for a usable estimate, got {n_samples!r}")
+    n_samples, seed = int(n_samples), _checked_seed(seed)
     var = noise.variance
     sigma = math.sqrt(var)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .cocktail import CocktailParams, adr_breakdown
-from .mi import Constellation, NoiseModel, awgn_capacity, constellation_mi
+from .mi import Constellation, NoiseModel, _is_integer, _real, awgn_capacity, constellation_mi
 
 __all__ = [
     "CONVENTIONAL_SCHEMES",
@@ -54,16 +54,12 @@ class SweepSpec:
     axis_mode: str = "linear_snr"
 
     def __post_init__(self) -> None:
-        grid = tuple(float(r) for r in self.snr_grid)
+        grid = tuple(_real("snr_grid", r, above=0.0) for r in self.snr_grid)
         if not grid:
             raise ValueError("snr_grid must be nonempty")
-        if any(not math.isfinite(r) or r <= 0 for r in grid):
-            raise ValueError("snr_grid values must be finite and > 0")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid must be strictly ascending")
-        ratios = tuple(float(r) for r in self.ratios)
-        if any(not math.isfinite(r) or r <= 1.0 for r in ratios):
-            raise ValueError("amplitude ratios must all be > 1")
+        ratios = tuple(_real("ratios", r, above=1.0) for r in self.ratios)
         unknown = [s for s in self.schemes if s not in CONVENTIONAL_SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; valid schemes: {CONVENTIONAL_SCHEMES}")
@@ -82,7 +78,7 @@ class RateCurve:
     rows: tuple
 
     def __post_init__(self) -> None:
-        rows = tuple((float(x), float(y)) for x, y in self.rows)
+        rows = tuple((_real("rows", x), _real("rows", y)) for x, y in self.rows)
         if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
             raise ValueError(f"curve {self.label!r}: axis values must be strictly ascending")
         object.__setattr__(self, "rows", rows)
@@ -98,11 +94,13 @@ class RateCurve:
 
 def log_grid(start: float, stop: float, count: int) -> tuple:
     """A log-spaced grid of ``count`` points from start to stop inclusive."""
-    if count < 1 or start <= 0 or stop <= start:
-        raise ValueError("need count >= 1 and 0 < start < stop")
+    start = _real("start", start, above=0.0)
+    stop = _real("stop", stop, above=start)
+    if not (_is_integer(count) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     if count == 1:
-        return (float(start),)
-    step = (math.log10(stop) - math.log10(start)) / (count - 1)
+        return (start,)
+    step = (math.log10(stop) - math.log10(start)) / (int(count) - 1)
     return tuple(10.0 ** (math.log10(start) + i * step) for i in range(count))
 
 
@@ -113,8 +111,7 @@ def scheme_rate(scheme: str, snr_linear: float) -> float:
     4ask) occupy a single real dimension and therefore see half the total
     noise power; 2-D alphabets split it across both dimensions.
     """
-    if snr_linear < 0 or not math.isfinite(snr_linear):
-        raise ValueError(f"snr must be finite and >= 0, got {snr_linear!r}")
+    snr_linear = _real("snr_linear", snr_linear, at_least=0.0)
     if scheme == "capacity":
         return awgn_capacity(snr_linear)
     try:

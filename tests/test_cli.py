@@ -214,6 +214,23 @@ class TestMi:
         assert (tmp_path / "mi_4ask.manifest.json").exists()
 
 
+class TestGridAtZero:
+    # A rate, and so its Eb/N0, needs SNR > 0; the capacity rows exist at 0.
+    @pytest.mark.parametrize("argv", [("mi", "--scheme", "bpsk"), ("cocktail",), ("cocktail", "--axis", "linear")])
+    def test_rate_commands_reject_it_as_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--grid", "0:1:lin:3"])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_capacity_accepts_it(self, capsys):
+        code, out, _ = run_cli(capsys, "capacity", "--grid", "0:1:lin:3")
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == "capacity,0,0"
+
+
 class TestCocktail:
     def test_ratio_at_most_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -333,7 +350,8 @@ class TestSimulate:
         assert code == EXIT_OK
         assert json.loads(out)["config"]["eta"] == 0.5
 
-    @pytest.mark.parametrize("flag,value", [("--workers", "-3"), ("--workers", "0"), ("--n", "0"), ("--n", "2.5")])
+    @pytest.mark.parametrize("flag,value", [("--workers", "-3"), ("--workers", "0"), ("--n", "0"), ("--n", "2.5"),
+                                            ("--seed", "-1"), ("--seed", "18446744073709551616")])
     def test_out_of_range_counts_are_usage_errors(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--alpha", "2", "--beta", "1", "--noise-var", "1", flag, value])
@@ -357,6 +375,7 @@ BAD_CONFIG_VALUES = [
     pytest.param(SIMULATE_ARGV, {"n": 0}, "--n", id="n=0"),
     pytest.param(SIMULATE_ARGV, {"n": 2.5}, "--n", id="n=2.5"),
     pytest.param(SIMULATE_ARGV, {"workers": -3}, "--workers", id="workers=-3"),
+    pytest.param(SIMULATE_ARGV, {"seed": -1}, "--seed", id="seed=-1"),
     pytest.param(SIMULATE_ARGV, {"mode": "bogus"}, "--mode", id="mode=bogus"),
     pytest.param(COCKTAIL_ARGV, {"axis": "x"}, "--axis", id="axis=x"),
     pytest.param(COCKTAIL_ARGV, {"plot": "no"}, "--plot", id="plot=no"),

@@ -120,6 +120,14 @@ class TestRunLink:
         assert run_link(cfg, max_workers=8) == GOLDEN_REPORT
         assert len(threads) == 1
 
+    def test_without_sched_getaffinity(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity; the core count
+        # falls back to os.cpu_count(), and the bits do not move.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        cfg = make_config(noise=NoiseModel(0.5), n_symbols=2_500_000, seed=9)
+        assert run_link(cfg, max_workers=3) == GOLDEN_REPORT
+        assert mc_bpsk_mi(1.0, NoiseModel(1.0), 2_500_000, seed=9) == GOLDEN_MC
+
     @pytest.mark.parametrize("mode", ["decision_directed", "genie_aided"])
     def test_buffer_reuse_leaks_no_state(self, mode):
         big = make_config(noise=NoiseModel(0.5), n_symbols=2_500_000, seed=9, detection_mode=mode)
