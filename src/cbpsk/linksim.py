@@ -8,20 +8,26 @@ Reproducibility contract: all randomness comes from numpy's Philox
 generator, which is counter-based. A run is split into fixed-size shards of
 2**20 symbols; shard i draws from ``SeedSequence(seed, spawn_key=(i,))``, and
 the per-shard sums are merged in shard order, so the result is bit-identical
-no matter how many workers execute the shards. Gaussian draws use
-``Generator.standard_normal`` (ziggurat) scaled by the noise standard
-deviation; golden tests pin this choice. No sum goes through BLAS, so the
+no matter how many workers execute the shards. Within a shard the draw order
+is fixed. :func:`run_link` first takes both symbol streams from one
+``bit_generator.random_raw(ceil(2 count / 64))`` call, unpacked least
+significant bit first (x1 the first ``count`` bits, x2 the next ``count``),
+and then draws its normals. :func:`mc_bpsk_mi` draws normals only: its
+density is even in y, so y = A + sigma n has the law of y = x + sigma n with
+x uniform on {+A, -A}. Normals come block by block from
+``Generator.standard_normal`` (ziggurat), scaled by the noise standard
+deviation; golden tests pin these choices. No sum goes through BLAS, so the
 BLAS thread count does not move a bit either.
 
 Execution: :func:`run_link` runs its shards on ``max_workers`` threads, at
 most one per core the process may use, and :func:`mc_bpsk_mi` on every such
-core. A shard draws its integer streams in full, as int32 (the int64 values
-from the same 32-bit draws, at half the memory), and then walks its range in
-blocks of at most ``_BLOCK`` elements, in ascending order: each block draws
-its normals and runs the float arithmetic in block-sized buffers that stay
-in cache. The blocks' float sums are added in the tree of numpy's pairwise
-sum (:func:`_tree_sum`), so they have the bits of one whole-shard
-``ndarray.sum()``. A worker peaks at about 7 MB in ``run_link`` and 6 MB in
+core. A shard walks its range in blocks of at most ``_BLOCK`` elements, in
+ascending order: each block draws its normals and runs the float arithmetic
+in block-sized buffers that stay in cache. Table lookups on the symbol bits
+give the transmitted values, amplitudes and stage-2 offsets. The blocks'
+float sums are added in the tree of numpy's pairwise sum
+(:func:`_tree_sum`), so they have the bits of one whole-shard
+``ndarray.sum()``. A worker peaks at about 5 MB in ``run_link`` and 1 MB in
 ``mc_bpsk_mi``.
 """
 
@@ -49,11 +55,12 @@ DETECTION_MODES = ("decision_directed", "genie_aided")
 
 _SHARD_SYMBOLS = 1 << 20
 # Elements per block of a shard's arithmetic: the eight block buffers of
-# run_link (1.4 MB) fit in a 2 MB per-core L2 cache. On 2 vCPUs, 1 << 14 ran
+# run_link (1.6 MB) fit in a 2 MB per-core L2 cache. On 2 vCPUs, 1 << 14 ran
 # two workers about 10 % slower (twice the GIL hand-offs per element) and
 # 1 << 16 one worker about 6 % slower.
 _BLOCK = 1 << 15
 _LN2 = math.log(2.0)
+_LOG2E = 1.0 / _LN2
 
 
 @dataclass(frozen=True)
@@ -173,58 +180,40 @@ def _block_buffers(count: int, floats: int, masks: int) -> list:
     return [np.empty(m) for _ in range(floats)] + [np.empty(m, np.bool_) for _ in range(masks)]
 
 
+def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n fair bits, as bool: the bits of ``rng.bit_generator.random_raw(
+    ceil(n / 64))``, least significant first within each 64-bit word, words
+    in draw order. The generator is left as that call leaves it."""
+    raw = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    return np.unpackbits(raw.view(np.uint8), bitorder="little")[:n].view(np.bool_)
+
+
 def _bpsk_mixture_neg_log2_pdf(y, amplitude, variance: float, out, tmp1, tmp2) -> np.ndarray:
-    """-log2 of 0.5*N(y; a, var) + 0.5*N(y; -a, var), elementwise in (y, a),
-    written into ``out`` and returned; ``tmp1`` and ``tmp2`` are scratch.
-    None of the three may alias ``y`` or ``amplitude``.
+    """-log2 of 0.5*N(y; a, var) + 0.5*N(y; -a, var), elementwise in (y, a)
+    for a >= 0, written into ``out`` and returned; ``tmp1`` and ``tmp2`` are
+    scratch. None of the three may alias ``y`` or ``amplitude``.
 
-    Uses the identity p(y) = N(y; 0, var) * exp(-a^2/(2 var)) * cosh(a y / var)
-    with log-cosh evaluated stably for any separation:
+    The density is even in y; factoring out the nearer component,
 
-        u = |a y| / var,   log_cosh = u + log1p(exp(-2 u)) - ln 2,
-        -log2 p = -(-(y^2 + a^2) / (2 var) + log_cosh - ln(2 pi var) / 2) / ln 2,
+        -ln p = (|y| - a)^2 / (2 var) - log1p(exp(-2 a |y| / var))
+                + ln 2 + ln(2 pi var) / 2,
 
-    one ufunc call per operation, in this order, so the bits do not depend
+    where the log1p term lies in [-ln 2, 0] and no two large terms cancel.
+    One ufunc call per operation, in this order, so the bits do not depend
     on the buffers.
     """
-    u, e = tmp1, tmp2
-    np.multiply(amplitude, y, out=u)
-    np.abs(u, out=u)
-    np.divide(u, variance, out=u)
-    np.multiply(-2.0, u, out=e)
+    t, e = tmp1, tmp2
+    np.abs(y, out=t)
+    np.multiply(t, amplitude, out=e)
+    np.multiply(e, -2.0 / variance, out=e)
     np.exp(e, out=e)
     np.log1p(e, out=e)
-    np.add(u, e, out=u)
-    np.subtract(u, _LN2, out=u)  # log_cosh
-    np.multiply(y, y, out=out)
-    np.multiply(amplitude, amplitude, out=e)
-    np.add(out, e, out=out)
-    np.negative(out, out=out)
-    np.divide(out, 2.0 * variance, out=out)
-    np.add(out, u, out=out)  # log p + ln(2 pi var) / 2
-    np.subtract(out, 0.5 * math.log(2.0 * math.pi * variance), out=out)
-    np.negative(out, out=out)
-    np.divide(out, _LN2, out=out)
-    return out
-
-
-# The selections below are products with 0 and +-1, which are exact, so they
-# give np.where's bits; a masked (where=) ufunc loop costs about ten times a
-# plain one on random masks.
-
-
-def _signs(is_plus, out):
-    """out = where(is_plus, 1.0, -1.0), as 2 is_plus - 1."""
-    np.multiply(is_plus, 2.0, out=out)
-    return np.subtract(out, 1.0, out=out)
-
-
-def _select(mask, if_true: float, if_false: float, out, tmp):
-    """out = where(mask, if_true, if_false), as mask if_true + (1 - mask) if_false."""
-    np.multiply(mask, if_true, out=out)
-    np.subtract(1.0, mask, out=tmp)
-    np.multiply(tmp, if_false, out=tmp)
-    return np.add(out, tmp, out=out)
+    np.subtract(t, amplitude, out=t)
+    np.multiply(t, t, out=t)
+    np.multiply(t, 0.5 / variance, out=t)
+    np.subtract(t, e, out=out)
+    np.add(out, _LN2 + 0.5 * math.log(2.0 * math.pi * variance), out=out)
+    return np.multiply(out, _LOG2E, out=out)
 
 
 def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple:
@@ -233,40 +222,54 @@ def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple
     sigma = math.sqrt(var)
     genie = config.detection_mode == "genie_aided"
 
-    # The draw order (integers, integers, standard_normal) is part of the
-    # seed contract. int32 draws give the int64 values from the same 32-bit
-    # stream; the normals, drawn last, may come block by block.
-    plus1 = rng.integers(0, 2, count, dtype=np.int32) == 1
-    plus2 = rng.integers(0, 2, count, dtype=np.int32) == 1
-    # Received signal, amplitude, -log2 p, two scratch; the case, a decision
-    # is +1, scratch.
-    buffers = _block_buffers(count, 5, 3)
+    # The draw order (the raw bits of both streams, then the normals) is part
+    # of the seed contract. x1 takes the first count bits and x2 the next
+    # count; the normals, drawn last, may come block by block.
+    bits = _random_bits(rng, 2 * count)
+    plus1, plus2 = bits[:count], bits[count:]
+    # Tables indexed by k = 2 [x1 = +1] + [x2 = +1]; k is 0 or 3 in case I
+    # (x1 = x2). Stage 1 sends x1 * (alpha in case I, beta/2 in case II);
+    # stage 2 sees x2 * (alpha - beta in case I, beta/2 in case II).
+    half = 0.5 * p.beta
+    sent = np.array([-p.alpha, -half, half, p.alpha])
+    amp1 = np.array([p.alpha, half, half, p.alpha])
+    amp2 = np.array([p.alpha - p.beta, half, half, p.alpha - p.beta])
+    # The stage-2 offset beta * ref, indexed by k (genie, ref = x1) or by
+    # the stage-1 decision (ref = x1_hat).
+    offset = np.array([-p.beta, -p.beta, p.beta, p.beta]) if genie else np.array([-p.beta, p.beta])
+    # Every index is in range, so mode="clip" only skips the buffered bounds
+    # check of the default mode. Received signal, amplitude, -log2 p, two
+    # scratch; k; a decision is +1, scratch.
+    buffers = _block_buffers(count, 5, 2)
+    index = np.empty(min(count, _BLOCK), np.intp)
 
     def block(lo, hi):
-        y, amp, z, tmp1, tmp2, case1, hat, mask = (b[: hi - lo] for b in buffers)
+        y, amp, z, tmp1, tmp2, hat, mask = (b[: hi - lo] for b in buffers)
+        k = index[: hi - lo]
         x1, x2 = plus1[lo:hi], plus2[lo:hi]
-        np.equal(x1, x2, out=case1)
+        np.multiply(x1, 2, out=k)
+        np.add(k, x2, out=k)
 
-        # y1 = x + sigma n, x = where(case1, alpha, beta/2) * x1
-        _select(case1, p.alpha, 0.5 * p.beta, amp, tmp1)
+        # y1 = x + sigma n
         rng.standard_normal(out=y)
         y *= sigma
-        y += np.multiply(_signs(x1, z), amp, out=z)
+        y += np.take(sent, k, out=z, mode="clip")
 
         np.greater_equal(y, 0.0, out=hat)  # x1_hat
         errors_x1 = int(np.count_nonzero(np.not_equal(hat, x1, out=mask)))
+        np.take(amp1, k, out=amp, mode="clip")
         sum_z1 = float(_bpsk_mixture_neg_log2_pdf(y, amp, var, z, tmp1, tmp2).sum())
 
         # y2 = y1 - beta * ref, in place
-        ref = x1 if genie else hat
-        y -= np.multiply(_signs(ref, z), p.beta, out=z)
+        y -= np.take(offset, k if genie else hat, out=z, mode="clip")
 
         np.greater_equal(y, 0.0, out=hat)  # x2_hat
         errors_x2 = int(np.count_nonzero(np.not_equal(hat, x2, out=mask)))
-        _select(case1, p.alpha - p.beta, 0.5 * p.beta, amp, tmp1)
+        np.take(amp2, k, out=amp, mode="clip")
         sum_z2 = float(_bpsk_mixture_neg_log2_pdf(y, amp, var, z, tmp1, tmp2).sum())
 
-        return errors_x1, errors_x2, int(np.count_nonzero(case1)), sum_z1, sum_z2
+        case1 = hi - lo - int(np.count_nonzero(np.not_equal(x1, x2, out=mask)))
+        return errors_x1, errors_x2, case1, sum_z1, sum_z2
 
     return _tree_sum(0, count, block)
 
@@ -279,14 +282,17 @@ def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
     per ``detection_mode``, and tallies errors and case frequencies. Fully
     reproducible from the seed; the result does not depend on
     ``max_workers``. At most ``max_workers`` threads run the shards, and no
-    more than there are shards or cores the process may use.
+    more than there are shards or cores the process may use;
+    ``max_workers`` must be an integer >= 1.
     """
+    if not (_is_integer(max_workers) and max_workers >= 1):
+        raise ValueError(f"max_workers must be an integer >= 1, got {max_workers!r}")
     n = config.n_symbols
     err1, err2, case1, sum_z1, sum_z2 = _sharded_sums(
         n,
         config.seed,
         lambda rng, count: _run_shard(config, rng, count),
-        max_workers,
+        int(max_workers),
     )
     h_n = noise_entropy(config.noise)
     return LinkSimReport(
@@ -304,15 +310,17 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     """Monte Carlo plug-in estimate of the antipodal-signaling mutual
     information, with its standard error.
 
-    Samples x uniformly from {+amplitude, -amplitude}, adds Gaussian noise,
-    and estimates H(Y) as the sample mean of -log2 p(y) under the exact
-    two-Gaussian mixture density; the estimate is that mean minus the noise
-    entropy. The standard error comes from the sample variance of
-    -log2 p(y). This is the independent oracle for the quadrature kernel.
-    The draw is sharded like :func:`run_link` and runs on every available
-    core; the result depends only on (amplitude, noise, n_samples, seed),
-    not on the number of cores or BLAS threads. ``seed``, as in
-    :class:`SimConfig`, is an integer in [0, 2**64).
+    Draws y = amplitude + sigma n with n standard normal, and estimates H(Y)
+    as the sample mean of -log2 p(y) under the exact two-Gaussian mixture
+    density; the estimate is that mean minus the noise entropy. No symbol is
+    drawn: -log2 p is even in y, so -log2 p(A + sigma n) has the law of
+    -log2 p(x + sigma n) with x uniform on {+A, -A}. The standard error
+    comes from the sample variance of -log2 p(y). This is the independent
+    oracle for the quadrature kernel. The draw is sharded like
+    :func:`run_link`, normals only and block by block, and runs on every
+    available core; the result depends only on (amplitude, noise,
+    n_samples, seed), not on the number of cores or BLAS threads. ``seed``,
+    as in :class:`SimConfig`, is an integer in [0, 2**64).
     """
     amplitude = _real("amplitude", amplitude, at_least=0.0)
     if not (_is_integer(n_samples) and n_samples >= 10_000):
@@ -322,16 +330,14 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     sigma = math.sqrt(var)
 
     def draw(rng, count):
-        bits = rng.integers(0, 2, count, dtype=np.int32)
-        buffers = _block_buffers(count, 5, 0)
+        buffers = _block_buffers(count, 4, 0)
 
         def block(lo, hi):
-            y, x, z, tmp1, tmp2 = (b[: hi - lo] for b in buffers)
-            np.multiply(_signs(bits[lo:hi], x), amplitude, out=x)
+            y, z, tmp1, tmp2 = (b[: hi - lo] for b in buffers)
             rng.standard_normal(out=y)
             y *= sigma
-            y += x
-            _bpsk_mixture_neg_log2_pdf(y, x, var, z, tmp1, tmp2)
+            y += amplitude
+            _bpsk_mixture_neg_log2_pdf(y, amplitude, var, z, tmp1, tmp2)
             # Sum of squares by numpy's pairwise sum: np.dot would go through
             # BLAS, whose summation order depends on its thread count.
             return float(z.sum()), float(np.multiply(z, z, out=tmp1).sum())

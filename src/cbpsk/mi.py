@@ -120,6 +120,25 @@ def _real(name: str, value, *, above: float | None = None, at_least: float | Non
     raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
+def _mixture_priors(priors, n: int) -> np.ndarray:
+    """``priors`` as a float64 array, by the rule of :class:`Constellation`:
+    an integer or floating array (not bool, not strings) of ``n`` values,
+    one per component, finite and >= 0, summing to 1 within 1e-12. Anything
+    else raises ValueError."""
+    pri = np.asarray(priors)
+    if pri.dtype.kind in "iuf" and pri.shape == (n,):
+        pri = pri.astype(float, copy=False)
+        # Python's min and sum on the list cost a fraction of numpy's
+        # reductions on a few elements; a nan or inf prior makes the sum
+        # fail the test.
+        values = pri.tolist()
+        if min(values) >= 0.0 and abs(sum(values) - 1.0) <= 1e-12:
+            return pri
+    raise ValueError(
+        f"priors must be {n} finite numbers >= 0, one per mean, summing to 1 within 1e-12, got {priors!r}"
+    )
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Zero-mean additive white Gaussian noise of a given power.
@@ -267,8 +286,10 @@ def gaussian_mixture_entropy(
 
     Args:
         means: component means, shape (n,) or (n, d) with d in {1, 2}.
-        priors: component weights, shape (n,), summing to 1.
-        var_per_dim: variance of each dimension of every component.
+        priors: component weights, shape (n,): finite, >= 0 and summing
+            to 1 within 1e-12, as for :class:`Constellation`.
+        var_per_dim: variance of each dimension of every component, a
+            finite number > 0.
         order: Gauss-Hermite order per dimension.
 
     The integral H = -E[log2 p(Y)] is split over the components: the
@@ -306,7 +327,8 @@ def gaussian_mixture_entropy(
     summation order changed, and nothing else.
     """
     means = np.atleast_2d(np.asarray(means, dtype=float).reshape(len(means), -1))
-    priors = np.asarray(priors, dtype=float)
+    priors = _mixture_priors(priors, len(means))
+    var_per_dim = _real("var_per_dim", var_per_dim, above=0.0)
     d = means.shape[1]
     if d not in (1, 2):
         raise ValueError(f"only 1-D and 2-D mixtures are supported, got dimension {d}")
@@ -429,7 +451,8 @@ def gaussian_mixture_entropy_simpson(
     the density underflows the integrand is taken as 0.
     """
     means = np.asarray(means, dtype=float).reshape(-1)
-    priors = np.asarray(priors, dtype=float)
+    priors = _mixture_priors(priors, len(means))
+    var_per_dim = _real("var_per_dim", var_per_dim, above=0.0)
     sig = math.sqrt(var_per_dim)
     m2 = means[:, None]
 

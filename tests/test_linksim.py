@@ -22,14 +22,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Three-shard goldens, 2.5e6 draws: two full 2**20 shards and a partial third.
 GOLDEN_REPORT = LinkSimReport(
     n_symbols=2_500_000,
-    errors_x1=299328,
-    errors_x2=577941,
-    case1_count=1250565,
-    empirical_mi_x1=0.6456622419779561,
-    empirical_mi_x2=0.45779318372270383,
+    errors_x1=299976,
+    errors_x2=577476,
+    case1_count=1249888,
+    empirical_mi_x1=0.6449996570383014,
+    empirical_mi_x2=0.45802097523434915,
     seed=9,
 )
-GOLDEN_MC = (0.4853096190287869, 0.0005532412506568777)
+GOLDEN_MC = (0.4858027067692636, 0.0005535039720593854)
 
 
 def qfunc(x: float) -> float:
@@ -296,8 +296,8 @@ def test_block_tree_is_numpys_pairwise_sum(n):
 
 def test_peak_memory_per_worker(monkeypatch):
     # Block-sized float buffers: at 2.5e6 draws a worker holds its shard's
-    # integer streams and a few cache-sized blocks, not whole-shard float
-    # arrays (56 and 52 MB with those).
+    # symbol bits (run_link only) and a few cache-sized blocks, not
+    # whole-shard float arrays (56 and 52 MB with those).
     monkeypatch.setattr(linksim, "_available_cores", lambda: 1)
     cfg = make_config(noise=NoiseModel(0.5), n_symbols=2_500_000, seed=9)
     tracemalloc.start()
@@ -339,3 +339,56 @@ def test_goldens_do_not_depend_on_blas_threads():
         assert child.returncode == 0, child.stderr
         outputs.append(child.stdout.splitlines())
     assert outputs[0] == outputs[1] == [repr(GOLDEN_REPORT), repr(GOLDEN_MC)]
+
+
+@pytest.mark.parametrize("variance", [1e-3, 0.5, 10.0])
+def test_mixture_density_against_mpmath(variance):
+    # -log2 of 0.5 N(y; a, v) + 0.5 N(y; -a, v) at 40 digits, on both lobes
+    # and at y = 0, for separations q = a / sqrt(v) from 0 to 40. Writing the
+    # exponent as (y^2 + a^2) / 2v - a |y| / v cancels at large q (1.6e-13
+    # relative error on these points); the bound leaves a few roundings.
+    import mpmath
+
+    sd = math.sqrt(variance)
+    ys, amps = [], []
+    for q in (0.0, 1e-4, 0.3, 1.0, 3.0, 10.0, 40.0):
+        a = q * sd
+        for y in [0.0] + [s * (a + k * sd) for s in (1.0, -1.0) for k in (-1.5, -0.5, 0.0, 0.5, 2.0)]:
+            ys.append(y)
+            amps.append(a)
+    y, amp = np.array(ys), np.array(amps)
+    got = linksim._bpsk_mixture_neg_log2_pdf(y, amp, variance, *(np.empty(len(ys)) for _ in range(3)))
+    with mpmath.workdps(40):
+        v = mpmath.mpf(variance)
+        refs = []
+        for yi, ai in zip(ys, amps):
+            yy, aa = mpmath.mpf(yi), mpmath.mpf(ai)
+            p = (mpmath.exp(-((yy - aa) ** 2) / (2 * v)) + mpmath.exp(-((yy + aa) ** 2) / (2 * v))) / (
+                2 * mpmath.sqrt(2 * mpmath.pi * v)
+            )
+            refs.append(float(-mpmath.log(p, 2)))
+    for yi, ai, gi, ref in zip(ys, amps, got, refs):
+        assert abs(gi - ref) <= 2e-15 * max(1.0, abs(ref)), (yi, ai, gi, ref)
+    # A scalar amplitude gives the same bits as the array.
+    for a in sorted(set(amps)):
+        rows = amp == a
+        scalar = linksim._bpsk_mixture_neg_log2_pdf(y[rows], a, variance, *(np.empty(rows.sum()) for _ in range(3)))
+        np.testing.assert_array_equal(scalar, got[rows])
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, linksim._BLOCK, (1 << 20) - 1, 1 << 20])
+def test_random_bits_are_the_raw_words(n):
+    # The symbol streams rest on this: the helper returns the bits of
+    # random_raw(ceil(n / 64)), least significant first, and leaves the
+    # generator where that call does. If numpy changes unpackbits or
+    # random_raw, this fails here rather than through a golden.
+    rng = linksim._shard_rng(5, 0)
+    bits = linksim._random_bits(rng, n)
+    twin = linksim._shard_rng(5, 0)
+    raw = twin.bit_generator.random_raw(-(-n // 64))
+    want = ((raw[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).ravel()[:n]
+    assert bits.dtype == np.bool_ and bits.shape == (n,)
+    np.testing.assert_array_equal(bits, want.astype(bool))
+    # The Philox state holds small integer arrays; repr shows every value.
+    assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+    assert rng.standard_normal(3).tolist() == twin.standard_normal(3).tolist()

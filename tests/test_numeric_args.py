@@ -11,12 +11,21 @@ import numpy as np
 import pytest
 
 from cbpsk.cocktail import CocktailParams, SymbolPair, detect
-from cbpsk.linksim import SimConfig, mc_bpsk_mi
-from cbpsk.mi import Constellation, NoiseModel, awgn_capacity, bpsk_mi, low_snr_capacity
+from cbpsk.linksim import SimConfig, mc_bpsk_mi, run_link
+from cbpsk.mi import (
+    Constellation,
+    NoiseModel,
+    awgn_capacity,
+    bpsk_mi,
+    gaussian_mixture_entropy,
+    gaussian_mixture_entropy_simpson,
+    low_snr_capacity,
+)
 from cbpsk.sweep import RateCurve, SweepSpec, log_grid, scheme_rate
 
 NOISE = NoiseModel(1.0)
 PARAMS = CocktailParams(3.5, 1.0)
+MEANS = np.array([1.0, -1.0, 3.0])
 
 # (call with the argument under test set to v, text the error names, a
 # valid integer value, a valid real value or None for an integer argument).
@@ -50,6 +59,16 @@ ENTRY_POINTS = [
     pytest.param(lambda v: mc_bpsk_mi(v, NOISE, 10_000, 0), "amplitude", 1, 0.7, id="mc_bpsk_mi-amplitude"),
     pytest.param(lambda v: mc_bpsk_mi(1.0, NOISE, v, 0), "n_samples", 10_000, None, id="mc_bpsk_mi-n_samples"),
     pytest.param(lambda v: mc_bpsk_mi(1.0, NOISE, 10_000, v), "seed", 7, None, id="mc_bpsk_mi-seed"),
+    pytest.param(lambda v: run_link(SimConfig(PARAMS, NOISE, 1000, 0), v), "max_workers", 2, None,
+                 id="run_link-max_workers"),
+    pytest.param(lambda v: gaussian_mixture_entropy(MEANS, (0.5, 0.5, 0.0), v), "var_per_dim", 2, 0.3,
+                 id="mixture_entropy-var"),
+    pytest.param(lambda v: gaussian_mixture_entropy(MEANS, (v, 0.5, 0.5), 0.5), "priors", 0, 0.0,
+                 id="mixture_entropy-priors"),
+    pytest.param(lambda v: gaussian_mixture_entropy_simpson(MEANS, (0.5, 0.5, 0.0), v, tol=1e-6), "var_per_dim",
+                 2, 0.3, id="mixture_entropy_simpson-var"),
+    pytest.param(lambda v: gaussian_mixture_entropy_simpson(MEANS, (v, 0.5, 0.5), 0.5, tol=1e-6), "priors", 0,
+                 0.0, id="mixture_entropy_simpson-priors"),
 ]
 
 
@@ -65,3 +84,25 @@ def test_one_numeric_rule(call, name, integer, real):
         plain = int(v) if isinstance(v, np.integer) else float(v)
         # repr also tells a numpy scalar that leaked through from a float
         assert call(v) == call(plain) and repr(call(v)) == repr(call(plain)), v
+
+
+@pytest.mark.parametrize("bad", [-3, 0, True, 2.5, np.float64(2.0)])
+def test_run_link_worker_count(bad):
+    # 2.5 would reach range() as a float once three shards met three cores.
+    with pytest.raises(ValueError, match="max_workers"):
+        run_link(SimConfig(PARAMS, NOISE, 1000, 0), bad)
+
+
+@pytest.mark.parametrize("entropy", [gaussian_mixture_entropy, gaussian_mixture_entropy_simpson])
+def test_mixture_entropy_arguments(entropy):
+    # Priors follow the rule of Constellation: >= 0, one per mean, summing
+    # to 1 within 1e-12; the variance is a finite number > 0.
+    means = np.array([1.0, -1.0])
+    for priors in ((0.7, 0.7), (0.5, 0.5, 0.0), (1.5, -0.5), (0.5, 0.5 + 1e-11), np.array([True, False]),
+                   ("0.5", "0.5"), np.full((1, 2), 0.5)):
+        with pytest.raises(ValueError, match="priors"):
+            entropy(means, priors, 0.5)
+    for variance in (-1.0, 0.0, -math.inf):
+        with pytest.raises(ValueError, match="var_per_dim"):
+            entropy(means, (0.5, 0.5), variance)
+    assert entropy(means, np.array([1, 0]), 0.5) == entropy(means, (1.0, 0.0), 0.5)
