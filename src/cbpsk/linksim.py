@@ -6,29 +6,28 @@ quadrature mutual-information kernels.
 
 Reproducibility contract: all randomness comes from numpy's Philox
 generator, which is counter-based. A run is split into fixed-size shards of
-2**20 symbols; shard i draws from ``SeedSequence(seed, spawn_key=(i,))``, and
-the per-shard sums are merged in shard order, so the result is bit-identical
-no matter how many workers execute the shards. Within a shard the draw order
-is fixed. :func:`run_link` first takes both symbol streams from one
-``bit_generator.random_raw(ceil(2 count / 64))`` call, unpacked least
-significant bit first (x1 the first ``count`` bits, x2 the next ``count``),
-and then draws its normals. :func:`mc_bpsk_mi` draws normals only: its
-density is even in y, so y = A + sigma n has the law of y = x + sigma n with
-x uniform on {+A, -A}. Normals come block by block from
-``Generator.standard_normal`` (ziggurat), scaled by the noise standard
-deviation; golden tests pin these choices. No sum goes through BLAS, so the
-BLAS thread count does not move a bit either.
+2**20 symbols; shard i draws from ``SeedSequence(seed, spawn_key=(i,))``.
+Within a shard the draw order is fixed. :func:`run_link` first takes both
+symbol streams from one ``bit_generator.random_raw(ceil(2 count / 64))``
+call, unpacked least significant bit first (x1 the first ``count`` bits, x2
+the next ``count``), and then draws its normals. :func:`mc_bpsk_mi` draws
+normals only: its density is even in y, so y = A + sigma n has the law of
+y = x + sigma n with x uniform on {+A, -A}. Normals come block by block
+from ``Generator.standard_normal`` (ziggurat), scaled by the noise standard
+deviation; golden tests pin these choices.
 
 Execution: :func:`run_link` runs its shards on ``max_workers`` threads, at
 most one per core the process may use, and :func:`mc_bpsk_mi` on every such
 core. A shard walks its range in blocks of at most ``_BLOCK`` elements, in
 ascending order: each block draws its normals and runs the float arithmetic
-in block-sized buffers that stay in cache. Table lookups on the symbol bits
-give the transmitted values, amplitudes and stage-2 offsets. The blocks'
-float sums are added in the tree of numpy's pairwise sum
-(:func:`_tree_sum`), so they have the bits of one whole-shard
-``ndarray.sum()``. A worker peaks at about 5 MB in ``run_link`` and 1 MB in
-``mc_bpsk_mi``.
+in block-sized buffers that stay in cache, and returns its sums. Lookups in
+tables built from :func:`cbpsk.cocktail.encode` give the transmitted
+values, amplitudes and stage-2 offsets. Counts add as Python ints, and the
+float sums of all blocks of all shards are added exactly rounded
+(``math.fsum``), so the result depends on neither the worker count nor the
+order in which shards finish. No sum goes through BLAS, so the BLAS thread
+count does not move a bit either. A worker peaks at about 5 MB in
+``run_link`` and 1 MB in ``mc_bpsk_mi``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocktail import CocktailParams
+from .cocktail import CocktailParams, SymbolPair, encode
 from .mi import NoiseModel, _is_integer, _real, noise_entropy
 
 __all__ = [
@@ -131,46 +130,33 @@ def _available_cores() -> int:
 
 
 def _sharded_sums(n: int, seed: int, draw, max_workers: int = 1) -> tuple:
-    """Run ``draw(rng, count)`` on each shard of an n-draw run and sum the
-    returned tuples elementwise, in shard order, so the result does not
-    depend on ``max_workers``.
+    """Run ``draw(rng, count)`` on each shard of an n-draw run and add up
+    the sum tuples it returns, one per block, elementwise: int columns as
+    Python ints, float columns exactly rounded by ``math.fsum``. Neither
+    ``max_workers`` nor the order in which shards finish moves a bit.
 
     It starts min(max_workers, shards, available cores) workers: a worker
-    beyond the core count adds its memory but no speed. Worker k runs shards
-    k, k + workers, ... .
+    beyond the core count adds its memory but no speed.
     """
     counts = [min(_SHARD_SYMBOLS, n - start) for start in range(0, n, _SHARD_SYMBOLS)]
     workers = max(1, min(max_workers, len(counts), _available_cores()))
 
-    def run(first):
-        return [draw(_shard_rng(seed, i), counts[i]) for i in range(first, len(counts), workers)]
+    def shard(i):
+        return draw(_shard_rng(seed, i), counts[i])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(workers)))
+            shards = list(pool.map(shard, range(len(counts))))
     else:
-        parts = [run(0)]
-    results = [parts[i % workers][i // workers] for i in range(len(counts))]
-    return tuple(sum(column) for column in zip(*results))
+        shards = [shard(i) for i in range(len(counts))]
+    columns = zip(*(sums for blocks in shards for sums in blocks))
+    return tuple(sum(c) if isinstance(c[0], int) else math.fsum(c) for c in columns)
 
 
-def _tree_sum(lo: int, hi: int, block) -> tuple:
-    """Sum the tuples ``block(start, stop)`` elementwise over the blocks of
-    [lo, hi), calling ``block`` on them in ascending order.
-
-    The blocks, at most ``_BLOCK`` long, and the order of the additions are
-    those of numpy's pairwise sum, which splits n > 128 elements at
-    ``n2 = n // 2; n2 -= n2 % 8`` and adds left + right. So when ``block``
-    returns ``x[start:stop].sum()``, the result has the bits of
-    ``x[lo:hi].sum()``; a test checks this against the installed numpy.
-    """
-    n = hi - lo
-    if n <= _BLOCK:
-        return block(lo, hi)
-    n2 = n // 2
-    n2 -= n2 % 8
-    left = _tree_sum(lo, lo + n2, block)
-    return tuple(a + b for a, b in zip(left, _tree_sum(lo + n2, hi, block)))
+def _each_block(count: int, block) -> list:
+    """``block(lo, hi)`` over the blocks of [0, count), at most ``_BLOCK``
+    long, in ascending order."""
+    return [block(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
 
 
 def _block_buffers(count: int, floats: int, masks: int) -> list:
@@ -227,16 +213,17 @@ def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple
     # count; the normals, drawn last, may come block by block.
     bits = _random_bits(rng, 2 * count)
     plus1, plus2 = bits[:count], bits[count:]
-    # Tables indexed by k = 2 [x1 = +1] + [x2 = +1]; k is 0 or 3 in case I
-    # (x1 = x2). Stage 1 sends x1 * (alpha in case I, beta/2 in case II);
-    # stage 2 sees x2 * (alpha - beta in case I, beta/2 in case II).
-    half = 0.5 * p.beta
-    sent = np.array([-p.alpha, -half, half, p.alpha])
-    amp1 = np.array([p.alpha, half, half, p.alpha])
-    amp2 = np.array([p.alpha - p.beta, half, half, p.alpha - p.beta])
-    # The stage-2 offset beta * ref, indexed by k (genie, ref = x1) or by
-    # the stage-1 decision (ref = x1_hat).
-    offset = np.array([-p.beta, -p.beta, p.beta, p.beta]) if genie else np.array([-p.beta, p.beta])
+    # Tables indexed by k = 2 [x1 = +1] + [x2 = +1]. Stage 1 sees the sent
+    # value with amplitude |sent|; stage 2 subtracts the offset beta * x1 and
+    # sees amplitude |sent - beta * x1|.
+    pairs = [SymbolPair(x1, x2) for x1 in (-1, 1) for x2 in (-1, 1)]
+    sent = np.array([encode(pair, p) for pair in pairs])
+    genie_offset = np.array([p.beta * pair.x1 for pair in pairs])
+    amp1 = np.abs(sent)
+    amp2 = np.abs(sent - genie_offset)
+    # Decision-directed mode indexes the offset by [x1_hat = +1], which picks
+    # the entries k = 0 and k = 2.
+    offset = genie_offset if genie else genie_offset[::2]
     # Every index is in range, so mode="clip" only skips the buffered bounds
     # check of the default mode. Received signal, amplitude, -log2 p, two
     # scratch; k; a decision is +1, scratch.
@@ -260,7 +247,7 @@ def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple
         np.take(amp1, k, out=amp, mode="clip")
         sum_z1 = float(_bpsk_mixture_neg_log2_pdf(y, amp, var, z, tmp1, tmp2).sum())
 
-        # y2 = y1 - beta * ref, in place
+        # y2 = y1 - beta * (x1 if genie else x1_hat), in place
         y -= np.take(offset, k if genie else hat, out=z, mode="clip")
 
         np.greater_equal(y, 0.0, out=hat)  # x2_hat
@@ -271,7 +258,7 @@ def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple
         case1 = hi - lo - int(np.count_nonzero(np.not_equal(x1, x2, out=mask)))
         return errors_x1, errors_x2, case1, sum_z1, sum_z2
 
-    return _tree_sum(0, count, block)
+    return _each_block(count, block)
 
 
 def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
@@ -342,7 +329,7 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
             # BLAS, whose summation order depends on its thread count.
             return float(z.sum()), float(np.multiply(z, z, out=tmp1).sum())
 
-        return _tree_sum(0, count, block)
+        return _each_block(count, block)
 
     total, total_sq = _sharded_sums(n_samples, seed, draw, _available_cores())
     mean = total / n_samples

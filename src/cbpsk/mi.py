@@ -120,6 +120,22 @@ def _real(name: str, value, *, above: float | None = None, at_least: float | Non
     raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
+def _mixture_means(means) -> np.ndarray:
+    """``means`` as a float64 array, by the rule of :class:`Constellation`
+    points: a non-empty integer or floating array (not bool, not strings) of
+    finite values. Anything else raises ValueError. The dtype is checked
+    before converting, since the conversion would turn "1" and True into
+    numbers."""
+    arr = np.asarray(means)
+    if arr.dtype.kind in "iuf" and arr.ndim and arr.size:
+        arr = arr.astype(float, copy=False)
+        # As in _mixture_priors, Python on the list beats numpy's reductions
+        # on a few elements.
+        if all(map(math.isfinite, arr.ravel().tolist())):
+            return arr
+    raise ValueError(f"means must be a non-empty array of finite numbers, got {means!r}")
+
+
 def _mixture_priors(priors, n: int) -> np.ndarray:
     """``priors`` as a float64 array, by the rule of :class:`Constellation`:
     an integer or floating array (not bool, not strings) of ``n`` values,
@@ -285,7 +301,8 @@ def gaussian_mixture_entropy(
     isotropic per-dimension variance.
 
     Args:
-        means: component means, shape (n,) or (n, d) with d in {1, 2}.
+        means: component means, shape (n,) or (n, d) with d in {1, 2}:
+            finite numbers, as for :class:`Constellation` points.
         priors: component weights, shape (n,): finite, >= 0 and summing
             to 1 within 1e-12, as for :class:`Constellation`.
         var_per_dim: variance of each dimension of every component, a
@@ -326,7 +343,7 @@ def gaussian_mixture_entropy(
     prior of 1e-200 or none), entropies move by at most 2.7e-15 bits: the
     summation order changed, and nothing else.
     """
-    means = np.atleast_2d(np.asarray(means, dtype=float).reshape(len(means), -1))
+    means = _mixture_means(means).reshape(len(means), -1)
     priors = _mixture_priors(priors, len(means))
     var_per_dim = _real("var_per_dim", var_per_dim, above=0.0)
     d = means.shape[1]
@@ -450,7 +467,7 @@ def gaussian_mixture_entropy_simpson(
     -p(y) log2 p(y) over [min(means) - k*sigma, max(means) + k*sigma]; where
     the density underflows the integrand is taken as 0.
     """
-    means = np.asarray(means, dtype=float).reshape(-1)
+    means = _mixture_means(means).reshape(-1)
     priors = _mixture_priors(priors, len(means))
     var_per_dim = _real("var_per_dim", var_per_dim, above=0.0)
     sig = math.sqrt(var_per_dim)

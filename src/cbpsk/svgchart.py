@@ -36,6 +36,12 @@ def _log_ticks(lo: float, hi: float) -> list:
     return ticks if ticks else [lo, hi]
 
 
+def _escape(text: str) -> str:
+    # What xml.sax.saxutils.escape does; importing that module pulls in
+    # urllib.request, about 40 ms of every CLI start.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -54,6 +60,8 @@ def render_line_chart(
     ``curves`` is an iterable of objects with ``label`` and ``rows``
     attributes (as produced by the sweep module). With ``log_x`` the
     horizontal axis is base-10 logarithmic and all x values must be > 0.
+    The title, axis labels and curve labels are plain text: ``&``, ``<``
+    and ``>`` are escaped.
     """
     curves = list(curves)
     if not curves or all(not c.rows for c in curves):
@@ -95,7 +103,7 @@ def render_line_chart(
     if title:
         out.append(
             f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>\n'
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>\n'
         )
     out.append(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>\n'
@@ -119,13 +127,13 @@ def render_line_chart(
     if x_label:
         out.append(
             f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>\n'
+            f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>\n'
         )
     if y_label:
         out.append(
             f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{y_label}</text>\n'
+            f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{_escape(y_label)}</text>\n'
         )
 
     for i, c in enumerate(curves):
@@ -142,7 +150,7 @@ def render_line_chart(
         )
         out.append(
             f'<text x="{ml + pw - 122}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{c.label}</text>\n'
+            f'font-size="11">{_escape(c.label)}</text>\n'
         )
         ly += 15
 

@@ -29,7 +29,7 @@ GOLDEN_REPORT = LinkSimReport(
     empirical_mi_x2=0.45802097523434915,
     seed=9,
 )
-GOLDEN_MC = (0.4858027067692636, 0.0005535039720593854)
+GOLDEN_MC = (0.4858027067692632, 0.0005535039720593863)
 
 
 def qfunc(x: float) -> float:
@@ -96,8 +96,11 @@ class TestRunLink:
         assert a != b
 
     def test_worker_count_does_not_change_result(self):
-        cfg = make_config(n_symbols=3_000_000, seed=31)
-        assert run_link(cfg, max_workers=1) == run_link(cfg, max_workers=4)
+        # Both modes: the genie stage-2 sum is the one whose last digit a
+        # change of the block merge is most likely to move.
+        for mode in ("decision_directed", "genie_aided"):
+            cfg = make_config(n_symbols=3_000_000, seed=31, detection_mode=mode)
+            assert run_link(cfg, max_workers=1) == run_link(cfg, max_workers=4), mode
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_three_shard_golden_report(self, workers):
@@ -269,29 +272,17 @@ class TestMcBpskMi:
         assert se_big < se_small / 3.0
 
 
-@pytest.mark.parametrize(
-    "n",
-    [1, 7, 8, 129, 1000, 12_345, linksim._BLOCK, linksim._BLOCK + 1, 3 * linksim._BLOCK + 5,
-     402_848, 999_983, (1 << 20) - 1, 1 << 20],
-)
-def test_block_tree_is_numpys_pairwise_sum(n):
-    # The simulator's bits rest on this: block sums added by _tree_sum equal
-    # one ndarray.sum() over the shard. If numpy changes its summation
-    # tree, this fails here rather than through a golden.
-    rng = np.random.default_rng(n)
-    data = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
-    blocks = []
-
-    def block(lo, hi):
-        blocks.append((lo, hi))
-        return (data[lo:hi].sum(), hi - lo)
-
-    total, count = linksim._tree_sum(0, n, block)
-    starts = [lo for lo, _ in blocks]
-    assert starts == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == n
-    assert all(0 < hi - lo <= linksim._BLOCK for lo, hi in blocks)
-    assert count == n
-    assert total.hex() == data.sum().hex()
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_block_sums_add_exactly(monkeypatch, workers):
+    # Blocks summing to 1e16, 1 and -1e16 give exactly 1 per shard; a plain
+    # left-to-right sum loses the 1 to rounding and gives 0. Counts stay ints.
+    monkeypatch.setattr(linksim, "_available_cores", lambda: 3)
+    shards = 3
+    blocks = [(10**16, 1e16), (1, 1.0), (-(10**16), -1e16)]
+    assert sum(b[1] for b in blocks) == 0.0
+    totals = linksim._sharded_sums(shards * linksim._SHARD_SYMBOLS, 0, lambda rng, count: blocks, workers)
+    assert totals == (shards, float(shards))
+    assert type(totals[0]) is int
 
 
 def test_peak_memory_per_worker(monkeypatch):

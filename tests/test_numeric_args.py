@@ -105,4 +105,10 @@ def test_mixture_entropy_arguments(entropy):
     for variance in (-1.0, 0.0, -math.inf):
         with pytest.raises(ValueError, match="var_per_dim"):
             entropy(means, (0.5, 0.5), variance)
+    # Means follow the rule of Constellation.points: finite numbers, not
+    # bool and not strings.
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], ["1", "-1"], [True, False]):
+        with pytest.raises(ValueError, match="means"):
+            entropy(bad, (0.5, 0.5), 0.5)
+    assert entropy([1, -1], (0.5, 0.5), 0.5) == entropy(means, (0.5, 0.5), 0.5)
     assert entropy(means, np.array([1, 0]), 0.5) == entropy(means, (1.0, 0.0), 0.5)

@@ -25,6 +25,14 @@ class TestRender:
         root = ET.fromstring(svg)
         assert strip_ns(root.tag) == "svg"
 
+    def test_markup_characters_in_text_are_escaped(self):
+        text = "a<b & c>d"
+        curves = [RateCurve(text, CURVES[0].rows), RateCurve("plain", CURVES[1].rows)]
+        # Unescaped, the parser rejects the document as not well-formed.
+        root = ET.fromstring(render_line_chart(curves, title=text, x_label=text, y_label=text))
+        texts = [e.text for e in root.iter() if strip_ns(e.tag) == "text"]
+        assert texts.count(text) == 4 and "plain" in texts
+
     def test_one_polyline_per_curve(self):
         svg = render_line_chart(CURVES)
         root = ET.fromstring(svg)
