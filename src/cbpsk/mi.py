@@ -48,13 +48,17 @@ Noise convention: a :class:`NoiseModel` carries a variance in power units.
 One-dimensional constellations are integrated against that variance as
 given. Two-dimensional (complex) constellations treat the variance as the
 total complex noise power, split equally across the two real dimensions.
+
+Alphabets follow one rule in :class:`Constellation` and the mixture kernels:
+points (means) of shape (n,) or (n, d), d in {1, 2}, and n priors >= 0
+summing to 1 within 1e-12, every entry a finite number but not bool.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import permutations, product
 
@@ -120,39 +124,46 @@ def _real(name: str, value, *, above: float | None = None, at_least: float | Non
     raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
-def _mixture_means(means) -> np.ndarray:
-    """``means`` as a float64 array, by the rule of :class:`Constellation`
-    points: a non-empty integer or floating array (not bool, not strings) of
-    finite values. Anything else raises ValueError. The dtype is checked
-    before converting, since the conversion would turn "1" and True into
-    numbers."""
-    arr = np.asarray(means)
-    if arr.dtype.kind in "iuf" and arr.ndim and arr.size:
-        arr = arr.astype(float, copy=False)
-        # As in _mixture_priors, Python on the list beats numpy's reductions
-        # on a few elements.
-        if all(map(math.isfinite, arr.ravel().tolist())):
-            return arr
-    raise ValueError(f"means must be a non-empty array of finite numbers, got {means!r}")
+def _alphabet_points(name: str, points) -> np.ndarray:
+    """``points`` as a new read-only (n, d) float64 array, by the one rule for
+    alphabets: n >= 1 entries, shape (n,) or (n, d) with d in {1, 2}, each a
+    number by the rule of :func:`_real`. An ndarray is checked by its dtype,
+    other input entry by entry, since numpy would turn a True beside a float
+    into 1.0. Anything else raises ValueError naming ``name``."""
+    arr = points
+    if not isinstance(arr, np.ndarray):
+        try:
+            arr = np.array([[_real(name, c) for c in p] if isinstance(p, (tuple, list, np.ndarray))
+                            else _real(name, p) for p in points])
+        except (TypeError, ValueError):  # not iterable, an entry off the rule, or ragged
+            arr = np.empty(0)
+    arr = arr.astype(float) if arr.dtype.kind in "iuf" else np.empty(0)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    # Python on the list beats numpy's reductions on a few elements.
+    if arr.ndim == 2 and arr.size and arr.shape[1] <= 2 and all(map(math.isfinite, arr.ravel().tolist())):
+        arr.flags.writeable = False
+        return arr
+    raise ValueError(f"{name} must be a non-empty set of finite numbers, shape (n,), (n, 1) or (n, 2), got {points!r}")
 
 
-def _mixture_priors(priors, n: int) -> np.ndarray:
-    """``priors`` as a float64 array, by the rule of :class:`Constellation`:
-    an integer or floating array (not bool, not strings) of ``n`` values,
-    one per component, finite and >= 0, summing to 1 within 1e-12. Anything
-    else raises ValueError."""
-    pri = np.asarray(priors)
-    if pri.dtype.kind in "iuf" and pri.shape == (n,):
-        pri = pri.astype(float, copy=False)
-        # Python's min and sum on the list cost a fraction of numpy's
-        # reductions on a few elements; a nan or inf prior makes the sum
-        # fail the test.
-        values = pri.tolist()
-        if min(values) >= 0.0 and abs(sum(values) - 1.0) <= 1e-12:
-            return pri
-    raise ValueError(
-        f"priors must be {n} finite numbers >= 0, one per mean, summing to 1 within 1e-12, got {priors!r}"
-    )
+def _alphabet_priors(priors, n: int) -> np.ndarray:
+    """``priors`` as a float64 array by the one rule for the weights of an
+    alphabet: ``n`` entries, one per point, each a number by the rule of
+    :func:`_real`, >= 0 and summing to 1 within 1e-12; an ndarray is checked
+    by its dtype. Anything else raises ValueError naming priors."""
+    if isinstance(priors, np.ndarray):
+        values = priors.tolist() if priors.dtype.kind in "iuf" and priors.shape == (n,) else []
+    else:
+        try:
+            values = [_real("priors", w, at_least=0.0) for w in priors]
+        except TypeError:  # not iterable
+            values = []
+    # Python's min and sum on the list cost a fraction of numpy's reductions
+    # on a few elements; a nan or inf prior makes the sum fail the test.
+    if len(values) == n and min(values) >= 0.0 and abs(sum(values) - 1.0) <= 1e-12:
+        return np.array(values, dtype=float)
+    raise ValueError(f"priors must be {n} numbers >= 0, one per point, summing to 1 within 1e-12, got {priors!r}")
 
 
 @dataclass(frozen=True)
@@ -172,64 +183,50 @@ class NoiseModel:
 class Constellation:
     """A finite symbol alphabet with prior probabilities.
 
-    Points are either all real scalars (1-D) or all pairs of reals (2-D,
-    interpreted as the I/Q plane). Priors default to uniform; they must be
-    nonnegative and sum to 1 within 1e-12. At least two pairwise-distinct
-    points are required.
+    ``points``: n >= 2 pairwise distinct real scalars (1-D) or pairs of reals
+    (2-D, the I/Q plane), as a sequence or an integer or floating array of
+    shape (n,), (n, 1) or (n, 2). ``priors``: n weights >= 0 summing to 1
+    within 1e-12 as a sequence or array, uniform when empty. Both follow the
+    mixture kernels' rule and are stored as tuples of plain floats (or pairs).
     """
 
     points: tuple
     priors: tuple = ()
+    # The checked points as a read-only (n, d) array, for every method.
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = tuple(
-            tuple(_real("points", c) for c in p) if isinstance(p, (tuple, list, np.ndarray))
-            else _real("points", p)
-            for p in self.points
-        )
-        sizes = {len(p) if isinstance(p, tuple) else 0 for p in pts}  # 0 for a scalar
-        if not sizes <= {0, 2}:
-            raise ValueError("constellation points must be 1-D or 2-D")
-        if len(sizes) > 1:
-            raise ValueError("constellation mixes 1-D and 2-D points")
-        if len(pts) < 2:
-            raise ValueError("constellation needs at least 2 points")
-        if len(set(pts)) != len(pts):
-            raise ValueError("constellation points must be pairwise distinct")
-
-        if self.priors:
-            pri = tuple(_real("priors", w, at_least=0.0) for w in self.priors)
-        else:
-            pri = tuple([1.0 / len(pts)] * len(pts))
-        if len(pri) != len(pts):
-            raise ValueError("priors and points must have the same length")
-        if abs(sum(pri) - 1.0) > 1e-12:
-            raise ValueError(f"priors must sum to 1 within 1e-12, got {sum(pri)!r}")
-
+        arr = _alphabet_points("points", self.points)
+        n, d = arr.shape
+        pts = tuple(arr.ravel().tolist()) if d == 1 else tuple(map(tuple, arr.tolist()))
+        if n < 2 or len(set(pts)) < n:
+            raise ValueError(f"points must hold at least 2 pairwise distinct entries, got {self.points!r}")
+        given = isinstance(self.priors, np.ndarray) or self.priors  # () and None mean uniform
+        pri = _alphabet_priors(self.priors, n).tolist() if given else [1.0 / n] * n
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "priors", pri)
+        object.__setattr__(self, "priors", tuple(pri))
+        object.__setattr__(self, "_array", arr)
+
+    def __reduce__(self):  # copies and pickles rebuild the read-only array
+        return Constellation, (self.points, self.priors)
 
     @property
     def dimension(self) -> int:
-        return 2 if isinstance(self.points[0], tuple) else 1
+        return self._array.shape[1]
 
     def as_array(self) -> np.ndarray:
-        """Points as an (n, dimension) float array."""
-        return np.atleast_2d(np.asarray(self.points, dtype=float).reshape(len(self.points), -1))
+        """Points as a read-only (n, dimension) float array."""
+        return self._array
 
     def mean_energy(self) -> float:
         """Prior-weighted mean symbol energy sum_k prior_k * |point_k|^2."""
-        a = self.as_array()
-        return float(np.dot(np.asarray(self.priors), np.sum(a * a, axis=1)))
+        return float(np.dot(np.asarray(self.priors), np.sum(self._array * self._array, axis=1)))
 
     def scaled(self, amplitude_factor: float) -> "Constellation":
         """Scale every point by ``amplitude_factor`` (energy scales by its square)."""
         f = _real("amplitude_factor", amplitude_factor, above=0.0)
-        if self.dimension == 1:
-            pts = tuple(p * f for p in self.points)
-        else:
-            pts = tuple((x * f, y * f) for x, y in self.points)
-        return Constellation(pts, self.priors)
+        with np.errstate(over="ignore"):  # an overflow to inf fails the rule for points
+            return Constellation(self._array * f, self.priors)
 
     # Unit-average-energy alphabets used by the rate sweeps.
 
@@ -265,8 +262,9 @@ def noise_entropy(noise: NoiseModel) -> float:
 
 
 def awgn_capacity(snr_linear: float) -> float:
-    """Shannon capacity log2(1 + snr) in bits/sec/Hz for a linear SNR >= 0."""
-    return math.log2(1.0 + _real("snr_linear", snr_linear, at_least=0.0))
+    """Shannon capacity log2(1 + snr) in bits/sec/Hz for a linear SNR >= 0,
+    formed as log1p(snr) / ln 2, which does not cancel at low SNR."""
+    return math.log1p(_real("snr_linear", snr_linear, at_least=0.0)) / _LN2
 
 
 def low_snr_capacity(snr_linear: float) -> float:
@@ -343,16 +341,14 @@ def gaussian_mixture_entropy(
     prior of 1e-200 or none), entropies move by at most 2.7e-15 bits: the
     summation order changed, and nothing else.
     """
-    means = _mixture_means(means).reshape(len(means), -1)
-    priors = _mixture_priors(priors, len(means))
+    means = _alphabet_points("means", means)
+    priors = _alphabet_priors(priors, len(means))
     var_per_dim = _real("var_per_dim", var_per_dim, above=0.0)
     d = means.shape[1]
-    if d not in (1, 2):
-        raise ValueError(f"only 1-D and 2-D mixtures are supported, got dimension {d}")
     nodes, weights = _unit_rule(order, d)
     live = priors > 0.0
-    pts = means[live]
-    log_pri = np.log(priors[live])
+    pts, pri = means[live], priors[live]
+    log_pri = np.log(pri)
     # With y = m_k + n and n = sqrt(2v) * node, component k's term
     # -E[log p(Y)] is (d/2) log(2 pi v) + E|n|^2 / 2v - E[L_k] = H(N) - E[L_k]
     # in nats, where E|n|^2 / 2v = d/2 in closed form and
@@ -365,8 +361,8 @@ def gaussian_mixture_entropy(
     m = np.empty(weights.size)
     lse = np.empty(weights.size)
     h_nats = 0.0
-    for k, weight in _symmetry_classes(means, priors):
-        delta = means[k] - pts
+    for k, weight in _symmetry_classes(pts, pri):
+        delta = pts[k] - pts
         np.matmul(delta * -math.sqrt(2.0 / var_per_dim), nodes, out=a)
         a += (log_pri - np.sum(delta * delta, axis=1) / (2.0 * var_per_dim))[:, None]
         np.max(a, axis=0, out=m)
@@ -425,10 +421,10 @@ def _axis_maps(d: int) -> tuple:
 _AXIS_MAPS = {d: _axis_maps(d) for d in (1, 2)}
 
 
-def _symmetry_classes(means: np.ndarray, priors: np.ndarray) -> list:
+def _symmetry_classes(pts: np.ndarray, pri: np.ndarray) -> list:
     """(representative index, summed prior) for each class of components of a
-    mixture whose quadrature terms are equal; zero-prior components are left
-    out. ``means`` has shape (n, d) and indices refer to it.
+    mixture whose quadrature terms are equal. ``pts`` (n, d) and ``pri`` (n,)
+    are the live components, those of prior > 0, and indices refer to them.
 
     Component k's term depends only on the priors p_j and the offsets
     m_j - m_k, and the tensor-product rule is invariant under the signed
@@ -441,11 +437,9 @@ def _symmetry_classes(means: np.ndarray, priors: np.ndarray) -> list:
     represented by its lowest index. A symmetry keeps priors, so a class
     never mixes them.
     """
-    live = np.flatnonzero(priors > 0.0)
-    pts, pri = means[live], priors[live]
     centred = pts - pri @ pts / pri.sum()
     tol = 1e-12 * float(np.ptp(pts, axis=0).max())
-    orders, signs = _AXIS_MAPS[means.shape[1]]
+    orders, signs = _AXIS_MAPS[pts.shape[1]]
     images = (centred[:, orders] * signs).transpose(1, 0, 2)
     # hit[g, i, j]: map g takes point i onto point j, of the same prior. The
     # points are distinct, so g is a symmetry when every point hits one.
@@ -455,7 +449,7 @@ def _symmetry_classes(means: np.ndarray, priors: np.ndarray) -> list:
     # The lowest index any symmetry takes k to represents k's orbit.
     rep = symmetric.argmax(axis=2).min(axis=0)
     mass = np.bincount(rep, weights=pri)
-    return [(int(live[r]), float(mass[r])) for r in np.flatnonzero(mass)]
+    return [(int(r), float(mass[r])) for r in np.flatnonzero(mass)]
 
 
 def gaussian_mixture_entropy_simpson(
@@ -465,16 +459,18 @@ def gaussian_mixture_entropy_simpson(
 
     Independent cross-check of :func:`gaussian_mixture_entropy`. Integrates
     -p(y) log2 p(y) over [min(means) - k*sigma, max(means) + k*sigma]; where
-    the density underflows the integrand is taken as 0.
+    the density underflows the integrand is taken as 0. ``means`` and
+    ``priors`` follow the alphabet rule; the means must be 1-D.
     """
-    means = _mixture_means(means).reshape(-1)
-    priors = _mixture_priors(priors, len(means))
+    means = _alphabet_points("means", means)
+    if means.shape[1] != 1:
+        raise ValueError(f"means must be 1-D, shape (n,) or (n, 1), got shape {means.shape}")
+    priors = _alphabet_priors(priors, len(means))
     var_per_dim = _real("var_per_dim", var_per_dim, above=0.0)
     sig = math.sqrt(var_per_dim)
-    m2 = means[:, None]
 
     def f(y: float) -> float:
-        lp = _mixture_logpdf(np.array([[y]]), m2, priors, var_per_dim)[0]
+        lp = _mixture_logpdf(np.array([[y]]), means, priors, var_per_dim)[0]
         p = math.exp(lp)
         return 0.0 if p == 0.0 else -p * lp / _LN2
 

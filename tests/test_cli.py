@@ -248,6 +248,14 @@ class TestCocktail:
         for name in emitted:
             assert (tmp_path / name).exists()
 
+    def test_dense_low_snr_grid(self, tmp_path, capsys, monkeypatch):
+        # 40 points 2.5e-10 apart near rho = 1e-6: the Eb/N0 axis of the
+        # capacity curve stays strictly ascending only if log2(1 + rho)
+        # does not cancel.
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, _, err = run_cli(capsys, "cocktail", "--ratio", "3.5", "--grid", "1e-6:1.01e-6:lin:40")
+        assert code == EXIT_OK, err
+
     def test_plot_adds_svgs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
         code, _, _ = run_cli(

@@ -7,7 +7,9 @@ Monte Carlo plug-in oracle (10^7 samples, agreeing to 3 decimals)
 cross-checked against adaptive-Simpson integration.
 """
 
+import copy
 import math
+import pickle
 import warnings
 from fractions import Fraction
 from functools import reduce
@@ -120,6 +122,17 @@ class TestCapacity:
     def test_low_snr_values(self):
         assert low_snr_capacity(0.0) == 0.0
         assert low_snr_capacity(0.01) == pytest.approx(0.01442695040888963, abs=1e-15)
+
+    def test_matches_40_digit_values(self):
+        # log2(1 + rho) would round 1 + rho first: 1.1e-13 relative error at
+        # rho = 1e-3 and 0.11 near 1e-15. log1p(rho) / ln 2 measured 1.9e-16
+        # at worst over these points.
+        import mpmath
+
+        with mpmath.workdps(40):
+            for rho in np.geomspace(1e-15, 70.0, 401).tolist():
+                want = mpmath.log1p(mpmath.mpf(rho)) / mpmath.log(2)
+                assert abs(awgn_capacity(rho) / want - 1) <= 2.2e-16, rho
 
     def test_low_snr_within_half_percent_at_rho_001(self):
         rho = 0.01
@@ -260,6 +273,10 @@ class TestConstellation:
         with pytest.raises(ValueError):
             Constellation(((1.0, 2.0, 3.0), (0.0, 0.0, 1.0)))  # 3-D points
 
+    def test_scaled_past_the_float_range_names_points(self):
+        with pytest.raises(ValueError, match="points"):
+            Constellation((1e300, -1.0)).scaled(1e300)
+
     def test_factories_have_unit_energy(self):
         for c in (Constellation.bpsk(), Constellation.ask4(), Constellation.qpsk(), Constellation.psk8()):
             assert c.mean_energy() == pytest.approx(1.0, abs=1e-12)
@@ -272,6 +289,39 @@ class TestConstellation:
         c = Constellation.psk8()
         assert sum(c.priors) == pytest.approx(1.0, abs=1e-15)
         assert all(p == 0.125 for p in c.priors)
+
+    @pytest.mark.parametrize("priors", [np.array([0.5, 0.25, 0.25]), np.array([2, 1, 1]) / 4])
+    def test_array_priors_equal_tuple_priors(self, priors):
+        want = Constellation((1.0, -1.0, 3.0), (0.5, 0.25, 0.25))
+        got = Constellation((1.0, -1.0, 3.0), priors)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert type(got.priors) is tuple and all(type(p) is float for p in got.priors)
+
+    @pytest.mark.parametrize("factory", ["bpsk", "ask4", "qpsk", "psk8"])
+    def test_array_points_equal_tuple_points(self, factory):
+        want = getattr(Constellation, factory)()
+        # An array, a list, and a tuple of numpy scalars or numpy rows.
+        for points in (np.array(want.points), list(want.points), tuple(np.array(want.points))):
+            got = Constellation(points, want.priors)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        # A 1-D alphabet may also come as an (n, 1) column.
+        if want.dimension == 1:
+            assert Constellation(np.array(want.points)[:, None]) == want
+
+    def test_as_array_is_read_only(self):
+        qpsk = Constellation.qpsk()
+        copies = (copy.deepcopy(qpsk), pickle.loads(pickle.dumps(qpsk)))
+        assert all(c == qpsk for c in copies)
+        for c in (Constellation.bpsk(), qpsk.scaled(2.0), *copies):
+            a = c.as_array()
+            assert a.shape == (len(c.points), c.dimension) and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 9.0
+        # The caller's array stays writable and is not shared.
+        points = np.array([1.0, -1.0])
+        c = Constellation(points)
+        points[0] = 5.0
+        assert points.flags.writeable and c.points == (1.0, -1.0)
 
 
 class TestConstellationMi:
@@ -425,6 +475,13 @@ MIXTURES = {
 }
 
 
+def live_classes(means, priors):
+    """_symmetry_classes of the live components (prior > 0), as the mixture
+    kernel selects them, with indices into the full ``means``."""
+    live = np.flatnonzero(priors > 0.0)
+    return [(int(live[k]), weight) for k, weight in _symmetry_classes(means[live], priors[live])]
+
+
 class TestSymmetryClasses:
     @pytest.mark.parametrize("name", sorted(MIXTURES))
     @pytest.mark.parametrize("rho", [1e-6, 1e-3, 1.0, 7.0, 100.0, 1e4])
@@ -458,17 +515,17 @@ class TestSymmetryClasses:
     )
     def test_class_count(self, name, classes):
         means, priors = MIXTURES[name]
-        found = _symmetry_classes(means, priors)
+        found = live_classes(means, priors)
         assert len(found) == classes
         assert sum(weight for _, weight in found) == pytest.approx(1.0, abs=1e-12)
         assert all(priors[k] > 0.0 for k, _ in found)
 
     def test_classes_never_mix_priors(self):
         means, priors = MIXTURES["8psk-nonuniform"]
-        for k, weight in _symmetry_classes(means, priors):
+        for k, weight in live_classes(means, priors):
             assert weight == pytest.approx(4 * priors[k], abs=1e-15)
         means, priors = MIXTURES["qpsk"]
-        assert len(_symmetry_classes(means, np.array([0.4, 0.1, 0.4, 0.1]))) == 2
+        assert len(live_classes(means, np.array([0.4, 0.1, 0.4, 0.1]))) == 2
 
     @pytest.mark.parametrize("name", sorted(MIXTURES))
     def test_independent_of_component_order(self, name):
@@ -476,11 +533,11 @@ class TestSymmetryClasses:
         # the sums: the classes keep their summed priors, and the entropy
         # moves by rounding alone (at most 1.8e-15 bits when measured).
         means, priors = MIXTURES[name]
-        want_weights = sorted(weight for _, weight in _symmetry_classes(means, priors))
+        want_weights = sorted(weight for _, weight in live_classes(means, priors))
         rng = np.random.default_rng(17)
         for _ in range(3):
             perm = rng.permutation(len(priors))
-            got_weights = sorted(weight for _, weight in _symmetry_classes(means[perm], priors[perm]))
+            got_weights = sorted(weight for _, weight in live_classes(means[perm], priors[perm]))
             assert got_weights == pytest.approx(want_weights, abs=1e-15)
             for rho in (1e-3, 1.0, 100.0):
                 scaled = means * math.sqrt(rho)

@@ -99,16 +99,25 @@ def test_mixture_entropy_arguments(entropy):
     # to 1 within 1e-12; the variance is a finite number > 0.
     means = np.array([1.0, -1.0])
     for priors in ((0.7, 0.7), (0.5, 0.5, 0.0), (1.5, -0.5), (0.5, 0.5 + 1e-11), np.array([True, False]),
-                   ("0.5", "0.5"), np.full((1, 2), 0.5)):
+                   ("0.5", "0.5"), np.full((1, 2), 0.5), (True, 0.0), 0.5, None):
         with pytest.raises(ValueError, match="priors"):
             entropy(means, priors, 0.5)
     for variance in (-1.0, 0.0, -math.inf):
         with pytest.raises(ValueError, match="var_per_dim"):
             entropy(means, (0.5, 0.5), variance)
     # Means follow the rule of Constellation.points: finite numbers, not
-    # bool and not strings.
-    for bad in ([math.nan, 1.0], [math.inf, 1.0], ["1", "-1"], [True, False]):
+    # bool and not strings, shape (n,) or (n, d) with d in {1, 2}. A list is
+    # checked entry by entry, so a True beside a float is not taken as 1.0.
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], ["1", "-1"], [True, False], [True, -1.0], [1.0, (0.0, 1.0)],
+                [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)], np.ones((2, 1, 1)), [], 1.0, None):
         with pytest.raises(ValueError, match="means"):
             entropy(bad, (0.5, 0.5), 0.5)
+    if entropy is gaussian_mixture_entropy_simpson:
+        # The cross-check is 1-D: two 2-D means are not four 1-D ones.
+        with pytest.raises(ValueError, match="means"):
+            entropy([[1, 0], [-1, 0]], [0.25] * 4, 0.5)
+    else:
+        assert entropy([[1, 0], [-1, 0]], [0.5, 0.5], 0.5) == entropy(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                                                                       (0.5, 0.5), 0.5)
     assert entropy([1, -1], (0.5, 0.5), 0.5) == entropy(means, (0.5, 0.5), 0.5)
     assert entropy(means, np.array([1, 0]), 0.5) == entropy(means, (1.0, 0.0), 0.5)
