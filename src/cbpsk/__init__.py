@@ -18,7 +18,6 @@ from .mi import (
     awgn_capacity,
     bpsk_mi,
     constellation_mi,
-    gaussian_mixture_entropy,
     gaussian_mixture_entropy_simpson,
     low_snr_capacity,
     noise_entropy,
@@ -58,7 +57,6 @@ __all__ = [
     "low_snr_capacity",
     "bpsk_mi",
     "constellation_mi",
-    "gaussian_mixture_entropy",
     "gaussian_mixture_entropy_simpson",
     "CocktailParams",
     "SymbolPair",

@@ -1,20 +1,13 @@
 """Mutual-information kernels for finite constellations over AWGN channels.
 
-All entropies and rates are in bits. The central computation is the
-differential entropy of a Gaussian mixture (the marginal density of the
-channel output when the input is a finite alphabet), evaluated with
-Gauss-Hermite quadrature against each mixture component. Densities are
-evaluated in log space so that far tails underflow gracefully, and the
-0*log(0) convention is that vanished density contributes nothing.
-
-One mixture kernel, :func:`gaussian_mixture_entropy`, serves 1-D and 2-D
-alphabets in :func:`constellation_mi`, with two shortcuts that leave the
-quadrature value unchanged. The exponent is written in the coded-modulation
-form, affine in the noise sample, so each component costs one small matrix
-product and one log-sum-exp over the tensor-product nodes. And components
-that a symmetry of the alphabet carries onto each other have equal terms, so
-each orbit of the alphabet's symmetry group is evaluated once, as one
-symmetry class: one term for BPSK and QPSK, two for 4-ASK and 8-PSK.
+All rates are in bits. One rate kernel, :func:`_rate_nats`, serves 1-D and
+2-D alphabets in :func:`constellation_mi`. It forms I(X; Y) = -sum_k p_k
+E[L_k], L_k = log sum_j p_j p(y | m_j) / p(y | m_k) at y = m_k + n, by
+Gauss-Hermite quadrature against each component, and no entropy: H(Y) -
+H(N) subtracts two entropies of 1-2 bits, which leaves 2.5e-9 relative
+error at SNR 1e-8. The exponent is affine in the noise sample, so a
+component costs one small matrix product, and each orbit of the alphabet's
+symmetry group is evaluated once; neither shortcut moves the value.
 
 Every kernel runs on one Gauss-Hermite rule, :func:`_unit_rule`: the
 tensor-product rule pruned once, when it is built, to the nodes whose
@@ -25,33 +18,35 @@ The integrand each kernel evaluates at a unit node t lies between ln p_min
 and |t|^2 whatever the SNR, so the dropped nodes can move a rate by at most
 2e-25 bits at any order, for priors down to e^-700.
 
-:func:`bpsk_mi`, the antipodal rate every cocktail rate is built from, takes
-no mixture: it is the closed form I = -E_n[log1p(expm1(u)/2)] / ln 2 in the
-log-likelihood ratio u, one pass over the 1-D rule. It does not subtract
-two entropies, so it keeps its relative accuracy at low SNR.
+:func:`bpsk_mi`, the antipodal rate every cocktail rate is built from, is
+the kernel's two-point case, I = -E_n[log1p(expm1(u)/2)] / ln 2 in the
+log-likelihood ratio u, written out for its per-call cost.
 
-Measured accuracy, against 30-digit mpmath values of the antipodal rate at
-s = A^2 / v. In 1-D (order 256), :func:`bpsk_mi` errs by at most 9.3e-17
-bits over s = 1e-3..1 and 8.9e-13 relative over s = 1e-8..1e-3; above s = 1
-the rule's own error grows: -4.8e-13 bits at s = 4, -6.4e-11 at 8, -3.2e-10
-at 13, and at most 3.6e-10 over s = 1..100. It is within 2e-15 bits of the
-mixture kernel, and an adaptive-Simpson integrator over a truncated window,
-provided as an independent cross-check, agrees to better than 1e-9 bits. In
-2-D (order 192 per dimension), QPSK is within 5.5e-9 bits of its exact rate,
-two antipodal channels, with the peak near SNR 12.8. The tensor rule
-factorises into the 1-D rule, so QPSK at order 256 carries twice the 1-D
-error, up to 7.1e-10 bits. 8-PSK at order 192 differs from order 256 by at
-most 1.7e-12 bits over SNR 1e-3..1e2: a convergence figure, not an error
-bound.
+Measured accuracy, against 30-digit mpmath values. In 1-D (order 256),
+:func:`bpsk_mi` errs by at most 9.3e-17 bits over s = A^2 / v = 1e-3..1 and
+8.9e-13 relative over s = 1e-8..1e-3; above s = 1 the rule's own error
+grows: -4.8e-13 bits at s = 4, -6.4e-11 at 8, -3.2e-10 at 13, and at most
+3.6e-10 over s = 1..100. The general kernel is within 5e-16 bits of it on
+{+A, -A}, and an adaptive-Simpson integrator over a truncated window,
+provided as an independent cross-check, agrees with both to better than
+1e-9 bits. At SNR 1e-8, 1e-6 and 1e-4, the rates of BPSK, 4-ASK, QPSK and
+the cocktail 4-PAM are within 1.1e-12 relative (QPSK at 1e-8), and within
+1.3e-13 for the 1-D alphabets. In 2-D (order 192 per dimension), QPSK is
+within 5.5e-9 bits of its exact rate, two antipodal channels, with the peak
+near SNR 12.8. The tensor rule factorises into the 1-D rule, so QPSK at
+order 256 carries twice the 1-D error, up to 7.1e-10 bits. 8-PSK at order
+192 differs from order 256 by at most 1.7e-12 bits over SNR 1e-3..1e2: a
+convergence figure, not an error bound.
 
 Noise convention: a :class:`NoiseModel` carries a variance in power units.
 One-dimensional constellations are integrated against that variance as
 given. Two-dimensional (complex) constellations treat the variance as the
 total complex noise power, split equally across the two real dimensions.
 
-Alphabets follow one rule in :class:`Constellation` and the mixture kernels:
-points (means) of shape (n,) or (n, d), d in {1, 2}, and n priors >= 0
-summing to 1 within 1e-12, every entry a finite number but not bool.
+Alphabets follow one rule in :class:`Constellation` and the Simpson
+cross-check: points (means) of shape (n,) or (n, d), d in {1, 2}, and n
+priors >= 0 summing to 1 within 1e-12, every entry a finite number but not
+bool.
 """
 
 from __future__ import annotations
@@ -72,7 +67,6 @@ __all__ = [
     "low_snr_capacity",
     "bpsk_mi",
     "constellation_mi",
-    "gaussian_mixture_entropy",
     "gaussian_mixture_entropy_simpson",
 ]
 
@@ -187,7 +181,7 @@ class Constellation:
     (2-D, the I/Q plane), as a sequence or an integer or floating array of
     shape (n,), (n, 1) or (n, 2). ``priors``: n weights >= 0 summing to 1
     within 1e-12 as a sequence or array, uniform when empty. Both follow the
-    mixture kernels' rule and are stored as tuples of plain floats (or pairs).
+    module's alphabet rule and are stored as tuples of plain floats (or pairs).
     """
 
     points: tuple
@@ -292,87 +286,81 @@ def _mixture_logpdf(y: np.ndarray, means: np.ndarray, priors: np.ndarray, var_pe
     return out - 0.5 * d * math.log(2.0 * math.pi * var_per_dim)
 
 
-def gaussian_mixture_entropy(
-    means: np.ndarray, priors: np.ndarray, var_per_dim: float, order: int = _MAX_ORDER
-) -> float:
-    """Differential entropy, in bits, of a Gaussian mixture with shared
-    isotropic per-dimension variance.
+def _rate_nats(points: np.ndarray, priors, var_per_dim: float, order: int) -> float:
+    """Mutual information I(X; Y), in nats, of the alphabet ``points`` (a
+    checked (n, d) array) with ``priors`` (n checked weights) over isotropic
+    Gaussian noise of variance ``var_per_dim`` per dimension.
 
-    Args:
-        means: component means, shape (n,) or (n, d) with d in {1, 2}:
-            finite numbers, as for :class:`Constellation` points.
-        priors: component weights, shape (n,): finite, >= 0 and summing
-            to 1 within 1e-12, as for :class:`Constellation`.
-        var_per_dim: variance of each dimension of every component, a
-            finite number > 0.
-        order: Gauss-Hermite order per dimension.
+    Given X = m_k, write Y = m_k + n with n = sqrt(2v) t, t a node of the
+    d-dimensional rule of :func:`_unit_rule`. Then p(y | m_j) / p(y | m_k) =
+    exp(u_kj) with the exponent affine in the node,
 
-    The integral H = -E[log2 p(Y)] is split over the components: the
-    expectation under component k is taken with the d-dimensional
-    tensor-product Hermite rule centred on mean_k, which matches the Gaussian
-    weight exactly. One kernel serves both dimensions, in two reductions that
-    leave the value unchanged:
+        u_kj = -sqrt(2/v) (m_k - m_j).t - |m_k - m_j|^2 / 2v,   u_kk = 0,
 
-    * Affine exponent. With y = m_k + n, |y - m_j|^2 = |n|^2 +
-      2 n.(m_k - m_j) + |m_k - m_j|^2. The |n|^2 term leaves the
-      log-sum-exp and integrates in closed form, and the rest is one
-      (nodes x d) @ (d x n) product.
-    * Symmetry classes. A component's term depends only on the priors and
-      offsets of the others as seen from it, and the tensor-product rule is
-      invariant under the signed permutations of the axes: x -> -x in 1-D,
-      eight maps in 2-D. Those of them that carry the alphabet, centred on
-      its prior-weighted centroid, onto itself prior for prior form its
-      symmetry group, and components in one orbit of that group have equal
-      terms (:func:`_symmetry_classes`); one representative per orbit is
-      evaluated and weighted by the orbit's summed prior. BPSK and QPSK have
-      one class; 4-ASK, the cocktail 4-PAM and 8-PSK have two; square 16-QAM
-      has three. In 8-PSK the rule is not rotation-invariant, so the terms
-      of points on an axis and of points on a diagonal differ by the rule's
-      own error (up to about 2e-12 bits at order 192), and each keeps its
-      own, as in an all-components sum.
+    one (n x d) @ (d x nodes) product per component, and
 
-    The rule is the pruned one of :func:`_unit_rule`: only nodes of weight
-    above ``_WEIGHT_FLOOR`` = 1e-30, 116 of 256 at order 256 in 1-D and 7556
-    of 36864 at order 192 in 2-D, so the (components x nodes) work buffers
-    are a fifth of the full rule's in 2-D. The a-priori bound on what the
-    dropped nodes carry, 2e-25 bits at any order and SNR for priors down to
-    e^-700, is derived there. Measured against the full rule (QPSK, 8-PSK,
-    16-QAM, 4-ASK and random sets, SNR 1e-6..1e4, orders 96 to 256, one
-    prior of 1e-200 or none), entropies move by at most 2.7e-15 bits: the
-    summation order changed, and nothing else.
+        I = -sum_k p_k E[L_k],   L_k = log sum_j p_j exp(u_kj).
+
+    No entropy is formed, so nothing cancels at low SNR, where every u_kj is
+    small. With priors summing to 1, which this form takes as exact,
+
+        L_k = c + log1p(sum_j p_j expm1(u_kj - c))   for any shift c.
+
+    The kernel takes c = max_j (u_kj + ln(p_j / p_max)). Then the largest
+    term p_j exp(u_kj - c) is p_max, so 1 + the log1p argument lies in
+    [p_max, n p_max], and no exp(u_kj - c) exceeds p_max / p_j, which is
+    finite for priors down to e^-700. The plain row maximum c = max_j u_kj
+    would send the argument to -1 when a component of tiny prior dominates,
+    and log1p would return -inf. For uniform priors ln(p_j / p_max) is 0 and
+    c is the row maximum, which needs no second buffer. For two equiprobable
+    points L_k is the f(u) of :func:`bpsk_mi` with c = max(0, u).
+
+    Components in one orbit of the alphabet's symmetry group have equal terms
+    (:func:`_symmetry_classes`), so one representative per orbit is
+    evaluated, weighted by the orbit's summed prior: one class for BPSK and
+    QPSK, two for 4-ASK, the cocktail 4-PAM and 8-PSK, three for 16-QAM. The
+    rule is not rotation-invariant, so in 8-PSK the points on an axis and on
+    a diagonal keep their own terms, which differ by the rule's error (about
+    2e-12 bits at order 192). Zero-prior components take no part.
+
+    The rule is the pruned one of :func:`_unit_rule`, so the (components x
+    nodes) work buffers are a fifth of the full rule's in 2-D; the a-priori
+    bound on what the dropped nodes carry, 2e-25 bits, is derived there.
+    Measured against the full rule (QPSK, 8-PSK, 16-QAM, 4-ASK and a random
+    set, SNR 1e-6..1e4, one prior of 1e-200 or none), rates move by at most
+    1.3e-15 bits: the summation order changed, and nothing else.
     """
-    means = _alphabet_points("means", means)
-    priors = _alphabet_priors(priors, len(means))
-    var_per_dim = _real("var_per_dim", var_per_dim, above=0.0)
-    d = means.shape[1]
+    d = points.shape[1]
     nodes, weights = _unit_rule(order, d)
-    live = priors > 0.0
-    pts, pri = means[live], priors[live]
-    log_pri = np.log(pri)
-    # With y = m_k + n and n = sqrt(2v) * node, component k's term
-    # -E[log p(Y)] is (d/2) log(2 pi v) + E|n|^2 / 2v - E[L_k] = H(N) - E[L_k]
-    # in nats, where E|n|^2 / 2v = d/2 in closed form and
-    # L_k = logsumexp_j(log p_j - n.(m_k - m_j) / v - |m_k - m_j|^2 / 2v).
-    # Rows index j, so each reduction over j combines whole contiguous rows.
-    h_n = 0.5 * d * (math.log(2.0 * math.pi * var_per_dim) + 1.0)
+    pri = np.asarray(priors, dtype=float)
+    live = pri > 0.0
+    pts, pri = points[live], pri[live]
+    log_ratio = np.log(pri / pri.max())
+    scale = -math.sqrt(2.0 / var_per_dim)
     # One set of buffers for every class: fresh multi-megabyte temporaries
-    # per class cost more in page faults than the arithmetic.
-    a = np.empty((len(pts), weights.size))
-    m = np.empty(weights.size)
+    # per class cost more in page faults than the arithmetic. Rows index j,
+    # so each reduction over j combines whole contiguous rows.
+    u = np.empty((len(pts), weights.size))
+    shifted = np.empty_like(u) if log_ratio.any() else None
+    c = np.empty(weights.size)
     lse = np.empty(weights.size)
-    h_nats = 0.0
+    rate = 0.0
     for k, weight in _symmetry_classes(pts, pri):
         delta = pts[k] - pts
-        np.matmul(delta * -math.sqrt(2.0 / var_per_dim), nodes, out=a)
-        a += (log_pri - np.sum(delta * delta, axis=1) / (2.0 * var_per_dim))[:, None]
-        np.max(a, axis=0, out=m)
-        a -= m
-        np.exp(a, out=a)
-        np.sum(a, axis=0, out=lse)
-        np.log(lse, out=lse)
-        lse += m
-        h_nats += weight * (h_n - float(np.dot(weights, lse)))
-    return h_nats / _LN2
+        np.matmul(delta * scale, nodes, out=u)
+        u -= (np.sum(delta * delta, axis=1) / (2.0 * var_per_dim))[:, None]
+        if shifted is None:
+            np.max(u, axis=0, out=c)
+        else:
+            np.add(u, log_ratio[:, None], out=shifted)
+            np.max(shifted, axis=0, out=c)
+        u -= c
+        np.expm1(u, out=u)
+        np.matmul(pri, u, out=lse)
+        np.log1p(lse, out=lse)
+        lse += c
+        rate -= weight * float(np.dot(weights, lse))
+    return rate
 
 
 @lru_cache(maxsize=16)
@@ -389,12 +377,12 @@ def _unit_rule(order: int, d: int) -> tuple:
     invariant under the signed permutations of the axes.
 
     The error this adds has an a-priori bound with no SNR cap. With priors
-    p_j summing to 1, term j of component k's log-sum-exp L_k at unit node t
-    is ln p_j + sqrt(2) D.t - |D|^2 / 2 <= ln p_j + |t|^2, D the scaled
-    separation (m_j - m_k) / sqrt(v), so ln p_k <= L_k <= |t|^2. The
-    antipodal integrand of :func:`bpsk_mi` is this L_k for p_k = 1/2. A
-    dropped node therefore changes a rate by at most w (|t|^2 + |ln p_min|)
-    nats. Summed over the dropped nodes with |ln p_min| <= 700, that is at
+    p_j summing to 1, term j of L_k = log sum_j p_j exp(u_kj) (see
+    :func:`_rate_nats`) at unit node t is ln p_j + sqrt(2) D.t - |D|^2 / 2
+    <= ln p_j + |t|^2, D the scaled separation (m_j - m_k) / sqrt(v), so
+    ln p_k <= L_k <= |t|^2. The antipodal integrand of :func:`bpsk_mi` is
+    this L_k for p_k = 1/2. A dropped node therefore changes a rate by at
+    most w (|t|^2 + |ln p_min|) nats. Summed over the dropped nodes with |ln p_min| <= 700, that is at
     most 2e-25 bits at every order from 8 to 256 in either dimension:
     1.2e-25 bits at order 192 in 2-D and 2.3e-28 bits at order 256 in 1-D.
     """
@@ -457,7 +445,8 @@ def gaussian_mixture_entropy_simpson(
 ) -> float:
     """Adaptive-Simpson evaluation of the 1-D mixture entropy, in bits.
 
-    Independent cross-check of :func:`gaussian_mixture_entropy`. Integrates
+    Independent cross-check of :func:`constellation_mi`, whose rate on a 1-D
+    alphabet is this entropy less :func:`noise_entropy`. Integrates
     -p(y) log2 p(y) over [min(means) - k*sigma, max(means) + k*sigma]; where
     the density underflows the integrand is taken as 0. ``means`` and
     ``priors`` follow the alphabet rule; the means must be 1-D.
@@ -513,14 +502,17 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
         I = -sum_i w_i f(u_i) / ln 2,   u = -2q(q + sqrt(2) t),
         f(u) = log1p(expm1(u) / 2) = max(u, 0) + log1p(expm1(-|u|) / 2).
 
-    This is not H(Y) - H(N): no two entropies cancel, so the rate keeps its
-    relative accuracy at low SNR, where I = (s/2 - s^2/4 + s^3/6 - ...) / ln 2
-    with s = q^2 (within 1e-12 relative down to s = 1e-8). Below that the
-    quadrature would lose about 1e-16 / q relative to rounding, so for
-    s <= 1e-8 the rate is this three-term series, whose dropped terms are
-    below 5e-25 relative. The result is clamped into [0, 1], and is 1 once q
-    is too large for q^2 to be formed. Amplitude 0 is the degenerate
-    no-information case.
+    This is :func:`_rate_nats` on {+A, -A}, where L_k = f(u) with the shift
+    c = max(0, u), written out for its cost: 15-17 us a call against 106-120
+    us through :func:`constellation_mi`, 59 us of which is the symmetry
+    search (best of 7, A = 0.01..3, v = 0.5). No two entropies cancel, so
+    the rate keeps its relative accuracy at low SNR, where
+    I = (s/2 - s^2/4 + s^3/6 - ...) / ln 2 with s = q^2 (within 1e-12
+    relative down to s = 1e-8). Below that the quadrature would lose about
+    1e-16 / q relative to rounding, so for s <= 1e-8 the rate is this
+    three-term series, whose dropped terms are below 5e-25 relative. The
+    result is clamped into [0, 1], and is 1 once q is too large for q^2 to
+    be formed. Amplitude 0 is the degenerate no-information case.
     """
     amplitude = _real("amplitude", amplitude, at_least=0.0)
     if amplitude == 0.0:
@@ -544,14 +536,16 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     dimensions: 1-D constellations see it as given; 2-D constellations treat
     it as total complex noise power, variance/2 per real dimension. The
     default order per dimension is 256 in 1-D and 192 in 2-D.
-    For the two-point {+A, -A} alphabet it agrees with :func:`bpsk_mi`,
-    which takes the closed antipodal form, within 2e-15 bits.
+    The rate kernel :func:`_rate_nats` forms I directly, on the
+    constellation's own checked points and priors, so the rate keeps its
+    relative accuracy at low SNR: within 1.1e-12 of 30-digit mpmath at SNR
+    1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. For the
+    two-point {+A, -A} alphabet it agrees with :func:`bpsk_mi`, the same
+    integrand written out, within 5e-16 bits.
     The result is clamped into [0, log2(alphabet size)].
     """
     d = c.dimension
-    var_per_dim = noise.variance / d
-    h_n = 0.5 * d * math.log2(2.0 * math.pi * math.e * var_per_dim)
     if order is None:
         order = _DEFAULT_ORDER[d]
-    h_y = gaussian_mixture_entropy(c.as_array(), np.asarray(c.priors), var_per_dim, order)
-    return min(math.log2(len(c.points)), max(0.0, h_y - h_n))
+    rate = _rate_nats(c.as_array(), c.priors, noise.variance / d, order) / _LN2
+    return min(math.log2(len(c.points)), max(0.0, rate))

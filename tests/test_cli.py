@@ -256,6 +256,17 @@ class TestCocktail:
         code, _, err = run_cli(capsys, "cocktail", "--ratio", "3.5", "--grid", "1e-6:1.01e-6:lin:40")
         assert code == EXIT_OK, err
 
+    def test_dense_grid_below_1e_6_keeps_bpsk_ascending(self, tmp_path, capsys, monkeypatch):
+        # 40 points 7.7e-10 apart near rho = 3e-7 move the bpsk Eb/N0 by
+        # about 2e-9 dB a step, so the rate must be accurate far beyond that:
+        # an H(Y) - H(N) rate, 1e-10 relative off here, turns the axis back.
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, _, err = run_cli(capsys, "cocktail", "--ratio", "3.5", "--grid", "3e-7:3.3e-7:lin:40")
+        assert code == EXIT_OK, err
+        rows = (tmp_path / "cocktail_rates.csv").read_text().splitlines()[1:]
+        xs = [float(row.split(",")[1]) for row in rows if row.startswith("bpsk,")]
+        assert len(xs) == 40 and all(b > a for a, b in zip(xs, xs[1:]))
+
     def test_plot_adds_svgs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
         code, _, _ = run_cli(

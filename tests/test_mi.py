@@ -27,11 +27,11 @@ from cbpsk.mi import (
     awgn_capacity,
     bpsk_mi,
     constellation_mi,
-    gaussian_mixture_entropy,
     gaussian_mixture_entropy_simpson,
     low_snr_capacity,
     noise_entropy,
 )
+from cbpsk.sweep import scheme_rate
 
 LOG2E = math.log2(math.e)
 
@@ -184,13 +184,6 @@ class TestBpskMi:
         worst = max(abs(Fraction(bpsk_mi(a, noise)) - Fraction(want)) for a, want in BPSK_MI_40_DIGITS)
         assert worst <= Fraction(5e-16), f"largest error {float(worst):.3g} bits"
 
-    def test_quadrature_matches_simpson(self, simpson_entropies):
-        # Dual-route self-consistency across easy and awkward separations.
-        for snr, simp in simpson_entropies.items():
-            a = math.sqrt(snr)
-            gh = gaussian_mixture_entropy(np.array([a, -a]), np.array([0.5, 0.5]), 1.0)
-            assert abs(gh - simp) < 1e-9, f"snr={snr}: gh={gh!r} simpson={simp!r}"
-
     def test_capacity_dominance(self):
         for snr in np.logspace(-2, 2, 12):
             v = bpsk_mi(math.sqrt(snr), NoiseModel(1.0))
@@ -221,19 +214,23 @@ class TestBpskMi:
 
     @pytest.mark.parametrize("var", [0.5, 1.0])
     def test_matches_constellation_mi(self, var):
-        # The general mixture kernel is an independent route to the same rate.
+        # The general rate kernel is an independent route to the same rate.
         noise = NoiseModel(var)
         for a in np.logspace(-3, 2, 61):
             a = float(a)
             want = constellation_mi(Constellation((a, -a)), noise)
-            assert abs(bpsk_mi(a, noise) - want) <= 2e-15, f"A={a!r}"
+            assert abs(bpsk_mi(a, noise) - want) <= 5e-16, f"A={a!r}"
 
     def test_matches_simpson_route(self, simpson_entropies):
+        # Dual-route self-consistency across easy and awkward separations:
+        # the closed antipodal form and the general rate kernel against
+        # H(Y) - H(N) by adaptive Simpson.
         noise = NoiseModel(1.0)
         for snr, h_y in simpson_entropies.items():
             a = math.sqrt(snr)
             want = h_y - noise_entropy(noise)
             assert abs(bpsk_mi(a, noise) - want) < 1e-9, f"snr={snr}"
+            assert abs(constellation_mi(Constellation((a, -a)), noise) - want) < 1e-9, f"snr={snr}"
 
     @pytest.mark.parametrize(
         "amplitude,var", [(1e150, 1e-150), (1e300, 1e-10), (1.0, 1e-300), (1e-300, 1.0), (1.0, 1e300)]
@@ -248,9 +245,9 @@ class TestBpskMi:
         # bpsk_mi takes the closed antipodal form, so neither it nor the
         # cocktail rates that call it pay for the general kernel.
         def unreachable(*args, **kwargs):
-            raise AssertionError("general mixture kernel called")
+            raise AssertionError("general rate kernel called")
 
-        monkeypatch.setattr(mi, "gaussian_mixture_entropy", unreachable)
+        monkeypatch.setattr(mi, "_rate_nats", unreachable)
         monkeypatch.setattr(mi, "_symmetry_classes", unreachable)
         assert 0.0 < bpsk_mi(0.3, NoiseModel(0.5)) < 1.0
         assert adr_breakdown(CocktailParams.from_ratio(3.5, 0.01), NoiseModel(1.0)).total > 0.0
@@ -393,6 +390,79 @@ class TestConstellationMi:
         )
 
 
+def mpmath_rate(points, priors, var):
+    """30-digit I(X; Y), in bits, of a 1-D alphabet over real AWGN of
+    variance ``var``: -sum_k p_k E[log sum_j p_j p(y | x_j) / p(y | x_k)]
+    by tanh-sinh quadrature, with the priors normalised to sum to 1 (the
+    floats (1/3, 1/3, 1/3) alone would move the rate by 8e-9 relative at
+    rho = 1e-8). The window of 12 standard deviations drops a tail far below
+    the precision kept."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        xs = [mpmath.mpf(x) for x in points]
+        ps = [mpmath.mpf(p) for p in priors]
+        ps = [p / mpmath.fsum(ps) for p in ps]
+        two_v = 2 * mpmath.mpf(var)
+        sd = mpmath.sqrt(mpmath.mpf(var))
+        total = 0
+        for xk, pk in zip(xs, ps):
+            def integrand(z, xk=xk):
+                n = sd * z
+                mix = mpmath.fsum(pj * mpmath.exp(-(xk - xj) * (2 * n + xk - xj) / two_v) for xj, pj in zip(xs, ps))
+                return mpmath.exp(-z * z / 2) * mpmath.log(mix)
+            total -= pk * mpmath.quad(integrand, [-12, 0, 12])
+        return float(total / (mpmath.sqrt(2 * mpmath.pi) * mpmath.log(2)))
+
+
+def _cocktail_4pam(rho):
+    p = CocktailParams.from_ratio(3.5, rho)
+    return Constellation((p.alpha, -p.alpha, 0.5 * p.beta, -0.5 * p.beta))
+
+
+class TestLowSnrRates:
+    # The rate kernel forms I(X; Y) with no entropy difference, so it keeps
+    # its relative accuracy as the rate falls: measured 1.1e-12 relative at
+    # worst (qpsk at rho = 1e-8). An H(Y) - H(N) route misses these
+    # references by 1.6e-11..2.5e-9 at rho 1e-6..1e-8 and by 1.9e-13..1.6e-12
+    # at 1e-4, so the bound at 1e-4 is set below that.
+    @pytest.mark.parametrize("rho,bound", [(1e-8, 5e-12), (1e-6, 5e-12), (1e-4, 1e-13)])
+    @pytest.mark.parametrize("alphabet", ["bpsk", "4ask", "qpsk", "cocktail-4pam"])
+    def test_matches_30_digit_values(self, alphabet, rho, bound):
+        if alphabet == "cocktail-4pam":
+            c = _cocktail_4pam(rho)
+            got = constellation_mi(c, NoiseModel(0.5))
+            want = mpmath_rate(c.points, c.priors, 0.5)
+        elif alphabet == "qpsk":
+            # Two antipodal rails, each at half the total noise power.
+            a = Constellation.qpsk().scaled(math.sqrt(rho)).points[0][0]
+            got = scheme_rate("qpsk", rho)
+            want = 2.0 * mpmath_rate((a, -a), (0.5, 0.5), 0.5)
+        else:
+            c = (Constellation.bpsk() if alphabet == "bpsk" else Constellation.ask4()).scaled(math.sqrt(rho))
+            got = scheme_rate(alphabet, rho)
+            want = mpmath_rate(c.points, c.priors, 0.5)
+        assert abs(got / want - 1.0) <= bound, f"{got!r} vs {want!r}"
+
+    @pytest.mark.parametrize("rho", [1e-8, 1e-6])
+    def test_non_uniform_priors(self, rho):
+        # No symmetry and a second shift buffer; 5e-13 relative when measured.
+        points = tuple(x * math.sqrt(rho) for x in (1.0, -1.0, 0.3))
+        priors = (0.7, 0.2, 0.1)
+        got = constellation_mi(Constellation(points, priors), NoiseModel(0.5))
+        want = mpmath_rate(points, priors, 0.5)
+        assert abs(got / want - 1.0) <= 5e-12, f"{got!r} vs {want!r}"
+
+    def test_bpsk_scheme_matches_bpsk_mi(self):
+        # scheme_rate("bpsk") runs the general kernel, bpsk_mi its closed
+        # two-point form: 5.5e-13 relative apart at worst when measured.
+        worst = 0.0
+        for rho in np.geomspace(1e-8, 1e2, 61).tolist():
+            want = bpsk_mi(math.sqrt(rho), NoiseModel(0.5))
+            worst = max(worst, abs(scheme_rate("bpsk", rho) / want - 1.0))
+        assert worst <= 2e-12, f"largest relative difference {worst:.3g}"
+
+
 def unpruned_rule(order, d):
     """The full order**d tensor-product rule, with every node the library's
     pruned rule drops: nodes as a (d, order**d) array, weights summing to 1."""
@@ -401,27 +471,37 @@ def unpruned_rule(order, d):
     return nodes, reduce(np.multiply.outer, [w] * d).ravel() / math.pi ** (d / 2)
 
 
-def all_components_entropy(means, priors, var_per_dim, order):
-    """Reference mixture entropy in d in {1, 2} dimensions, in bits: every
-    component's expectation taken separately on the tensor-product rule
-    centred on its mean, with the full (nodes, n, d) difference array: the
-    direct loop, kept as the reference for the library's affine,
-    symmetry-class kernel in both dimensions. Component k's term is taken in
-    coordinates centred on m_k, which leaves it unchanged: forming
-    y = m_k + n far from the origin would round n to the magnitude of m_k
-    (1e-12 bits lost for 8-PSK at 1e4 from the origin)."""
+def all_components_rate(means, priors, var_per_dim, order):
+    """Reference rate I(X; Y) in d in {1, 2} dimensions, in bits: every
+    component's expectation of log p(y | m_k) - log p(y) taken separately on
+    the tensor-product rule centred on its mean, with the full (nodes, n, d)
+    difference array: the direct loop, kept as the reference for the
+    library's affine, symmetry-class kernel in both dimensions. Component
+    k's term is taken in coordinates centred on m_k, which leaves it
+    unchanged: forming y = m_k + n far from the origin would round n to the
+    magnitude of m_k (1e-12 bits lost for 8-PSK at 1e4 from the origin)."""
     means = np.asarray(means, dtype=float)
     means = means.reshape(len(means), -1)
     priors = np.asarray(priors, dtype=float)
-    nodes, weights = unpruned_rule(order, means.shape[1])
+    d = means.shape[1]
+    nodes, weights = unpruned_rule(order, d)
     offsets = nodes.T * (math.sqrt(2.0) * math.sqrt(var_per_dim))
-    h_nats = 0.0
+    # log p(y | m_k) at y = m_k + offset
+    log_own = -np.sum(offsets * offsets, axis=1) / (2.0 * var_per_dim) - 0.5 * d * math.log(
+        2.0 * math.pi * var_per_dim
+    )
+    i_nats = 0.0
     for k in range(len(means)):
         if priors[k] == 0.0:
             continue
         lp = _mixture_logpdf(offsets, means - means[k], priors, var_per_dim)
-        h_nats -= float(priors[k]) * float(np.dot(weights, lp))
-    return h_nats / math.log(2.0)
+        i_nats += float(priors[k]) * float(np.dot(weights, log_own - lp))
+    return i_nats / math.log(2.0)
+
+
+def kernel_rate(means, priors, var_per_dim, order):
+    """The library's rate kernel on a checked (n, d) array, in bits."""
+    return mi._rate_nats(means, priors, var_per_dim, order) / math.log(2.0)
 
 
 def _psk8_points():
@@ -490,8 +570,8 @@ class TestSymmetryClasses:
         # order, because it uses only the rule's own symmetry.
         means, priors = MIXTURES[name]
         means = means * math.sqrt(rho)
-        got = gaussian_mixture_entropy(means, priors, 0.5, order=96)
-        want = all_components_entropy(means, priors, 0.5, order=96)
+        got = kernel_rate(means, priors, 0.5, 96)
+        want = all_components_rate(means, priors, 0.5, 96)
         assert abs(got - want) <= 1e-12, f"{name} at rho={rho}: {got!r} vs {want!r}"
 
     @pytest.mark.parametrize(
@@ -530,8 +610,8 @@ class TestSymmetryClasses:
     @pytest.mark.parametrize("name", sorted(MIXTURES))
     def test_independent_of_component_order(self, name):
         # Listing the components in another order changes only the order of
-        # the sums: the classes keep their summed priors, and the entropy
-        # moves by rounding alone (at most 1.8e-15 bits when measured).
+        # the sums: the classes keep their summed priors, and the rate moves
+        # by rounding alone.
         means, priors = MIXTURES[name]
         want_weights = sorted(weight for _, weight in live_classes(means, priors))
         rng = np.random.default_rng(17)
@@ -541,8 +621,8 @@ class TestSymmetryClasses:
             assert got_weights == pytest.approx(want_weights, abs=1e-15)
             for rho in (1e-3, 1.0, 100.0):
                 scaled = means * math.sqrt(rho)
-                want = gaussian_mixture_entropy(scaled, priors, 0.5, order=96)
-                got = gaussian_mixture_entropy(scaled[perm], priors[perm], 0.5, order=96)
+                want = kernel_rate(scaled, priors, 0.5, 96)
+                got = kernel_rate(scaled[perm], priors[perm], 0.5, 96)
                 assert abs(got - want) <= 4e-15, f"{name} at rho={rho}: {got!r} vs {want!r}"
 
 
@@ -575,7 +655,7 @@ class TestPrunedRule:
             priors = np.full(len(priors), 1.0 / (len(priors) - 1))
             priors[0] = 1e-200
         order = mi._DEFAULT_ORDER[means.shape[1]]
-        got = gaussian_mixture_entropy(means, priors, 0.5, order)
+        got = kernel_rate(means, priors, 0.5, order)
         monkeypatch.setattr(mi, "_unit_rule", unpruned_rule)
-        want = gaussian_mixture_entropy(means, priors, 0.5, order)
+        want = kernel_rate(means, priors, 0.5, order)
         assert abs(got - want) <= 1e-14, f"{name} at rho={rho}: {got!r} vs {want!r}"

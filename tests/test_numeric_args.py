@@ -17,7 +17,6 @@ from cbpsk.mi import (
     NoiseModel,
     awgn_capacity,
     bpsk_mi,
-    gaussian_mixture_entropy,
     gaussian_mixture_entropy_simpson,
     low_snr_capacity,
 )
@@ -61,10 +60,6 @@ ENTRY_POINTS = [
     pytest.param(lambda v: mc_bpsk_mi(1.0, NOISE, 10_000, v), "seed", 7, None, id="mc_bpsk_mi-seed"),
     pytest.param(lambda v: run_link(SimConfig(PARAMS, NOISE, 1000, 0), v), "max_workers", 2, None,
                  id="run_link-max_workers"),
-    pytest.param(lambda v: gaussian_mixture_entropy(MEANS, (0.5, 0.5, 0.0), v), "var_per_dim", 2, 0.3,
-                 id="mixture_entropy-var"),
-    pytest.param(lambda v: gaussian_mixture_entropy(MEANS, (v, 0.5, 0.5), 0.5), "priors", 0, 0.0,
-                 id="mixture_entropy-priors"),
     pytest.param(lambda v: gaussian_mixture_entropy_simpson(MEANS, (0.5, 0.5, 0.0), v, tol=1e-6), "var_per_dim",
                  2, 0.3, id="mixture_entropy_simpson-var"),
     pytest.param(lambda v: gaussian_mixture_entropy_simpson(MEANS, (v, 0.5, 0.5), 0.5, tol=1e-6), "priors", 0,
@@ -93,7 +88,7 @@ def test_run_link_worker_count(bad):
         run_link(SimConfig(PARAMS, NOISE, 1000, 0), bad)
 
 
-@pytest.mark.parametrize("entropy", [gaussian_mixture_entropy, gaussian_mixture_entropy_simpson])
+@pytest.mark.parametrize("entropy", [gaussian_mixture_entropy_simpson])
 def test_mixture_entropy_arguments(entropy):
     # Priors follow the rule of Constellation: >= 0, one per mean, summing
     # to 1 within 1e-12; the variance is a finite number > 0.
@@ -112,12 +107,8 @@ def test_mixture_entropy_arguments(entropy):
                 [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)], np.ones((2, 1, 1)), [], 1.0, None):
         with pytest.raises(ValueError, match="means"):
             entropy(bad, (0.5, 0.5), 0.5)
-    if entropy is gaussian_mixture_entropy_simpson:
-        # The cross-check is 1-D: two 2-D means are not four 1-D ones.
-        with pytest.raises(ValueError, match="means"):
-            entropy([[1, 0], [-1, 0]], [0.25] * 4, 0.5)
-    else:
-        assert entropy([[1, 0], [-1, 0]], [0.5, 0.5], 0.5) == entropy(np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                                                                       (0.5, 0.5), 0.5)
+    # The cross-check is 1-D: two 2-D means are not four 1-D ones.
+    with pytest.raises(ValueError, match="means"):
+        entropy([[1, 0], [-1, 0]], [0.25] * 4, 0.5)
     assert entropy([1, -1], (0.5, 0.5), 0.5) == entropy(means, (0.5, 0.5), 0.5)
     assert entropy(means, np.array([1, 0]), 0.5) == entropy(means, (1.0, 0.0), 0.5)
