@@ -27,6 +27,7 @@ from .cocktail import CocktailParams, eb_over_n0, energy_report
 from .linksim import SimConfig, _checked_seed, run_link
 from .mi import NoiseModel, _real, awgn_capacity, low_snr_capacity
 from .sweep import (
+    CONVENTIONAL_SCHEMES,
     DEFAULT_RATIOS,
     SweepSpec,
     cocktail_gain_curves,
@@ -44,7 +45,6 @@ EXIT_NUMERIC = 3
 
 OUTPUT_DIR_ENV = "CBPSK_OUTPUT_DIR"
 
-MI_SCHEMES = ("bpsk", "4ask", "qpsk", "8psk")
 _MODE_FLAGS = {"dd": "decision_directed", "genie": "genie_aided"}
 _AXIS_FLAGS = {"linear": "linear_snr", "ebn0": "eb_n0_db"}
 
@@ -308,7 +308,7 @@ def build_parser():
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("mi", help="rate curve of one modulation scheme")
-    p.add_argument("--scheme", choices=MI_SCHEMES, required=True)
+    p.add_argument("--scheme", choices=[s for s in CONVENTIONAL_SCHEMES if s != "capacity"], required=True)
     p.add_argument("--grid", type=_positive_grid_arg, default="0.001:100:log:40", help=grid_help)
     p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), help="abscissa (default: linear)")
     p.add_argument("--output", help="CSV path (default: mi_<scheme>.csv)")

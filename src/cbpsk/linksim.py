@@ -40,12 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocktail import CocktailParams, SymbolPair, encode
-from .mi import NoiseModel, _is_integer, _real, noise_entropy
+from .mi import LOG2E, NoiseModel, _LN2, _is_integer, _real, noise_entropy
 
 __all__ = [
     "SimConfig",
     "LinkSimReport",
-    "DETECTION_MODES",
     "run_link",
     "mc_bpsk_mi",
 ]
@@ -58,8 +57,6 @@ _SHARD_SYMBOLS = 1 << 20
 # two workers about 10 % slower (twice the GIL hand-offs per element) and
 # 1 << 16 one worker about 6 % slower.
 _BLOCK = 1 << 15
-_LN2 = math.log(2.0)
-_LOG2E = 1.0 / _LN2
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,7 @@ def _bpsk_mixture_neg_log2_pdf(y, amplitude, variance: float, out, tmp1, tmp2) -
     np.multiply(t, 0.5 / variance, out=t)
     np.subtract(t, e, out=out)
     np.add(out, _LN2 + 0.5 * math.log(2.0 * math.pi * variance), out=out)
-    return np.multiply(out, _LOG2E, out=out)
+    return np.multiply(out, LOG2E, out=out)
 
 
 def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple:

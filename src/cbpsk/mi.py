@@ -539,9 +539,14 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     The rate kernel :func:`_rate_nats` forms I directly, on the
     constellation's own checked points and priors, so the rate keeps its
     relative accuracy at low SNR: within 1.1e-12 of 30-digit mpmath at SNR
-    1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. For the
-    two-point {+A, -A} alphabet it agrees with :func:`bpsk_mi`, the same
-    integrand written out, within 5e-16 bits.
+    1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. Below SNR
+    1e-8 it loses about 1e-16/sqrt(SNR) relative: against the series of
+    :func:`bpsk_mi`, BPSK at SNR 1e-12, 1e-16, 1e-20 and 1e-30 (as in
+    :func:`cbpsk.sweep.scheme_rate`) is off by 1.5e-11, 2.9e-9, 2.1e-7 and
+    7.6e-2, and QPSK at 1e-300 returns 0. So ``cbpsk cocktail --ratio 3.5
+    --grid 1e-11:1e-10:log:40`` fails with a bpsk Eb/N0 axis that is not
+    ascending. For the two-point {+A, -A} alphabet it agrees with
+    :func:`bpsk_mi`, the same integrand written out, within 5e-16 bits.
     The result is clamped into [0, log2(alphabet size)].
     """
     d = c.dimension

@@ -17,7 +17,6 @@ from .mi import Constellation, NoiseModel, _is_integer, _real, awgn_capacity, co
 
 __all__ = [
     "CONVENTIONAL_SCHEMES",
-    "AXIS_MODES",
     "DEFAULT_RATIOS",
     "SweepSpec",
     "RateCurve",
@@ -109,7 +108,11 @@ def scheme_rate(scheme: str, snr_linear: float) -> float:
 
     The symbol energy is rho on the reference channel. 1-D alphabets (bpsk,
     4ask) occupy a single real dimension and therefore see half the total
-    noise power; 2-D alphabets split it across both dimensions.
+    noise power; 2-D alphabets split it across both dimensions. Either way
+    each real dimension carries noise variance 1/(2 rho) relative to the
+    symbol energy, so the unit-energy alphabet is evaluated as declared at
+    that variance. At subnormal rho (below about 2.8e-309 in 1-D and 5.6e-309
+    in 2-D) the noise variance overflows, and ``ValueError`` is raised.
     """
     snr_linear = _real("snr_linear", snr_linear, at_least=0.0)
     if scheme == "capacity":
@@ -120,10 +123,10 @@ def scheme_rate(scheme: str, snr_linear: float) -> float:
         raise ValueError(f"unknown scheme {scheme!r}; valid schemes: {CONVENTIONAL_SCHEMES}") from None
     if snr_linear == 0.0:
         return 0.0
-    c = base.scaled(math.sqrt(snr_linear * _TOTAL_NOISE))
-    if c.dimension == 1:
-        return constellation_mi(c, NoiseModel(_TOTAL_NOISE / 2.0))
-    return constellation_mi(c, NoiseModel(_TOTAL_NOISE))
+    variance = base.dimension / (2.0 * snr_linear)
+    if math.isinf(variance):
+        raise ValueError(f"snr_linear is too small for a finite noise variance, got {snr_linear!r}")
+    return constellation_mi(base, NoiseModel(variance))
 
 
 def _axis_value(axis_mode: str, rho: float, rate: float) -> float:

@@ -7,7 +7,6 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +15,6 @@ from cbpsk import linksim
 from cbpsk.cocktail import CocktailParams
 from cbpsk.linksim import LinkSimReport, SimConfig, mc_bpsk_mi, run_link
 from cbpsk.mi import NoiseModel, bpsk_mi
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Three-shard goldens, 2.5e6 draws: two full 2**20 shards and a partial third.
 GOLDEN_REPORT = LinkSimReport(
@@ -323,7 +320,6 @@ def test_goldens_do_not_depend_on_blas_threads():
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         child = subprocess.run(
             [sys.executable, "-c", _GOLDENS_SCRIPT], env=env, capture_output=True, text=True, timeout=120
         )

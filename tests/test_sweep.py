@@ -73,6 +73,14 @@ class TestSchemeRates:
         for s in ("bpsk", "qpsk", "4ask", "8psk", "capacity"):
             assert scheme_rate(s, 0.0) == 0.0
 
+    @pytest.mark.parametrize("scheme", ["bpsk", "4ask", "qpsk", "8psk"])
+    def test_subnormal_snr_is_refused_by_name(self, scheme):
+        # The noise variance relative to the unit-energy alphabet, 1/(2 rho)
+        # per dimension, overflows at subnormal rho.
+        with pytest.raises(ValueError, match="snr_linear"):
+            scheme_rate(scheme, 1e-320)
+        assert scheme_rate("capacity", 1e-320) > 0.0
+
     def test_saturation_levels(self):
         assert scheme_rate("bpsk", 1e4) == pytest.approx(1.0, abs=1e-3)
         assert scheme_rate("qpsk", 1e4) == pytest.approx(2.0, abs=1e-3)
