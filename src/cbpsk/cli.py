@@ -1,8 +1,15 @@
 """Command-line front end: grid parsing, experiment execution, CSV/JSON
 emission with run manifests, and optional SVG charts.
 
+Six commands: ``capacity``, ``mi`` and ``cocktail`` write rate datasets,
+``simulate`` runs the Monte Carlo link, ``check`` tests the 2-D quadrature
+against qpsk = 2 x bpsk, and ``limit`` prints the low-SNR limiting Eb/N0.
+Each command takes its own flags and ``--config``; any other flag is a
+usage error.
+
 Exit codes: 0 on success, 2 for usage errors (bad flags, malformed grids,
-out-of-range ratios), 3 for numeric or domain failures during execution.
+out-of-range ratios, unreadable config files), 3 for numeric or domain
+failures during execution.
 
 Dataset CSVs use the long format ``curve,x,y`` with floats printed to 12
 significant digits and "\\n" line endings; identical flags (including
@@ -24,7 +31,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .cocktail import CocktailParams, eb_over_n0, energy_report
-from .linksim import SimConfig, _checked_seed, run_link
+from .linksim import SimConfig, _available_cores, _checked_seed, run_link
 from .mi import NoiseModel, _real, awgn_capacity, low_snr_capacity
 from .sweep import (
     CONVENTIONAL_SCHEMES,
@@ -190,19 +197,6 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_mi(args) -> int:
-    if args.check:
-        # The 2-D quadrature route must agree with two independent 1-D
-        # detections at the same per-dimension SNR.
-        worst = 0.0
-        for rho in args.grid:
-            dev = abs(scheme_rate("qpsk", rho) - 2.0 * scheme_rate("bpsk", rho / 2.0))
-            worst = max(worst, dev)
-        if worst > 1e-8:
-            print(f"consistency check failed: |qpsk - 2*bpsk| up to {worst:.3e}", file=sys.stderr)
-            return EXIT_NUMERIC
-        print(f"consistency check passed: |qpsk - 2*bpsk| <= {worst:.3e} over {len(args.grid)} points")
-        return EXIT_OK
-
     started = time.monotonic()
     spec = SweepSpec(snr_grid=args.grid, schemes=(args.scheme,), axis_mode=_AXIS_FLAGS[args.axis])
     curves = modulation_rate_curves(spec)
@@ -211,23 +205,22 @@ def cmd_mi(args) -> int:
     return EXIT_OK
 
 
+def cmd_check(args) -> int:
+    # The 2-D quadrature route must agree with two independent 1-D
+    # detections at the same per-dimension SNR.
+    worst = 0.0
+    for rho in args.grid:
+        dev = abs(scheme_rate("qpsk", rho) - 2.0 * scheme_rate("bpsk", rho / 2.0))
+        worst = max(worst, dev)
+    if worst > 1e-8:
+        print(f"consistency check failed: |qpsk - 2*bpsk| up to {worst:.3e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    print(f"consistency check passed: |qpsk - 2*bpsk| <= {worst:.3e} over {len(args.grid)} points")
+    return EXIT_OK
+
+
 def cmd_cocktail(args) -> int:
     ratios = tuple(args.ratio) if args.ratio else DEFAULT_RATIOS
-
-    if args.report_limit:
-        cap_limit_db = 10.0 * math.log10(math.log(2.0))
-        for r in ratios:
-            params = CocktailParams.from_ratio(r, 1e-4)
-            rep = energy_report(params)
-            measured_db = 10.0 * math.log10(eb_over_n0(params, NoiseModel(1.0)))
-            closed_db = cap_limit_db - 10.0 * math.log10(rep.e_total / rep.e1)
-            gain_db = cap_limit_db - measured_db
-            print(
-                f"ratio {r:g}: limiting Eb/N0 {measured_db:.2f} dB "
-                f"(closed form {closed_db:.2f} dB), gain {gain_db:.2f} dB "
-                f"over the {cap_limit_db:.2f} dB capacity limit"
-            )
-        return EXIT_OK
 
     started = time.monotonic()
     axis_mode = _AXIS_FLAGS[args.axis]
@@ -257,6 +250,23 @@ def cmd_cocktail(args) -> int:
     return EXIT_OK
 
 
+def cmd_limit(args) -> int:
+    ratios = tuple(args.ratio) if args.ratio else DEFAULT_RATIOS
+    cap_limit_db = 10.0 * math.log10(math.log(2.0))
+    for r in ratios:
+        params = CocktailParams.from_ratio(r, 1e-4)
+        rep = energy_report(params)
+        measured_db = 10.0 * math.log10(eb_over_n0(params, NoiseModel(1.0)))
+        closed_db = cap_limit_db - 10.0 * math.log10(rep.e_total / rep.e1)
+        gain_db = cap_limit_db - measured_db
+        print(
+            f"ratio {r:g}: limiting Eb/N0 {measured_db:.2f} dB "
+            f"(closed form {closed_db:.2f} dB), gain {gain_db:.2f} dB "
+            f"over the {cap_limit_db:.2f} dB capacity limit"
+        )
+    return EXIT_OK
+
+
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     config = SimConfig(
@@ -266,7 +276,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         detection_mode=_MODE_FLAGS[args.mode],
     )
-    report = run_link(config, max_workers=args.workers)
+    report = run_link(config, max_workers=_available_cores())
     doc = {
         "config": {
             "alpha": config.params.alpha,
@@ -296,92 +306,71 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    grid_help = "SNR grid as start:stop:lin|log:count (e.g. 0.001:100:log:60)"
-    config_help = "JSON file of flag values; explicit flags override it"
+    grid_help = "SNR grid as start:stop:lin|log:count (default: %(default)s)"
+    axis_help = "abscissa (default: %(default)s)"
+    ratio_help = f"alpha/beta ratio, > 1 (repeatable; default {' '.join(f'{r:g}' for r in DEFAULT_RATIOS)})"
 
     p = sub.add_parser("capacity", help="Shannon capacity and its low-SNR approximation")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--snr", type=nonneg_float, action="append", help="one linear SNR value (repeatable)")
-    g.add_argument("--grid", type=grid_arg, help=grid_help)
+    g.add_argument("--grid", type=grid_arg, help="SNR grid as start:stop:lin|log:count")
     p.add_argument("--output", help="CSV path (default: print to stdout)")
-    p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("mi", help="rate curve of one modulation scheme")
     p.add_argument("--scheme", choices=[s for s in CONVENTIONAL_SCHEMES if s != "capacity"], required=True)
     p.add_argument("--grid", type=_positive_grid_arg, default="0.001:100:log:40", help=grid_help)
-    p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), help="abscissa (default: linear)")
+    p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), default="linear", help=axis_help)
     p.add_argument("--output", help="CSV path (default: mi_<scheme>.csv)")
-    p.add_argument("--check", action="store_true",
-                   help="run the qpsk = 2 x bpsk consistency check (needs --scheme qpsk) and exit")
-    p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_mi)
 
+    p = sub.add_parser("check", help="check the 2-D quadrature: qpsk = 2 x bpsk at half the SNR")
+    p.add_argument("--grid", type=_positive_grid_arg, default="0.001:100:log:40", help=grid_help)
+    p.set_defaults(func=cmd_check)
+
     p = sub.add_parser("cocktail", help="cocktail-BPSK rate and gain datasets")
-    p.add_argument("--ratio", type=ratio_arg, action="append",
-                   help=f"alpha/beta ratio, > 1 (repeatable; default {' '.join(f'{r:g}' for r in DEFAULT_RATIOS)})")
-    p.add_argument("--grid", type=_positive_grid_arg, help=grid_help + " (default: 0.001:100:log:60)")
-    p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), help="abscissa (default: ebn0)")
-    p.add_argument("--prefix", help="output file prefix (default: cocktail)")
+    p.add_argument("--ratio", type=ratio_arg, action="append", help=ratio_help)
+    p.add_argument("--grid", type=_positive_grid_arg, default="0.001:100:log:60", help=grid_help)
+    p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), default="ebn0", help=axis_help)
+    p.add_argument("--prefix", default="cocktail", help="output file prefix (default: %(default)s)")
     p.add_argument("--plot", action="store_true", help="also render SVG charts")
-    p.add_argument("--report-limit", action="store_true",
-                   help="print the low-SNR limiting Eb/N0 per ratio instead of writing datasets")
-    p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_cocktail)
+
+    p = sub.add_parser("limit", help="low-SNR limiting Eb/N0 of cocktail BPSK per ratio")
+    p.add_argument("--ratio", type=ratio_arg, action="append", help=ratio_help)
+    p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo link simulation")
     p.add_argument("--alpha", type=positive_float, required=True)
     p.add_argument("--beta", type=positive_float, required=True)
     p.add_argument("--noise-var", type=positive_float, required=True, help="noise variance per real dimension")
-    p.add_argument("--n", type=positive_int, default=10000, help="number of symbols")
-    p.add_argument("--seed", type=_seed_arg, default=0, help="integer in [0, 2**64)")
+    p.add_argument("--n", type=positive_int, default=10000, help="number of symbols (default: %(default)s)")
+    p.add_argument("--seed", type=_seed_arg, default=0, help="integer in [0, 2**64) (default: %(default)s)")
     p.add_argument("--mode", choices=tuple(_MODE_FLAGS), default="dd",
-                   help="dd = decision-directed, genie = error-free first stream")
-    p.add_argument("--workers", type=positive_int, default=1,
-                   help="parallel shard workers, capped at the available cores")
+                   help="dd = decision-directed, genie = error-free first stream (default: %(default)s)")
     p.add_argument("--output", help="JSON report path (default: print to stdout)")
-    p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_simulate)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON file of flag values; explicit flags override it")
     return parser
 
 
-# Flags that a mode never reads, with their defaults. The parser leaves them
-# None (False for a switch), so that main can reject one given with the mode,
-# and fills in the default otherwise.
-_UNREAD_IN_MODE = {
-    "check": {"axis": "linear", "output": None},
-    "report_limit": {"grid": grid_arg("0.001:100:log:60"), "axis": "ebn0", "prefix": "cocktail", "plot": False},
-}
-
-
-def _resolve_mode_flags(parser, args) -> None:
-    """Usage error for a flag that ``--check`` or ``--report-limit`` would
-    ignore; otherwise fill in the defaults of the flags it leaves unread."""
-    for mode, unread in _UNREAD_IN_MODE.items():
-        if not hasattr(args, mode):
-            continue
-        for dest, default in unread.items():
-            value = getattr(args, dest)
-            if getattr(args, mode) and value is not None and value is not False:
-                parser.error(f"--{dest} has no effect with --{mode.replace('_', '-')}")
-            if value is None:
-                setattr(args, dest, default)
-    if getattr(args, "check", False) and args.scheme != "qpsk":
-        parser.error(f"--scheme {args.scheme} has no effect with --check, which checks qpsk")
-
-
-def _load_config(argv) -> dict:
-    """The JSON object in the ``--config`` file named in argv; {} without one."""
+def _load_config(parser, argv) -> dict:
+    """The JSON object in the ``--config`` file named in argv; {} without one.
+    A file that cannot be read, or holds no JSON object, is a usage error."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if not path:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"config file {path!r}: {exc}")
     if not isinstance(cfg, dict):
-        raise ValueError(f"config file {path!r} must hold a JSON object")
+        parser.error(f"config file {path!r} must hold a JSON object")
     return cfg
 
 
@@ -396,7 +385,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        cfg = _load_config(argv)
+        cfg = _load_config(parser, argv)
         flags = {k: _as_flags(k, v) for k, v in cfg.items()}
         # The file's flags go right after the command name, so explicit
         # flags, later in argv, override them.
@@ -410,7 +399,6 @@ def main(argv=None) -> int:
                 parser.error(f"config key {key!r}: a list needs a repeatable flag and one or more values")
             if isinstance(parsed, list) and len(parsed) > len(flags[key]):
                 del parsed[: len(flags[key])]  # explicit repeated flags replace the file's values
-        _resolve_mode_flags(parser, args)
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"cbpsk: error: {exc}", file=sys.stderr)

@@ -440,14 +440,18 @@ def _symmetry_classes(pts: np.ndarray, pri: np.ndarray) -> list:
     return [(int(r), float(mass[r])) for r in np.flatnonzero(mass)]
 
 
-def gaussian_mixture_entropy_simpson(
-    means, priors, var_per_dim: float, tol: float = 1e-12, tail_sigmas: float = 12.0
-) -> float:
+# The Simpson cross-check integrates over the means' span widened by this
+# many noise deviations a side, and bisects at most this deep.
+_SIMPSON_TAIL_SIGMAS = 12.0
+_SIMPSON_MAX_DEPTH = 48
+
+
+def gaussian_mixture_entropy_simpson(means, priors, var_per_dim: float, tol: float = 1e-12) -> float:
     """Adaptive-Simpson evaluation of the 1-D mixture entropy, in bits.
 
     Independent cross-check of :func:`constellation_mi`, whose rate on a 1-D
     alphabet is this entropy less :func:`noise_entropy`. Integrates
-    -p(y) log2 p(y) over [min(means) - k*sigma, max(means) + k*sigma]; where
+    -p(y) log2 p(y) over [min(means) - 12 sigma, max(means) + 12 sigma]; where
     the density underflows the integrand is taken as 0. ``means`` and
     ``priors`` follow the alphabet rule; the means must be 1-D.
     """
@@ -463,12 +467,12 @@ def gaussian_mixture_entropy_simpson(
         p = math.exp(lp)
         return 0.0 if p == 0.0 else -p * lp / _LN2
 
-    lo = float(means.min()) - tail_sigmas * sig
-    hi = float(means.max()) + tail_sigmas * sig
+    lo = float(means.min()) - _SIMPSON_TAIL_SIGMAS * sig
+    hi = float(means.max()) + _SIMPSON_TAIL_SIGMAS * sig
     return _adaptive_simpson(f, lo, hi, tol)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
+def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -481,7 +485,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) ->
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * tol:
+        if depth >= _SIMPSON_MAX_DEPTH or abs(delta) <= 15.0 * tol:
             return left + right + delta / 15.0
         return recurse(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth + 1) + recurse(
             m, fm, b, fb, rm, frm, right, 0.5 * tol, depth + 1

@@ -16,6 +16,9 @@ _PALETTE = (
     "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
 )
 
+_WIDTH, _HEIGHT = 720, 480
+_N_TICKS = 5
+
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<!DOCTYPE svg PUBLIC "-//W3C//DTD SVG 1.1//EN" '
@@ -23,10 +26,8 @@ _HEADER = (
 )
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list:
-    if hi <= lo:
-        return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo: float, hi: float) -> list:
+    return [lo + (hi - lo) * i / (_N_TICKS - 1) for i in range(_N_TICKS)]
 
 
 def _log_ticks(lo: float, hi: float) -> list:
@@ -51,8 +52,6 @@ def render_line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 480,
     log_x: bool = False,
 ) -> str:
     """Render labeled (x, y) curves as an SVG line chart string.
@@ -82,7 +81,7 @@ def render_line_chart(
     y_hi += pad
 
     ml, mr, mt, mb = 64, 16, 34 if title else 16, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def tx(x: float) -> float:
         if log_x:
@@ -97,12 +96,12 @@ def render_line_chart(
     out = [_HEADER]
     out.append(
         f'<svg version="1.1" xmlns="http://www.w3.org/2000/svg" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
     )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n')
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{_escape(title)}</text>\n'
         )
     out.append(
@@ -126,7 +125,7 @@ def render_line_chart(
         )
     if x_label:
         out.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+            f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>\n'
         )
     if y_label:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -106,6 +107,9 @@ class TestGridFlag:
     def test_lin(self):
         assert grid_arg("1:3:lin:3") == (1.0, 2.0, 3.0)
 
+    def test_one_point_is_the_start(self):
+        assert grid_arg("1:2:lin:1") == (1.0,)
+
     def test_log(self):
         g = grid_arg("0.001:100:log:10")
         assert len(g) == 10
@@ -201,9 +205,16 @@ class TestMi:
         assert "bpsk" in err and "8psk" in err
 
     def test_check_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "mi", "--scheme", "qpsk", "--grid", "0.01:10:log:4", "--check")
+        code, out, _ = run_cli(capsys, "check", "--grid", "0.01:10:log:4")
         assert code == EXIT_OK
         assert "passed" in out
+
+    def test_check_failure_is_numeric_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "scheme_rate", lambda scheme, rho: 1.0)  # qpsk - 2 * bpsk = -1
+        code, out, err = run_cli(capsys, "check", "--grid", "1:2:lin:2")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "consistency check failed" in err
 
     def test_default_output_name(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
@@ -288,11 +299,24 @@ class TestCocktail:
         svg = (tmp_path / "p_rates.svg").read_text()
         assert 'version="1.1"' in svg
 
+    def test_one_point_grid_plots(self, tmp_path, capsys, monkeypatch):
+        # On the SNR axis every curve's one point sits at x = 1, and the one
+        # gain point spans no y range either; the chart widens both to draw.
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, _, err = run_cli(capsys, "cocktail", "--ratio", "3.5", "--grid", "1:2:lin:1", "--axis", "linear",
+                               "--plot")
+        assert code == EXIT_OK, err
+        for name, curves in (("cocktail_rates.svg", 3), ("cocktail_gain.svg", 1)):
+            root = ET.fromstring((tmp_path / name).read_bytes())
+            assert len([e for e in root.iter() if e.tag.endswith("polyline")]) == curves
+
     def test_report_limit_mentions_gain(self, capsys):
-        code, out, _ = run_cli(capsys, "cocktail", "--ratio", "3.5", "--report-limit")
+        code, out, _ = run_cli(capsys, "limit", "--ratio", "3.5")
         assert code == EXIT_OK
-        assert "-3.41" in out
-        assert "1.82" in out
+        assert out == (
+            "ratio 3.5: limiting Eb/N0 -3.41 dB (closed form -3.41 dB), gain 1.82 dB "
+            "over the -1.59 dB capacity limit\n"
+        )
 
     @pytest.mark.parametrize("axis", sorted(GOLDEN_COCKTAIL))
     def test_golden_file_bytes(self, axis, tmp_path, capsys, monkeypatch):
@@ -311,24 +335,34 @@ class TestCocktail:
         assert text.startswith("curve,x,y\n")
 
 
-CHECK_ARGV = ("mi", "--scheme", "qpsk", "--grid", "0.01:10:log:4", "--check")
-REPORT_LIMIT_ARGV = ("cocktail", "--ratio", "3.5", "--report-limit")
+CHECK_ARGV = ("check", "--grid", "0.01:10:log:4")
+LIMIT_ARGV = ("limit", "--ratio", "3.5")
 
-# (argv, the flag that --check or --report-limit would ignore), one row per
-# ignored flag; the flag may equal its default and is still rejected.
+# (argv, a flag of another command that check or limit does not take), one
+# row per flag; the flag may equal its default elsewhere and is still
+# rejected.
 IGNORED_MODE_FLAGS = [
-    pytest.param(("mi", "--scheme", "8psk", "--grid", "0.01:10:log:4", "--check"), "--scheme", id="check-scheme"),
+    pytest.param((*CHECK_ARGV, "--scheme", "qpsk"), "--scheme", id="check-scheme"),
     pytest.param((*CHECK_ARGV, "--axis", "linear"), "--axis", id="check-axis"),
     pytest.param((*CHECK_ARGV, "--output", "x.csv"), "--output", id="check-output"),
-    pytest.param((*REPORT_LIMIT_ARGV, "--grid", "0.01:10:log:4"), "--grid", id="report-limit-grid"),
-    pytest.param((*REPORT_LIMIT_ARGV, "--axis", "ebn0"), "--axis", id="report-limit-axis"),
-    pytest.param((*REPORT_LIMIT_ARGV, "--prefix", "zz"), "--prefix", id="report-limit-prefix"),
-    pytest.param((*REPORT_LIMIT_ARGV, "--plot"), "--plot", id="report-limit-plot"),
+    pytest.param((*LIMIT_ARGV, "--grid", "0.01:10:log:4"), "--grid", id="report-limit-grid"),
+    pytest.param((*LIMIT_ARGV, "--axis", "ebn0"), "--axis", id="report-limit-axis"),
+    pytest.param((*LIMIT_ARGV, "--prefix", "zz"), "--prefix", id="report-limit-prefix"),
+    pytest.param((*LIMIT_ARGV, "--plot"), "--plot", id="report-limit-plot"),
+]
+
+# The mode switches that check and limit replace, and the worker count that
+# simulate takes from the cores the process may use.
+REMOVED_FLAGS = [
+    pytest.param(("mi", "--scheme", "qpsk", "--check"), "--check", id="mi-check"),
+    pytest.param(("cocktail", "--ratio", "3.5", "--report-limit"), "--report-limit", id="cocktail-report-limit"),
+    pytest.param(("simulate", "--alpha", "2", "--beta", "1", "--noise-var", "1", "--workers", "2"), "--workers",
+                 id="simulate-workers"),
 ]
 
 
 class TestModeFlags:
-    @pytest.mark.parametrize("argv,flag", IGNORED_MODE_FLAGS)
+    @pytest.mark.parametrize("argv,flag", IGNORED_MODE_FLAGS + REMOVED_FLAGS)
     def test_ignored_flag_is_usage_error(self, argv, flag, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
         with pytest.raises(SystemExit) as exc:
@@ -379,8 +413,8 @@ class TestSimulate:
         assert code == EXIT_OK
         assert json.loads(out)["config"]["eta"] == 0.5
 
-    @pytest.mark.parametrize("flag,value", [("--workers", "-3"), ("--workers", "0"), ("--n", "0"), ("--n", "2.5"),
-                                            ("--seed", "-1"), ("--seed", "18446744073709551616")])
+    @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "2.5"), ("--seed", "-1"),
+                                            ("--seed", "18446744073709551616")])
     def test_out_of_range_counts_are_usage_errors(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--alpha", "2", "--beta", "1", "--noise-var", "1", flag, value])
@@ -403,7 +437,6 @@ COCKTAIL_ARGV = ("cocktail", "--ratio", "2")
 BAD_CONFIG_VALUES = [
     pytest.param(SIMULATE_ARGV, {"n": 0}, "--n", id="n=0"),
     pytest.param(SIMULATE_ARGV, {"n": 2.5}, "--n", id="n=2.5"),
-    pytest.param(SIMULATE_ARGV, {"workers": -3}, "--workers", id="workers=-3"),
     pytest.param(SIMULATE_ARGV, {"seed": -1}, "--seed", id="seed=-1"),
     pytest.param(SIMULATE_ARGV, {"mode": "bogus"}, "--mode", id="mode=bogus"),
     pytest.param(COCKTAIL_ARGV, {"axis": "x"}, "--axis", id="axis=x"),
@@ -426,20 +459,20 @@ SAME_RUN_AS_FLAGS_AND_FILE = {
     ),
     "mi": (
         ["mi", "--scheme", "qpsk", "--grid", "0.01:10:log:4", "--axis", "ebn0", "--output", "mi.csv"],
-        {"scheme": "qpsk", "grid": "0.01:10:log:4", "axis": "ebn0", "output": "mi.csv", "check": False},
+        {"scheme": "qpsk", "grid": "0.01:10:log:4", "axis": "ebn0", "output": "mi.csv"},
     ),
     "cocktail": (
         ["cocktail", "--ratio", "1.5", "--ratio", "3.5", "--grid", "0.01:10:log:4",
          "--axis", "linear", "--prefix", "c", "--plot"],
-        {"ratio": [1.5, 3.5], "grid": "0.01:10:log:4", "axis": "linear", "prefix": "c",
-         "plot": True, "report_limit": False},
+        {"ratio": [1.5, 3.5], "grid": "0.01:10:log:4", "axis": "linear", "prefix": "c", "plot": True},
     ),
     "simulate": (
         ["simulate", "--alpha", "2", "--beta", "1", "--noise-var", "0.5", "--n", "3000",
-         "--seed", "9", "--mode", "genie", "--workers", "2", "--output", "sim.json"],
-        {"alpha": 2, "beta": 1, "noise_var": 0.5, "n": 3000, "seed": 9, "mode": "genie",
-         "workers": 2, "output": "sim.json"},
+         "--seed", "9", "--mode", "genie", "--output", "sim.json"],
+        {"alpha": 2, "beta": 1, "noise_var": 0.5, "n": 3000, "seed": 9, "mode": "genie", "output": "sim.json"},
     ),
+    "check": (["check", "--grid", "0.01:10:log:4"], {"grid": "0.01:10:log:4"}),
+    "limit": (["limit", "--ratio", "1.5", "--ratio", "3.5"], {"ratio": [1.5, 3.5]}),
 }
 
 
@@ -461,19 +494,35 @@ class TestConfigFile:
         flags, entries = SAME_RUN_AS_FLAGS_AND_FILE[command]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entries))
-        written = {}
+        written, printed = {}, {}
         for name, argv in (("flags", flags), ("file", [command, "--config", str(cfg)])):
             out_dir = tmp_path / name
+            out_dir.mkdir()
             monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(out_dir))
-            code, _, err = run_cli(capsys, *argv)
+            code, printed[name], err = run_cli(capsys, *argv)
             assert code == EXIT_OK, err
             written[name] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        assert printed["file"] == printed["flags"]
         assert sorted(written["file"]) == sorted(written["flags"])
         for name, data in written["flags"].items():
             if name.endswith(".manifest.json"):
                 assert json.loads(written["file"][name])["config"] == json.loads(data)["config"]
             else:
                 assert written["file"][name] == data, name
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "{bad", None], ids=["list", "malformed", "missing"])
+    def test_unreadable_file_is_usage_error_naming_it(self, content, tmp_path, capsys):
+        # A file that holds no JSON object, one that is no JSON, and none.
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "--snr", "1", "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert str(cfg) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_explicit_repeatable_flag_replaces_file_list(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))

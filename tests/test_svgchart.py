@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from cbpsk.svgchart import render_line_chart
+from cbpsk.svgchart import _HEIGHT, _WIDTH, render_line_chart
 from cbpsk.sweep import RateCurve
 
 CURVES = [
@@ -44,15 +44,15 @@ class TestRender:
         assert "alpha" in svg and "beta" in svg
 
     def test_points_inside_viewport(self):
-        svg = render_line_chart(CURVES, width=640, height=400, log_x=True)
+        svg = render_line_chart(CURVES, log_x=True)
         root = ET.fromstring(svg)
         for e in root.iter():
             if strip_ns(e.tag) != "polyline":
                 continue
             for pair in e.get("points").split():
                 x, y = map(float, pair.split(","))
-                assert 0 <= x <= 640
-                assert 0 <= y <= 400
+                assert 0 <= x <= _WIDTH
+                assert 0 <= y <= _HEIGHT
 
     def test_log_axis_rejects_nonpositive(self):
         with pytest.raises(ValueError):

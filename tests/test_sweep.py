@@ -60,6 +60,9 @@ class TestLogGrid:
         assert g[-1] == pytest.approx(1e2, rel=1e-12)
         assert all(b > a for a, b in zip(g, g[1:]))
 
+    def test_one_point_is_the_start(self):
+        assert log_grid(2.0, 3.0, 1) == (2.0,)
+
 
 class TestSchemeRates:
     def test_capacity_passthrough(self):
