@@ -358,7 +358,8 @@ def build_parser():
 
 def _load_config(parser, argv) -> dict:
     """The JSON object in the ``--config`` file named in argv; {} without one.
-    A file that cannot be read, or holds no JSON object, is a usage error."""
+    A file that cannot be read, holds no JSON object, or has a ``config`` key
+    of its own is a usage error."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -371,6 +372,8 @@ def _load_config(parser, argv) -> dict:
         parser.error(f"config file {path!r}: {exc}")
     if not isinstance(cfg, dict):
         parser.error(f"config file {path!r} must hold a JSON object")
+    if "config" in cfg:  # the --config in argv would win over it unseen
+        parser.error(f"config key 'config' in {path!r}: a config file cannot name another")
     return cfg
 
 

@@ -7,7 +7,11 @@ Gauss-Hermite quadrature against each component, and no entropy: H(Y) -
 H(N) subtracts two entropies of 1-2 bits, which leaves 2.5e-9 relative
 error at SNR 1e-8. The exponent is affine in the noise sample, so a
 component costs one small matrix product, and each orbit of the alphabet's
-symmetry group is evaluated once; neither shortcut moves the value.
+symmetry group is evaluated once; neither shortcut moves the value. The
+orbits and their offsets depend on the alphabet alone, so each
+:class:`Constellation` finds them once, in its kernel plan
+(:func:`_alphabet_plan`), and a call does only the work that depends on the
+noise.
 
 Every kernel runs on one Gauss-Hermite rule, :func:`_unit_rule`: the
 tensor-product rule pruned once, when it is built, to the nodes whose
@@ -54,7 +58,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
 
 import numpy as np
@@ -204,6 +208,13 @@ class Constellation:
     def __reduce__(self):  # copies and pickles rebuild the read-only array
         return Constellation, (self.points, self.priors)
 
+    @cached_property
+    def _plan(self) -> tuple:
+        """The alphabet's :func:`_alphabet_plan`, built on the first rate call
+        and kept. It is not a field, so equality, hashing, repr and pickles
+        ignore it, and copies build their own."""
+        return _alphabet_plan(self._array, self.priors)
+
     @property
     def dimension(self) -> int:
         return self._array.shape[1]
@@ -286,10 +297,37 @@ def _mixture_logpdf(y: np.ndarray, means: np.ndarray, priors: np.ndarray, var_pe
     return out - 0.5 * d * math.log(2.0 * math.pi * var_per_dim)
 
 
-def _rate_nats(points: np.ndarray, priors, var_per_dim: float, order: int) -> float:
-    """Mutual information I(X; Y), in nats, of the alphabet ``points`` (a
-    checked (n, d) array) with ``priors`` (n checked weights) over isotropic
-    Gaussian noise of variance ``var_per_dim`` per dimension.
+def _alphabet_plan(points: np.ndarray, priors) -> tuple:
+    """What :func:`_rate_nats` needs of an alphabet at any noise level, as
+    (priors, log_ratio, classes), for the alphabet ``points`` (a checked
+    (n, d) array) with ``priors`` (n checked weights).
+
+    ``priors`` are the live ones, prior > 0, to which everything else
+    refers. ``log_ratio`` is the column ln(p_j / p_max), or None when every
+    live prior is p_max. ``classes`` holds, for each class of
+    :func:`_symmetry_classes`, the offsets delta = m_k - m_j of its
+    representative k, their squared lengths, and the class's summed prior.
+    The arrays are read-only, because a :class:`Constellation` keeps its
+    plan for every call.
+    """
+    pri = np.asarray(priors, dtype=float)
+    live = pri > 0.0
+    pts, pri = points[live], pri[live]
+    log_ratio = np.log(pri / pri.max())
+    classes = []
+    for k, weight in _symmetry_classes(pts, pri):
+        delta = pts[k] - pts
+        sq = np.sum(delta * delta, axis=1)
+        delta.flags.writeable = sq.flags.writeable = False
+        classes.append((delta, sq, weight))
+    pri.flags.writeable = log_ratio.flags.writeable = False
+    return pri, log_ratio if log_ratio.any() else None, tuple(classes)
+
+
+def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
+    """Mutual information I(X; Y), in nats, of the alphabet whose
+    :func:`_alphabet_plan` is ``plan`` over isotropic Gaussian noise of
+    variance ``var_per_dim`` per dimension.
 
     Given X = m_k, write Y = m_k + n with n = sqrt(2v) t, t a node of the
     d-dimensional rule of :func:`_unit_rule`. Then p(y | m_j) / p(y | m_k) =
@@ -321,7 +359,10 @@ def _rate_nats(points: np.ndarray, priors, var_per_dim: float, order: int) -> fl
     QPSK, two for 4-ASK, the cocktail 4-PAM and 8-PSK, three for 16-QAM. The
     rule is not rotation-invariant, so in 8-PSK the points on an axis and on
     a diagonal keep their own terms, which differ by the rule's error (about
-    2e-12 bits at order 192). Zero-prior components take no part.
+    2e-12 bits at order 192). Zero-prior components take no part. The
+    classes, their offsets m_k - m_j and ln(p_j / p_max) depend on the
+    alphabet alone, so they are found once per alphabet, in the plan; a call
+    does only the work that depends on v.
 
     The rule is the pruned one of :func:`_unit_rule`, so the (components x
     nodes) work buffers are a fifth of the full rule's in 2-D; the a-priori
@@ -330,25 +371,20 @@ def _rate_nats(points: np.ndarray, priors, var_per_dim: float, order: int) -> fl
     set, SNR 1e-6..1e4, one prior of 1e-200 or none), rates move by at most
     1.3e-15 bits: the summation order changed, and nothing else.
     """
-    d = points.shape[1]
-    nodes, weights = _unit_rule(order, d)
-    pri = np.asarray(priors, dtype=float)
-    live = pri > 0.0
-    pts, pri = points[live], pri[live]
-    log_ratio = np.log(pri / pri.max())
+    pri, log_ratio, classes = plan
+    nodes, weights = _unit_rule(order, classes[0][0].shape[1])
     scale = -math.sqrt(2.0 / var_per_dim)
     # One set of buffers for every class: fresh multi-megabyte temporaries
     # per class cost more in page faults than the arithmetic. Rows index j,
     # so each reduction over j combines whole contiguous rows.
-    u = np.empty((len(pts), weights.size))
-    shifted = np.empty_like(u) if log_ratio.any() else None
+    u = np.empty((len(pri), weights.size))
+    shifted = None if log_ratio is None else np.empty_like(u)
     c = np.empty(weights.size)
     lse = np.empty(weights.size)
     rate = 0.0
-    for k, weight in _symmetry_classes(pts, pri):
-        delta = pts[k] - pts
+    for delta, sq, weight in classes:
         np.matmul(delta * scale, nodes, out=u)
-        u -= (np.sum(delta * delta, axis=1) / (2.0 * var_per_dim))[:, None]
+        u -= (sq / (2.0 * var_per_dim))[:, None]
         if shifted is None:
             np.max(u, axis=0, out=c)
         else:
@@ -507,10 +543,11 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
         f(u) = log1p(expm1(u) / 2) = max(u, 0) + log1p(expm1(-|u|) / 2).
 
     This is :func:`_rate_nats` on {+A, -A}, where L_k = f(u) with the shift
-    c = max(0, u), written out for its cost: 15-17 us a call against 106-120
-    us through :func:`constellation_mi`, 59 us of which is the symmetry
-    search (best of 7, A = 0.01..3, v = 0.5). No two entropies cancel, so
-    the rate keeps its relative accuracy at low SNR, where
+    c = max(0, u), written out for its cost: 13-16 us a call against 25-28
+    us through :func:`constellation_mi` once the alphabet's kernel plan is
+    built, and 100-150 us on a fresh :class:`Constellation`, whose first
+    call builds it (best of 7, A = 0.01..3, v = 0.5). No two entropies
+    cancel, so the rate keeps its relative accuracy at low SNR, where
     I = (s/2 - s^2/4 + s^3/6 - ...) / ln 2 with s = q^2 (within 1e-12
     relative down to s = 1e-8). Below that the quadrature would lose about
     1e-16 / q relative to rounding, so for s <= 1e-8 the rate is this
@@ -540,8 +577,9 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     dimensions: 1-D constellations see it as given; 2-D constellations treat
     it as total complex noise power, variance/2 per real dimension. The
     default order per dimension is 256 in 1-D and 192 in 2-D.
-    The rate kernel :func:`_rate_nats` forms I directly, on the
-    constellation's own checked points and priors, so the rate keeps its
+    The rate kernel :func:`_rate_nats` forms I directly, from the
+    constellation's own kernel plan, built from its checked points and
+    priors on the first call and kept, so the rate keeps its
     relative accuracy at low SNR: within 1.1e-12 of 30-digit mpmath at SNR
     1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. Below SNR
     1e-8 it loses about 1e-16/sqrt(SNR) relative: against the series of
@@ -556,5 +594,5 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     d = c.dimension
     if order is None:
         order = _DEFAULT_ORDER[d]
-    rate = _rate_nats(c.as_array(), c.priors, noise.variance / d, order) / _LN2
+    rate = _rate_nats(c._plan, noise.variance / d, order) / _LN2
     return min(math.log2(len(c.points)), max(0.0, rate))

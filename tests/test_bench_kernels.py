@@ -1,0 +1,29 @@
+"""Tests for tools/bench_kernels.py, the per-point kernel benchmark."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_kernels.py"
+SCHEMES = {"bpsk", "4ask", "qpsk", "8psk"}
+
+
+def test_three_point_runs_append_their_records(tmp_path):
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, str(SCRIPT), "--points", "3", "--output", str(out)]
+    for label in ("parent", "change"):
+        child = subprocess.run([*argv, "--label", label], capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"about", "runs"}
+    assert {k: len(v) for k, v in doc["runs"].items()} == {"parent": 1, "change": 1}
+    record = doc["runs"]["change"][0]
+    assert set(record) == {"grid", "passes", "per_point_ms", "max_dev_bits", "host"}
+    assert record["grid"] == {"start": 1e-3, "stop": 1e2, "points": 3} and record["passes"] == 15
+    assert set(record["per_point_ms"]) == set(record["max_dev_bits"]) == SCHEMES
+    assert all(t > 0.0 for t in record["per_point_ms"].values())
+    # The reference rows are this kernel's rates to rounding; a moved rate shows here.
+    assert all(0.0 <= d <= 1e-12 for d in record["max_dev_bits"].values())
+    assert set(record["host"]) == {"machine", "system", "cpus", "python", "numpy", "blas_threads"}
+    assert record["host"]["blas_threads"] == "1"

@@ -524,6 +524,23 @@ class TestConfigFile:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_config_key_is_usage_error_naming_it(self, tmp_path, capsys, monkeypatch):
+        # The --config in argv would win over the file's own, which would
+        # then be ignored without a word.
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(out_dir))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": "nowhere.json", "snr": 1}))
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "'config'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not any(out_dir.iterdir())
+
     def test_explicit_repeatable_flag_replaces_file_list(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
         cfg = tmp_path / "cfg.json"

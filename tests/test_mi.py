@@ -507,7 +507,7 @@ def all_components_rate(means, priors, var_per_dim, order):
 
 def kernel_rate(means, priors, var_per_dim, order):
     """The library's rate kernel on a checked (n, d) array, in bits."""
-    return mi._rate_nats(means, priors, var_per_dim, order) / math.log(2.0)
+    return mi._rate_nats(mi._alphabet_plan(means, priors), var_per_dim, order) / math.log(2.0)
 
 
 def _psk8_points():
@@ -630,6 +630,70 @@ class TestSymmetryClasses:
                 want = kernel_rate(scaled, priors, 0.5, 96)
                 got = kernel_rate(scaled[perm], priors[perm], 0.5, 96)
                 assert abs(got - want) <= 4e-15, f"{name} at rho={rho}: {got!r} vs {want!r}"
+
+
+# Fresh alphabets for the kernel-plan tests: 1-D and 2-D, uniform and not,
+# with and without a zero prior.
+PLAN_ALPHABETS = {
+    "4ask": Constellation.ask4,
+    "8psk": Constellation.psk8,
+    "1d-nonuniform": lambda: Constellation(Constellation.ask4().points, (0.1, 0.4, 0.4, 0.1)),
+    "1d-zero-prior": lambda: Constellation((1.0, -1.0, 5.0), (0.5, 0.5, 0.0)),
+    "qpsk-zero-prior": lambda: Constellation((*Constellation.qpsk().points, (2.0, 0.5)), (0.25,) * 4 + (0.0,)),
+}
+
+
+class TestKernelPlan:
+    @pytest.mark.parametrize("name", ["4ask", "8psk", "qpsk-zero-prior"])
+    def test_symmetry_search_runs_once_per_constellation(self, monkeypatch, name):
+        calls = []
+        search = mi._symmetry_classes
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(mi, "_symmetry_classes", counted)
+        c = PLAN_ALPHABETS[name]()
+        for var in np.geomspace(1e-2, 1e2, 20):
+            constellation_mi(c, NoiseModel(float(var)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(PLAN_ALPHABETS))
+    def test_equal_constellations_give_identical_bits(self, name):
+        a, b = PLAN_ALPHABETS[name](), PLAN_ALPHABETS[name]()
+        for var in (1e-3, 0.5, 2.0, 1e3):
+            noise = NoiseModel(var)
+            assert constellation_mi(a, noise).hex() == constellation_mi(b, noise).hex()
+            assert constellation_mi(a, noise, order=64).hex() == constellation_mi(b, noise, order=64).hex()
+
+    @pytest.mark.parametrize("name", sorted(PLAN_ALPHABETS))
+    def test_built_plan_leaves_equality_and_copies_alone(self, name):
+        c = PLAN_ALPHABETS[name]()
+        noise = NoiseModel(0.7)
+        rate = constellation_mi(c, noise)
+        assert "_plan" in vars(c)
+        fresh = PLAN_ALPHABETS[name]()
+        assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+        for copied in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c), copy.copy(c), c.scaled(1.0)):
+            # Copies build their own plan, to the same bits.
+            assert copied == c and hash(copied) == hash(c) and "_plan" not in vars(copied)
+            assert constellation_mi(copied, noise).hex() == rate.hex()
+
+    @pytest.mark.parametrize("name", sorted(PLAN_ALPHABETS))
+    def test_plan_holds_live_components_read_only(self, name):
+        c = PLAN_ALPHABETS[name]()
+        pri, log_ratio, classes = c._plan
+        live = [p for p in c.priors if p > 0.0]
+        assert pri.tolist() == live
+        assert (log_ratio is None) == (len(set(live)) == 1)
+        assert sum(weight for _, _, weight in classes) == pytest.approx(1.0, abs=1e-12)
+        arrays = [pri, *(a for delta, sq, _ in classes for a in (delta, sq))]
+        if log_ratio is not None:
+            arrays.append(log_ratio)
+        assert not any(a.flags.writeable for a in arrays)
+        for delta, sq, _ in classes:
+            assert delta.shape == (len(live), c.dimension) and sq.shape == (len(live),)
 
 
 class TestPrunedRule:

@@ -1,0 +1,112 @@
+"""Per-point cost and accuracy of the conventional-scheme rates.
+
+Times ``cbpsk.sweep.scheme_rate`` for bpsk, 4ask, qpsk and 8psk over the
+log grid 1e-3..1e2 of ``perfbench/reference/modcurves.json`` (60 points, or
+an even subset with ``--points``), with one BLAS thread. After one untimed
+warm-up pass, each of 15 timed passes runs every scheme over the whole
+grid, the schemes in turn and rotated from pass to pass; a scheme's figure
+is the median over passes of its pass time divided by the grid size. The
+same record holds the largest deviation, in bits, of each scheme's rates
+from that reference table, which this script only reads, so a speed-up
+that moves a rate shows in the same file.
+
+Each run appends one record, under ``--label``, to the JSON file named by
+``--output``. To set two source trees side by side, alternate runs:
+
+    python3 tools/bench_kernels.py --src ../parent/src --label parent
+    python3 tools/bench_kernels.py --label change
+
+``--src`` names the directory the ``cbpsk`` package is imported from; by
+default, this checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Before numpy loads: one BLAS thread, as the benchmark pins it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "perfbench" / "reference" / "modcurves.json"
+SCHEMES = ("bpsk", "4ask", "qpsk", "8psk")
+PASSES = 15
+
+
+def _grid(reference: dict, points: int) -> list:
+    """``points`` indices spread evenly over the reference grid, both ends kept."""
+    size = len(reference["grid"])
+    return sorted({round(i * (size - 1) / (points - 1)) for i in range(points)})
+
+
+def measure(points: int) -> dict:
+    """One record: per-point times in ms and deviations in bits, per scheme."""
+    import numpy as np
+
+    from cbpsk.sweep import scheme_rate
+
+    with open(REFERENCE) as fh:
+        reference = json.load(fh)
+    index = _grid(reference, points)
+    grid = [reference["grid"][i] for i in index]
+
+    def run(scheme: str) -> list:
+        return [scheme_rate(scheme, rho) for rho in grid]
+
+    rates = {s: run(s) for s in SCHEMES}  # the warm-up pass
+    times = {s: [] for s in SCHEMES}
+    for p in range(PASSES):
+        for scheme in SCHEMES[p % len(SCHEMES):] + SCHEMES[: p % len(SCHEMES)]:
+            start = time.perf_counter()
+            run(scheme)
+            times[scheme].append((time.perf_counter() - start) / len(grid))
+    return {
+        "grid": {"start": grid[0], "stop": grid[-1], "points": len(grid)},
+        "passes": PASSES,
+        "per_point_ms": {s: statistics.median(t) * 1e3 for s, t in times.items()},
+        "max_dev_bits": {
+            s: max(abs(rate - reference["rows"][s][i][2]) for rate, i in zip(rates[s], index)) for s in SCHEMES
+        },
+        "host": {
+            "machine": platform.machine(),
+            "system": platform.system(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        },
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory to import cbpsk from")
+    parser.add_argument("--label", default="change", help="name the record is filed under")
+    parser.add_argument("--points", type=int, default=60, help="grid points, 2-60 (default: %(default)s)")
+    parser.add_argument("--output", default=str(ROOT / "BENCH_kernels.json"), help="JSON file to append to")
+    args = parser.parse_args(argv)
+    if not 2 <= args.points <= 60:
+        parser.error("--points must be in 2..60")
+    sys.path.insert(0, args.src)
+    record = measure(args.points)
+
+    out = Path(args.output)
+    doc = json.loads(out.read_text()) if out.exists() else {"about": __doc__.split("\n\n")[0], "runs": {}}
+    doc["runs"].setdefault(args.label, []).append(record)
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    cells = "  ".join(f"{s} {record['per_point_ms'][s]:.4f} ms" for s in SCHEMES)
+    print(f"{args.label}: {cells}  max dev {max(record['max_dev_bits'].values()):.2e} bits")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
