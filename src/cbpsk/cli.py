@@ -5,7 +5,9 @@ Six commands: ``capacity``, ``mi`` and ``cocktail`` write rate datasets,
 ``simulate`` runs the Monte Carlo link, ``check`` tests the 2-D quadrature
 against qpsk = 2 x bpsk, and ``limit`` prints the low-SNR limiting Eb/N0.
 Each command takes its own flags and ``--config``; any other flag is a
-usage error.
+usage error. A command only computes: it returns its outputs as
+``(path, text)`` pairs, a falsy path meaning stdout, and :func:`main`
+writes them and the run manifest.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags, malformed grids,
 out-of-range ratios, unreadable config files), 3 for numeric or domain
@@ -158,54 +160,38 @@ def _write_text(path: str, text: str) -> str:
     return path
 
 
-def _manifest_path(primary_output: str) -> str:
-    stem, _ = os.path.splitext(primary_output)
-    return stem + ".manifest.json"
-
-
-def _write_manifest(command: str, args, seeds, outputs, started: float) -> str:
+def _write_manifest(args, outputs, started: float) -> None:
     config = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
         if k not in ("func", "command", "config")
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "version": __version__,
-        "seeds": list(seeds),
+        "seeds": [args.seed] if "seed" in config else [],
         "outputs": [os.path.abspath(o) for o in outputs],
         "duration_s": round(time.monotonic() - started, 6),
     }
-    path = _manifest_path(outputs[0])
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    stem, _ = os.path.splitext(outputs[0])
+    _write_text(stem + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_capacity(args) -> int:
-    started = time.monotonic()
+def cmd_capacity(args) -> list:
     values = tuple(args.snr) if args.snr else args.grid
     rows = [("capacity", v, awgn_capacity(v)) for v in values]
     rows += [("low_snr", v, low_snr_capacity(v)) for v in values]
-    text = _csv_text(rows)
-    if args.output:
-        out = _write_text(_resolve(args.output), text)
-        _write_manifest("capacity", args, [], [out], started)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return [(args.output, _csv_text(rows))]
 
 
-def cmd_mi(args) -> int:
-    started = time.monotonic()
+def cmd_mi(args) -> list:
     spec = SweepSpec(snr_grid=args.grid, schemes=(args.scheme,), axis_mode=_AXIS_FLAGS[args.axis])
     curves = modulation_rate_curves(spec)
-    out = _write_text(_resolve(args.output or f"mi_{args.scheme}.csv"), _csv_text(sweep_to_table(curves)))
-    _write_manifest("mi", args, [], [out], started)
-    return EXIT_OK
+    return [(args.output or f"mi_{args.scheme}.csv", _csv_text(sweep_to_table(curves)))]
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> list:
     # The 2-D quadrature route must agree with two independent 1-D
     # detections at the same per-dimension SNR.
     worst = 0.0
@@ -213,62 +199,48 @@ def cmd_check(args) -> int:
         dev = abs(scheme_rate("qpsk", rho) - 2.0 * scheme_rate("bpsk", rho / 2.0))
         worst = max(worst, dev)
     if worst > 1e-8:
-        print(f"consistency check failed: |qpsk - 2*bpsk| up to {worst:.3e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    print(f"consistency check passed: |qpsk - 2*bpsk| <= {worst:.3e} over {len(args.grid)} points")
-    return EXIT_OK
+        raise ValueError(f"consistency check failed: |qpsk - 2*bpsk| up to {worst:.3e}")
+    return [(None, f"consistency check passed: |qpsk - 2*bpsk| <= {worst:.3e} over {len(args.grid)} points\n")]
 
 
-def cmd_cocktail(args) -> int:
+def cmd_cocktail(args) -> list:
     ratios = tuple(args.ratio) if args.ratio else DEFAULT_RATIOS
-
-    started = time.monotonic()
     axis_mode = _AXIS_FLAGS[args.axis]
     spec = SweepSpec(snr_grid=args.grid, ratios=ratios, schemes=("capacity", "bpsk"), axis_mode=axis_mode)
-    rates = cocktail_rate_curves(spec)
-    gains = cocktail_gain_curves(spec)
-    outputs = [
-        _write_text(_resolve(f"{args.prefix}_rates.csv"), _csv_text(sweep_to_table(rates))),
-        _write_text(_resolve(f"{args.prefix}_gain.csv"), _csv_text(sweep_to_table(gains))),
+    datasets = [
+        ("rates", cocktail_rate_curves(spec), "achievable data rate"),
+        ("gain", cocktail_gain_curves(spec), "rate minus capacity"),
     ]
+    outputs = [(f"{args.prefix}_{name}.csv", _csv_text(sweep_to_table(curves))) for name, curves, _ in datasets]
     if args.plot:
         log_axis = axis_mode == "linear_snr"
         x_label = "Ein/noise (linear)" if log_axis else "Eb/N0 (dB)"
-        outputs.append(
-            _write_text(
-                _resolve(f"{args.prefix}_rates.svg"),
-                render_line_chart(rates, "achievable data rate", x_label, "bits/sec/Hz", log_x=log_axis),
-            )
-        )
-        outputs.append(
-            _write_text(
-                _resolve(f"{args.prefix}_gain.svg"),
-                render_line_chart(gains, "rate minus capacity", x_label, "bits/sec/Hz", log_x=log_axis),
-            )
-        )
-    _write_manifest("cocktail", args, [], outputs, started)
-    return EXIT_OK
+        outputs += [
+            (f"{args.prefix}_{name}.svg", render_line_chart(curves, title, x_label, "bits/sec/Hz", log_x=log_axis))
+            for name, curves, title in datasets
+        ]
+    return outputs
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args) -> list:
     ratios = tuple(args.ratio) if args.ratio else DEFAULT_RATIOS
     cap_limit_db = 10.0 * math.log10(math.log(2.0))
+    lines = []
     for r in ratios:
         params = CocktailParams.from_ratio(r, 1e-4)
         rep = energy_report(params)
         measured_db = 10.0 * math.log10(eb_over_n0(params, NoiseModel(1.0)))
         closed_db = cap_limit_db - 10.0 * math.log10(rep.e_total / rep.e1)
         gain_db = cap_limit_db - measured_db
-        print(
+        lines.append(
             f"ratio {r:g}: limiting Eb/N0 {measured_db:.2f} dB "
             f"(closed form {closed_db:.2f} dB), gain {gain_db:.2f} dB "
-            f"over the {cap_limit_db:.2f} dB capacity limit"
+            f"over the {cap_limit_db:.2f} dB capacity limit\n"
         )
-    return EXIT_OK
+    return [(None, "".join(lines))]
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
+def cmd_simulate(args) -> list:
     config = SimConfig(
         params=CocktailParams(args.alpha, args.beta),
         noise=NoiseModel(args.noise_var),
@@ -289,13 +261,7 @@ def cmd_simulate(args) -> int:
         },
         "report": asdict(report),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        out = _write_text(_resolve(args.output), text)
-        _write_manifest("simulate", args, [config.seed], [out], started)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return [(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")]
 
 
 def build_parser():
@@ -402,7 +368,16 @@ def main(argv=None) -> int:
                 parser.error(f"config key {key!r}: a list needs a repeatable flag and one or more values")
             if isinstance(parsed, list) and len(parsed) > len(flags[key]):
                 del parsed[: len(flags[key])]  # explicit repeated flags replace the file's values
-        return args.func(args)
+        started = time.monotonic()
+        written = []
+        for path, text in args.func(args):
+            if path:  # an empty --output prints, like no --output
+                written.append(_write_text(_resolve(path), text))
+            else:
+                sys.stdout.write(text)
+        if written:
+            _write_manifest(args, written, started)
+        return EXIT_OK
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"cbpsk: error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -288,6 +288,15 @@ class TestCocktail:
         code, _, err = run_cli(capsys, "cocktail", "--ratio", "3.5", "--grid", "1e-11:1e-10:log:40")
         assert code == EXIT_OK, err
 
+    def test_plot_manifest_lists_csvs_then_svgs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, _, _ = run_cli(capsys, "cocktail", "--ratio", "3.5", "--grid", "0.01:10:log:4", "--plot")
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "cocktail_rates.manifest.json").read_text())
+        assert [os.path.basename(p) for p in manifest["outputs"]] == [
+            "cocktail_rates.csv", "cocktail_gain.csv", "cocktail_rates.svg", "cocktail_gain.svg"
+        ]
+
     def test_plot_adds_svgs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
         code, _, _ = run_cli(
@@ -395,6 +404,18 @@ class TestSimulate:
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_manifest_records_command_seed_and_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, _, _ = run_cli(
+            capsys, "simulate", "--alpha", "2", "--beta", "1", "--noise-var", "1",
+            "--n", "20000", "--seed", "7", "--output", "s.json",
+        )
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "s.manifest.json").read_text())
+        assert manifest["command"] == "simulate"
+        assert manifest["seeds"] == [7]
+        assert manifest["outputs"] == [str(tmp_path / "s.json")]
+
     def test_both_modes_accepted(self, capsys):
         for mode in ("dd", "genie"):
             code, out, _ = run_cli(
@@ -431,6 +452,26 @@ class TestSimulate:
 
 SIMULATE_ARGV = ("simulate", "--alpha", "2", "--beta", "1", "--noise-var", "1")
 COCKTAIL_ARGV = ("cocktail", "--ratio", "2")
+
+# Runs whose output goes to stdout; an empty --output means stdout too.
+STDOUT_RUNS = [
+    pytest.param(("capacity", "--snr", "1"), id="capacity"),
+    pytest.param(("capacity", "--snr", "1", "--output", ""), id="capacity-empty-output"),
+    pytest.param((*SIMULATE_ARGV, "--n", "20000"), id="simulate"),
+    pytest.param((*SIMULATE_ARGV, "--n", "20000", "--output", ""), id="simulate-empty-output"),
+    pytest.param(CHECK_ARGV, id="check"),
+    pytest.param(("limit", "--ratio", "3.5"), id="limit"),
+]
+
+
+@pytest.mark.parametrize("argv", STDOUT_RUNS)
+def test_stdout_run_writes_no_file_and_no_manifest(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK, err
+    assert out
+    assert list(tmp_path.iterdir()) == []
+
 
 # (argv, config entries, text stderr must hold): each entry is rejected as
 # its flag would be on the command line, or as a key no flag takes.
