@@ -19,9 +19,12 @@ def test_three_point_runs_append_their_records(tmp_path):
     assert set(doc) == {"about", "runs"}
     assert {k: len(v) for k, v in doc["runs"].items()} == {"parent": 1, "change": 1}
     record = doc["runs"]["change"][0]
-    assert set(record) == {"grid", "passes", "per_point_ms", "max_dev_bits", "host"}
+    assert set(record) == {"grid", "passes", "per_point_ms", "max_dev_bits", "bits", "host"}
     assert record["grid"] == {"start": 1e-3, "stop": 1e2, "points": 3} and record["passes"] == 15
-    assert set(record["per_point_ms"]) == set(record["max_dev_bits"]) == SCHEMES
+    assert set(record["per_point_ms"]) == set(record["max_dev_bits"]) == set(record["bits"]) == SCHEMES
+    # One source tree gives the same rates, to the bit, in every run.
+    assert record["bits"] == doc["runs"]["parent"][0]["bits"]
+    assert all(len(digest) == 64 for digest in record["bits"].values())
     assert all(t > 0.0 for t in record["per_point_ms"].values())
     # The reference rows are this kernel's rates to rounding; a moved rate shows here.
     assert all(0.0 <= d <= 1e-12 for d in record["max_dev_bits"].values())

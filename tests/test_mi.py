@@ -565,7 +565,7 @@ def live_classes(means, priors):
     """_symmetry_classes of the live components (prior > 0), as the mixture
     kernel selects them, with indices into the full ``means``."""
     live = np.flatnonzero(priors > 0.0)
-    return [(int(live[k]), weight) for k, weight in _symmetry_classes(means[live], priors[live])]
+    return [(int(live[k]), weight) for k, weight, _ in _symmetry_classes(means[live], priors[live])]
 
 
 class TestSymmetryClasses:
@@ -687,19 +687,19 @@ class TestKernelPlan:
         live = [p for p in c.priors if p > 0.0]
         assert pri.tolist() == live
         assert (log_ratio is None) == (len(set(live)) == 1)
-        assert sum(weight for _, _, weight in classes) == pytest.approx(1.0, abs=1e-12)
-        arrays = [pri, *(a for delta, sq, _ in classes for a in (delta, sq))]
+        assert sum(weight for _, _, weight, _ in classes) == pytest.approx(1.0, abs=1e-12)
+        arrays = [pri, *(a for delta, sq, _, _ in classes for a in (delta, sq))]
         if log_ratio is not None:
             arrays.append(log_ratio)
         assert not any(a.flags.writeable for a in arrays)
-        for delta, sq, _ in classes:
+        for delta, sq, _, _ in classes:
             assert delta.shape == (len(live), c.dimension) and sq.shape == (len(live),)
 
 
 class TestPrunedRule:
     @pytest.mark.parametrize("order,d,kept", [(256, 1, 116), (192, 2, 7556), (96, 2, 3660)])
     def test_keeps_the_weight(self, order, d, kept):
-        nodes, weights = mi._unit_rule(order, d)
+        nodes, weights = mi._unit_rule(order, d, ())
         full_nodes, full_weights = unpruned_rule(order, d)
         keep = full_weights > mi._WEIGHT_FLOOR
         assert nodes.shape == (d, kept) and weights.shape == (kept,)
@@ -726,6 +726,121 @@ class TestPrunedRule:
             priors[0] = 1e-200
         order = mi._DEFAULT_ORDER[means.shape[1]]
         got = kernel_rate(means, priors, 0.5, order)
-        monkeypatch.setattr(mi, "_unit_rule", unpruned_rule)
+        calls = []
+
+        def unfolded_unpruned_rule(order, d, maps):
+            # The full rule for every class, whatever its stabilizer.
+            calls.append(maps)
+            return unpruned_rule(order, d)
+
+        monkeypatch.setattr(mi, "_unit_rule", unfolded_unpruned_rule)
         want = kernel_rate(means, priors, 0.5, order)
+        assert len(calls) == len(mi._alphabet_plan(means, priors)[2])
         assert abs(got - want) <= 1e-14, f"{name} at rho={rho}: {got!r} vs {want!r}"
+
+
+def rule_orbits(nodes, maps):
+    """The orbit of each node, a column of ``nodes`` (d, m), under the
+    signed axis maps ``maps`` and the identity, each orbit a frozenset of
+    coordinate tuples, found from the node values alone."""
+    orders, signs = mi._AXIS_MAPS[nodes.shape[0]]
+    group = (0, *maps)
+    return [frozenset(tuple((signs[g] * t[orders[g]]).tolist()) for g in group) for t in nodes.T]
+
+
+class TestFoldedRule:
+    @pytest.mark.parametrize(
+        "name,orders",
+        [
+            ("qpsk", [2]),
+            ("qpsk-zero-prior", [2]),
+            # A point on an axis is fixed by the mirror in that axis, one on
+            # a diagonal by the swap of the axes, the centre by all 8 maps.
+            ("8psk", [2, 2]),
+            ("8psk-shifted", [2, 2]),
+            ("8psk-far", [2, 2]),
+            ("8psk-nonuniform", [2, 2]),
+            ("8psk-centroid", [2, 2, 8]),
+            ("16qam", [2, 1, 2]),
+            ("1d-with-origin", [1, 2]),
+            ("1d-bpsk", [1]),
+            ("1d-4ask", [1, 1]),
+            ("1d-cocktail-4pam", [1, 1]),
+            ("1d-4ask-nonuniform", [1, 1]),
+            ("1d-bpsk-zero-prior", [1]),
+            ("1d-random-1", [1] * 5),
+            ("random-1", [1] * 5),
+            ("random-2", [1] * 7),
+            ("random-3", [1] * 7),
+        ],
+    )
+    def test_stabilizer_orders(self, name, orders):
+        means, priors = MIXTURES[name]
+        live = priors > 0.0
+        found = _symmetry_classes(means[live], priors[live])
+        assert [1 + len(maps) for _, _, maps in found] == orders
+        # Each stabilizer map fixes its representative about the centroid.
+        pts, pri = means[live], priors[live]
+        axis_orders, signs = mi._AXIS_MAPS[pts.shape[1]]
+        for k, _, maps in found:
+            offset = pts[k] - pri @ pts / pri.sum()
+            for g in maps:
+                np.testing.assert_allclose(signs[g] * offset[axis_orders[g]], offset, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "name,order,counts",
+        [
+            ("qpsk", 192, [3813]),
+            ("8psk", 192, [3778, 3813]),
+            ("qpsk", 96, [1855]),
+            ("8psk", 96, [1830, 1855]),
+            ("8psk-centroid", 192, [3778, 3813, 962]),
+            ("1d-with-origin", 256, [116, 58]),
+            ("1d-4ask", 256, [116, 116]),
+            ("random-1", 192, [7556] * 5),
+        ],
+    )
+    def test_folds_each_class_rule_exactly(self, name, order, counts):
+        means, priors = MIXTURES[name]
+        d = means.shape[1]
+        classes = mi._alphabet_plan(means, priors)[2]
+        pruned_nodes, pruned_weights = mi._unit_rule(order, d, ())
+        pruned = dict(zip(map(tuple, pruned_nodes.T.tolist()), pruned_weights.tolist()))
+        assert [mi._unit_rule(order, d, maps)[1].size for *_, maps in classes] == counts
+        for *_, maps in classes:
+            nodes, weights = mi._unit_rule(order, d, maps)
+            assert nodes.flags.c_contiguous and not nodes.flags.writeable and not weights.flags.writeable
+            if not maps:
+                # A trivial stabilizer takes the pruned rule itself.
+                assert nodes is pruned_nodes and weights is pruned_weights
+                continue
+            orbits = rule_orbits(nodes, maps)
+            # The orbits are disjoint and cover the pruned rule; each folded
+            # weight is a pruned weight times its orbit's size, exactly.
+            assert sum(map(len, orbits)) == len(pruned) and set().union(*orbits) == set(pruned)
+            for orbit, t, w in zip(orbits, nodes.T.tolist(), weights.tolist()):
+                assert w == len(orbit) * pruned[tuple(t)]
+                assert len({pruned[u] for u in orbit}) == 1
+            assert abs(math.fsum(weights) - math.fsum(pruned_weights)) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(MIXTURES))
+    @pytest.mark.parametrize("rho", [1e-6, 1e-3, 1.0, 7.0, 100.0, 1e4])
+    def test_matches_the_unfolded_rule(self, name, rho):
+        # Each class's term is invariant under its stabilizer, so folding
+        # moves a rate by summation order alone. 8psk-far is the exception:
+        # its coordinates, near 2.6e3 at rho = 7, are symmetric only to their
+        # rounding, 4.5e-13, so its terms differ under the stabilizer by as
+        # much as its class members do, and the fold moves the rate by as
+        # much as the grouping into classes does (1.2e-13 bits when
+        # measured; test_matches_all_components_sum bounds both at 1e-12).
+        bound = 1e-12 if name == "8psk-far" else 2e-15
+        means, priors = MIXTURES[name]
+        means = means * math.sqrt(rho)
+        order = mi._DEFAULT_ORDER[means.shape[1]]
+        pri, log_ratio, classes = mi._alphabet_plan(means, priors)
+        unfolded = (pri, log_ratio, tuple((delta, sq, weight, ()) for delta, sq, weight, _ in classes))
+        got = mi._rate_nats((pri, log_ratio, classes), 0.5, order) / math.log(2.0)
+        want = mi._rate_nats(unfolded, 0.5, order) / math.log(2.0)
+        assert abs(got - want) <= bound, f"{name} at rho={rho}: {got!r} vs {want!r}"
+        if not any(maps for *_, maps in classes):
+            assert got.hex() == want.hex()

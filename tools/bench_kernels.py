@@ -8,7 +8,9 @@ grid, the schemes in turn and rotated from pass to pass; a scheme's figure
 is the median over passes of its pass time divided by the grid size. The
 same record holds the largest deviation, in bits, of each scheme's rates
 from that reference table, which this script only reads, so a speed-up
-that moves a rate shows in the same file.
+that moves a rate shows in the same file. Its ``bits`` hold, per scheme,
+the sha256 of the grid rates' ``float.hex``, so two records show which
+schemes' rates moved by even one bit.
 
 Each run appends one record, under ``--label``, to the JSON file named by
 ``--output``. To set two source trees side by side, alternate runs:
@@ -29,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -76,6 +79,7 @@ def measure(points: int) -> dict:
         "max_dev_bits": {
             s: max(abs(rate - reference["rows"][s][i][2]) for rate, i in zip(rates[s], index)) for s in SCHEMES
         },
+        "bits": {s: hashlib.sha256(" ".join(r.hex() for r in rates[s]).encode()).hexdigest() for s in SCHEMES},
         "host": {
             "machine": platform.machine(),
             "system": platform.system(),
