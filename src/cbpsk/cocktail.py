@@ -161,10 +161,14 @@ def energy_report(params: CocktailParams) -> EnergyReport:
     second stage, ((alpha-beta)^2 + (beta/2)^2) / 2, which equals the total
     minus the input, i.e. the reused energy.
     """
-    half_beta_sq = (0.5 * params.beta) ** 2
-    e1 = 0.5 * params.alpha**2 + 0.5 * half_beta_sq
-    e2 = 0.5 * (params.alpha - params.beta) ** 2 + 0.5 * half_beta_sq
+    e1 = _input_energy(params)
+    e2 = 0.5 * (params.alpha - params.beta) ** 2 + 0.5 * (0.5 * params.beta) ** 2
     return EnergyReport(e_in=e1, e1=e1, e2=e2, e_total=e1 + e2, delta_e=e2)
+
+
+def _input_energy(params: CocktailParams) -> float:
+    # e1 = e_in of energy_report, for callers that need no other field.
+    return 0.5 * params.alpha**2 + 0.5 * (0.5 * params.beta) ** 2
 
 
 def adr_breakdown(params: CocktailParams, noise: NoiseModel) -> AdrBreakdown:
@@ -200,4 +204,4 @@ def eb_over_n0(params: CocktailParams, noise: NoiseModel) -> float:
     total = adr_breakdown(params, noise).total
     if total <= 0.0:
         raise ZeroDivisionError("total data rate underflowed to 0; Eb/N0 is undefined at this SNR")
-    return energy_report(params).e_in / noise.variance / total
+    return _input_energy(params) / noise.variance / total

@@ -35,6 +35,7 @@ DEFAULT_RATIOS = (1.5, 2.5, 3.5, 5.0)
 # The reference channel: total complex noise power 1, so each real
 # dimension carries variance 1/2.
 _TOTAL_NOISE = 1.0
+_REFERENCE_NOISE = NoiseModel(_TOTAL_NOISE)
 _CONSTELLATIONS = {
     "bpsk": Constellation.bpsk(),
     "qpsk": Constellation.qpsk(),
@@ -155,7 +156,7 @@ def modulation_rate_curves(spec: SweepSpec) -> list:
 def _cocktail_total(ratio: float, rho: float) -> float:
     # Same mean input energy as the comparison schemes: E_in = rho * noise.
     params = CocktailParams.from_ratio(ratio, rho * _TOTAL_NOISE)
-    return adr_breakdown(params, NoiseModel(_TOTAL_NOISE)).total
+    return adr_breakdown(params, _REFERENCE_NOISE).total
 
 
 def _cocktail_curves(spec: SweepSpec) -> list:

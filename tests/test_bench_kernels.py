@@ -7,6 +7,7 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_kernels.py"
 SCHEMES = {"bpsk", "4ask", "qpsk", "8psk"}
+CALLS = {"bpsk_mi", "adr_breakdown"}
 
 
 def test_three_point_runs_append_their_records(tmp_path):
@@ -19,13 +20,17 @@ def test_three_point_runs_append_their_records(tmp_path):
     assert set(doc) == {"about", "runs"}
     assert {k: len(v) for k, v in doc["runs"].items()} == {"parent": 1, "change": 1}
     record = doc["runs"]["change"][0]
-    assert set(record) == {"grid", "passes", "per_point_ms", "max_dev_bits", "bits", "host"}
+    assert set(record) == {
+        "grid", "passes", "per_point_ms", "max_dev_bits", "bits", "per_call_us", "call_bits", "host"
+    }
     assert record["grid"] == {"start": 1e-3, "stop": 1e2, "points": 3} and record["passes"] == 15
     assert set(record["per_point_ms"]) == set(record["max_dev_bits"]) == set(record["bits"]) == SCHEMES
+    assert set(record["per_call_us"]) == set(record["call_bits"]) == CALLS
     # One source tree gives the same rates, to the bit, in every run.
     assert record["bits"] == doc["runs"]["parent"][0]["bits"]
-    assert all(len(digest) == 64 for digest in record["bits"].values())
-    assert all(t > 0.0 for t in record["per_point_ms"].values())
+    assert record["call_bits"] == doc["runs"]["parent"][0]["call_bits"]
+    assert all(len(digest) == 64 for digest in [*record["bits"].values(), *record["call_bits"].values()])
+    assert all(t > 0.0 for t in [*record["per_point_ms"].values(), *record["per_call_us"].values()])
     # The reference rows are this kernel's rates to rounding; a moved rate shows here.
     assert all(0.0 <= d <= 1e-12 for d in record["max_dev_bits"].values())
     assert set(record["host"]) == {"machine", "system", "cpus", "python", "numpy", "blas_threads"}

@@ -10,7 +10,9 @@ cross-checked against adaptive-Simpson integration.
 import copy
 import math
 import pickle
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import reduce
 
@@ -246,6 +248,30 @@ class TestBpskMi:
             warnings.simplefilter("error")
             v = bpsk_mi(amplitude, NoiseModel(var))
         assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize(
+        "call,order",
+        [
+            (lambda order: bpsk_mi(0.7, NoiseModel(0.5), order), 256),
+            (lambda order: constellation_mi(Constellation.qpsk(), NoiseModel(0.5), order), 100),
+            (lambda order: constellation_mi(Constellation.ask4(), NoiseModel(0.5), order), 64),
+        ],
+    )
+    def test_order_check_does_not_depend_on_the_cache(self, call, order):
+        # The rule caches take 256.0 for the key 256, so the integer call
+        # goes first: a float order must still be refused once its rule is
+        # cached, and a numpy integer still taken, to the same bits.
+        want = call(order)
+        for bad in (float(order), np.float64(order)):
+            with pytest.raises(ValueError, match="order"):
+                call(bad)
+        assert call(np.int64(order)).hex() == want.hex()
+
+    def test_order_is_checked_at_amplitude_zero(self):
+        # Amplitude 0 needs no rule, but its order follows the same rule.
+        assert bpsk_mi(0.0, NoiseModel(0.5), 256) == 0.0
+        with pytest.raises(ValueError, match="order"):
+            bpsk_mi(0.0, NoiseModel(0.5), 256.0)
 
     def test_bypasses_the_mixture_kernel(self, monkeypatch):
         # bpsk_mi takes the closed antipodal form, so neither it nor the
@@ -683,12 +709,13 @@ class TestKernelPlan:
     @pytest.mark.parametrize("name", sorted(PLAN_ALPHABETS))
     def test_plan_holds_live_components_read_only(self, name):
         c = PLAN_ALPHABETS[name]()
-        pri, log_ratio, classes = c._plan
+        pri, log_ratio, classes, groups = c._plan
         live = [p for p in c.priors if p > 0.0]
         assert pri.tolist() == live
         assert (log_ratio is None) == (len(set(live)) == 1)
         assert sum(weight for _, _, weight, _ in classes) == pytest.approx(1.0, abs=1e-12)
         arrays = [pri, *(a for delta, sq, _, _ in classes for a in (delta, sq))]
+        arrays += [a for _, _, delta, sq in groups for a in (delta, sq)]
         if log_ratio is not None:
             arrays.append(log_ratio)
         assert not any(a.flags.writeable for a in arrays)
@@ -729,13 +756,13 @@ class TestPrunedRule:
         calls = []
 
         def unfolded_unpruned_rule(order, d, maps):
-            # The full rule for every class, whatever its stabilizer.
+            # The full rule for every pass, whatever its stabilizer.
             calls.append(maps)
             return unpruned_rule(order, d)
 
         monkeypatch.setattr(mi, "_unit_rule", unfolded_unpruned_rule)
         want = kernel_rate(means, priors, 0.5, order)
-        assert len(calls) == len(mi._alphabet_plan(means, priors)[2])
+        assert len(calls) == len(mi._alphabet_plan(means, priors)[3])
         assert abs(got - want) <= 1e-14, f"{name} at rho={rho}: {got!r} vs {want!r}"
 
 
@@ -837,10 +864,146 @@ class TestFoldedRule:
         means, priors = MIXTURES[name]
         means = means * math.sqrt(rho)
         order = mi._DEFAULT_ORDER[means.shape[1]]
-        pri, log_ratio, classes = mi._alphabet_plan(means, priors)
-        unfolded = (pri, log_ratio, tuple((delta, sq, weight, ()) for delta, sq, weight, _ in classes))
-        got = mi._rate_nats((pri, log_ratio, classes), 0.5, order) / math.log(2.0)
+        pri, log_ratio, classes, groups = mi._alphabet_plan(means, priors)
+        unfolded_classes = tuple((delta, sq, weight, ()) for delta, sq, weight, _ in classes)
+        unfolded = (pri, log_ratio, unfolded_classes, mi._class_groups(unfolded_classes))
+        got = mi._rate_nats((pri, log_ratio, classes, groups), 0.5, order) / math.log(2.0)
         want = mi._rate_nats(unfolded, 0.5, order) / math.log(2.0)
         assert abs(got - want) <= bound, f"{name} at rho={rho}: {got!r} vs {want!r}"
         if not any(maps for *_, maps in classes):
             assert got.hex() == want.hex()
+
+
+def plain_bpsk_mi(amplitude, variance, order=256):
+    """bpsk_mi as the plain numpy expression of its docstring, one temporary
+    per operation: the reference for the bits of the library's in-place
+    chain."""
+    if amplitude == 0.0:
+        return 0.0
+    nodes, w = mi._unit_rule(order, 1, ())
+    q = amplitude / math.sqrt(variance)
+    if q > mi._Q_SATURATED:
+        return 1.0
+    s = q * q
+    if s <= mi._SERIES_MAX_S:
+        return s * (0.5 - s * (0.25 - s / 6.0)) / math.log(2.0)
+    u = -2.0 * q * (q + math.sqrt(2.0) * nodes[0])
+    f = np.maximum(u, 0.0) + np.log1p(np.expm1(-np.abs(u)) / 2.0)
+    return min(1.0, max(0.0, -float(np.dot(w, f)) / math.log(2.0)))
+
+
+def unstacked_rate_nats(plan, var_per_dim, order):
+    """_rate_nats one class at a time, each exponent by its own matrix
+    product: the reference for the bits of the library's stacked passes."""
+    pri, log_ratio, classes, _ = plan
+    d = classes[0][0].shape[1]
+    scale = -math.sqrt(2.0 / var_per_dim)
+    rate = 0.0
+    for delta, sq, weight, maps in classes:
+        nodes, weights = mi._unit_rule(order, d, maps)
+        u = np.matmul(delta * scale, nodes)
+        u -= (sq / (2.0 * var_per_dim))[:, None]
+        c = np.max(u if log_ratio is None else u + log_ratio[:, None], axis=0)
+        u -= c
+        np.expm1(u, out=u)
+        lse = np.log1p(pri @ u) + c
+        rate -= weight * float(np.dot(weights, lse))
+    return rate
+
+
+class TestLeanKernelBits:
+    """The lean kernels keep every operation, its operands and its order, so
+    they match the plain references above to the bit."""
+
+    @staticmethod
+    def assert_same_bits(pairs):
+        moved = [(where, got.hex(), want.hex()) for where, got, want in pairs if got.hex() != want.hex()]
+        assert not moved, f"{len(moved)} values moved, first {moved[:3]}"
+
+    @pytest.mark.parametrize("var", [0.5, 1.0, 3.7])
+    def test_bpsk_mi_on_seeded_amplitudes(self, var):
+        # s = A^2 / v from 1e-9 to 4e3: the series, the quadrature and its
+        # rounding to 1 bit.
+        noise = NoiseModel(var)
+        amplitudes = (10.0 ** np.random.default_rng(22).uniform(-4.5, 1.8, 2000)).tolist()
+        self.assert_same_bits((a, bpsk_mi(a, noise), plain_bpsk_mi(a, var)) for a in amplitudes)
+
+    def test_bpsk_mi_series_and_saturation(self):
+        rng = np.random.default_rng(23)
+        series = (10.0 ** rng.uniform(-160.0, -4.0, 300)).tolist()
+        assert all(a * a <= mi._SERIES_MAX_S for a in series)
+        saturated = (10.0 ** rng.uniform(154.0, 300.0, 100)).tolist()
+        assert all(a > mi._Q_SATURATED for a in saturated)
+        noise = NoiseModel(1.0)
+        self.assert_same_bits((a, bpsk_mi(a, noise), plain_bpsk_mi(a, 1.0)) for a in series + saturated)
+
+    @pytest.mark.parametrize("order", [8, 64, 255])
+    def test_bpsk_mi_at_other_orders(self, order):
+        noise = NoiseModel(0.5)
+        amplitudes = (10.0 ** np.random.default_rng(order).uniform(-4.0, 1.5, 300)).tolist()
+        self.assert_same_bits(
+            (a, bpsk_mi(a, noise, order), plain_bpsk_mi(a, 0.5, order)) for a in amplitudes
+        )
+
+    @pytest.mark.parametrize("name", sorted(MIXTURES))
+    def test_rate_nats_on_every_mixture(self, name):
+        # 16qam is the 2-D alphabet whose classes share a stabilizer.
+        means, priors = MIXTURES[name]
+        order = mi._DEFAULT_ORDER[means.shape[1]]
+        pairs = []
+        for rho in (1e-6, 1e-3, 1.0, 7.0, 100.0, 1e4):
+            plan = mi._alphabet_plan(means * math.sqrt(rho), priors)
+            pairs.append((rho, mi._rate_nats(plan, 0.5, order), unstacked_rate_nats(plan, 0.5, order)))
+        self.assert_same_bits(pairs)
+
+    # The centroid's class lies between two classes of one pass, so the
+    # terms are summed in another order than the passes run.
+    INTERLEAVED = (_column((-2.0, 0.0, 2.0, -1.0, 1.0)), np.array([0.15, 0.3, 0.15, 0.2, 0.2]))
+
+    @pytest.mark.parametrize(
+        "name", ["1d-4ask", "1d-cocktail-4pam", "1d-4ask-nonuniform", "1d-with-origin", "interleaved"]
+    )
+    @pytest.mark.parametrize("order", [8, 64, 255, 256])
+    def test_rate_nats_at_other_orders(self, name, order):
+        means, priors = self.INTERLEAVED if name == "interleaved" else MIXTURES[name]
+        pairs = []
+        for rho in np.geomspace(1e-6, 1e4, 25).tolist():
+            plan = mi._alphabet_plan(means * math.sqrt(rho), priors)
+            pairs.append((rho, mi._rate_nats(plan, 0.5, order), unstacked_rate_nats(plan, 0.5, order)))
+        self.assert_same_bits(pairs)
+
+    def test_stacks_only_1d_classes_that_share_a_rule(self):
+        def passes(name):
+            means, priors = MIXTURES[name]
+            return [(len(members), maps) for maps, members, _, _ in mi._alphabet_plan(means, priors)[3]]
+
+        assert passes("1d-4ask") == passes("1d-cocktail-4pam") == [(2, ())]
+        assert passes("1d-random-1") == [(5, ())]
+        plan = mi._alphabet_plan(*self.INTERLEAVED)
+        assert [members for _, members, _, _ in plan[3]] == [(0, 2), (1,)]
+        # The point on the centroid has the mirror (map 1) for stabilizer.
+        assert passes("1d-with-origin") == [(1, ()), (1, (1,))]
+        # 16qam's corner and inner classes share the swap of the axes, but a
+        # 2-D class is its own pass.
+        qam = passes("16qam")
+        assert [n for n, _ in qam] == [1, 1, 1] and qam[0][1] == qam[2][1] != qam[1][1]
+
+    def test_threads_give_serial_bits(self):
+        # Each call keeps its own buffers, so calls from several threads at
+        # once return what one thread does. A short switch interval makes
+        # the threads take turns inside the calls.
+        rhos = np.geomspace(1e-4, 1e3, 200).tolist()
+        noise = NoiseModel(0.5)
+
+        def work(_=None):
+            return [(scheme_rate("4ask", r).hex(), bpsk_mi(math.sqrt(r), noise).hex()) for r in rhos]
+
+        want = work()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(work, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(g != want for g in got) == 0

@@ -12,6 +12,15 @@ that moves a rate shows in the same file. Its ``bits`` hold, per scheme,
 the sha256 of the grid rates' ``float.hex``, so two records show which
 schemes' rates moved by even one bit.
 
+The record also times the two scalar calls every cocktail rate is built
+from, on the same grid and in the same passes: ``bpsk_mi`` at amplitude
+sqrt(rho) over unit noise variance, and ``adr_breakdown`` at ratio 3.5 and
+input energy rho over unit total noise, with arguments built before the
+clock starts. ``per_call_us`` holds the median over passes of each one's
+pass time divided by the grid size, in microseconds, and ``call_bits`` the
+sha256 of its results' ``float.hex`` (r1, r2 and total for
+``adr_breakdown``).
+
 Each run appends one record, under ``--label``, to the JSON file named by
 ``--output``. To set two source trees side by side, alternate runs:
 
@@ -37,11 +46,13 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from dataclasses import astuple  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference" / "modcurves.json"
 SCHEMES = ("bpsk", "4ask", "qpsk", "8psk")
+CALLS = ("bpsk_mi", "adr_breakdown")
 PASSES = 15
 
 
@@ -52,34 +63,47 @@ def _grid(reference: dict, points: int) -> list:
 
 
 def measure(points: int) -> dict:
-    """One record: per-point times in ms and deviations in bits, per scheme."""
+    """One record: per-point times in ms, deviations in bits and digests per
+    scheme, and per-call times in us and digests per scalar call."""
     import numpy as np
 
+    from cbpsk.cocktail import CocktailParams, adr_breakdown
+    from cbpsk.mi import NoiseModel, bpsk_mi
     from cbpsk.sweep import scheme_rate
 
     with open(REFERENCE) as fh:
         reference = json.load(fh)
     index = _grid(reference, points)
     grid = [reference["grid"][i] for i in index]
+    noise = NoiseModel(1.0)
+    amplitudes = [rho**0.5 for rho in grid]
+    params = [CocktailParams.from_ratio(3.5, rho) for rho in grid]
+    runs = {s: lambda s=s: [scheme_rate(s, rho) for rho in grid] for s in SCHEMES}
+    runs["bpsk_mi"] = lambda: [bpsk_mi(a, noise) for a in amplitudes]
+    runs["adr_breakdown"] = lambda: [x for p in params for x in astuple(adr_breakdown(p, noise))]
+    names = SCHEMES + CALLS
 
-    def run(scheme: str) -> list:
-        return [scheme_rate(scheme, rho) for rho in grid]
-
-    rates = {s: run(s) for s in SCHEMES}  # the warm-up pass
-    times = {s: [] for s in SCHEMES}
+    rates = {name: run() for name, run in runs.items()}  # the warm-up pass
+    times = {name: [] for name in names}
     for p in range(PASSES):
-        for scheme in SCHEMES[p % len(SCHEMES):] + SCHEMES[: p % len(SCHEMES)]:
+        for name in names[p % len(names):] + names[: p % len(names)]:
             start = time.perf_counter()
-            run(scheme)
-            times[scheme].append((time.perf_counter() - start) / len(grid))
+            runs[name]()
+            times[name].append((time.perf_counter() - start) / len(grid))
+
+    def digest(name: str) -> str:
+        return hashlib.sha256(" ".join(r.hex() for r in rates[name]).encode()).hexdigest()
+
     return {
         "grid": {"start": grid[0], "stop": grid[-1], "points": len(grid)},
         "passes": PASSES,
-        "per_point_ms": {s: statistics.median(t) * 1e3 for s, t in times.items()},
+        "per_point_ms": {s: statistics.median(times[s]) * 1e3 for s in SCHEMES},
         "max_dev_bits": {
             s: max(abs(rate - reference["rows"][s][i][2]) for rate, i in zip(rates[s], index)) for s in SCHEMES
         },
-        "bits": {s: hashlib.sha256(" ".join(r.hex() for r in rates[s]).encode()).hexdigest() for s in SCHEMES},
+        "bits": {s: digest(s) for s in SCHEMES},
+        "per_call_us": {c: statistics.median(times[c]) * 1e6 for c in CALLS},
+        "call_bits": {c: digest(c) for c in CALLS},
         "host": {
             "machine": platform.machine(),
             "system": platform.system(),
@@ -108,7 +132,8 @@ def main(argv=None) -> int:
     doc["runs"].setdefault(args.label, []).append(record)
     out.write_text(json.dumps(doc, indent=1) + "\n")
     cells = "  ".join(f"{s} {record['per_point_ms'][s]:.4f} ms" for s in SCHEMES)
-    print(f"{args.label}: {cells}  max dev {max(record['max_dev_bits'].values()):.2e} bits")
+    calls = "  ".join(f"{c} {record['per_call_us'][c]:.2f} us" for c in CALLS)
+    print(f"{args.label}: {cells}  {calls}  max dev {max(record['max_dev_bits'].values()):.2e} bits")
     return 0
 
 
