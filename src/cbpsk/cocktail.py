@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .mi import LOG2E, NoiseModel, _is_integer, _real, bpsk_mi
 
@@ -55,12 +56,11 @@ class CocktailParams:
     beta: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not self.alpha > self.beta > 0.0:
-            raise ValueError(
-                f"amplitudes must satisfy alpha > beta > 0, got alpha={self.alpha}, beta={self.beta}"
-            )
+        alpha = _real("alpha", self.alpha)
+        beta = _real("beta", self.beta)
+        _check_amplitudes(alpha, beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def ratio(self) -> float:
@@ -73,13 +73,28 @@ class CocktailParams:
         beta = sqrt(2*E_in / (ratio^2 + 1/4)).
 
         ``eta`` is the case-I probability; only the scheme's 1/2 is accepted.
+        Each value is checked once: the two arguments by the package's rule,
+        then the derived amplitudes, which are plain floats already, for
+        what the constructor would still refuse.
         """
-        if eta != 0.5:
+        if _real("eta", eta) != 0.5:
             raise ValueError(f"the case split is fixed at eta = 0.5, got eta={eta!r}")
         ratio = _real("ratio", ratio, above=1.0)
         input_energy = _real("input_energy", input_energy, above=0.0)
         beta = math.sqrt(input_energy / (0.5 * ratio * ratio + 0.125))
-        return cls(ratio * beta, beta)
+        alpha = ratio * beta
+        if alpha == math.inf:  # 2 E_in / (ratio^2 + 1/4) overflowed
+            raise ValueError(f"alpha must be a finite number, got {alpha!r}")
+        _check_amplitudes(alpha, beta)
+        params = object.__new__(cls)
+        object.__setattr__(params, "alpha", alpha)
+        object.__setattr__(params, "beta", beta)
+        return params
+
+
+def _check_amplitudes(alpha: float, beta: float) -> None:
+    if not alpha > beta > 0.0:
+        raise ValueError(f"amplitudes must satisfy alpha > beta > 0, got alpha={alpha}, beta={beta}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +186,14 @@ def _input_energy(params: CocktailParams) -> float:
     return 0.5 * params.alpha**2 + 0.5 * (0.5 * params.beta) ** 2
 
 
+@lru_cache(maxsize=16)
+def _stage_noise(variance: float) -> NoiseModel:
+    # Each detection stage's share of the total noise power, kept for the
+    # few total variances in use, since building a NoiseModel checks its
+    # value anew. A half that underflows to 0 raises, and is not cached.
+    return NoiseModel(variance / 2.0)
+
+
 def adr_breakdown(params: CocktailParams, noise: NoiseModel) -> AdrBreakdown:
     """Achievable data rates of both streams, in bits.
 
@@ -179,7 +202,7 @@ def adr_breakdown(params: CocktailParams, noise: NoiseModel) -> AdrBreakdown:
     amplitudes alpha - beta and beta/2. The kernels are evaluated at
     variance/2, the per-dimension share of the total noise power.
     """
-    stage_noise = NoiseModel(noise.variance / 2.0)
+    stage_noise = _stage_noise(noise.variance)
     r_half_beta = bpsk_mi(0.5 * params.beta, stage_noise)
     r1 = 0.5 * bpsk_mi(params.alpha, stage_noise) + 0.5 * r_half_beta
     r2 = 0.5 * bpsk_mi(params.alpha - params.beta, stage_noise) + 0.5 * r_half_beta

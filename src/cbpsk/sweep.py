@@ -54,31 +54,53 @@ class SweepSpec:
     axis_mode: str = "linear_snr"
 
     def __post_init__(self) -> None:
-        grid = tuple(_real("snr_grid", r, above=0.0) for r in self.snr_grid)
+        grid = tuple(_real("snr_grid", r, above=0.0) for r in _entries("snr_grid", self.snr_grid))
         if not grid:
             raise ValueError("snr_grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid must be strictly ascending")
-        ratios = tuple(_real("ratios", r, above=1.0) for r in self.ratios)
-        unknown = [s for s in self.schemes if s not in CONVENTIONAL_SCHEMES]
+        ratios = tuple(_real("ratios", r, above=1.0) for r in _entries("ratios", self.ratios))
+        schemes = _entries("schemes", self.schemes)
+        unknown = [s for s in schemes if s not in CONVENTIONAL_SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; valid schemes: {CONVENTIONAL_SCHEMES}")
         if self.axis_mode not in AXIS_MODES:
             raise ValueError(f"axis_mode must be one of {AXIS_MODES}, got {self.axis_mode!r}")
         object.__setattr__(self, "snr_grid", grid)
         object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "schemes", tuple(self.schemes))
+        object.__setattr__(self, "schemes", schemes)
+
+
+def _entries(name: str, values) -> tuple:
+    """The entries of ``values`` as a tuple; ValueError naming ``name`` if it
+    cannot be iterated."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {values!r}") from None
 
 
 @dataclass(frozen=True)
 class RateCurve:
-    """A labeled list of (axis value, rate) rows, strictly ascending in axis."""
+    """A labeled list of (axis value, rate) rows, strictly ascending in axis.
+
+    ``rows`` holds (x, y) pairs of numbers by the package's rule, stored as a
+    tuple of pairs of plain floats.
+    """
 
     label: str
     rows: tuple
 
     def __post_init__(self) -> None:
-        rows = tuple((_real("rows", x), _real("rows", y)) for x, y in self.rows)
+        rows = self.rows
+        # Rows built by this package are already such a tuple: one pass
+        # accepts them as they are (x - x is nan for inf and nan).
+        if not (type(rows) is tuple and all(
+            type(r) is tuple and len(r) == 2 and type(r[0]) is float and type(r[1]) is float
+            and r[0] - r[0] == 0.0 and r[1] - r[1] == 0.0
+            for r in rows
+        )):
+            rows = tuple((_real("rows", x), _real("rows", y)) for x, y in _pairs(rows))
         if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
             raise ValueError(f"curve {self.label!r}: axis values must be strictly ascending")
         object.__setattr__(self, "rows", rows)
@@ -90,6 +112,18 @@ class RateCurve:
     @property
     def ys(self) -> tuple:
         return tuple(r[1] for r in self.rows)
+
+
+def _pairs(rows) -> list:
+    """``rows`` as a list of 2-tuples; ValueError naming rows if it is not
+    an iterable of pairs."""
+    try:
+        pairs = [tuple(r) for r in rows]
+    except TypeError:
+        pairs = None
+    if pairs is None or any(len(p) != 2 for p in pairs):
+        raise ValueError(f"rows must be a sequence of (x, y) pairs, got {rows!r}")
+    return pairs
 
 
 def log_grid(start: float, stop: float, count: int) -> tuple:

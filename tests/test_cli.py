@@ -4,6 +4,7 @@ Most cases drive main() in-process; byte-identical output contracts also run
 through a real subprocess in the acceptance suite.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -94,6 +95,13 @@ GOLDEN_COCKTAIL = {
             "gain r=3.5,10,-2.04320174488\n"
         ),
     },
+}
+
+FIGURE_DIGESTS = {
+    "cocktail_rates.csv": "3b0645d4d09f99a31fed8dd03e38ed51afa1366ea012530d41b81f6645e70869",
+    "cocktail_gain.csv": "ad28fe1f27abc630d1e7f86228d8843bf97f693334956681c0e6dadb8a74c1d7",
+    "cocktail_rates.svg": "6d65b78e1efee9d97b8a26336746a001d492fc124205d4f486f171a18eab1488",
+    "cocktail_gain.svg": "53b7ad9ce8c34cbc9544bf18e1311356d7503c3dc5c67f787418e127802025c1",
 }
 
 
@@ -334,6 +342,16 @@ class TestCocktail:
         assert code == EXIT_OK
         for name, text in GOLDEN_COCKTAIL[axis].items():
             assert (tmp_path / name).read_bytes() == text.encode()
+
+    def test_figure_bytes_keep_their_digests(self, tmp_path, capsys, monkeypatch):
+        # The paper's figures: 4 ratios on 60 log points, both CSVs and
+        # SVGs, pinned by the sha256 of their bytes.
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        ratios = [f for r in ("1.5", "2.5", "3.5", "5") for f in ("--ratio", r)]
+        code, _, err = run_cli(capsys, "cocktail", *ratios, "--grid", "0.001:100:log:60", "--axis", "ebn0", "--plot")
+        assert code == EXIT_OK, err
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FIGURE_DIGESTS}
+        assert digests == FIGURE_DIGESTS
 
     def test_curve_labels_in_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))

@@ -1,6 +1,8 @@
 """Tests for the cocktail-BPSK scheme: mapping, detection, energies, rates."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -72,6 +74,43 @@ class TestParams:
             CocktailParams.from_ratio(1.0, 1.0)
         with pytest.raises(ValueError):
             CocktailParams.from_ratio(2.0, 0.0)
+
+    # Each rejection keeps the message it had when the constructor checked
+    # the derived amplitudes a second time.
+    @pytest.mark.parametrize("ratio,energy,message", [
+        (1.0, 1.0, "ratio must be a finite number > 1, got 1.0"),
+        (0.5, 1.0, "ratio must be a finite number > 1, got 0.5"),
+        (math.nan, 1.0, "ratio must be a finite number > 1, got nan"),
+        (True, 1.0, "ratio must be a finite number > 1, got True"),
+        (3.5, True, "input_energy must be a finite number > 0, got True"),
+        (3.5, 0.0, "input_energy must be a finite number > 0, got 0.0"),
+        (3.5, -1.0, "input_energy must be a finite number > 0, got -1.0"),
+        # ratio^2 overflows, so beta and alpha round to 0.
+        (1e200, 1e300, "amplitudes must satisfy alpha > beta > 0, got alpha=0.0, beta=0.0"),
+        (1e160, 5e-324, "amplitudes must satisfy alpha > beta > 0, got alpha=0.0, beta=0.0"),
+        # 2 * E_in / (ratio^2 + 1/4) overflows.
+        (1.0000001, 1.7e308, "alpha must be a finite number, got inf"),
+    ])
+    def test_from_ratio_rejection_messages(self, ratio, energy, message):
+        with pytest.raises(ValueError) as exc:
+            CocktailParams.from_ratio(ratio, energy)
+        assert str(exc.value) == message
+
+    def test_from_ratio_takes_eta_as_a_number(self):
+        # A complex 0.5 compares equal to 0.5, but is no number by the rule.
+        for bad in (0.5 + 0j, "0.5", None, True, 0.3):
+            with pytest.raises(ValueError, match="eta"):
+                CocktailParams.from_ratio(3.0, 1.0, eta=bad)
+        want = CocktailParams.from_ratio(3.0, 1.0)
+        assert CocktailParams.from_ratio(3.0, 1.0, eta=np.float64(0.5)) == want
+
+    def test_from_ratio_matches_the_constructor(self):
+        rng = np.random.default_rng(11)
+        for ratio, energy in zip(rng.uniform(1.001, 9.0, 200).tolist(), (10.0 ** rng.uniform(-9, 9, 200)).tolist()):
+            p = CocktailParams.from_ratio(ratio, energy)
+            assert type(p.alpha) is float and type(p.beta) is float
+            beta = math.sqrt(energy / (0.5 * ratio * ratio + 0.125))
+            assert p == CocktailParams(ratio * beta, beta)
 
     def test_symbol_pair_validation(self):
         with pytest.raises(ValueError):
@@ -200,6 +239,43 @@ class TestAdr:
         high = CocktailParams.from_ratio(3.5, 10.0)
         assert adr_breakdown(low, noise).total - awgn_capacity(0.01) > 0
         assert adr_breakdown(high, noise).total - awgn_capacity(10.0) < 0
+
+
+class TestStageNoise:
+    def test_half_that_underflows_raises_every_time(self):
+        # A failed stage noise is not kept: the second call raises the same.
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                adr_breakdown(CocktailParams(3.5, 1.0), NoiseModel(5e-324))
+            assert str(exc.value) == "noise variance must be a finite number > 0, got 0.0"
+
+    def test_reused_stage_noise_matches_a_fresh_one(self):
+        # More total variances than the stage cache keeps, twice over, so
+        # entries are dropped and built again.
+        p = CocktailParams(3.5, 1.0)
+        for var in np.geomspace(1e-3, 1e3, 40).tolist() * 2:
+            half = NoiseModel(var / 2.0)
+            want = 0.5 * bpsk_mi(p.alpha, half) + 0.5 * bpsk_mi(0.5 * p.beta, half)
+            assert adr_breakdown(p, NoiseModel(var)).r1 == want
+
+    def test_threads_give_serial_bits(self):
+        # Threads share the stage cache while it drops and builds entries; a
+        # short switch interval makes them take turns inside the calls.
+        p = CocktailParams.from_ratio(3.5, 0.7)
+        variances = np.geomspace(1e-3, 1e3, 60).tolist()
+
+        def work(_=None):
+            return [adr_breakdown(p, NoiseModel(v)).total.hex() for v in variances]
+
+        want = work()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(work, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(g != want for g in got) == 0
 
 
 class TestEbOverN0:

@@ -8,6 +8,7 @@ cross-checked against adaptive-Simpson integration.
 """
 
 import copy
+import hashlib
 import math
 import pickle
 import sys
@@ -944,6 +945,15 @@ class TestLeanKernelBits:
         self.assert_same_bits(
             (a, bpsk_mi(a, noise, order), plain_bpsk_mi(a, 0.5, order)) for a in amplitudes
         )
+
+    def test_bpsk_mi_keeps_its_pinned_bits(self):
+        # The sha256 of the float.hex of 60 rates, captured before -|u| was
+        # formed by copysign. At q <= 8 the nodes sqrt(2) t, which reach
+        # +-16.3, put u on both sides of 0 at every amplitude.
+        noise = NoiseModel(1.0)
+        rates = [bpsk_mi(a, noise).hex() for a in np.geomspace(1e-3, 8.0, 60).tolist()]
+        digest = hashlib.sha256(" ".join(rates).encode()).hexdigest()
+        assert digest == "102890624fad145249e1952a382166a347ae4b1163f3d35b4c0e82e36c7947f9"
 
     @pytest.mark.parametrize("name", sorted(MIXTURES))
     def test_rate_nats_on_every_mixture(self, name):

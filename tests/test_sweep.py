@@ -51,6 +51,57 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             RateCurve("x", ((1.0, 0.0), (1.0, 0.1)))
 
+    @pytest.mark.parametrize("call,name", [
+        pytest.param(lambda: SweepSpec(snr_grid=None), "snr_grid", id="grid-None"),
+        pytest.param(lambda: SweepSpec(snr_grid=1.0), "snr_grid", id="grid-float"),
+        pytest.param(lambda: SweepSpec(snr_grid=(1.0,), ratios=3.0), "ratios", id="ratios-float"),
+        pytest.param(lambda: SweepSpec(snr_grid=(1.0,), ratios=None), "ratios", id="ratios-None"),
+        pytest.param(lambda: SweepSpec(snr_grid=(1.0,), schemes=None), "schemes", id="schemes-None"),
+        pytest.param(lambda: RateCurve("a", None), "rows", id="rows-None"),
+        pytest.param(lambda: RateCurve("a", (1.0,)), "rows", id="rows-of-floats"),
+        pytest.param(lambda: RateCurve("a", ((1.0, 2.0, 3.0),)), "rows", id="row-of-three"),
+        pytest.param(lambda: RateCurve("a", ((1.0,),)), "rows", id="row-of-one"),
+        pytest.param(lambda: RateCurve("a", [[1.0, 0.5], [2.0]]), "rows", id="ragged-rows"),
+    ])
+    def test_containers_that_are_not_sequences(self, call, name):
+        # The package's rule: anything else raises ValueError naming the
+        # argument, not the TypeError of a loop over it.
+        with pytest.raises(ValueError, match=name):
+            call()
+
+
+class TestRateCurveRows:
+    # Messages as they were when every row went through the number rule.
+    @pytest.mark.parametrize("rows,message", [
+        (((True, 0.5),), "rows must be a finite number, got True"),
+        (((1.0, False),), "rows must be a finite number, got False"),
+        ((("1", 0.5),), "rows must be a finite number, got '1'"),
+        (((math.nan, 0.5),), "rows must be a finite number, got nan"),
+        (((1.0, math.inf),), "rows must be a finite number, got inf"),
+        (((1.0, -math.inf),), "rows must be a finite number, got -inf"),
+        (((2.0, 0.5), (1.0, 0.5)), "curve 'a': axis values must be strictly ascending"),
+        (((1.0, 0.5), (1.0, 0.6)), "curve 'a': axis values must be strictly ascending"),
+    ])
+    def test_rejection_messages(self, rows, message):
+        with pytest.raises(ValueError) as exc:
+            RateCurve("a", rows)
+        assert str(exc.value) == message
+
+    def test_other_numbers_are_stored_as_plain_floats(self):
+        for rows in (
+            ((np.float64(1.0), 0.5), (2.0, np.float32(0.25))),
+            [[1, 0.5], [2, 0.25]],
+            np.array([[1.0, 0.5], [2.0, 0.25]]),
+            ((x, y) for x, y in ((1.0, 0.5), (2.0, 0.25))),
+        ):
+            curve = RateCurve("a", rows)
+            assert curve.rows == ((1.0, 0.5), (2.0, 0.25))
+            assert all(type(v) is float and type(r) is tuple for r in curve.rows for v in r)
+
+    def test_plain_rows_are_kept_as_they_are(self):
+        rows = ((1e-300, -0.0), (1.0, 1e300), (1.5, -2.0))
+        assert RateCurve("a", rows).rows is rows
+
 
 class TestLogGrid:
     def test_endpoints_and_count(self):

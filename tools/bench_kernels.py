@@ -12,14 +12,23 @@ that moves a rate shows in the same file. Its ``bits`` hold, per scheme,
 the sha256 of the grid rates' ``float.hex``, so two records show which
 schemes' rates moved by even one bit.
 
-The record also times the two scalar calls every cocktail rate is built
-from, on the same grid and in the same passes: ``bpsk_mi`` at amplitude
-sqrt(rho) over unit noise variance, and ``adr_breakdown`` at ratio 3.5 and
-input energy rho over unit total noise, with arguments built before the
-clock starts. ``per_call_us`` holds the median over passes of each one's
-pass time divided by the grid size, in microseconds, and ``call_bits`` the
-sha256 of its results' ``float.hex`` (r1, r2 and total for
-``adr_breakdown``).
+The record also times the scalar calls every cocktail rate is built from,
+on the same grid and in the same passes: ``bpsk_mi`` at amplitude sqrt(rho)
+over unit noise variance, ``adr_breakdown`` at ratio 3.5 and input energy
+rho over unit total noise, with arguments built before the clock starts,
+and ``cocktail_point``, one whole point of a cocktail curve as
+``cbpsk.sweep`` computes it: ``CocktailParams.from_ratio(3.5, rho)`` and
+then ``adr_breakdown`` on unit total noise. ``per_call_us`` holds the
+median over passes of each one's pass time divided by the grid size, in
+microseconds, and ``call_bits`` the sha256 of its results' ``float.hex``
+(r1, r2 and total for ``adr_breakdown``, the total for ``cocktail_point``).
+
+Raw seconds follow the speed of a shared host, which can change by a factor
+of two within minutes. So each record also holds ``hostspeed_s``: the time
+of the calibration kernel of ``perfbench/hostspeed.py``, which uses no
+``cbpsk`` code, just before and just after the timed passes. Records taken
+at different host speeds compare after each time is multiplied by
+``hostspeed.REFERENCE_S`` over the mean of the two.
 
 Each run appends one record, under ``--label``, to the JSON file named by
 ``--output``. To set two source trees side by side, alternate runs:
@@ -51,8 +60,9 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference" / "modcurves.json"
+sys.path.insert(0, str(ROOT / "perfbench"))  # for hostspeed, which it only imports
 SCHEMES = ("bpsk", "4ask", "qpsk", "8psk")
-CALLS = ("bpsk_mi", "adr_breakdown")
+CALLS = ("bpsk_mi", "adr_breakdown", "cocktail_point")
 PASSES = 15
 
 
@@ -64,8 +74,10 @@ def _grid(reference: dict, points: int) -> list:
 
 def measure(points: int) -> dict:
     """One record: per-point times in ms, deviations in bits and digests per
-    scheme, and per-call times in us and digests per scalar call."""
+    scheme, per-call times in us and digests per scalar call, and the host's
+    calibration time before and after the passes."""
     import numpy as np
+    from hostspeed import HostSpeed
 
     from cbpsk.cocktail import CocktailParams, adr_breakdown
     from cbpsk.mi import NoiseModel, bpsk_mi
@@ -81,15 +93,19 @@ def measure(points: int) -> dict:
     runs = {s: lambda s=s: [scheme_rate(s, rho) for rho in grid] for s in SCHEMES}
     runs["bpsk_mi"] = lambda: [bpsk_mi(a, noise) for a in amplitudes]
     runs["adr_breakdown"] = lambda: [x for p in params for x in astuple(adr_breakdown(p, noise))]
+    runs["cocktail_point"] = lambda: [adr_breakdown(CocktailParams.from_ratio(3.5, rho), noise).total for rho in grid]
     names = SCHEMES + CALLS
 
     rates = {name: run() for name, run in runs.items()}  # the warm-up pass
+    speed = HostSpeed()
+    speed_before = speed.kernel_seconds()
     times = {name: [] for name in names}
     for p in range(PASSES):
         for name in names[p % len(names):] + names[: p % len(names)]:
             start = time.perf_counter()
             runs[name]()
             times[name].append((time.perf_counter() - start) / len(grid))
+    speed_after = speed.kernel_seconds()
 
     def digest(name: str) -> str:
         return hashlib.sha256(" ".join(r.hex() for r in rates[name]).encode()).hexdigest()
@@ -104,6 +120,7 @@ def measure(points: int) -> dict:
         "bits": {s: digest(s) for s in SCHEMES},
         "per_call_us": {c: statistics.median(times[c]) * 1e6 for c in CALLS},
         "call_bits": {c: digest(c) for c in CALLS},
+        "hostspeed_s": {"before": speed_before, "after": speed_after},
         "host": {
             "machine": platform.machine(),
             "system": platform.system(),
@@ -133,7 +150,9 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=1) + "\n")
     cells = "  ".join(f"{s} {record['per_point_ms'][s]:.4f} ms" for s in SCHEMES)
     calls = "  ".join(f"{c} {record['per_call_us'][c]:.2f} us" for c in CALLS)
-    print(f"{args.label}: {cells}  {calls}  max dev {max(record['max_dev_bits'].values()):.2e} bits")
+    speed = record["hostspeed_s"]
+    print(f"{args.label}: {cells}  {calls}  max dev {max(record['max_dev_bits'].values()):.2e} bits  "
+          f"hostspeed {speed['before']:.4f}/{speed['after']:.4f} s")
     return 0
 
 
