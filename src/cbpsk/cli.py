@@ -39,9 +39,10 @@ from .sweep import (
     CONVENTIONAL_SCHEMES,
     DEFAULT_RATIOS,
     SweepSpec,
+    _ascending,
+    _log_points,
     cocktail_gain_curves,
     cocktail_rate_curves,
-    log_grid,
     modulation_rate_curves,
     scheme_rate,
     sweep_to_table,
@@ -85,8 +86,12 @@ def grid_arg(spec: str):
         return (start,)
     if mode == "lin":
         step = (stop - start) / (count - 1)
-        return tuple(start + i * step for i in range(count))
-    return log_grid(start, stop, count)
+        grid = tuple(start + i * step for i in range(count))
+    else:
+        grid = _log_points(start, stop, count)
+    if not _ascending(grid):
+        raise argparse.ArgumentTypeError(f"grid points must be strictly ascending, but {spec!r} repeats a value")
+    return grid
 
 
 def _positive_grid_arg(spec: str):

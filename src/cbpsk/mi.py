@@ -315,58 +315,46 @@ def _mixture_logpdf(y: np.ndarray, means: np.ndarray, priors: np.ndarray, var_pe
 
 def _alphabet_plan(points: np.ndarray, priors) -> tuple:
     """What :func:`_rate_nats` needs of an alphabet at any noise level, as
-    (priors, log_ratio, classes, groups), for the alphabet ``points`` (a
-    checked (n, d) array) with ``priors`` (n checked weights).
+    (priors, log_ratio, passes), for the alphabet ``points`` (a checked
+    (n, d) array) with ``priors`` (n checked weights).
 
     ``priors`` are the live ones, prior > 0, to which everything else
     refers. ``log_ratio`` is the column ln(p_j / p_max), or None when every
-    live prior is p_max. ``classes`` holds, for each class of
-    :func:`_symmetry_classes`, the offsets delta = m_k - m_j of its
-    representative k, their squared lengths, the class's summed prior and
-    its stabilizer. ``groups`` is the order in which the kernel evaluates
-    them (:func:`_class_groups`). The arrays are read-only, because a
-    :class:`Constellation` keeps its plan for every call.
-    """
-    pri = np.asarray(priors, dtype=float)
-    live = pri > 0.0
-    pts, pri = points[live], pri[live]
-    log_ratio = np.log(pri / pri.max())
-    classes = []
-    for k, weight, maps in _symmetry_classes(pts, pri):
-        delta = pts[k] - pts
-        sq = np.sum(delta * delta, axis=1)
-        delta.flags.writeable = sq.flags.writeable = False
-        classes.append((delta, sq, weight, maps))
-    pri.flags.writeable = log_ratio.flags.writeable = False
-    classes = tuple(classes)
-    return pri, log_ratio if log_ratio.any() else None, classes, _class_groups(classes)
-
-
-def _class_groups(classes: tuple) -> tuple:
-    """The passes of :func:`_rate_nats` over a plan's ``classes``, as
-    (maps, members, delta, sq) per pass: the stabilizer ``maps`` that picks
-    the pass's rule, the indices of its classes in ``classes``, and their
-    offsets and squared lengths stacked, read-only, to shapes (C, n, d) and
-    (C, n, 1) for C classes of n live components.
+    live prior is p_max. ``passes`` are the passes the kernel runs over the
+    classes of :func:`_symmetry_classes`, one record (maps, weights, delta,
+    sq) per pass of C classes: the stabilizer ``maps`` that selects the
+    pass's folded rule, the summed prior of each class, the offsets
+    delta = m_k - m_j of each class's representative k, and their squared
+    lengths, stacked to shapes (C, n, d) and (C, n, 1) for n live
+    components.
 
     In 1-D the classes that share a stabilizer share a rule, so they form
     one pass: 4-ASK and the cocktail 4-PAM make one sequence of numpy calls
     instead of two. Their rows are a few hundred numbers, so numpy's
     per-call cost, not the arithmetic, is what a pass saves. A 2-D class is
     its own pass: its rows are thousands of nodes long, so stacking would
-    save little time and multiply the work buffers by C.
+    save little time and multiply the work buffers by C. A pass lists its
+    classes in the order of :func:`_symmetry_classes`, and the passes run in
+    the order of their first class. The arrays are read-only, because a
+    :class:`Constellation` keeps its plan for every call.
     """
-    d = classes[0][0].shape[1]
-    members = {}
-    for k, (*_, maps) in enumerate(classes):
-        members.setdefault(maps if d == 1 else k, []).append(k)
-    groups = []
-    for ks in members.values():
-        delta = np.stack([classes[k][0] for k in ks])
-        sq = np.stack([classes[k][1] for k in ks])[:, :, None]
+    pri = np.asarray(priors, dtype=float)
+    live = pri > 0.0
+    pts, pri = points[live], pri[live]
+    log_ratio = np.log(pri / pri.max())
+    groups = {}
+    for k, weight, maps in _symmetry_classes(pts, pri):
+        _, reps, weights = groups.setdefault(maps if pts.shape[1] == 1 else k, (maps, [], []))
+        reps.append(k)
+        weights.append(weight)
+    passes = []
+    for maps, reps, weights in groups.values():
+        delta = pts[reps, None] - pts
+        sq = np.sum(delta * delta, axis=2, keepdims=True)
         delta.flags.writeable = sq.flags.writeable = False
-        groups.append((classes[ks[0]][3], tuple(ks), delta, sq))
-    return tuple(groups)
+        passes.append((maps, tuple(weights), delta, sq))
+    pri.flags.writeable = log_ratio.flags.writeable = False
+    return pri, log_ratio if log_ratio.any() else None, tuple(passes)
 
 
 def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
@@ -428,18 +416,16 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
     are found once per alphabet, in the plan; a call does only the work
     that depends on v.
 
-    The plan's groups (:func:`_class_groups`) stack the 1-D classes that
-    share a rule into one (C, n, nodes) pass, which makes each numpy call
-    once for all its classes. That moves no bit, because every entry still
-    takes the same operations on the same operands in the same order. In
-    1-D, u is the outer product of (m_k - m_j) * -sqrt(2/v) and t, formed
-    by a broadcasting multiply, and an (n x 1) @ (1 x nodes) matrix product
-    has one term per entry, that same product. A 2-D pass fills each
-    class's slice with its own (n x 2) @ (2 x nodes) product, since a
-    batched product may sum in another order. The maxima
-    are exact in any order, each p @ u row is the same vector-matrix
-    product, and the classes' terms are subtracted in the plan's order of
-    classes, as they were one class at a time.
+    The kernel runs the plan's passes (:func:`_alphabet_plan`), each a
+    (C, n, nodes) block for its C classes, and subtracts each class's term
+    as its pass runs. Stacking moves no bit: every entry takes the same
+    operations on the same operands in the same order as one class at a
+    time. In 1-D, u is the outer product of (m_k - m_j) * -sqrt(2/v) and t,
+    formed by a broadcasting multiply, and an (n x 1) @ (1 x nodes) matrix
+    product has one term per entry, that same product. A 2-D pass fills
+    each class's slice with its own (n x 2) @ (2 x nodes) product, since a
+    batched product may sum in another order. The maxima are exact in any
+    order, and each p @ u row is the same vector-matrix product.
 
     The rule is the pruned one of :func:`_unit_rule`, so the (components x
     nodes) work buffers are a fifth of the full rule's in 2-D, and a tenth
@@ -449,15 +435,15 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
     1e-200 or none), rates move by at most 1.3e-15 bits: the summation order
     changed, and nothing else.
     """
-    pri, log_ratio, classes, groups = plan
-    d = classes[0][0].shape[1]
+    pri, log_ratio, passes = plan
+    d = passes[0][2].shape[2]
     scale = -math.sqrt(2.0 / var_per_dim)
-    terms = [0.0] * len(classes)
-    for maps, members, delta, sq in groups:
+    rate = 0.0
+    for maps, class_weights, delta, sq in passes:
         nodes, weights = _unit_rule(order, d, maps)
         # Fresh buffers per pass: a pass's rule size is its own. Rows index
         # j, so each reduction over j combines whole contiguous rows.
-        u = np.empty((len(members), len(pri), weights.size))
+        u = np.empty((len(class_weights), len(pri), weights.size))
         if d == 1:
             np.multiply(delta * scale, nodes, u)
         else:
@@ -470,11 +456,8 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
         lse = np.matmul(pri, u)
         np.log1p(lse, lse)
         lse += c
-        for k, row in zip(members, lse):
-            terms[k] = classes[k][2] * float(np.dot(weights, row))
-    rate = 0.0
-    for term in terms:
-        rate -= term
+        for weight, row in zip(class_weights, lse):
+            rate -= weight * float(np.dot(weights, row))
     return rate
 
 

@@ -57,7 +57,7 @@ class SweepSpec:
         grid = tuple(_real("snr_grid", r, above=0.0) for r in _entries("snr_grid", self.snr_grid))
         if not grid:
             raise ValueError("snr_grid must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if not _ascending(grid):
             raise ValueError("snr_grid must be strictly ascending")
         ratios = tuple(_real("ratios", r, above=1.0) for r in _entries("ratios", self.ratios))
         schemes = _entries("schemes", self.schemes)
@@ -127,15 +127,30 @@ def _pairs(rows) -> list:
 
 
 def log_grid(start: float, stop: float, count: int) -> tuple:
-    """A log-spaced grid of ``count`` points from start to stop inclusive."""
+    """A log-spaced grid of ``count`` points from start to stop inclusive,
+    strictly ascending: a ``count`` too large for the range to hold that many
+    distinct floats raises ValueError naming it."""
     start = _real("start", start, above=0.0)
     stop = _real("stop", stop, above=start)
     if not (_is_integer(count) and count >= 1):
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    grid = _log_points(start, stop, int(count))
+    if not _ascending(grid):
+        raise ValueError(f"count {count!r} repeats points between {start!r} and {stop!r}; use fewer points")
+    return grid
+
+
+def _log_points(start: float, stop: float, count: int) -> tuple:
+    """``count`` log-spaced points from ``start`` to ``stop``, both > 0, unchecked."""
     if count == 1:
         return (start,)
-    step = (math.log10(stop) - math.log10(start)) / (int(count) - 1)
+    step = (math.log10(stop) - math.log10(start)) / (count - 1)
     return tuple(10.0 ** (math.log10(start) + i * step) for i in range(count))
+
+
+def _ascending(grid: tuple) -> bool:
+    """Whether each point of ``grid`` is above the one before it."""
+    return all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def scheme_rate(scheme: str, snr_linear: float) -> float:

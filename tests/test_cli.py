@@ -4,6 +4,7 @@ Most cases drive main() in-process; byte-identical output contracts also run
 through a real subprocess in the acceptance suite.
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -135,6 +136,34 @@ class TestGridFlag:
     def test_malformed(self, bad):
         with pytest.raises(Exception):
             grid_arg(bad)
+
+
+# Ranges one ulp wide: their three points cannot all differ, in either
+# spacing.
+REPEATING_GRIDS = ["1:1.0000000000000002:lin:3", "1:1.0000000000000002:log:3"]
+
+
+class TestRepeatedGridPoints:
+    @pytest.mark.parametrize("grid", REPEATING_GRIDS)
+    def test_grid_arg_refuses_them(self, grid):
+        with pytest.raises(argparse.ArgumentTypeError, match="strictly ascending"):
+            grid_arg(grid)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("capacity", "--output", "cap.csv"), ("mi", "--scheme", "bpsk"), ("cocktail",), ("check",)],
+        ids=["capacity", "mi", "cocktail", "check"],
+    )
+    @pytest.mark.parametrize("grid", REPEATING_GRIDS)
+    def test_grid_commands_exit_2_and_write_nothing(self, argv, grid, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--grid", grid])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--grid" in captured.err and "strictly ascending" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCapacity:

@@ -710,18 +710,18 @@ class TestKernelPlan:
     @pytest.mark.parametrize("name", sorted(PLAN_ALPHABETS))
     def test_plan_holds_live_components_read_only(self, name):
         c = PLAN_ALPHABETS[name]()
-        pri, log_ratio, classes, groups = c._plan
+        pri, log_ratio, passes = c._plan
         live = [p for p in c.priors if p > 0.0]
         assert pri.tolist() == live
         assert (log_ratio is None) == (len(set(live)) == 1)
-        assert sum(weight for _, _, weight, _ in classes) == pytest.approx(1.0, abs=1e-12)
-        arrays = [pri, *(a for delta, sq, _, _ in classes for a in (delta, sq))]
-        arrays += [a for _, _, delta, sq in groups for a in (delta, sq)]
+        assert sum(weight for _, weights, _, _ in passes for weight in weights) == pytest.approx(1.0, abs=1e-12)
+        arrays = [pri, *(a for _, _, delta, sq in passes for a in (delta, sq))]
         if log_ratio is not None:
             arrays.append(log_ratio)
         assert not any(a.flags.writeable for a in arrays)
-        for delta, sq, _, _ in classes:
-            assert delta.shape == (len(live), c.dimension) and sq.shape == (len(live),)
+        for _, weights, delta, sq in passes:
+            assert isinstance(weights, tuple)
+            assert delta.shape == (len(weights), len(live), c.dimension) and sq.shape == (len(weights), len(live), 1)
 
 
 class TestPrunedRule:
@@ -763,7 +763,7 @@ class TestPrunedRule:
 
         monkeypatch.setattr(mi, "_unit_rule", unfolded_unpruned_rule)
         want = kernel_rate(means, priors, 0.5, order)
-        assert len(calls) == len(mi._alphabet_plan(means, priors)[3])
+        assert len(calls) == len(mi._alphabet_plan(means, priors)[2])
         assert abs(got - want) <= 1e-14, f"{name} at rho={rho}: {got!r} vs {want!r}"
 
 
@@ -831,11 +831,11 @@ class TestFoldedRule:
     def test_folds_each_class_rule_exactly(self, name, order, counts):
         means, priors = MIXTURES[name]
         d = means.shape[1]
-        classes = mi._alphabet_plan(means, priors)[2]
+        stabilizers = [maps for maps, weights, _, _ in mi._alphabet_plan(means, priors)[2] for _ in weights]
         pruned_nodes, pruned_weights = mi._unit_rule(order, d, ())
         pruned = dict(zip(map(tuple, pruned_nodes.T.tolist()), pruned_weights.tolist()))
-        assert [mi._unit_rule(order, d, maps)[1].size for *_, maps in classes] == counts
-        for *_, maps in classes:
+        assert [mi._unit_rule(order, d, maps)[1].size for maps in stabilizers] == counts
+        for maps in stabilizers:
             nodes, weights = mi._unit_rule(order, d, maps)
             assert nodes.flags.c_contiguous and not nodes.flags.writeable and not weights.flags.writeable
             if not maps:
@@ -865,13 +865,12 @@ class TestFoldedRule:
         means, priors = MIXTURES[name]
         means = means * math.sqrt(rho)
         order = mi._DEFAULT_ORDER[means.shape[1]]
-        pri, log_ratio, classes, groups = mi._alphabet_plan(means, priors)
-        unfolded_classes = tuple((delta, sq, weight, ()) for delta, sq, weight, _ in classes)
-        unfolded = (pri, log_ratio, unfolded_classes, mi._class_groups(unfolded_classes))
-        got = mi._rate_nats((pri, log_ratio, classes, groups), 0.5, order) / math.log(2.0)
+        pri, log_ratio, passes = mi._alphabet_plan(means, priors)
+        unfolded = (pri, log_ratio, tuple(((), weights, delta, sq) for _, weights, delta, sq in passes))
+        got = mi._rate_nats((pri, log_ratio, passes), 0.5, order) / math.log(2.0)
         want = mi._rate_nats(unfolded, 0.5, order) / math.log(2.0)
         assert abs(got - want) <= bound, f"{name} at rho={rho}: {got!r} vs {want!r}"
-        if not any(maps for *_, maps in classes):
+        if not any(maps for maps, *_ in passes):
             assert got.hex() == want.hex()
 
 
@@ -894,21 +893,23 @@ def plain_bpsk_mi(amplitude, variance, order=256):
 
 
 def unstacked_rate_nats(plan, var_per_dim, order):
-    """_rate_nats one class at a time, each exponent by its own matrix
-    product: the reference for the bits of the library's stacked passes."""
-    pri, log_ratio, classes, _ = plan
-    d = classes[0][0].shape[1]
+    """_rate_nats one class at a time, in the order the plan's passes list
+    them, each exponent by its own matrix product: the reference for the
+    bits of the library's stacked passes."""
+    pri, log_ratio, passes = plan
+    d = passes[0][2].shape[2]
     scale = -math.sqrt(2.0 / var_per_dim)
     rate = 0.0
-    for delta, sq, weight, maps in classes:
-        nodes, weights = mi._unit_rule(order, d, maps)
-        u = np.matmul(delta * scale, nodes)
-        u -= (sq / (2.0 * var_per_dim))[:, None]
-        c = np.max(u if log_ratio is None else u + log_ratio[:, None], axis=0)
-        u -= c
-        np.expm1(u, out=u)
-        lse = np.log1p(pri @ u) + c
-        rate -= weight * float(np.dot(weights, lse))
+    for maps, class_weights, deltas, sqs in passes:
+        for weight, delta, sq in zip(class_weights, deltas, sqs):
+            nodes, weights = mi._unit_rule(order, d, maps)
+            u = np.matmul(delta * scale, nodes)
+            u -= sq / (2.0 * var_per_dim)
+            c = np.max(u if log_ratio is None else u + log_ratio[:, None], axis=0)
+            u -= c
+            np.expm1(u, out=u)
+            lse = np.log1p(pri @ u) + c
+            rate -= weight * float(np.dot(weights, lse))
     return rate
 
 
@@ -966,8 +967,23 @@ class TestLeanKernelBits:
             pairs.append((rho, mi._rate_nats(plan, 0.5, order), unstacked_rate_nats(plan, 0.5, order)))
         self.assert_same_bits(pairs)
 
+    def test_rate_nats_keeps_its_pinned_bits_on_every_mixture(self):
+        # The sha256 of the float.hex of 240 rates, captured while the plan
+        # still kept a table of classes beside its passes: every mixture at
+        # the rho of test_rate_nats_on_every_mixture, at order 64 and at its
+        # default order.
+        rates = []
+        for name in sorted(MIXTURES):
+            means, priors = MIXTURES[name]
+            for rho in (1e-6, 1e-3, 1.0, 7.0, 100.0, 1e4):
+                for order in (64, mi._DEFAULT_ORDER[means.shape[1]]):
+                    rates.append(kernel_rate(means * math.sqrt(rho), priors, 0.5, order).hex())
+        digest = hashlib.sha256(" ".join(rates).encode()).hexdigest()
+        assert digest == "6ee6268c181c7bf51f371944c60b13a16882f0f2141c29e3823e3141bf9c0f31"
+
     # The centroid's class lies between two classes of one pass, so the
-    # terms are summed in another order than the passes run.
+    # passes run the classes in another order than _symmetry_classes lists
+    # them.
     INTERLEAVED = (_column((-2.0, 0.0, 2.0, -1.0, 1.0)), np.array([0.15, 0.3, 0.15, 0.2, 0.2]))
 
     @pytest.mark.parametrize(
@@ -985,12 +1001,14 @@ class TestLeanKernelBits:
     def test_stacks_only_1d_classes_that_share_a_rule(self):
         def passes(name):
             means, priors = MIXTURES[name]
-            return [(len(members), maps) for maps, members, _, _ in mi._alphabet_plan(means, priors)[3]]
+            return [(len(weights), maps) for maps, weights, _, _ in mi._alphabet_plan(means, priors)[2]]
 
         assert passes("1d-4ask") == passes("1d-cocktail-4pam") == [(2, ())]
         assert passes("1d-random-1") == [(5, ())]
         plan = mi._alphabet_plan(*self.INTERLEAVED)
-        assert [members for _, members, _, _ in plan[3]] == [(0, 2), (1,)]
+        # Each class by its representative, the component of zero offset.
+        reps = [[int(np.flatnonzero(~rows.any(axis=1))[0]) for rows in delta] for _, _, delta, _ in plan[2]]
+        assert reps == [[0, 3], [1]]
         # The point on the centroid has the mirror (map 1) for stabilizer.
         assert passes("1d-with-origin") == [(1, ()), (1, (1,))]
         # 16qam's corner and inner classes share the swap of the axes, but a

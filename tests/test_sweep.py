@@ -114,6 +114,12 @@ class TestLogGrid:
     def test_one_point_is_the_start(self):
         assert log_grid(2.0, 3.0, 1) == (2.0,)
 
+    def test_count_that_repeats_points_is_refused_by_name(self):
+        # Two floats one ulp apart hold no third point between them.
+        assert log_grid(1.0, 1.0000000000000002, 2) == (1.0, 1.0000000000000002)
+        with pytest.raises(ValueError, match="count 3"):
+            log_grid(1.0, 1.0000000000000002, 3)
+
 
 class TestSchemeRates:
     def test_capacity_passthrough(self):

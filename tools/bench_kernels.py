@@ -55,7 +55,6 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
-from dataclasses import astuple  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,7 +91,9 @@ def measure(points: int) -> dict:
     params = [CocktailParams.from_ratio(3.5, rho) for rho in grid]
     runs = {s: lambda s=s: [scheme_rate(s, rho) for rho in grid] for s in SCHEMES}
     runs["bpsk_mi"] = lambda: [bpsk_mi(a, noise) for a in amplitudes]
-    runs["adr_breakdown"] = lambda: [x for p in params for x in astuple(adr_breakdown(p, noise))]
+    runs["adr_breakdown"] = lambda: [
+        x for b in (adr_breakdown(p, noise) for p in params) for x in (b.r1, b.r2, b.total)
+    ]
     runs["cocktail_point"] = lambda: [adr_breakdown(CocktailParams.from_ratio(3.5, rho), noise).total for rho in grid]
     names = SCHEMES + CALLS
 
