@@ -10,8 +10,9 @@ usage error. A command only computes: it returns its outputs as
 writes them and the run manifest.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags, malformed grids,
-out-of-range ratios, unreadable config files), 3 for numeric or domain
-failures during execution.
+``--snr`` values not strictly ascending, out-of-range or repeated ratios,
+unreadable config files), 3 for numeric or domain failures during
+execution.
 
 Dataset CSVs use the long format ``curve,x,y`` with floats printed to 12
 significant digits and "\\n" line endings; identical flags (including
@@ -33,13 +34,14 @@ from dataclasses import asdict
 
 from . import __version__
 from .cocktail import CocktailParams, eb_over_n0, energy_report
-from .linksim import SimConfig, _available_cores, _checked_seed, run_link
-from .mi import NoiseModel, _real, awgn_capacity, low_snr_capacity
+from .linksim import SimConfig, _available_cores, run_link
+from .mi import NoiseModel, _integer, _real, awgn_capacity, low_snr_capacity
 from .sweep import (
     CONVENTIONAL_SCHEMES,
     DEFAULT_RATIOS,
     SweepSpec,
     _ascending,
+    _distinct,
     _log_points,
     cocktail_gain_curves,
     cocktail_rate_curves,
@@ -68,14 +70,12 @@ def grid_arg(spec: str):
         )
     try:
         start, stop = (_real("grid bounds", float(x)) for x in parts[:2])
-        count = int(parts[3])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"grid needs finite bounds and an integer count, got {spec!r}") from None
+        raise argparse.ArgumentTypeError(f"grid needs finite bounds, got {spec!r}") from None
+    count = _int_arg(parts[3], "a grid count: an integer >= 1", 1)
     mode = parts[2]
     if mode not in ("lin", "log"):
         raise argparse.ArgumentTypeError(f"grid mode must be lin or log, got {mode!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"grid count must be >= 1, got {spec!r}")
     if start < 0:
         raise argparse.ArgumentTypeError(f"grid values must be >= 0, got {spec!r}")
     if stop <= start:
@@ -111,6 +111,15 @@ def _float_arg(s: str, what: str, **bounds) -> float:
         raise argparse.ArgumentTypeError(f"expected {what}, got {s!r}") from None
 
 
+def _int_arg(s: str, what: str, *bounds) -> int:
+    """``s`` as an integer held to the package's rule, with ``bounds`` as in
+    :func:`cbpsk.mi._integer`; a usage error expecting ``what`` otherwise."""
+    try:
+        return _integer(what, int(s), *bounds)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {s!r}") from None
+
+
 def ratio_arg(s: str) -> float:
     return _float_arg(s, "a ratio > 1 (the scheme requires alpha > beta > 0)", above=1.0)
 
@@ -124,20 +133,11 @@ def positive_float(s: str) -> float:
 
 
 def positive_int(s: str) -> int:
-    try:
-        v = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {s}")
-    return v
+    return _int_arg(s, "an integer >= 1", 1)
 
 
 def _seed_arg(s: str) -> int:
-    try:
-        return _checked_seed(int(s))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {s!r}") from None
+    return _int_arg(s, "an integer in [0, 2**64)", 0, 2**64)
 
 
 def _csv_text(rows) -> str:
@@ -236,7 +236,7 @@ def cmd_limit(args) -> list:
         closed_db = cap_limit_db - 10.0 * math.log10(rep.e_total / rep.e1)
         gain_db = cap_limit_db - measured_db
         lines.append(
-            f"ratio {r:g}: limiting Eb/N0 {measured_db:.2f} dB "
+            f"ratio {r:.12g}: limiting Eb/N0 {measured_db:.2f} dB "
             f"(closed form {closed_db:.2f} dB), gain {gain_db:.2f} dB "
             f"over the {cap_limit_db:.2f} dB capacity limit\n"
         )
@@ -371,6 +371,13 @@ def main(argv=None) -> int:
                 parser.error(f"config key {key!r}: a list needs a repeatable flag and one or more values")
             if isinstance(parsed, list) and len(parsed) > len(flags[key]):
                 del parsed[: len(flags[key])]  # explicit repeated flags replace the file's values
+        # Checked once the file's values and the flags are merged, so both
+        # obey one rule: --snr values like the points of a --grid, and
+        # --ratio values because each names its curves.
+        if getattr(args, "snr", None) and not _ascending(args.snr):
+            parser.error(f"argument --snr: values must be strictly ascending, got {args.snr}")
+        if getattr(args, "ratio", None) and not _distinct(args.ratio):
+            parser.error(f"argument --ratio: values must differ in their first 12 significant digits, got {args.ratio}")
         started = time.monotonic()
         written = []
         for path, text in args.func(args):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocktail import CocktailParams, SymbolPair, encode
-from .mi import LOG2E, NoiseModel, _LN2, _is_integer, _real, noise_entropy
+from .mi import LOG2E, NoiseModel, _LN2, _integer, _real, noise_entropy
 
 __all__ = [
     "SimConfig",
@@ -75,14 +75,13 @@ class SimConfig:
     detection_mode: str = "decision_directed"
 
     def __post_init__(self) -> None:
-        if not (_is_integer(self.n_symbols) and self.n_symbols >= 1):
-            raise ValueError(f"n_symbols must be an integer >= 1, got {self.n_symbols!r}")
-        seed = _checked_seed(self.seed)
+        n_symbols = _integer("n_symbols", self.n_symbols, 1)
+        seed = _integer("seed", self.seed, 0, 2**64)
         if self.detection_mode not in DETECTION_MODES:
             raise ValueError(
                 f"detection_mode must be one of {DETECTION_MODES}, got {self.detection_mode!r}"
             )
-        object.__setattr__(self, "n_symbols", int(self.n_symbols))
+        object.__setattr__(self, "n_symbols", n_symbols)
         object.__setattr__(self, "seed", seed)
 
 
@@ -107,12 +106,6 @@ class LinkSimReport:
     empirical_mi_x1: float
     empirical_mi_x2: float
     seed: int
-
-
-def _checked_seed(seed) -> int:
-    if not (_is_integer(seed) and 0 <= int(seed) < 2**64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
@@ -269,14 +262,13 @@ def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
     more than there are shards or cores the process may use;
     ``max_workers`` must be an integer >= 1.
     """
-    if not (_is_integer(max_workers) and max_workers >= 1):
-        raise ValueError(f"max_workers must be an integer >= 1, got {max_workers!r}")
+    max_workers = _integer("max_workers", max_workers, 1)
     n = config.n_symbols
     err1, err2, case1, sum_z1, sum_z2 = _sharded_sums(
         n,
         config.seed,
         lambda rng, count: _run_shard(config, rng, count),
-        int(max_workers),
+        max_workers,
     )
     h_n = noise_entropy(config.noise)
     return LinkSimReport(
@@ -307,9 +299,8 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     as in :class:`SimConfig`, is an integer in [0, 2**64).
     """
     amplitude = _real("amplitude", amplitude, at_least=0.0)
-    if not (_is_integer(n_samples) and n_samples >= 10_000):
-        raise ValueError(f"n_samples must be an integer >= 10000 for a usable estimate, got {n_samples!r}")
-    n_samples, seed = int(n_samples), _checked_seed(seed)
+    n_samples = _integer("n_samples", n_samples, 10_000)  # fewer make no usable estimate
+    seed = _integer("seed", seed, 0, 2**64)
     var = noise.variance
     sigma = math.sqrt(var)
 

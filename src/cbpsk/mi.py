@@ -53,6 +53,13 @@ One-dimensional constellations are integrated against that variance as
 given. Two-dimensional (complex) constellations treat the variance as the
 total complex noise power, split equally across the two real dimensions.
 
+Arguments follow two rules, here and in every module of the package. A
+number is an int, float, numpy integer or numpy floating, but not bool,
+and finite (:func:`_real`). An integer, such as a quadrature order, a count
+or a seed, is an int or numpy integer, but not bool, within the argument's
+bounds (:func:`_integer`). Either is used as the plain float or int, and
+anything else raises ValueError naming the argument.
+
 Alphabets follow one rule in :class:`Constellation` and the Simpson
 cross-check: points (means) of shape (n,) or (n, d), d in {1, 2}, and n
 priors >= 0 summing to 1 within 1e-12, every entry a finite number but not
@@ -128,14 +135,17 @@ def _real(name: str, value, *, above: float | None = None, at_least: float | Non
     raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
-def _order(order) -> int:
-    """``order`` as a plain int, if it is a quadrature order: an integer by
-    the rule of :func:`_is_integer` in [_MIN_ORDER, _MAX_ORDER]. Anything
-    else raises ValueError. Entry points check it before any cached rule is
-    looked up, since a cache takes 256.0 for the key 256."""
-    if (type(order) is int or _is_integer(order)) and _MIN_ORDER <= order <= _MAX_ORDER:
-        return int(order)
-    raise ValueError(f"quadrature order must be an integer in [{_MIN_ORDER}, {_MAX_ORDER}], got {order!r}")
+def _integer(name: str, value, at_least: int, below: int | None = None) -> int:
+    """``value`` as a plain int, by the package's one rule for integers: an
+    int or numpy integer, but not bool, that is >= ``at_least`` and <
+    ``below`` where that is given. Anything else raises ValueError naming
+    ``name`` and its bounds."""
+    if _is_integer(value):
+        n = int(value)
+        if n >= at_least and (below is None or n < below):
+            return n
+    bound = f">= {at_least}" if below is None else f"in [{at_least}, {below})"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _alphabet_points(name: str, points) -> np.ndarray:
@@ -464,8 +474,9 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
 @lru_cache(maxsize=32)
 def _unit_rule(order: int, d: int, maps: tuple) -> tuple:
     """The Gauss-Hermite rule of every kernel: the unit d-dimensional
-    tensor-product rule of ``order`` nodes per dimension (an order checked
-    by :func:`_order`, as every caller does before it looks a rule up),
+    tensor-product rule of ``order`` nodes per dimension (a plain int
+    order, checked by every caller before it looks a rule up, since a cache
+    takes 256.0 for the key 256),
     pruned to the nodes whose weight exceeds ``_WEIGHT_FLOOR`` and folded by
     the signed axis maps ``maps`` (indices into ``_AXIS_MAPS[d]``, the
     identity left out); nodes as a contiguous (d, kept) array and weights
@@ -647,7 +658,7 @@ def _antipodal_rule(order: int) -> tuple:
     """sqrt(2) t and the weights w of the 1-D rule of :func:`_unit_rule` at
     a checked ``order``, read-only: the constants of :func:`bpsk_mi`, kept
     per order instead of formed on every call. The cache has no size limit,
-    since :func:`_order` admits 249 keys."""
+    since the order check admits 249 keys."""
     nodes, weights = _unit_rule(order, 1, ())
     root2_t = _SQRT2 * nodes[0]
     root2_t.flags.writeable = False
@@ -697,7 +708,7 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
     if not (type(amplitude) is float and 0.0 <= amplitude < math.inf):
         amplitude = _real("amplitude", amplitude, at_least=0.0)
     if not (type(order) is int and _MIN_ORDER <= order <= _MAX_ORDER):
-        order = _order(order)
+        order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
     if amplitude == 0.0:
         return 0.0
     q = amplitude / math.sqrt(noise.variance)
@@ -740,6 +751,6 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     The result is clamped into [0, log2(alphabet size)].
     """
     d = c.dimension
-    order = _DEFAULT_ORDER[d] if order is None else _order(order)
+    order = _DEFAULT_ORDER[d] if order is None else _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
     rate = _rate_nats(c._plan, noise.variance / d, order) / _LN2
     return min(math.log2(len(c.points)), max(0.0, rate))

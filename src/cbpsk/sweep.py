@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .cocktail import CocktailParams, adr_breakdown
-from .mi import Constellation, NoiseModel, _is_integer, _real, awgn_capacity, constellation_mi
+from .mi import Constellation, NoiseModel, _integer, _real, awgn_capacity, constellation_mi
 
 __all__ = [
     "CONVENTIONAL_SCHEMES",
@@ -60,6 +60,8 @@ class SweepSpec:
         if not _ascending(grid):
             raise ValueError("snr_grid must be strictly ascending")
         ratios = tuple(_real("ratios", r, above=1.0) for r in _entries("ratios", self.ratios))
+        if not _distinct(ratios):
+            raise ValueError(f"ratios must differ in the 12 significant digits a label prints, got {ratios!r}")
         schemes = _entries("schemes", self.schemes)
         unknown = [s for s in schemes if s not in CONVENTIONAL_SCHEMES]
         if unknown:
@@ -132,9 +134,7 @@ def log_grid(start: float, stop: float, count: int) -> tuple:
     distinct floats raises ValueError naming it."""
     start = _real("start", start, above=0.0)
     stop = _real("stop", stop, above=start)
-    if not (_is_integer(count) and count >= 1):
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    grid = _log_points(start, stop, int(count))
+    grid = _log_points(start, stop, _integer("count", count, 1))
     if not _ascending(grid):
         raise ValueError(f"count {count!r} repeats points between {start!r} and {stop!r}; use fewer points")
     return grid
@@ -151,6 +151,12 @@ def _log_points(start: float, stop: float, count: int) -> tuple:
 def _ascending(grid: tuple) -> bool:
     """Whether each point of ``grid`` is above the one before it."""
     return all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def _distinct(ratios: tuple) -> bool:
+    """Whether no two ``ratios`` print alike to the 12 significant digits
+    of the curve labels, the CSV numbers and the ``limit`` lines."""
+    return len({f"{r:.12g}" for r in ratios}) == len(ratios)
 
 
 def scheme_rate(scheme: str, snr_linear: float) -> float:
@@ -211,7 +217,7 @@ def _cocktail_total(ratio: float, rho: float) -> float:
 def _cocktail_curves(spec: SweepSpec) -> list:
     if not spec.ratios:
         raise ValueError("ratios must be nonempty")
-    return [_curve(f"cocktail r={r:g}", spec, lambda rho, r=r: _cocktail_total(r, rho)) for r in spec.ratios]
+    return [_curve(f"cocktail r={r:.12g}", spec, lambda rho, r=r: _cocktail_total(r, rho)) for r in spec.ratios]
 
 
 def cocktail_rate_curves(spec: SweepSpec) -> list:
@@ -231,7 +237,7 @@ def cocktail_gain_curves(spec: SweepSpec) -> list:
     row keeps the axis value of its cocktail rate row."""
     return [
         RateCurve(
-            f"gain r={ratio:g}",
+            f"gain r={ratio:.12g}",
             tuple((x, total - awgn_capacity(rho)) for (x, total), rho in zip(curve.rows, spec.snr_grid)),
         )
         for ratio, curve in zip(spec.ratios, _cocktail_curves(spec))

@@ -21,7 +21,7 @@ def test_three_point_runs_append_their_records(tmp_path):
     assert {k: len(v) for k, v in doc["runs"].items()} == {"parent": 1, "change": 1}
     record = doc["runs"]["change"][0]
     assert set(record) == {
-        "grid", "passes", "per_point_ms", "max_dev_bits", "bits", "per_call_us", "call_bits", "hostspeed_s", "host"
+        "grid", "passes", "per_point_ms", "max_dev_bits", "bits", "per_call_us", "call_bits", "host"
     }
     assert record["grid"] == {"start": 1e-3, "stop": 1e2, "points": 3} and record["passes"] == 15
     assert set(record["per_point_ms"]) == set(record["max_dev_bits"]) == set(record["bits"]) == SCHEMES
@@ -33,8 +33,5 @@ def test_three_point_runs_append_their_records(tmp_path):
     assert all(t > 0.0 for t in [*record["per_point_ms"].values(), *record["per_call_us"].values()])
     # The reference rows are this kernel's rates to rounding; a moved rate shows here.
     assert all(0.0 <= d <= 1e-12 for d in record["max_dev_bits"].values())
-    # The calibration kernel, timed before and after the passes.
-    assert set(record["hostspeed_s"]) == {"before", "after"}
-    assert all(t > 0.0 for t in record["hostspeed_s"].values())
     assert set(record["host"]) == {"machine", "system", "cpus", "python", "numpy", "blas_threads"}
     assert record["host"]["blas_threads"] == "1"

@@ -166,6 +166,76 @@ class TestRepeatedGridPoints:
         assert list(tmp_path.iterdir()) == []
 
 
+# Repeatable values that main refuses once a config file's values are merged
+# with the flags: --snr values like the points of a --grid, and --ratio
+# values because each names its curves, to 12 significant digits.
+REFUSED_REPEATS = [
+    pytest.param(("capacity", "--output", "cap.csv", "--snr", "1", "--snr", "1"), "--snr", "strictly ascending",
+                 id="snr-repeats"),
+    pytest.param(("capacity", "--output", "cap.csv", "--snr", "2", "--snr", "1"), "--snr", "strictly ascending",
+                 id="snr-descends"),
+    pytest.param(("cocktail", "--ratio", "3.5", "--ratio", "3.5"), "--ratio", "12 significant digits",
+                 id="cocktail-ratio-repeats"),
+    pytest.param(("cocktail", "--ratio", "3.5", "--ratio", "3.5000000000000004"), "--ratio", "12 significant digits",
+                 id="cocktail-ratio-prints-alike"),
+    pytest.param(("limit", "--ratio", "3.5", "--ratio", "3.5"), "--ratio", "12 significant digits",
+                 id="limit-ratio-repeats"),
+]
+
+
+class TestRepeatableValues:
+    @pytest.mark.parametrize("argv,flag,rule", REFUSED_REPEATS)
+    def test_exit_2_and_write_nothing(self, argv, flag, rule, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and rule in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,entries,flag", [
+        (("capacity",), {"snr": [2, 1]}, "--snr"),
+        (("cocktail",), {"ratio": [3.5, 3.5]}, "--ratio"),
+        (("limit",), {"ratio": [3.5, 3.5]}, "--ratio"),
+    ], ids=["snr-list", "cocktail-ratio-list", "limit-ratio-list"])
+    def test_config_values_are_checked_too(self, argv, entries, flag, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(out_dir))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert not any(out_dir.iterdir())
+
+    def test_check_runs_on_the_merged_values(self, tmp_path, capsys):
+        # The explicit flags replace the file's descending list.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr": [2, 1]}))
+        code, out, _ = run_cli(capsys, "capacity", "--config", str(cfg), "--snr", "1", "--snr", "2")
+        assert code == EXIT_OK
+        assert [l.split(",")[1] for l in out.splitlines() if l.startswith("capacity,")] == ["1", "2"]
+
+    def test_ratios_apart_in_12_digits_get_their_own_curves(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, _, _ = run_cli(capsys, "cocktail", "--ratio", "3.5", "--ratio", "3.5000001", "--grid", "0.1:1:log:3")
+        assert code == EXIT_OK
+        for name, kind in (("cocktail_rates.csv", "cocktail"), ("cocktail_gain.csv", "gain")):
+            labels = [l.split(",")[0] for l in (tmp_path / name).read_text().splitlines()]
+            assert {l: labels.count(l) for l in labels if l.startswith(kind)} == {
+                f"{kind} r=3.5": 3, f"{kind} r=3.5000001": 3
+            }
+        code, out, _ = run_cli(capsys, "limit", "--ratio", "3.5", "--ratio", "3.5000001")
+        assert code == EXIT_OK
+        assert [l.split(":")[0] for l in out.splitlines()] == ["ratio 3.5", "ratio 3.5000001"]
+
+
 class TestCapacity:
     def test_single_snr_row(self, capsys):
         code, out, _ = run_cli(capsys, "capacity", "--snr", "1")

@@ -17,6 +17,7 @@ from cbpsk.mi import (
     NoiseModel,
     awgn_capacity,
     bpsk_mi,
+    constellation_mi,
     gaussian_mixture_entropy_simpson,
     low_snr_capacity,
 )
@@ -81,6 +82,36 @@ def test_one_numeric_rule(call, name, integer, real):
         plain = int(v) if isinstance(v, np.integer) else float(v)
         # repr also tells a numpy scalar that leaked through from a float
         assert call(v) == call(plain) and repr(call(v)) == repr(call(plain)), v
+
+
+# Each integer argument just outside its bounds and at each bound: (call
+# with the argument set to v, text the error names, refused values, accepted
+# values). SimConfig's calls return the stored count or seed.
+INTEGER_EDGES = [
+    pytest.param(lambda v: log_grid(0.1, 10.0, v), "count", (0,), (1,), id="log_grid-count"),
+    pytest.param(lambda v: SimConfig(PARAMS, NOISE, v, 0).n_symbols, "n_symbols", (0,), (1,), id="n_symbols"),
+    pytest.param(lambda v: SimConfig(PARAMS, NOISE, 1000, v).seed, "seed", (-1, 2**64), (0, 2**64 - 1),
+                 id="SimConfig-seed"),
+    pytest.param(lambda v: mc_bpsk_mi(1.0, NOISE, 10_000, v), "seed", (-1, 2**64), (0, 2**64 - 1),
+                 id="mc_bpsk_mi-seed"),
+    pytest.param(lambda v: run_link(SimConfig(PARAMS, NOISE, 1000, 0), v), "max_workers", (0,), (1,),
+                 id="max_workers"),
+    pytest.param(lambda v: mc_bpsk_mi(1.0, NOISE, v, 0), "n_samples", (9999,), (10_000,), id="n_samples"),
+    pytest.param(lambda v: bpsk_mi(0.7, NOISE, v), "order", (7, 257), (8, 256), id="bpsk_mi-order"),
+    pytest.param(lambda v: constellation_mi(Constellation.ask4(), NOISE, v), "order", (7, 257), (8, 256),
+                 id="constellation_mi-order"),
+]
+
+
+@pytest.mark.parametrize("call,name,refused,accepted", INTEGER_EDGES)
+def test_integer_bounds(call, name, refused, accepted):
+    for v in refused:
+        with pytest.raises(ValueError, match=name):
+            call(v)
+    for v in accepted:
+        # The numpy integer acts as the plain int: repr tells a stored
+        # np.uint64 from an int.
+        assert repr(call(np.uint64(v))) == repr(call(v)), v
 
 
 @pytest.mark.parametrize("bad", [-3, 0, True, 2.5, np.float64(2.0)])

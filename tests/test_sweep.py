@@ -41,6 +41,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(snr_grid=(1.0,), ratios=(1.0,))
 
+    @pytest.mark.parametrize("ratios", [(3.5, 3.5), (3.5, 2.0, 3.5), (3.5, 3.5000000000000004)])
+    def test_ratios_differ_in_their_labels(self, ratios):
+        # Two ratios that print alike would put two curves under one label.
+        with pytest.raises(ValueError, match="ratios"):
+            SweepSpec(snr_grid=(1.0,), ratios=ratios)
+
     def test_axis_and_scheme_names(self):
         with pytest.raises(ValueError):
             SweepSpec(snr_grid=(1.0,), axis_mode="db")

@@ -23,15 +23,9 @@ median over passes of each one's pass time divided by the grid size, in
 microseconds, and ``call_bits`` the sha256 of its results' ``float.hex``
 (r1, r2 and total for ``adr_breakdown``, the total for ``cocktail_point``).
 
-Raw seconds follow the speed of a shared host, which can change by a factor
-of two within minutes. So each record also holds ``hostspeed_s``: the time
-of the calibration kernel of ``perfbench/hostspeed.py``, which uses no
-``cbpsk`` code, just before and just after the timed passes. Records taken
-at different host speeds compare after each time is multiplied by
-``hostspeed.REFERENCE_S`` over the mean of the two.
-
 Each run appends one record, under ``--label``, to the JSON file named by
-``--output``. To set two source trees side by side, alternate runs:
+``--output``. Times are raw seconds, which follow the speed of a shared
+host, so to set two source trees side by side, alternate runs:
 
     python3 tools/bench_kernels.py --src ../parent/src --label parent
     python3 tools/bench_kernels.py --label change
@@ -59,7 +53,6 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference" / "modcurves.json"
-sys.path.insert(0, str(ROOT / "perfbench"))  # for hostspeed, which it only imports
 SCHEMES = ("bpsk", "4ask", "qpsk", "8psk")
 CALLS = ("bpsk_mi", "adr_breakdown", "cocktail_point")
 PASSES = 15
@@ -73,10 +66,8 @@ def _grid(reference: dict, points: int) -> list:
 
 def measure(points: int) -> dict:
     """One record: per-point times in ms, deviations in bits and digests per
-    scheme, per-call times in us and digests per scalar call, and the host's
-    calibration time before and after the passes."""
+    scheme, and per-call times in us and digests per scalar call."""
     import numpy as np
-    from hostspeed import HostSpeed
 
     from cbpsk.cocktail import CocktailParams, adr_breakdown
     from cbpsk.mi import NoiseModel, bpsk_mi
@@ -98,15 +89,12 @@ def measure(points: int) -> dict:
     names = SCHEMES + CALLS
 
     rates = {name: run() for name, run in runs.items()}  # the warm-up pass
-    speed = HostSpeed()
-    speed_before = speed.kernel_seconds()
     times = {name: [] for name in names}
     for p in range(PASSES):
         for name in names[p % len(names):] + names[: p % len(names)]:
             start = time.perf_counter()
             runs[name]()
             times[name].append((time.perf_counter() - start) / len(grid))
-    speed_after = speed.kernel_seconds()
 
     def digest(name: str) -> str:
         return hashlib.sha256(" ".join(r.hex() for r in rates[name]).encode()).hexdigest()
@@ -121,7 +109,6 @@ def measure(points: int) -> dict:
         "bits": {s: digest(s) for s in SCHEMES},
         "per_call_us": {c: statistics.median(times[c]) * 1e6 for c in CALLS},
         "call_bits": {c: digest(c) for c in CALLS},
-        "hostspeed_s": {"before": speed_before, "after": speed_after},
         "host": {
             "machine": platform.machine(),
             "system": platform.system(),
@@ -151,9 +138,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=1) + "\n")
     cells = "  ".join(f"{s} {record['per_point_ms'][s]:.4f} ms" for s in SCHEMES)
     calls = "  ".join(f"{c} {record['per_call_us'][c]:.2f} us" for c in CALLS)
-    speed = record["hostspeed_s"]
-    print(f"{args.label}: {cells}  {calls}  max dev {max(record['max_dev_bits'].values()):.2e} bits  "
-          f"hostspeed {speed['before']:.4f}/{speed['after']:.4f} s")
+    print(f"{args.label}: {cells}  {calls}  max dev {max(record['max_dev_bits'].values()):.2e} bits")
     return 0
 
 
