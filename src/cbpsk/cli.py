@@ -167,7 +167,7 @@ def _write_manifest(args, outputs, started: float) -> None:
     config = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
-        if k not in ("func", "command", "config")
+        if k not in ("func", "parser", "command", "config")
     }
     manifest = {
         "command": args.command,
@@ -312,7 +312,8 @@ def build_parser():
     p = sub.add_parser("simulate", help="seeded Monte Carlo link simulation")
     p.add_argument("--alpha", type=positive_float, required=True)
     p.add_argument("--beta", type=positive_float, required=True)
-    p.add_argument("--noise-var", type=positive_float, required=True, help="noise variance per real dimension")
+    p.add_argument("--noise-var", type=positive_float, required=True,
+                   help="total noise power (each real dimension carries half)")
     p.add_argument("--n", type=positive_int, default=10000, help="number of symbols (default: %(default)s)")
     p.add_argument("--seed", type=_seed_arg, default=0, help="integer in [0, 2**64) (default: %(default)s)")
     p.add_argument("--mode", choices=tuple(_MODE_FLAGS), default="dd",
@@ -322,13 +323,15 @@ def build_parser():
 
     for p in sub.choices.values():
         p.add_argument("--config", help="JSON file of flag values; explicit flags override it")
+        # main raises the usage errors it finds itself through the
+        # command's parser, which prints the command's usage line.
+        p.set_defaults(parser=p)
     return parser
 
 
 def _load_config(parser, argv) -> dict:
     """The JSON object in the ``--config`` file named in argv; {} without one.
-    A file that cannot be read, holds no JSON object, or has a ``config`` key
-    of its own is a usage error."""
+    A file that cannot be read or holds no JSON object is a usage error."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -341,8 +344,6 @@ def _load_config(parser, argv) -> dict:
         parser.error(f"config file {path!r}: {exc}")
     if not isinstance(cfg, dict):
         parser.error(f"config file {path!r} must hold a JSON object")
-    if "config" in cfg:  # the --config in argv would win over it unseen
-        parser.error(f"config key 'config' in {path!r}: a config file cannot name another")
     return cfg
 
 
@@ -362,22 +363,25 @@ def main(argv=None) -> int:
         # The file's flags go right after the command name, so explicit
         # flags, later in argv, override them.
         args = parser.parse_args(argv[:1] + [f for fs in flags.values() for f in fs] + argv[1:])
+        usage_error = args.parser.error
         for key, value in cfg.items():
+            if key == "config":  # the --config in argv would win over it unseen
+                usage_error(f"config key 'config' in {args.config!r}: a config file cannot name another")
             # argparse also takes a prefix of a flag name, so check the key.
             if not hasattr(args, key):
-                parser.error(f"config key {key!r} is not a flag of {args.command!r}")
+                usage_error(f"config key {key!r} is not a flag of {args.command!r}")
             parsed = getattr(args, key)
             if isinstance(value, list) and not isinstance(parsed, list):
-                parser.error(f"config key {key!r}: a list needs a repeatable flag and one or more values")
+                usage_error(f"config key {key!r}: a list needs a repeatable flag and one or more values")
             if isinstance(parsed, list) and len(parsed) > len(flags[key]):
                 del parsed[: len(flags[key])]  # explicit repeated flags replace the file's values
         # Checked once the file's values and the flags are merged, so both
         # obey one rule: --snr values like the points of a --grid, and
         # --ratio values because each names its curves.
         if getattr(args, "snr", None) and not _ascending(args.snr):
-            parser.error(f"argument --snr: values must be strictly ascending, got {args.snr}")
+            usage_error(f"argument --snr: values must be strictly ascending, got {args.snr}")
         if getattr(args, "ratio", None) and not _distinct(args.ratio):
-            parser.error(f"argument --ratio: values must differ in their first 12 significant digits, got {args.ratio}")
+            usage_error(f"argument --ratio: values must differ in their first 12 significant digits, got {args.ratio}")
         started = time.monotonic()
         written = []
         for path, text in args.func(args):

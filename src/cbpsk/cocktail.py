@@ -14,16 +14,15 @@ alpha > beta > 0 the noise-free mapping is uniquely invertible:
     -1  +1      -beta/2        +beta/2
     +1  -1      +beta/2        -beta/2
 
-Rates follow the per-dimension noise convention of this package: the scheme
-occupies one real dimension of a complex channel whose total noise power is
-``NoiseModel.variance``, so each detection stage sees variance/2.
+The scheme occupies one real dimension of a complex channel whose total
+noise power is ``NoiseModel.variance``, so each detection stage sees
+variance/2, the package's one noise rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .mi import LOG2E, NoiseModel, _is_integer, _real, bpsk_mi
 
@@ -186,26 +185,17 @@ def _input_energy(params: CocktailParams) -> float:
     return 0.5 * params.alpha**2 + 0.5 * (0.5 * params.beta) ** 2
 
 
-@lru_cache(maxsize=16)
-def _stage_noise(variance: float) -> NoiseModel:
-    # Each detection stage's share of the total noise power, kept for the
-    # few total variances in use, since building a NoiseModel checks its
-    # value anew. A half that underflows to 0 raises, and is not cached.
-    return NoiseModel(variance / 2.0)
-
-
 def adr_breakdown(params: CocktailParams, noise: NoiseModel) -> AdrBreakdown:
     """Achievable data rates of both streams, in bits.
 
     Each stage is an equally weighted pair of antipodal detections: stage 1 at
     amplitudes alpha and beta/2, stage 2 (with the first stream known) at
-    amplitudes alpha - beta and beta/2. The kernels are evaluated at
-    variance/2, the per-dimension share of the total noise power.
+    amplitudes alpha - beta and beta/2, each over one real dimension of
+    ``noise``.
     """
-    stage_noise = _stage_noise(noise.variance)
-    r_half_beta = bpsk_mi(0.5 * params.beta, stage_noise)
-    r1 = 0.5 * bpsk_mi(params.alpha, stage_noise) + 0.5 * r_half_beta
-    r2 = 0.5 * bpsk_mi(params.alpha - params.beta, stage_noise) + 0.5 * r_half_beta
+    r_half_beta = bpsk_mi(0.5 * params.beta, noise)
+    r1 = 0.5 * bpsk_mi(params.alpha, noise) + 0.5 * r_half_beta
+    r2 = 0.5 * bpsk_mi(params.alpha - params.beta, noise) + 0.5 * r_half_beta
     return AdrBreakdown(r1=r1, r2=r2, total=r1 + r2)
 
 

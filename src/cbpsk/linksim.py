@@ -194,7 +194,7 @@ def _bpsk_mixture_neg_log2_pdf(y, amplitude, variance: float, out, tmp1, tmp2) -
 
 def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple:
     p = config.params
-    var = config.noise.variance
+    var = config.noise.variance / 2.0
     sigma = math.sqrt(var)
     genie = config.detection_mode == "genie_aided"
 
@@ -255,8 +255,9 @@ def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
     """Simulate the full encode/AWGN/detect chain.
 
     Draws i.i.d. equiprobable symbol streams, applies the amplitude mapping,
-    adds Gaussian noise of the configured variance, runs two-stage detection
-    per ``detection_mode``, and tallies errors and case frequencies. Fully
+    adds Gaussian noise of variance ``config.noise.variance / 2`` on the
+    scheme's one real dimension, runs two-stage detection per
+    ``detection_mode``, and tallies errors and case frequencies. Fully
     reproducible from the seed; the result does not depend on
     ``max_workers``. At most ``max_workers`` threads run the shards, and no
     more than there are shards or cores the process may use;
@@ -270,7 +271,7 @@ def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
         lambda rng, count: _run_shard(config, rng, count),
         max_workers,
     )
-    h_n = noise_entropy(config.noise)
+    h_n = noise_entropy(NoiseModel(config.noise.variance / 2.0))
     return LinkSimReport(
         n_symbols=n,
         errors_x1=err1,
@@ -286,7 +287,9 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     """Monte Carlo plug-in estimate of the antipodal-signaling mutual
     information, with its standard error.
 
-    Draws y = amplitude + sigma n with n standard normal, and estimates H(Y)
+    Draws y = amplitude + sigma n with n standard normal and sigma^2 =
+    ``noise.variance / 2``, the variance of one real dimension, as in
+    :func:`cbpsk.mi.bpsk_mi`, and estimates H(Y)
     as the sample mean of -log2 p(y) under the exact two-Gaussian mixture
     density; the estimate is that mean minus the noise entropy. No symbol is
     drawn: -log2 p is even in y, so -log2 p(A + sigma n) has the law of
@@ -301,7 +304,7 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     amplitude = _real("amplitude", amplitude, at_least=0.0)
     n_samples = _integer("n_samples", n_samples, 10_000)  # fewer make no usable estimate
     seed = _integer("seed", seed, 0, 2**64)
-    var = noise.variance
+    var = noise.variance / 2.0
     sigma = math.sqrt(var)
 
     def draw(rng, count):
@@ -322,4 +325,4 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     total, total_sq = _sharded_sums(n_samples, seed, draw, _available_cores())
     mean = total / n_samples
     sample_var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
-    return mean - noise_entropy(noise), math.sqrt(sample_var / n_samples)
+    return mean - noise_entropy(NoiseModel(var)), math.sqrt(sample_var / n_samples)

@@ -48,11 +48,6 @@ order 256 carries twice the 1-D error, up to 7.1e-10 bits. 8-PSK at order
 192 differs from order 256 by at most 1.7e-12 bits over SNR 1e-3..1e2: a
 convergence figure, not an error bound.
 
-Noise convention: a :class:`NoiseModel` carries a variance in power units.
-One-dimensional constellations are integrated against that variance as
-given. Two-dimensional (complex) constellations treat the variance as the
-total complex noise power, split equally across the two real dimensions.
-
 Arguments follow two rules, here and in every module of the package. A
 number is an int, float, numpy integer or numpy floating, but not bool,
 and finite (:func:`_real`). An integer, such as a quadrature order, a count
@@ -194,13 +189,16 @@ def _alphabet_priors(priors, n: int) -> np.ndarray:
 class NoiseModel:
     """Zero-mean additive white Gaussian noise of a given power.
 
-    ``variance`` must be strictly positive and finite.
+    ``variance`` is the total noise power of a complex channel, and each real
+    dimension carries ``variance / 2``, in every module of the package. It
+    must be finite and above 5e-324, the least positive float, so that its
+    half is above 0 as well.
     """
 
     variance: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variance", _real("noise variance", self.variance, above=0.0))
+        object.__setattr__(self, "variance", _real("noise variance", self.variance, above=5e-324))
 
 
 @dataclass(frozen=True)
@@ -285,7 +283,9 @@ class Constellation:
 
 
 def noise_entropy(noise: NoiseModel) -> float:
-    """Differential entropy log2(sqrt(2*pi*e*variance)) of the noise, in bits.
+    """Differential entropy log2(sqrt(2*pi*e*variance)), in bits, of a real
+    Gaussian whose variance is ``noise.variance``: pass the variance of one
+    real dimension to get the entropy of the noise on it.
 
     Negative for variances below 1/(2*pi*e).
     """
@@ -609,7 +609,8 @@ def gaussian_mixture_entropy_simpson(means, priors, var_per_dim: float, tol: flo
     """Adaptive-Simpson evaluation of the 1-D mixture entropy, in bits.
 
     Independent cross-check of :func:`constellation_mi`, whose rate on a 1-D
-    alphabet is this entropy less :func:`noise_entropy`. Integrates
+    alphabet at ``NoiseModel(2 * var_per_dim)`` is this entropy less
+    ``noise_entropy(NoiseModel(var_per_dim))``. Integrates
     -p(y) log2 p(y) over [min(means) - 12 sigma, max(means) + 12 sigma]; where
     the density underflows the integrand is taken as 0. ``means`` and
     ``priors`` follow the alphabet rule; the means must be 1-D.
@@ -675,7 +676,8 @@ _ZERO.flags.writeable = _TWO.flags.writeable = _MINUS_ONE.flags.writeable = Fals
 
 def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> float:
     """Mutual information, in bits, of antipodal signaling {+A, -A} with
-    equal priors over real AWGN of the given variance v.
+    equal priors over one real dimension of the channel, whose noise
+    variance is v = ``noise.variance / 2``.
 
     The rate depends only on q = A / sqrt(v). Given X = +A, the output is
     Y = A + n, and I = 1 - E_n[log2(1 + exp(u))] with u = -2A(A + n)/v, the
@@ -694,8 +696,7 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
     the alphabet's kernel plan is built, and 98 us on a fresh
     :class:`Constellation`, whose first call builds it (best of 60 batches
     of 100 calls in one process, A = 0.7, v = 0.5, one BLAS thread, 2-vCPU
-    x86_64; 6.0 us with abs, negate and a checking call per argument, in
-    the same run). No two entropies cancel, so the rate keeps its relative
+    x86_64). No two entropies cancel, so the rate keeps its relative
     accuracy at low SNR, where
     I = (s/2 - s^2/4 + s^3/6 - ...) / ln 2 with s = q^2 (within 1e-12
     relative down to s = 1e-8). Below that the quadrature would lose about
@@ -711,7 +712,7 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
         order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
     if amplitude == 0.0:
         return 0.0
-    q = amplitude / math.sqrt(noise.variance)
+    q = amplitude / math.sqrt(noise.variance / 2.0)
     if q > _Q_SATURATED:
         return 1.0
     s = q * q
@@ -732,10 +733,9 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
 def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = None) -> float:
     """Mutual information I(X; Y), in bits, of a finite constellation over AWGN.
 
-    The noise variance is split equally across the constellation's real
-    dimensions: 1-D constellations see it as given; 2-D constellations treat
-    it as total complex noise power, variance/2 per real dimension. The
-    default order per dimension is 256 in 1-D and 192 in 2-D.
+    Each real dimension carries noise variance ``noise.variance / 2``, as
+    :class:`NoiseModel` states. The default order per dimension is 256 in
+    1-D and 192 in 2-D.
     The rate kernel :func:`_rate_nats` forms I directly, from the
     constellation's own kernel plan, built from its checked points and
     priors on the first call and kept, so the rate keeps its
@@ -752,5 +752,5 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     """
     d = c.dimension
     order = _DEFAULT_ORDER[d] if order is None else _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
-    rate = _rate_nats(c._plan, noise.variance / d, order) / _LN2
+    rate = _rate_nats(c._plan, noise.variance / 2.0, order) / _LN2
     return min(math.log2(len(c.points)), max(0.0, rate))

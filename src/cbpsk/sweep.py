@@ -162,13 +162,10 @@ def _distinct(ratios: tuple) -> bool:
 def scheme_rate(scheme: str, snr_linear: float) -> float:
     """Rate, in bits/sec/Hz, of one conventional scheme at symbol SNR rho.
 
-    The symbol energy is rho on the reference channel. 1-D alphabets (bpsk,
-    4ask) occupy a single real dimension and therefore see half the total
-    noise power; 2-D alphabets split it across both dimensions. Either way
-    each real dimension carries noise variance 1/(2 rho) relative to the
-    symbol energy, so the unit-energy alphabet is evaluated as declared at
-    that variance. At subnormal rho (below about 2.8e-309 in 1-D and 5.6e-309
-    in 2-D) the noise variance overflows, and ``ValueError`` is raised.
+    The symbol energy is rho on the reference channel, so the unit-energy
+    alphabet is evaluated as declared at total noise power 1/rho, 1/(2 rho)
+    on each real dimension. At subnormal rho (below about 5.6e-309) the
+    noise variance overflows, and ``ValueError`` is raised.
     """
     snr_linear = _real("snr_linear", snr_linear, at_least=0.0)
     if scheme == "capacity":
@@ -179,7 +176,7 @@ def scheme_rate(scheme: str, snr_linear: float) -> float:
         raise ValueError(f"unknown scheme {scheme!r}; valid schemes: {CONVENTIONAL_SCHEMES}") from None
     if snr_linear == 0.0:
         return 0.0
-    variance = base.dimension / (2.0 * snr_linear)
+    variance = 1.0 / snr_linear
     if math.isinf(variance):
         raise ValueError(f"snr_linear is too small for a finite noise variance, got {snr_linear!r}")
     return constellation_mi(base, NoiseModel(variance))

@@ -195,6 +195,22 @@ class TestRepeatableValues:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_usage_line_is_the_commands(self, tmp_path, capsys):
+        # main's own checks print the usage line that argparse prints for a
+        # bad value of one of the command's flags: the --snr order, and a
+        # config key that argparse takes as a prefix of a flag name.
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "--snr", "2", "--snr", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cbpsk capacity ")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sch": "bpsk"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["mi", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cbpsk mi ") and "config key 'sch'" in err
+
     @pytest.mark.parametrize("argv,entries,flag", [
         (("capacity",), {"snr": [2, 1]}, "--snr"),
         (("cocktail",), {"ratio": [3.5, 3.5]}, "--ratio"),

@@ -212,8 +212,9 @@ class TestAdr:
         # boundary alpha == beta (relaxed validation): the agreement term of
         # the second stage contributes nothing
         p = relaxed_params(1.0, 1.0)
-        out = adr_breakdown(p, NoiseModel(0.5))
-        expected = 0.5 * bpsk_mi(0.5, NoiseModel(0.25))
+        noise = NoiseModel(0.5)
+        out = adr_breakdown(p, noise)
+        expected = 0.5 * bpsk_mi(0.5, noise)
         assert out.r2 == pytest.approx(expected, abs=1e-12)
 
     def test_gain_formula_arithmetic(self):
@@ -243,24 +244,25 @@ class TestAdr:
 
 class TestStageNoise:
     def test_half_that_underflows_raises_every_time(self):
-        # A failed stage noise is not kept: the second call raises the same.
+        # Each detection stage sees half the total noise power, so a total
+        # whose half underflows to 0 is refused where the noise is built.
         for _ in range(2):
             with pytest.raises(ValueError) as exc:
-                adr_breakdown(CocktailParams(3.5, 1.0), NoiseModel(5e-324))
-            assert str(exc.value) == "noise variance must be a finite number > 0, got 0.0"
+                NoiseModel(5e-324)
+            assert str(exc.value) == "noise variance must be a finite number > 4.94066e-324, got 5e-324"
 
     def test_reused_stage_noise_matches_a_fresh_one(self):
-        # More total variances than the stage cache keeps, twice over, so
-        # entries are dropped and built again.
+        # Both detection stages take the total noise as given: the kernel
+        # applies the half per real dimension itself.
         p = CocktailParams(3.5, 1.0)
         for var in np.geomspace(1e-3, 1e3, 40).tolist() * 2:
-            half = NoiseModel(var / 2.0)
-            want = 0.5 * bpsk_mi(p.alpha, half) + 0.5 * bpsk_mi(0.5 * p.beta, half)
-            assert adr_breakdown(p, NoiseModel(var)).r1 == want
+            noise = NoiseModel(var)
+            want = 0.5 * bpsk_mi(p.alpha, noise) + 0.5 * bpsk_mi(0.5 * p.beta, noise)
+            assert adr_breakdown(p, noise).r1 == want
 
     def test_threads_give_serial_bits(self):
-        # Threads share the stage cache while it drops and builds entries; a
-        # short switch interval makes them take turns inside the calls.
+        # Threads share the kernel's cached rules; a short switch interval
+        # makes them take turns inside the calls.
         p = CocktailParams.from_ratio(3.5, 0.7)
         variances = np.geomspace(1e-3, 1e3, 60).tolist()
 

@@ -41,12 +41,14 @@ LOG2E = math.log2(math.e)
 # 40-digit evaluation of log2(sqrt(2*pi*e)).
 H_N_UNIT_VARIANCE = 2.047095585180641
 
-# Antipodal MI at amplitude 1, variance 1; Monte Carlo oracle gave
-# 0.48610 +/- 0.00088 (1e7 samples), Simpson integration 0.485944154133.
+# Antipodal MI at amplitude 1, variance 1 per real dimension (NoiseModel(2));
+# Monte Carlo oracle gave 0.48610 +/- 0.00088 (1e7 samples), Simpson
+# integration 0.485944154133.
 BPSK_MI_1_1 = 0.4859441541329357
 
-# (amplitude, I) for antipodal signaling at variance 0.5, amplitude
-# sqrt(rho) for 25 log-spaced rho in 1e-5..1: 40-digit mpmath quadrature of
+# (amplitude, I) for antipodal signaling at variance 0.5 per real dimension
+# (NoiseModel(1)), amplitude sqrt(rho) for 25 log-spaced rho in 1e-5..1:
+# 40-digit mpmath quadrature of
 # I = -E_n[log1p(expm1(u) / 2)] / ln 2, u = -2A(A + n) / v, at the float
 # amplitudes listed, checked against a 60-digit run on other breakpoints.
 BPSK_MI_40_DIGITS = (
@@ -149,7 +151,7 @@ class TestBpskMi:
             assert bpsk_mi(0.0, NoiseModel(var)) == 0.0
 
     def test_reference_value(self):
-        v = bpsk_mi(1.0, NoiseModel(1.0))
+        v = bpsk_mi(1.0, NoiseModel(2.0))
         assert v == pytest.approx(BPSK_MI_1_1, abs=1e-9)
         assert v == pytest.approx(0.486, abs=5e-4)
 
@@ -174,27 +176,29 @@ class TestBpskMi:
         assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_kernel_low_snr_slope_is_half_nat(self):
-        # The two-Gaussian mixture kernel carries half the capacity slope:
-        # I -> (snr/2) * log2(e) as snr -> 0. The full slope belongs to the
-        # scheme-level rates, where the alphabet sees the per-dimension
-        # noise share (see test_sweep).
-        rho = 1e-3
-        ratio = bpsk_mi(math.sqrt(rho), NoiseModel(1.0)) / (rho * LOG2E)
+        # Half a nat per unit of the per-dimension SNR s = A^2 / (v / 2),
+        # v the total noise power: I -> (s/2) * log2(e) as s -> 0. As s is
+        # 2 rho for rho = A^2 / v, bpsk_mi(sqrt(rho), NoiseModel(1)) carries
+        # the full capacity slope rho * log2(e), as the scheme-level rates do
+        # (see test_sweep).
+        s = 1e-3
+        ratio = bpsk_mi(math.sqrt(s / 2.0), NoiseModel(1.0)) / (s * LOG2E)
         assert ratio == pytest.approx(0.5, abs=5e-4)
 
     def test_matches_40_digit_values(self):
-        noise = NoiseModel(0.5)
+        noise = NoiseModel(1.0)
         worst = max(abs(Fraction(bpsk_mi(a, noise)) - Fraction(want)) for a, want in BPSK_MI_40_DIGITS)
         assert worst <= Fraction(5e-16), f"largest error {float(worst):.3g} bits"
 
     def test_quadrature_matches_simpson(self, simpson_entropies):
         # Dual-route self-consistency across easy and awkward separations:
-        # the general rate kernel against H(Y) - H(N) by adaptive Simpson.
-        noise = NoiseModel(1.0)
+        # the general rate kernel against H(Y) - H(N) by adaptive Simpson,
+        # both at variance 1 per real dimension.
+        noise = NoiseModel(2.0)
         for snr, h_y in simpson_entropies.items():
             a = math.sqrt(snr)
             gh = constellation_mi(Constellation((a, -a)), noise)
-            want = h_y - noise_entropy(noise)
+            want = h_y - noise_entropy(NoiseModel(1.0))
             assert abs(gh - want) < 1e-9, f"snr={snr}: gh={gh!r} simpson={want!r}"
 
     def test_capacity_dominance(self):
@@ -203,13 +207,14 @@ class TestBpskMi:
             assert v <= awgn_capacity(snr) + 1e-9
 
     def test_matches_low_snr_series(self):
-        # I = (s/2 - s^2/4 + s^3/6 - ...) / ln 2 with s = A^2 / v; over this
-        # range the dropped terms are below 1e-12 relative, so the bound
-        # measures the kernel, and H(Y) - H(N) would miss it by 4e-4 at 1e-12.
+        # I = (s/2 - s^2/4 + s^3/6 - ...) / ln 2 with s = A^2 / v, v the
+        # variance per real dimension; over this range the dropped terms are
+        # below 1e-12 relative, so the bound measures the kernel, and
+        # H(Y) - H(N) would miss it by 4e-4 at 1e-12.
         worst = 0.0
         for s in np.logspace(-12, -4, 41):
             series = (s / 2 - s**2 / 4 + s**3 / 6) / math.log(2.0)
-            worst = max(worst, abs(bpsk_mi(math.sqrt(s), NoiseModel(1.0)) / series - 1.0))
+            worst = max(worst, abs(bpsk_mi(math.sqrt(s), NoiseModel(2.0)) / series - 1.0))
         assert worst <= 1e-9, f"largest relative error {worst:.3g}"
 
     def test_matches_series_of_exact_snr_below_1e_8(self):
@@ -221,9 +226,9 @@ class TestBpskMi:
             a = math.sqrt(s)
             s_exact = Fraction(a) ** 2
             want = (s_exact / 2 - s_exact**2 / 4 + s_exact**3 / 6) / ln2
-            assert abs(Fraction(bpsk_mi(a, NoiseModel(1.0))) / want - 1) <= Fraction(1e-12), f"s={s!r}"
+            assert abs(Fraction(bpsk_mi(a, NoiseModel(2.0))) / want - 1) <= Fraction(1e-12), f"s={s!r}"
         # I = 5e-601 underflows to zero.
-        assert bpsk_mi(1e-300, NoiseModel(1.0)) == 0.0
+        assert bpsk_mi(1e-300, NoiseModel(2.0)) == 0.0
 
     @pytest.mark.parametrize("var", [0.5, 1.0])
     def test_matches_constellation_mi(self, var):
@@ -235,10 +240,10 @@ class TestBpskMi:
             assert abs(bpsk_mi(a, noise) - want) <= 5e-16, f"A={a!r}"
 
     def test_matches_simpson_route(self, simpson_entropies):
-        noise = NoiseModel(1.0)
+        noise = NoiseModel(2.0)
         for snr, h_y in simpson_entropies.items():
             a = math.sqrt(snr)
-            want = h_y - noise_entropy(noise)
+            want = h_y - noise_entropy(NoiseModel(1.0))
             assert abs(bpsk_mi(a, noise) - want) < 1e-9, f"snr={snr}"
 
     @pytest.mark.parametrize(
@@ -361,14 +366,14 @@ class TestConstellationMi:
         assert constellation_mi(c, noise) == pytest.approx(bpsk_mi(1.7, noise), abs=1e-10)
 
     def test_qpsk_is_two_independent_antipodal_channels(self):
-        # 2-D tensor quadrature vs two 1-D detections at the same
-        # per-dimension SNR: the total noise splits evenly across rails. The
+        # 2-D tensor quadrature vs two 1-D detections at the same NoiseModel:
+        # each real dimension carries half its power in both. The
         # order-192 tensor rule's error peaks near rho = 12.8 at 6.2e-9 bits;
         # the dense grid over 3..30 holds it to the bound the docs state.
         for rho in (1e-3, 0.05, 1.0, 100.0, *np.geomspace(3.0, 30.0, 121)):
             var = 1.0 / rho
             q = constellation_mi(Constellation.qpsk(), NoiseModel(var))
-            rail = bpsk_mi(math.sqrt(0.5), NoiseModel(var / 2.0))
+            rail = bpsk_mi(math.sqrt(0.5), NoiseModel(var))
             assert abs(q - 2.0 * rail) <= 6.5e-9, f"rho={rho}"
 
     def test_8psk_within_stated_bound_of_order_256(self):
@@ -464,7 +469,7 @@ class TestLowSnrRates:
     def test_matches_30_digit_values(self, alphabet, rho, bound):
         if alphabet == "cocktail-4pam":
             c = _cocktail_4pam(rho)
-            got = constellation_mi(c, NoiseModel(0.5))
+            got = constellation_mi(c, NoiseModel(1.0))
             want = mpmath_rate(c.points, c.priors, 0.5)
         elif alphabet == "qpsk":
             # Two antipodal rails, each at half the total noise power.
@@ -482,7 +487,7 @@ class TestLowSnrRates:
         # No symmetry and a second shift buffer; 5e-13 relative when measured.
         points = tuple(x * math.sqrt(rho) for x in (1.0, -1.0, 0.3))
         priors = (0.7, 0.2, 0.1)
-        got = constellation_mi(Constellation(points, priors), NoiseModel(0.5))
+        got = constellation_mi(Constellation(points, priors), NoiseModel(1.0))
         want = mpmath_rate(points, priors, 0.5)
         assert abs(got / want - 1.0) <= 5e-12, f"{got!r} vs {want!r}"
 
@@ -491,7 +496,7 @@ class TestLowSnrRates:
         # two-point form: 5.5e-13 relative apart at worst when measured.
         worst = 0.0
         for rho in np.geomspace(1e-8, 1e2, 61).tolist():
-            want = bpsk_mi(math.sqrt(rho), NoiseModel(0.5))
+            want = bpsk_mi(math.sqrt(rho), NoiseModel(1.0))
             worst = max(worst, abs(scheme_rate("bpsk", rho) / want - 1.0))
         assert worst <= 2e-12, f"largest relative difference {worst:.3g}"
 
@@ -875,9 +880,9 @@ class TestFoldedRule:
 
 
 def plain_bpsk_mi(amplitude, variance, order=256):
-    """bpsk_mi as the plain numpy expression of its docstring, one temporary
-    per operation: the reference for the bits of the library's in-place
-    chain."""
+    """bpsk_mi as the plain numpy expression of its docstring, at
+    ``variance`` per real dimension, one temporary per operation: the
+    reference for the bits of the library's in-place chain."""
     if amplitude == 0.0:
         return 0.0
     nodes, w = mi._unit_rule(order, 1, ())
@@ -924,9 +929,9 @@ class TestLeanKernelBits:
 
     @pytest.mark.parametrize("var", [0.5, 1.0, 3.7])
     def test_bpsk_mi_on_seeded_amplitudes(self, var):
-        # s = A^2 / v from 1e-9 to 4e3: the series, the quadrature and its
-        # rounding to 1 bit.
-        noise = NoiseModel(var)
+        # s = A^2 / v from 1e-9 to 4e3, v = var per real dimension: the
+        # series, the quadrature and its rounding to 1 bit.
+        noise = NoiseModel(2.0 * var)
         amplitudes = (10.0 ** np.random.default_rng(22).uniform(-4.5, 1.8, 2000)).tolist()
         self.assert_same_bits((a, bpsk_mi(a, noise), plain_bpsk_mi(a, var)) for a in amplitudes)
 
@@ -936,12 +941,12 @@ class TestLeanKernelBits:
         assert all(a * a <= mi._SERIES_MAX_S for a in series)
         saturated = (10.0 ** rng.uniform(154.0, 300.0, 100)).tolist()
         assert all(a > mi._Q_SATURATED for a in saturated)
-        noise = NoiseModel(1.0)
+        noise = NoiseModel(2.0)
         self.assert_same_bits((a, bpsk_mi(a, noise), plain_bpsk_mi(a, 1.0)) for a in series + saturated)
 
     @pytest.mark.parametrize("order", [8, 64, 255])
     def test_bpsk_mi_at_other_orders(self, order):
-        noise = NoiseModel(0.5)
+        noise = NoiseModel(1.0)
         amplitudes = (10.0 ** np.random.default_rng(order).uniform(-4.0, 1.5, 300)).tolist()
         self.assert_same_bits(
             (a, bpsk_mi(a, noise, order), plain_bpsk_mi(a, 0.5, order)) for a in amplitudes
@@ -950,8 +955,9 @@ class TestLeanKernelBits:
     def test_bpsk_mi_keeps_its_pinned_bits(self):
         # The sha256 of the float.hex of 60 rates, captured before -|u| was
         # formed by copysign. At q <= 8 the nodes sqrt(2) t, which reach
-        # +-16.3, put u on both sides of 0 at every amplitude.
-        noise = NoiseModel(1.0)
+        # +-16.3, put u on both sides of 0 at every amplitude. Variance 1 per
+        # real dimension.
+        noise = NoiseModel(2.0)
         rates = [bpsk_mi(a, noise).hex() for a in np.geomspace(1e-3, 8.0, 60).tolist()]
         digest = hashlib.sha256(" ".join(rates).encode()).hexdigest()
         assert digest == "102890624fad145249e1952a382166a347ae4b1163f3d35b4c0e82e36c7947f9"

@@ -68,5 +68,5 @@ def test_readme_python_example_runs():
     namespace = {}
     exec(compile(example, str(README), "exec"), namespace)
     # The figure the example states in its comment.
-    assert cbpsk.bpsk_mi(1.0, cbpsk.NoiseModel(1.0)) == pytest.approx(0.48594, abs=5e-6)
+    assert cbpsk.bpsk_mi(1.0, cbpsk.NoiseModel(2.0)) == pytest.approx(0.48594, abs=5e-6)
     assert [c.label for c in namespace["gains"]] == ["gain r=3.5"]

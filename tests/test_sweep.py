@@ -180,8 +180,10 @@ class TestSchemeRates:
         assert tuple(scheme_rate(scheme, rho).hex() for rho in (1e-6, 1.0, 50.0)) == bits
 
     def test_bpsk_scheme_is_kernel_at_half_noise(self):
+        # The reference channel's total noise power is 1, so the one real
+        # dimension bpsk uses carries half of it.
         rho = 0.37
-        expected = bpsk_mi(math.sqrt(rho), NoiseModel(0.5))
+        expected = bpsk_mi(math.sqrt(rho), NoiseModel(1.0))
         assert scheme_rate("bpsk", rho) == pytest.approx(expected, abs=1e-12)
 
 
