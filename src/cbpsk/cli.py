@@ -361,8 +361,9 @@ def main(argv=None) -> int:
         cfg = _load_config(parser, argv)
         flags = {k: _as_flags(k, v) for k, v in cfg.items()}
         # The file's flags go right after the command name, so explicit
-        # flags, later in argv, override them.
-        args = parser.parse_args(argv[:1] + [f for fs in flags.values() for f in fs] + argv[1:])
+        # flags, later in argv, override them. Unknown flags are left over,
+        # so that a config key naming none is refused as a key, below.
+        args, unknown = parser.parse_known_args(argv[:1] + [f for fs in flags.values() for f in fs] + argv[1:])
         usage_error = args.parser.error
         for key, value in cfg.items():
             if key == "config":  # the --config in argv would win over it unseen
@@ -375,6 +376,8 @@ def main(argv=None) -> int:
                 usage_error(f"config key {key!r}: a list needs a repeatable flag and one or more values")
             if isinstance(parsed, list) and len(parsed) > len(flags[key]):
                 del parsed[: len(flags[key])]  # explicit repeated flags replace the file's values
+        if unknown:  # what parse_args refuses: what argv holds that the command does not take
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         # Checked once the file's values and the flags are merged, so both
         # obey one rule: --snr values like the points of a --grid, and
         # --ratio values because each names its curves.

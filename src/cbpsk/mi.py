@@ -28,6 +28,17 @@ one node per orbit, weighted by the orbit's size. At order 192 that leaves
 3813 nodes for QPSK and for the diagonal points of 8-PSK, and 3778 for its
 axis points; 1-D alphabets fold only at a point on their centroid.
 
+The order of the rule is chosen per call, unless one is given. The
+integrand is analytic, with its nearest singularities pi / (sqrt(2) D) from
+the real axis, D the largest scaled separation |m_k - m_j| / sqrt(v), so at
+low SNR a few nodes hold it. :func:`constellation_mi` takes the smallest
+order of the ladder 8, 12, 16, 24, 32, 48, 64, 96, 128, 192 whose limit
+covers s = D^2 (4 A^2 / v for {+A, -A}; 0.035 for order 8 up to 5.7 for
+order 192), and above 5.7 the cap: order 256 in 1-D and 192 in 2-D. Each
+limit is about 20 % below the first s at which the order leaves the cap by
+more than 5e-16 bits on BPSK, the tightest alphabet measured. The cache of
+rules holds every one the ladder can ask for, so a sweep builds each once.
+
 :func:`bpsk_mi`, the antipodal rate every cocktail rate is built from, is
 the kernel's two-point case, I = -E_n[log1p(expm1(u)/2)] / ln 2 in the
 log-likelihood ratio u, written out for its per-call cost.
@@ -40,8 +51,13 @@ grows: -4.8e-13 bits at s = 4, -6.4e-11 at 8, -3.2e-10 at 13, and at most
 {+A, -A}, and an adaptive-Simpson integrator over a truncated window,
 provided as an independent cross-check, agrees with both to better than
 1e-9 bits. At SNR 1e-8, 1e-6 and 1e-4, the rates of BPSK, 4-ASK, QPSK and
-the cocktail 4-PAM are within 1.1e-12 relative (QPSK at 1e-8), and within
-1.3e-13 for the 1-D alphabets. In 2-D (order 192 per dimension), QPSK is
+the cocktail 4-PAM at the default order are within 1.1e-12 relative (8.7e-13
+for 4-ASK at 1e-8), and the worst in each decade from 1e-7 to 1e-2 (8
+points a decade) is 5.2e-13, 1.6e-13, 3.4e-14, 1.4e-14 and 1.7e-14: there
+rounding, not the rule, sets the error, and orders 192 and 256 gave 1.3e-13,
+5.5e-14, 3.1e-14, 5.8e-15 and 1.6e-15. Over SNR 1e-8..1e4 the default order
+is within 3.3e-16 bits of the cap on BPSK, 4-ASK, the cocktail 4-PAM, QPSK,
+8-PSK and 16-QAM. In 2-D (order 192 per dimension), QPSK is
 within 5.5e-9 bits of its exact rate, two antipodal channels, with the peak
 near SNR 12.8. The tensor rule factorises into the 1-D rule, so QPSK at
 order 256 carries twice the 1-D error, up to 7.1e-10 bits. 8-PSK at order
@@ -65,6 +81,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
@@ -97,9 +114,14 @@ _SERIES_MAX_S = 1e-8
 # 256; 256 nodes already put the Hermite/Simpson discrepancy below 1e-9.
 _MIN_ORDER = 8
 _MAX_ORDER = 256
-# Per-dimension default of constellation_mi: the 2-D tensor rule has
-# order**2 nodes, so it runs at a lower order.
+# Per-dimension cap of constellation_mi's default order: the 2-D tensor rule
+# has order**2 nodes, so it stops at a lower order.
 _DEFAULT_ORDER = {1: _MAX_ORDER, 2: 192}
+# The ladder of default orders (module docstring): a call takes the first
+# order whose limit is >= its s = max |m_k - m_j|^2 / v, v the variance per
+# dimension, and the cap above every limit.
+_LADDER_LIMITS = (0.035, 0.11, 0.22, 0.45, 0.64, 1.1, 1.6, 2.5, 3.6, 5.7)
+_LADDER = {d: (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, cap) for d, cap in _DEFAULT_ORDER.items()}
 # The quadrature rule keeps only nodes whose normalised weight is above this;
 # the bound on what the dropped ones carry is in _unit_rule.
 _WEIGHT_FLOOR = 1e-30
@@ -238,6 +260,14 @@ class Constellation:
         and kept. It is not a field, so equality, hashing, repr and pickles
         ignore it, and copies build their own."""
         return _alphabet_plan(self._array, self.priors)
+
+    @cached_property
+    def _widest(self) -> float:
+        """The largest squared offset |m_k - m_j|^2 between live components,
+        read once from the plan's offsets, which every class's representative
+        holds to every component: the numerator of the s that picks the
+        default order of :func:`constellation_mi`."""
+        return max(float(sq.max()) for *_, sq in self._plan[2])
 
     @property
     def dimension(self) -> int:
@@ -471,7 +501,11 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
     return rate
 
 
-@lru_cache(maxsize=32)
+# Room for every rule the default orders can ask for, so that sweeps do not
+# rebuild them: 11 ladder orders in 1-D times 2 stabilizers (none, the
+# mirror) and 10 in 2-D times 6 (none, the 4 reflections, all 7 maps) are 82
+# keys; the rest serve explicit orders.
+@lru_cache(maxsize=128)
 def _unit_rule(order: int, d: int, maps: tuple) -> tuple:
     """The Gauss-Hermite rule of every kernel: the unit d-dimensional
     tensor-product rule of ``order`` nodes per dimension (a plain int
@@ -734,8 +768,15 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     """Mutual information I(X; Y), in bits, of a finite constellation over AWGN.
 
     Each real dimension carries noise variance ``noise.variance / 2``, as
-    :class:`NoiseModel` states. The default order per dimension is 256 in
-    1-D and 192 in 2-D.
+    :class:`NoiseModel` states. Without an ``order``, the order per
+    dimension is the first of the ladder 8, 12, ..., 192 whose limit covers
+    s = max |m_k - m_j|^2 / v over the live components, v the variance per
+    dimension, and above the last limit the cap, 256 in 1-D and 192 in 2-D
+    (module docstring): over SNR 1e-8..1e4 it is within 3.3e-16 bits of the
+    cap on BPSK, 4-ASK, the cocktail 4-PAM, QPSK, 8-PSK and 16-QAM. The
+    numerator of s is read once per alphabet from its kernel plan, so the
+    choice costs a division and a bisection of the ladder's limits. A given
+    ``order`` is used as it is.
     The rate kernel :func:`_rate_nats` forms I directly, from the
     constellation's own kernel plan, built from its checked points and
     priors on the first call and kept, so the rate keeps its
@@ -743,14 +784,17 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. Below SNR
     1e-8 it loses about 1e-16/sqrt(SNR) relative: against the series of
     :func:`bpsk_mi`, BPSK at SNR 1e-12, 1e-16, 1e-20 and 1e-30 (as in
-    :func:`cbpsk.sweep.scheme_rate`) is off by 1.5e-11, 2.9e-9, 2.1e-7 and
-    7.6e-2, and QPSK at 1e-300 returns 0. So ``cbpsk cocktail --ratio 3.5
+    :func:`cbpsk.sweep.scheme_rate`) is off by -1.7e-10, 1.5e-9, -4.3e-7 and
+    1.6e-3, and QPSK at 1e-300 returns 6.7e-168. So ``cbpsk cocktail --ratio 3.5
     --grid 1e-11:1e-10:log:40`` fails with a bpsk Eb/N0 axis that is not
     ascending. For the two-point {+A, -A} alphabet it agrees with
     :func:`bpsk_mi`, the same integrand written out, within 5e-16 bits.
     The result is clamped into [0, log2(alphabet size)].
     """
-    d = c.dimension
-    order = _DEFAULT_ORDER[d] if order is None else _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
-    rate = _rate_nats(c._plan, noise.variance / 2.0, order) / _LN2
+    var_per_dim = noise.variance / 2.0
+    if order is None:
+        order = _LADDER[c.dimension][bisect_left(_LADDER_LIMITS, c._widest / var_per_dim)]
+    else:
+        order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
+    rate = _rate_nats(c._plan, var_per_dim, order) / _LN2
     return min(math.log2(len(c.points)), max(0.0, rate))

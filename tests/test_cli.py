@@ -763,6 +763,11 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["mi", "--scheme", "bpsk", "--config", str(cfg)])
         assert exc.value.code == 2
+        # The key is named, under the command's usage line, not as a flag
+        # the user never typed.
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cbpsk mi ") and "config key 'bogus' is not a flag of 'mi'" in err
+        assert "--bogus" not in err
 
     @pytest.mark.parametrize("ratio", [[1.0], ["abc"], 0.5])
     def test_config_ratio_validated_like_flag(self, ratio, tmp_path, capsys):

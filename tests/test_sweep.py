@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cbpsk import mi
 from cbpsk.mi import NoiseModel, awgn_capacity, bpsk_mi
 from cbpsk.sweep import (
     RateCurve,
@@ -164,10 +165,10 @@ class TestSchemeRates:
     @pytest.mark.parametrize(
         "scheme,bits",
         [
-            ("bpsk", ("0x1.8345262f3e9d4p-20", "0x1.71621a582f0c6p-1", "0x1.0000000000000p+0")),
-            ("4ask", ("0x1.8345262f3ea9ep-20", "0x1.8b0a4f4961bd3p-1", "0x1.fffe5c71fe901p+0")),
-            ("qpsk", ("0x1.834532dfe6004p-20", "0x1.f19b5826bbbdbp-1", "0x1.fffffffff886ep+0")),
-            ("8psk", ("0x1.834532dfe5dbap-20", "0x1.f6375a103548fp-1", "0x1.7fedf60a4525cp+1")),
+            ("bpsk", ("0x1.8345262f3e6e7p-20", "0x1.71621a582f0c6p-1", "0x1.0000000000000p+0")),
+            ("4ask", ("0x1.8345262f3ea70p-20", "0x1.8b0a4f4961bd3p-1", "0x1.fffe5c71fe901p+0")),
+            ("qpsk", ("0x1.834532dfe5de8p-20", "0x1.f19b5826bbbdbp-1", "0x1.fffffffff886ep+0")),
+            ("8psk", ("0x1.834532dfe5d35p-20", "0x1.f6375a103548fp-1", "0x1.7fedf60a4525cp+1")),
         ],
     )
     def test_rates_keep_their_bits(self, scheme, bits):
@@ -176,7 +177,10 @@ class TestSchemeRates:
         # kernel plan moved no bit. Folding the 2-D rule by each class's
         # stabilizer changed the summation order of qpsk and 8psk, whose
         # values were captured again (at most 142 ulps, 3.0e-20 bits, at
-        # rho = 1e-6); the 1-D rates kept their bits.
+        # rho = 1e-6); the 1-D rates kept their bits. The default order
+        # chosen per SNR runs every rate at rho = 1e-6 on order 8, whose
+        # values were captured again: bpsk -1.1e-13, 4ask 1.9e-14, qpsk
+        # -9.5e-14 and 8psk -1.2e-13 relative to 30-digit mpmath values.
         assert tuple(scheme_rate(scheme, rho).hex() for rho in (1e-6, 1.0, 50.0)) == bits
 
     def test_bpsk_scheme_is_kernel_at_half_noise(self):
@@ -202,6 +206,16 @@ class TestModulationCurves:
         for curve in modulation_rate_curves(spec):
             ys = curve.ys
             assert all(b >= a - 1e-12 for a, b in zip(ys, ys[1:])), curve.label
+
+    def test_second_sweep_builds_no_rule(self):
+        # The default order changes with the SNR, so one sweep of the figure's
+        # grid asks for a rule per order and stabilizer; the cache keeps them
+        # all, and a second sweep rebuilds none.
+        spec = SweepSpec(snr_grid=log_grid(1e-3, 1e2, 60))
+        modulation_rate_curves(spec)
+        misses = mi._unit_rule.cache_info().misses
+        modulation_rate_curves(spec)
+        assert mi._unit_rule.cache_info().misses == misses
 
     def test_grid_refinement_preserves_shared_points(self):
         coarse = SweepSpec(snr_grid=(0.01, 1.0), schemes=("bpsk",))
