@@ -7,9 +7,10 @@ Gauss-Hermite quadrature against each component, and no entropy: H(Y) -
 H(N) subtracts two entropies of 1-2 bits, which leaves 2.5e-9 relative
 error at SNR 1e-8. The exponent is affine in the noise sample, so a
 component costs one small matrix product, and each orbit of the alphabet's
-symmetry group is evaluated once, over the rule folded by the symmetries
-that fix it; these shortcuts move a value only by summation order. The
-orbits, their offsets and their symmetries depend on the alphabet alone, so
+isometries (the rotations and reflections that carry it onto itself about
+its centroid, prior for prior) is evaluated once, at one representative,
+over the rule folded by the rule's symmetries that fix it. The orbits,
+their offsets and their symmetries depend on the alphabet alone, so
 each :class:`Constellation` finds them once, in its kernel plan
 (:func:`_alphabet_plan`), and a call does only the work that depends on the
 noise.
@@ -25,8 +26,13 @@ and |t|^2 whatever the SNR, so the dropped nodes can move a rate by at most
 signed permutation of the axes, and a component's integrand keeps those
 that fix the component (its stabilizer), so the rule is folded by them:
 one node per orbit, weighted by the orbit's size. At order 192 that leaves
-3813 nodes for QPSK and for the diagonal points of 8-PSK, and 3778 for its
-axis points; 1-D alphabets fold only at a point on their centroid.
+3813 nodes for QPSK and 3778 for 8-PSK, whose eight points are one orbit
+under its rotations by pi / 4, represented by (1, 0); 1-D alphabets fold
+only at a point on their centroid. The folded rule moves a rate by
+summation order only. The grouping is exact for an exact rule, but the
+tensor rule keeps only the signed axis maps, not the rotations by pi / 4,
+so it moves 8-PSK by the difference of its axis and diagonal points' rule
+errors (below).
 
 The order of the rule is chosen per call, unless one is given. The
 integrand is analytic, with its nearest singularities pi / (sqrt(2) D) from
@@ -60,9 +66,17 @@ is within 3.3e-16 bits of the cap on BPSK, 4-ASK, the cocktail 4-PAM, QPSK,
 8-PSK and 16-QAM. In 2-D (order 192 per dimension), QPSK is
 within 5.5e-9 bits of its exact rate, two antipodal channels, with the peak
 near SNR 12.8. The tensor rule factorises into the 1-D rule, so QPSK at
-order 256 carries twice the 1-D error, up to 7.1e-10 bits. 8-PSK at order
-192 differs from order 256 by at most 1.7e-12 bits over SNR 1e-3..1e2: a
-convergence figure, not an error bound.
+order 256 carries twice the 1-D error, up to 7.1e-10 bits. 8-PSK, one
+class summed as its axis point's term, is within 2.0e-12 bits of a 2-D
+trapezoid-rule oracle (steps 0.06 and 0.07 agree to 8.9e-16 bits) over the
+60-point grid SNR 1e-3..1e2: -2.0e-12 at SNR 7.9, -1.5e-12 at 9.6,
+-3.3e-13 at 12.8, and at most 4e-15 below SNR 3.7 and above 20. With its
+axis and diagonal points as two classes it erred by up to -1.8e-12 (at
+7.9), since their rule errors partly cancelled. It differs from order 256
+by at most 1.9e-12 bits there, and order 256 from the oracle by 1.1e-13.
+8-PSK turned by 0.3 rad errs by at most 6.7e-13 bits below SNR 15, but by
+up to 7.4e-11 at SNR 17..100: the rule's error depends on how the alphabet
+lies on the axes.
 
 Arguments follow two rules, here and in every module of the package. A
 number is an int, float, numpy integer or numpy floating, but not bool,
@@ -269,6 +283,22 @@ class Constellation:
         default order of :func:`constellation_mi`."""
         return max(float(sq.max()) for *_, sq in self._plan[2])
 
+    @cached_property
+    def _series(self) -> tuple | None:
+        """(tr C, tr C^2, tr C^3) of the prior-weighted covariance C of the
+        live components when the alphabet is centrally symmetric, x -> 2c - x
+        carrying it onto itself prior for prior about its centroid c by the
+        test of :func:`_hits`; None otherwise. :func:`constellation_mi` takes
+        its low-SNR series from them."""
+        pri = np.asarray(self.priors)
+        pts, pri = self._array[pri > 0.0], pri[pri > 0.0]
+        centred, tol = _centred(pts, pri)
+        if not _hits(centred, pri, tol, -np.eye(self.dimension)[None]).any(axis=2).all():
+            return None
+        cov = centred.T @ (centred * pri[:, None])
+        square = cov @ cov
+        return float(np.trace(cov)), float(np.trace(square)), float(np.trace(square @ cov))
+
     @property
     def dimension(self) -> int:
         return self._array.shape[1]
@@ -427,13 +457,16 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
     c is the row maximum, which needs no second buffer. For two equiprobable
     points L_k is the f(u) of :func:`bpsk_mi` with c = max(0, u).
 
-    Components in one orbit of the alphabet's symmetry group have equal terms
+    Components in one orbit of the alphabet's isometries have equal terms
     (:func:`_symmetry_classes`), so one representative per orbit is
-    evaluated, weighted by the orbit's summed prior: one class for BPSK and
-    QPSK, two for 4-ASK, the cocktail 4-PAM and 8-PSK, three for 16-QAM. The
-    rule is not rotation-invariant, so in 8-PSK the points on an axis and on
-    a diagonal keep their own terms, which differ by the rule's error (about
-    2e-12 bits at order 192). Zero-prior components take no part.
+    evaluated, weighted by the orbit's summed prior: one class for BPSK,
+    QPSK and 8-PSK, two for 4-ASK and the cocktail 4-PAM, three for 16-QAM.
+    The terms are equal in exact arithmetic. The tensor rule is not
+    rotation-invariant, so on it 8-PSK's axis and diagonal points differ by
+    their rule errors, up to 2.7e-12 bits at order 192 on the 60-point grid
+    SNR 1e-3..1e2; the rate is the axis point's, within 2.0e-12 bits of the
+    exact rate there (module docstring). Zero-prior components take no
+    part.
 
     What is left of the symmetry folds the rule. Let g be in the stabilizer
     of the representative r: a symmetry that fixes m_r - c, c the centroid.
@@ -443,8 +476,8 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
     so u_rj(g t) = u_rj'(t) and L_r(g t) = L_r(t). The rule is invariant
     under g as well, so the class is summed over one node per orbit of its
     stabilizer, weighted by the orbit's size (:func:`_unit_rule`). At order
-    192, QPSK's class and 8-PSK's diagonal class take 3813 of the 7556
-    nodes and 8-PSK's axis class 3778. A class whose stabilizer is the
+    192, QPSK's class takes 3813 of the 7556 nodes and 8-PSK's, fixed by
+    the reflection in the x axis, 3778. A class whose stabilizer is the
     identity alone takes the pruned rule itself, so BPSK, 4-ASK and the
     cocktail 4-PAM keep their bits. Where the alphabet is symmetric to its
     rounding, folding moves a rate by summation order alone: at most 4.4e-16
@@ -586,49 +619,116 @@ def _axis_maps(d: int) -> tuple:
 
 
 _AXIS_MAPS = {d: _axis_maps(d) for d in (1, 2)}
+# The same maps as (d, d) matrices, identity first: row i of matrix g is
+# signs[g][i] times the unit vector of axis orders[g][i].
+_AXIS_MATRICES = {d: np.eye(d)[orders] * signs[:, :, None] for d, (orders, signs) in _AXIS_MAPS.items()}
+
+
+def _centred(pts: np.ndarray, pri: np.ndarray) -> tuple:
+    """The live points ``pts`` less their prior-weighted centroid, and the
+    tolerance of every symmetry test: 1e-12 times the alphabet's extent."""
+    return pts - pri @ pts / pri.sum(), 1e-12 * float(np.ptp(pts, axis=0).max())
+
+
+def _hits(centred: np.ndarray, pri: np.ndarray, tol: float, maps: np.ndarray) -> np.ndarray:
+    """hit[g, i, j]: the orthogonal (d, d) matrix ``maps[g]`` takes centred
+    point i onto point j within ``tol``, and the two have the same prior.
+    The points are distinct, so map g is a symmetry of the alphabet, about
+    its centroid and prior for prior, when every point hits one."""
+    images = centred @ maps.transpose(0, 2, 1)
+    hit = pri[:, None] == pri[None, :]
+    # One comparison per axis: numpy reduces a trailing axis of 2 slowly.
+    for image, coord in zip(images.transpose(2, 0, 1), centred.T):
+        hit = hit & (np.abs(image[:, :, None] - coord) <= tol)
+    return hit
+
+
+def _plane_isometries(centred: np.ndarray, pri: np.ndarray, tol: float) -> np.ndarray:
+    """The candidate isometries of a 2-D alphabet about its centroid, as
+    (m, 2, 2) matrices: an orthogonal map of the plane is fixed by where it
+    sends one point p off the centroid, and a symmetry sends p to a point
+    of the same prior and radius, so for a farthest p the candidates are the
+    rotation and the reflection that take p to each such point q. In
+    complex terms these are z -> a z and z -> b conj(z), with a = q / p and
+    b = q / conj(p). An alphabet of one point has none."""
+    z = centred @ np.array([1.0, 1j])
+    radius = np.abs(z)
+    far = int(radius.argmax())
+    p = z[far]
+    if p == 0.0:
+        return np.empty((0, 2, 2))
+    q = z[(pri == pri[far]) & (np.abs(radius - radius[far]) <= tol)]
+    a, b = q / p, q / p.conjugate()
+    rotations = np.stack([a.real, -a.imag, a.imag, a.real], axis=1)
+    reflections = np.stack([b.real, b.imag, b.imag, -b.real], axis=1)
+    return np.concatenate([rotations, reflections]).reshape(-1, 2, 2)
 
 
 def _symmetry_classes(pts: np.ndarray, pri: np.ndarray) -> list:
     """(representative index, summed prior, stabilizer) for each class of
-    components of a mixture whose quadrature terms are equal. ``pts`` (n, d)
-    and ``pri`` (n,) are the live components, those of prior > 0, and
-    indices refer to them.
+    components of a mixture whose terms are equal in exact arithmetic.
+    ``pts`` (n, d) and ``pri`` (n,) are the live components, those of prior
+    > 0, and indices refer to them.
 
     Component k's term depends only on the priors p_j and the offsets
-    m_j - m_k, and the tensor-product rule is invariant under the signed
-    permutations of the axes. A map g of those takes k's offsets onto r's,
-    prior for prior, exactly when it carries the alphabet, centred on its
-    prior-weighted centroid c, onto itself and m_k - c onto m_r - c (then
-    x -> m_r + g(x - m_k) permutes the points, so it fixes c). So the
-    classes are the orbits of the components under those symmetries, found
-    within a tolerance relative to the constellation's extent; each is
-    represented by its lowest index. A symmetry keeps priors, so a class
-    never mixes them.
+    m_j - m_k, and the noise is isotropic. So an orthogonal map g that
+    carries the alphabet, centred on its prior-weighted centroid c, onto
+    itself prior for prior takes k's term to that of the component at
+    c + g(m_k - c), and the classes are the orbits of the components under
+    every such isometry. In 1-D these are the signed axis maps (the identity
+    and the mirror). In 2-D they are searched among the 8 signed axis maps
+    and the at most 2n candidates of :func:`_plane_isometries`, each
+    checked on every point within a tolerance relative to the
+    constellation's extent (:func:`_hits`). A symmetry keeps priors, so a
+    class never mixes them. 8-PSK is one orbit under its rotations by
+    pi / 4, so it is one class; QPSK is one, 16-QAM three, and an alphabet
+    turned by a generic angle has the classes it has unturned.
 
-    The stabilizer of representative r is the tuple of those symmetries,
-    the identity left out, that take m_r - c onto itself (hit[g, r, r]
-    below), as indices into ``_AXIS_MAPS[d]``: empty for BPSK, 4-ASK and
-    the cocktail 4-PAM, the swap of the axes for QPSK and for 8-PSK's
-    diagonal points, the reflection in the axis it lies on for each of its
-    axis points, all 7 for a 2-D point on the centroid. :func:`_rate_nats`
-    folds the rule of r's class by it.
+    The tensor-product rule keeps only the signed axis maps, so it holds
+    the terms of one class equal only to its rule error: up to 2.7e-12 bits
+    at order 192 between 8-PSK's axis and diagonal points, with a sign that
+    depends on the SNR. So the representative must not depend on the order
+    in which the points are listed. It is the member with the largest
+    stabilizer, then the greatest centred x, then y, each compared within
+    the tolerance, and then the lowest index among that member's images
+    under the symmetric axis maps, whose terms equal its own to rounding
+    because the rule keeps those maps. For 8-PSK that is (1, 0). Where the
+    axis maps alone make every orbit (every 1-D alphabet, QPSK, 16-QAM),
+    those images are the whole class, so its lowest index represents it.
+
+    The stabilizer of representative r is the tuple of the symmetric axis
+    maps, the identity left out, that take m_r - c onto itself, as indices
+    into ``_AXIS_MAPS[d]``: empty for BPSK, 4-ASK and the cocktail 4-PAM,
+    the swap of the axes for QPSK, the reflection in the x axis for 8-PSK's
+    (1, 0), all 7 for a 2-D point on the centroid. :func:`_rate_nats` folds
+    the rule of r's class by it.
     """
-    centred = pts - pri @ pts / pri.sum()
-    tol = 1e-12 * float(np.ptp(pts, axis=0).max())
-    orders, signs = _AXIS_MAPS[pts.shape[1]]
-    images = (centred[:, orders] * signs).transpose(1, 0, 2)
-    # hit[g, i, j]: map g takes point i onto point j, of the same prior. The
-    # points are distinct, so g is a symmetry when every point hits one.
-    gap = np.abs(images[:, :, None, :] - centred[None, None, :, :]).max(axis=-1)
-    hit = (gap <= tol) & (pri[:, None] == pri[None, :])
-    proved = np.flatnonzero(hit.any(axis=2).all(axis=1))
-    symmetric = hit[proved]
-    # The lowest index any symmetry takes k to represents k's orbit.
-    rep = symmetric.argmax(axis=2).min(axis=0)
+    centred, tol = _centred(pts, pri)
+    n, d = pts.shape
+    maps = _AXIS_MATRICES[d]
+    if d == 2:
+        maps = np.concatenate([maps, _plane_isometries(centred, pri, tol)])
+    hit = _hits(centred, pri, tol, maps)
+    proved = hit.any(axis=2).all(axis=1)
+    # The symmetric axis maps, identity first, and what each does to a point.
+    axis = np.flatnonzero(proved[: len(_AXIS_MATRICES[d])])
+    moves = hit[axis]
+    stabilizer = np.diagonal(moves, axis1=1, axis2=2).sum(axis=0)
+    # Row i of reach is i's orbit; its lowest member names it.
+    reach = hit[proved].any(axis=0)
+    orbit = reach.argmax(axis=1)
+    rep = np.empty(n, dtype=np.intp)
+    for first in dict.fromkeys(orbit.tolist()):
+        members = np.flatnonzero(orbit == first)
+        best = members[stabilizer[members] == stabilizer[members].max()]
+        for dim in range(d):  # the greatest centred x, then y
+            coord = centred[best, dim]
+            best = best[coord >= coord.max() - tol]
+        rep[members] = np.flatnonzero(moves[:, best[0]].any(axis=0))[0]
     mass = np.bincount(rep, weights=pri)
     # Map 0 is the identity, in every stabilizer.
     return [
-        (int(r), float(mass[r]), tuple(int(g) for g in proved[symmetric[:, r, r]] if g))
+        (int(r), float(mass[r]), tuple(int(g) for g in axis[moves[:, r, r]] if g))
         for r in np.flatnonzero(mass)
     ]
 
@@ -781,20 +881,36 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     constellation's own kernel plan, built from its checked points and
     priors on the first call and kept, so the rate keeps its
     relative accuracy at low SNR: within 1.1e-12 of 30-digit mpmath at SNR
-    1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. Below SNR
-    1e-8 it loses about 1e-16/sqrt(SNR) relative: against the series of
-    :func:`bpsk_mi`, BPSK at SNR 1e-12, 1e-16, 1e-20 and 1e-30 (as in
-    :func:`cbpsk.sweep.scheme_rate`) is off by -1.7e-10, 1.5e-9, -4.3e-7 and
-    1.6e-3, and QPSK at 1e-300 returns 6.7e-168. So ``cbpsk cocktail --ratio 3.5
-    --grid 1e-11:1e-10:log:40`` fails with a bpsk Eb/N0 axis that is not
-    ascending. For the two-point {+A, -A} alphabet it agrees with
-    :func:`bpsk_mi`, the same integrand written out, within 5e-16 bits.
+    1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. Further down
+    the kernel would lose about 1e-16/sqrt(SNR) relative, since each node's
+    exponent is dominated by its linear term. So a centrally symmetric
+    alphabet (x -> 2c - x maps it onto itself, prior for prior, c the
+    centroid) takes the series of the Gaussian (1/2) log det(I + S),
+    I = (tr S / 2 - tr S^2 / 4 + tr S^3 / 6) / ln 2 with S = C / v and C
+    the prior-weighted covariance of the points, once tr S <= 1e-8, the
+    threshold of :func:`bpsk_mi`: the input's fourth cumulant first enters
+    at (tr S)^4, so the dropped terms are about 0.4 (tr S)^3 relative, 4e-25
+    there, for BPSK, 4-ASK, QPSK, 8-PSK and 16-QAM. On {+A, -A} this is the
+    series of :func:`bpsk_mi`, to rounding. An alphabet that is not
+    centrally symmetric keeps the kernel at every SNR: its error is
+    O((tr S)^3) relative, so the series does not hold for it. For the
+    two-point {+A, -A} alphabet the kernel agrees with :func:`bpsk_mi`, the
+    same integrand written out, within 5e-16 bits.
     The result is clamped into [0, log2(alphabet size)].
     """
     var_per_dim = noise.variance / 2.0
-    if order is None:
-        order = _LADDER[c.dimension][bisect_left(_LADDER_LIMITS, c._widest / var_per_dim)]
-    else:
+    if order is not None:
         order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
-    rate = _rate_nats(c._plan, var_per_dim, order) / _LN2
+    series = c._series
+    if series is not None and series[0] / var_per_dim <= _SERIES_MAX_S:
+        # Divided once per power, so a term underflows to 0 rather than
+        # meeting an overflowed or underflowed power of v.
+        s = series[0] / var_per_dim
+        s2 = series[1] / var_per_dim / var_per_dim
+        s3 = series[2] / var_per_dim / var_per_dim / var_per_dim
+        rate = (0.5 * s - 0.25 * s2 + s3 / 6.0) / _LN2
+    else:
+        if order is None:
+            order = _LADDER[c.dimension][bisect_left(_LADDER_LIMITS, c._widest / var_per_dim)]
+        rate = _rate_nats(c._plan, var_per_dim, order) / _LN2
     return min(math.log2(len(c.points)), max(0.0, rate))

@@ -400,13 +400,10 @@ class TestCocktail:
         xs = [float(row.split(",")[1]) for row in rows if row.startswith("bpsk,")]
         assert len(xs) == 40 and all(b > a for a, b in zip(xs, xs[1:]))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="scheme_rate('bpsk') runs the general kernel, which loses about 1e-16/sqrt(rho) "
-        "relative (ROADMAP item 3); routing it through bpsk_mi's series waits for the benchmark "
-        "revision (ROADMAP item 1)",
-    )
     def test_dense_grid_below_1e_10_keeps_bpsk_ascending(self, tmp_path, capsys, monkeypatch):
+        # Here the kernel would lose about 1e-16/sqrt(rho) relative and turn
+        # the bpsk Eb/N0 axis back; bpsk is centrally symmetric, so its rate
+        # below s = 1e-8 is the low-SNR series.
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
         code, _, err = run_cli(capsys, "cocktail", "--ratio", "3.5", "--grid", "1e-11:1e-10:log:40")
         assert code == EXIT_OK, err
