@@ -271,33 +271,11 @@ class Constellation:
     @cached_property
     def _plan(self) -> tuple:
         """The alphabet's :func:`_alphabet_plan`, built on the first rate call
-        and kept. It is not a field, so equality, hashing, repr and pickles
-        ignore it, and copies build their own."""
+        and kept: the one record :func:`constellation_mi` reads, for the
+        kernel, the order and the low-SNR series alike. It is not a field,
+        so equality, hashing, repr and pickles ignore it, and copies build
+        their own."""
         return _alphabet_plan(self._array, self.priors)
-
-    @cached_property
-    def _widest(self) -> float:
-        """The largest squared offset |m_k - m_j|^2 between live components,
-        read once from the plan's offsets, which every class's representative
-        holds to every component: the numerator of the s that picks the
-        default order of :func:`constellation_mi`."""
-        return max(float(sq.max()) for *_, sq in self._plan[2])
-
-    @cached_property
-    def _series(self) -> tuple | None:
-        """(tr C, tr C^2, tr C^3) of the prior-weighted covariance C of the
-        live components when the alphabet is centrally symmetric, x -> 2c - x
-        carrying it onto itself prior for prior about its centroid c by the
-        test of :func:`_hits`; None otherwise. :func:`constellation_mi` takes
-        its low-SNR series from them."""
-        pri = np.asarray(self.priors)
-        pts, pri = self._array[pri > 0.0], pri[pri > 0.0]
-        centred, tol = _centred(pts, pri)
-        if not _hits(centred, pri, tol, -np.eye(self.dimension)[None]).any(axis=2).all():
-            return None
-        cov = centred.T @ (centred * pri[:, None])
-        square = cov @ cov
-        return float(np.trace(cov)), float(np.trace(square)), float(np.trace(square @ cov))
 
     @property
     def dimension(self) -> int:
@@ -384,9 +362,10 @@ def _mixture_logpdf(y: np.ndarray, means: np.ndarray, priors: np.ndarray, var_pe
 
 
 def _alphabet_plan(points: np.ndarray, priors) -> tuple:
-    """What :func:`_rate_nats` needs of an alphabet at any noise level, as
-    (priors, log_ratio, passes), for the alphabet ``points`` (a checked
-    (n, d) array) with ``priors`` (n checked weights).
+    """What :func:`constellation_mi` needs of an alphabet at any noise
+    level, as (priors, log_ratio, passes, widest, series), for the alphabet
+    ``points`` (a checked (n, d) array) with ``priors`` (n checked weights).
+    The first three fields are what :func:`_rate_nats` reads.
 
     ``priors`` are the live ones, prior > 0, to which everything else
     refers. ``log_ratio`` is the column ln(p_j / p_max), or None when every
@@ -396,7 +375,13 @@ def _alphabet_plan(points: np.ndarray, priors) -> tuple:
     pass's folded rule, the summed prior of each class, the offsets
     delta = m_k - m_j of each class's representative k, and their squared
     lengths, stacked to shapes (C, n, d) and (C, n, 1) for n live
-    components.
+    components. ``widest`` is the largest of those squared lengths, the
+    widest |m_k - m_j|^2 of the alphabet, since every representative holds
+    its offset to every component: the numerator of the s that picks the
+    default order. ``series`` is (tr C, tr C^2, tr C^3) of the
+    prior-weighted covariance C of the live components when the symmetry
+    search proves x -> 2c - x, c the centroid, a symmetry of the alphabet,
+    and None otherwise: the low-SNR series is taken from it.
 
     In 1-D the classes that share a stabilizer share a rule, so they form
     one pass: 4-ASK and the cocktail 4-PAM make one sequence of numpy calls
@@ -412,8 +397,10 @@ def _alphabet_plan(points: np.ndarray, priors) -> tuple:
     live = pri > 0.0
     pts, pri = points[live], pri[live]
     log_ratio = np.log(pri / pri.max())
+    centred, tol = _centred(pts, pri)
+    classes, central = _symmetry_classes(centred, pri, tol)
     groups = {}
-    for k, weight, maps in _symmetry_classes(pts, pri):
+    for k, weight, maps in classes:
         _, reps, weights = groups.setdefault(maps if pts.shape[1] == 1 else k, (maps, [], []))
         reps.append(k)
         weights.append(weight)
@@ -423,8 +410,14 @@ def _alphabet_plan(points: np.ndarray, priors) -> tuple:
         sq = np.sum(delta * delta, axis=2, keepdims=True)
         delta.flags.writeable = sq.flags.writeable = False
         passes.append((maps, tuple(weights), delta, sq))
+    series = None
+    if central:
+        cov = centred.T @ (centred * pri[:, None])
+        square = cov @ cov
+        series = float(np.trace(cov)), float(np.trace(square)), float(np.trace(square @ cov))
+    widest = max(float(sq.max()) for *_, sq in passes)
     pri.flags.writeable = log_ratio.flags.writeable = False
-    return pri, log_ratio if log_ratio.any() else None, tuple(passes)
+    return pri, log_ratio if log_ratio.any() else None, tuple(passes), widest, series
 
 
 def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
@@ -508,7 +501,7 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
     1e-200 or none), rates move by at most 1.3e-15 bits: the summation order
     changed, and nothing else.
     """
-    pri, log_ratio, passes = plan
+    pri, log_ratio, passes = plan[:3]
     d = passes[0][2].shape[2]
     scale = -math.sqrt(2.0 / var_per_dim)
     rate = 0.0
@@ -545,7 +538,7 @@ def _unit_rule(order: int, d: int, maps: tuple) -> tuple:
     order, checked by every caller before it looks a rule up, since a cache
     takes 256.0 for the key 256),
     pruned to the nodes whose weight exceeds ``_WEIGHT_FLOOR`` and folded by
-    the signed axis maps ``maps`` (indices into ``_AXIS_MAPS[d]``, the
+    the signed axis maps ``maps`` (indices into ``_AXIS_MATRICES[d]``, the
     identity left out); nodes as a contiguous (d, kept) array and weights
     summing to 1, read-only because every caller shares them.
 
@@ -578,20 +571,16 @@ def _unit_rule(order: int, d: int, maps: tuple) -> tuple:
     if maps:
         nodes, weights = _unit_rule(order, d, ())
         # hermgauss returns nodes with t[-1 - i] == -t[i] exactly, and the
-        # pruned set keeps every signed axis map, so coordinate x has index
-        # i among the sorted coordinates and -x has index size - 1 - i. Map
-        # g takes the node of indices i to the node of indices i[orders[g]],
-        # mirrored on the axes whose sign is -1.
+        # pruned set keeps every signed axis map, so the image g @ t of a
+        # node, whose entries are sums of 0 and +-1 times a coordinate, is
+        # again a node to the bit. Each node is named by the indices of its
+        # coordinates among the sorted distinct ones.
         coords = np.sort(nodes, axis=None)  # np.unique would import numpy.ma, 20 ms
         coords = coords[np.diff(coords, prepend=-np.inf) > 0]
-        index = np.searchsorted(coords, nodes)
         shape = (coords.size,) * d
-        orders, signs = _AXIS_MAPS[d]
-        own = np.ravel_multi_index(index, shape)
-        images = [own]
-        for g in maps:
-            moved = index[orders[g]]
-            images.append(np.ravel_multi_index(np.where(signs[g][:, None] > 0, moved, coords.size - 1 - moved), shape))
+        group = _AXIS_MATRICES[d][[0, *maps]]  # the identity first
+        images = np.ravel_multi_index(np.searchsorted(coords, group @ nodes).swapaxes(0, 1), shape)
+        own = images[0]
         images = np.sort(images, axis=0)
         # An orbit is kept as its lowest node, weighted by the orbit's size,
         # the number of distinct images.
@@ -611,17 +600,18 @@ def _unit_rule(order: int, d: int, maps: tuple) -> tuple:
     return nodes, weights
 
 
-def _axis_maps(d: int) -> tuple:
-    """The signed permutations of d axes as (axis orders, signs), two arrays
-    of shape (2**d * d!, d): map g takes x to signs[g] * x[orders[g]]."""
-    maps = [(p, s) for p in permutations(range(d)) for s in product((1.0, -1.0), repeat=d)]
-    return np.array([p for p, _ in maps]), np.array([s for _, s in maps])
+def _axis_maps(d: int) -> np.ndarray:
+    """The signed permutations of d axes as (2**d * d!, d, d) matrices,
+    identity first: row i of a map is s_i times the unit vector of axis p_i,
+    for each permutation p in turn and each sign vector s under it."""
+    eye = np.eye(d)
+    signs = list(product((1.0, -1.0), repeat=d))
+    return np.array([eye[list(p)] * np.array(s)[:, None] for p in permutations(range(d)) for s in signs])
 
 
-_AXIS_MAPS = {d: _axis_maps(d) for d in (1, 2)}
-# The same maps as (d, d) matrices, identity first: row i of matrix g is
-# signs[g][i] times the unit vector of axis orders[g][i].
-_AXIS_MATRICES = {d: np.eye(d)[orders] * signs[:, :, None] for d, (orders, signs) in _AXIS_MAPS.items()}
+_AXIS_MATRICES = {d: _axis_maps(d) for d in (1, 2)}
+# The index among them of x -> -x, the central symmetry.
+_INVERSION = {d: int(np.flatnonzero((maps == -np.eye(d)).all(axis=(1, 2)))[0]) for d, maps in _AXIS_MATRICES.items()}
 
 
 def _centred(pts: np.ndarray, pri: np.ndarray) -> tuple:
@@ -664,11 +654,14 @@ def _plane_isometries(centred: np.ndarray, pri: np.ndarray, tol: float) -> np.nd
     return np.concatenate([rotations, reflections]).reshape(-1, 2, 2)
 
 
-def _symmetry_classes(pts: np.ndarray, pri: np.ndarray) -> list:
-    """(representative index, summed prior, stabilizer) for each class of
-    components of a mixture whose terms are equal in exact arithmetic.
-    ``pts`` (n, d) and ``pri`` (n,) are the live components, those of prior
-    > 0, and indices refer to them.
+def _symmetry_classes(centred: np.ndarray, pri: np.ndarray, tol: float) -> tuple:
+    """(classes, central) for the live components of a mixture, those of
+    prior > 0, given as :func:`_centred` returns them: ``centred`` (n, d),
+    the points less their centroid, and ``tol``, with ``pri`` (n,) their
+    priors. ``classes`` holds (representative index, summed prior,
+    stabilizer) for each class of components whose terms are equal in exact
+    arithmetic, indices referring to the live components. ``central`` says
+    whether x -> -x about the centroid is among the symmetries proved.
 
     Component k's term depends only on the priors p_j and the offsets
     m_j - m_k, and the noise is isotropic. So an orthogonal map g that
@@ -698,13 +691,12 @@ def _symmetry_classes(pts: np.ndarray, pri: np.ndarray) -> list:
 
     The stabilizer of representative r is the tuple of the symmetric axis
     maps, the identity left out, that take m_r - c onto itself, as indices
-    into ``_AXIS_MAPS[d]``: empty for BPSK, 4-ASK and the cocktail 4-PAM,
+    into ``_AXIS_MATRICES[d]``: empty for BPSK, 4-ASK and the cocktail 4-PAM,
     the swap of the axes for QPSK, the reflection in the x axis for 8-PSK's
     (1, 0), all 7 for a 2-D point on the centroid. :func:`_rate_nats` folds
     the rule of r's class by it.
     """
-    centred, tol = _centred(pts, pri)
-    n, d = pts.shape
+    n, d = centred.shape
     maps = _AXIS_MATRICES[d]
     if d == 2:
         maps = np.concatenate([maps, _plane_isometries(centred, pri, tol)])
@@ -727,10 +719,11 @@ def _symmetry_classes(pts: np.ndarray, pri: np.ndarray) -> list:
         rep[members] = np.flatnonzero(moves[:, best[0]].any(axis=0))[0]
     mass = np.bincount(rep, weights=pri)
     # Map 0 is the identity, in every stabilizer.
-    return [
+    classes = [
         (int(r), float(mass[r]), tuple(int(g) for g in axis[moves[:, r, r]] if g))
         for r in np.flatnonzero(mass)
     ]
+    return classes, bool(proved[_INVERSION[d]])
 
 
 # The Simpson cross-check integrates over the means' span widened by this
@@ -873,19 +866,21 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     s = max |m_k - m_j|^2 / v over the live components, v the variance per
     dimension, and above the last limit the cap, 256 in 1-D and 192 in 2-D
     (module docstring): over SNR 1e-8..1e4 it is within 3.3e-16 bits of the
-    cap on BPSK, 4-ASK, the cocktail 4-PAM, QPSK, 8-PSK and 16-QAM. The
-    numerator of s is read once per alphabet from its kernel plan, so the
-    choice costs a division and a bisection of the ladder's limits. A given
-    ``order`` is used as it is.
-    The rate kernel :func:`_rate_nats` forms I directly, from the
-    constellation's own kernel plan, built from its checked points and
-    priors on the first call and kept, so the rate keeps its
-    relative accuracy at low SNR: within 1.1e-12 of 30-digit mpmath at SNR
-    1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. Further down
-    the kernel would lose about 1e-16/sqrt(SNR) relative, since each node's
-    exponent is dominated by its linear term. So a centrally symmetric
-    alphabet (x -> 2c - x maps it onto itself, prior for prior, c the
-    centroid) takes the series of the Gaussian (1/2) log det(I + S),
+    cap on BPSK, 4-ASK, the cocktail 4-PAM, QPSK, 8-PSK and 16-QAM. A
+    given ``order`` is used as it is.
+    A call reads one record, the constellation's kernel plan
+    (:func:`_alphabet_plan`), built from its checked points and priors on
+    the first call and kept: the numerator of s, the low-SNR series and the
+    kernel's passes all come from its one symmetry search, so the choice of
+    order costs a division and a bisection of the ladder's limits.
+    The rate kernel :func:`_rate_nats` forms I directly, so the rate keeps
+    its relative accuracy at low SNR: within 1.1e-12 of 30-digit mpmath at
+    SNR 1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. Further
+    down the kernel would lose about 1e-16/sqrt(SNR) relative, since each
+    node's exponent is dominated by its linear term. So a centrally
+    symmetric alphabet (x -> 2c - x maps it onto itself, prior for prior,
+    c the centroid, as the plan's symmetry search finds) takes the series
+    of the Gaussian (1/2) log det(I + S),
     I = (tr S / 2 - tr S^2 / 4 + tr S^3 / 6) / ln 2 with S = C / v and C
     the prior-weighted covariance of the points, once tr S <= 1e-8, the
     threshold of :func:`bpsk_mi`: the input's fourth cumulant first enters
@@ -901,7 +896,8 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     var_per_dim = noise.variance / 2.0
     if order is not None:
         order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
-    series = c._series
+    plan = c._plan
+    widest, series = plan[3:]
     if series is not None and series[0] / var_per_dim <= _SERIES_MAX_S:
         # Divided once per power, so a term underflows to 0 rather than
         # meeting an overflowed or underflowed power of v.
@@ -911,6 +907,6 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
         rate = (0.5 * s - 0.25 * s2 + s3 / 6.0) / _LN2
     else:
         if order is None:
-            order = _LADDER[c.dimension][bisect_left(_LADDER_LIMITS, c._widest / var_per_dim)]
-        rate = _rate_nats(c._plan, var_per_dim, order) / _LN2
+            order = _LADDER[c.dimension][bisect_left(_LADDER_LIMITS, widest / var_per_dim)]
+        rate = _rate_nats(plan, var_per_dim, order) / _LN2
     return min(math.log2(len(c.points)), max(0.0, rate))

@@ -499,6 +499,18 @@ class TestPsk8Oracle:
             got = constellation_mi(c, NoiseModel(1.0 / rho))
             assert abs(got - (turned if angle else want)) <= 2e-12, f"rho={rho}: {got!r}"
 
+    def test_turned_within_1e_10_bits_above_rho_15(self):
+        # Above rho 15 the turned 8-PSK meets the tensor rule's error in
+        # full: -7.38e-11 and +7.07e-11 bits at these two points of the
+        # figure's grid, where the oracle at h = 0.05 agrees with h = 0.06
+        # to 9e-16 bits.
+        turned = _turned(Constellation.psk8().points, 0.3)
+        c = Constellation(turned)
+        for rho in np.geomspace(1e-3, 1e2, 60)[[53, 56]].tolist():
+            got = constellation_mi(c, NoiseModel(1.0 / rho))
+            want = trapezoid_rate(turned, 0.5 / rho, 0.06)
+            assert abs(got - want) <= 1e-10, f"rho={rho}: {got!r} vs {want!r}"
+
 
 def mpmath_rate(points, priors, var):
     """30-digit I(X; Y), in bits, of a 1-D alphabet over real AWGN of
@@ -615,7 +627,7 @@ class TestLowSnrSeries:
         # No rate above tr S = 1e-8 leaves the kernel, so none moves there.
         orders = _spy_kernel(monkeypatch)
         for c in (Constellation.bpsk(), Constellation.qpsk(), Constellation(_QAM16)):
-            trace = c._series[0]
+            trace = c._plan[4][0]
             constellation_mi(c, NoiseModel(2.0 * trace / (mi._SERIES_MAX_S * (1.0 + 1e-9))))
             assert orders == [8]
             constellation_mi(c, NoiseModel(2.0 * trace / (mi._SERIES_MAX_S * (1.0 - 1e-9))))
@@ -627,13 +639,13 @@ class TestLowSnrSeries:
         # departs from the series at (tr S)^3 relative, so it is not taken.
         orders = _spy_kernel(monkeypatch)
         c = Constellation((-1.0, 0.0, 2.0), (0.4, 0.4, 0.2))
-        assert c._series is None
+        assert c._plan[4] is None
         assert constellation_mi(c, NoiseModel(1e12)) > 0.0
         assert orders == [8]
 
     def test_zero_prior_points_do_not_break_the_symmetry(self):
         c = Constellation((1.0, -1.0, 5.0), (0.5, 0.5, 0.0))
-        assert c._series == (1.0, 1.0, 1.0)
+        assert c._plan[4] == (1.0, 1.0, 1.0)
         want = bpsk_mi(1.0, NoiseModel(1e12))
         assert abs(constellation_mi(c, NoiseModel(1e12)) - want) <= 4e-16 * want
 
@@ -797,7 +809,9 @@ def live_classes(means, priors):
     """_symmetry_classes of the live components (prior > 0), as the mixture
     kernel selects them, with indices into the full ``means``."""
     live = np.flatnonzero(priors > 0.0)
-    return [(int(live[k]), weight) for k, weight, _ in _symmetry_classes(means[live], priors[live])]
+    centred, tol = mi._centred(means[live], priors[live])
+    classes, _ = _symmetry_classes(centred, priors[live], tol)
+    return [(int(live[k]), weight) for k, weight, _ in classes]
 
 
 class TestSymmetryClasses:
@@ -939,10 +953,38 @@ class TestKernelPlan:
             assert copied == c and hash(copied) == hash(c) and "_plan" not in vars(copied)
             assert constellation_mi(copied, noise).hex() == rate.hex()
 
+    @pytest.mark.parametrize(
+        "source,name", [("mixture", n) for n in sorted(MIXTURES)] + [("alphabet", n) for n in sorted(PLAN_ALPHABETS)]
+    )
+    def test_series_exactly_when_centrally_symmetric(self, source, name):
+        # The plan takes the series when the symmetry search proves the map
+        # at index _INVERSION, which must be x -> -x. Here the live points
+        # are reflected through their centroid one by one instead: every
+        # image must land on a live point of the same prior, within 1e-9 of
+        # the extent. The random sets fail that, every other alphabet passes.
+        if source == "mixture":
+            means, priors = MIXTURES[name]
+            plan = mi._alphabet_plan(means, priors)
+        else:
+            c = PLAN_ALPHABETS[name]()
+            means, priors, plan = c.as_array(), np.array(c.priors), c._plan
+        live = priors > 0.0
+        pts, pri = means[live], priors[live]
+        centroid = pri @ pts / pri.sum()
+        tol = 1e-9 * np.ptp(pts, axis=0).max()
+        symmetric = all(
+            any(p == q and np.abs(2.0 * centroid - x - y).max() <= tol for y, q in zip(pts, pri))
+            for x, p in zip(pts, pri)
+        )
+        assert (plan[4] is None) == (not symmetric)
+        assert symmetric == ("random" not in name)
+        d = pts.shape[1]
+        assert np.array_equal(mi._AXIS_MATRICES[d][mi._INVERSION[d]], -np.eye(d))
+
     @pytest.mark.parametrize("name", sorted(PLAN_ALPHABETS))
     def test_plan_holds_live_components_read_only(self, name):
         c = PLAN_ALPHABETS[name]()
-        pri, log_ratio, passes = c._plan
+        pri, log_ratio, passes = c._plan[:3]
         live = [p for p in c.priors if p > 0.0]
         assert pri.tolist() == live
         assert (log_ratio is None) == (len(set(live)) == 1)
@@ -1003,9 +1045,9 @@ def rule_orbits(nodes, maps):
     """The orbit of each node, a column of ``nodes`` (d, m), under the
     signed axis maps ``maps`` and the identity, each orbit a frozenset of
     coordinate tuples, found from the node values alone."""
-    orders, signs = mi._AXIS_MAPS[nodes.shape[0]]
+    matrices = mi._AXIS_MATRICES[nodes.shape[0]]
     group = (0, *maps)
-    return [frozenset(tuple((signs[g] * t[orders[g]]).tolist()) for g in group) for t in nodes.T]
+    return [frozenset(tuple((matrices[g] @ t).tolist()) for g in group) for t in nodes.T]
 
 
 class TestFoldedRule:
@@ -1038,15 +1080,15 @@ class TestFoldedRule:
     def test_stabilizer_orders(self, name, orders):
         means, priors = MIXTURES[name]
         live = priors > 0.0
-        found = _symmetry_classes(means[live], priors[live])
+        pts, pri = means[live], priors[live]
+        centred, tol = mi._centred(pts, pri)
+        found, _ = _symmetry_classes(centred, pri, tol)
         assert [1 + len(maps) for _, _, maps in found] == orders
         # Each stabilizer map fixes its representative about the centroid.
-        pts, pri = means[live], priors[live]
-        axis_orders, signs = mi._AXIS_MAPS[pts.shape[1]]
         for k, _, maps in found:
             offset = pts[k] - pri @ pts / pri.sum()
             for g in maps:
-                np.testing.assert_allclose(signs[g] * offset[axis_orders[g]], offset, atol=1e-12)
+                np.testing.assert_allclose(mi._AXIS_MATRICES[pts.shape[1]][g] @ offset, offset, atol=1e-12)
 
     @pytest.mark.parametrize(
         "name,order,counts",
@@ -1098,7 +1140,7 @@ class TestFoldedRule:
         means, priors = MIXTURES[name]
         means = means * math.sqrt(rho)
         order = mi._DEFAULT_ORDER[means.shape[1]]
-        pri, log_ratio, passes = mi._alphabet_plan(means, priors)
+        pri, log_ratio, passes = mi._alphabet_plan(means, priors)[:3]
         unfolded = (pri, log_ratio, tuple(((), weights, delta, sq) for _, weights, delta, sq in passes))
         got = mi._rate_nats((pri, log_ratio, passes), 0.5, order) / math.log(2.0)
         want = mi._rate_nats(unfolded, 0.5, order) / math.log(2.0)
@@ -1129,7 +1171,7 @@ def unstacked_rate_nats(plan, var_per_dim, order):
     """_rate_nats one class at a time, in the order the plan's passes list
     them, each exponent by its own matrix product: the reference for the
     bits of the library's stacked passes."""
-    pri, log_ratio, passes = plan
+    pri, log_ratio, passes = plan[:3]
     d = passes[0][2].shape[2]
     scale = -math.sqrt(2.0 / var_per_dim)
     rate = 0.0
