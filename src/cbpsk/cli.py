@@ -58,6 +58,10 @@ EXIT_NUMERIC = 3
 OUTPUT_DIR_ENV = "CBPSK_OUTPUT_DIR"
 
 _MODE_FLAGS = {"dd": "decision_directed", "genie": "genie_aided"}
+# The names of a parsed namespace that are no setting of its command: the
+# dispatch entries main reads and the config file itself. A config file
+# cannot set them, and the manifest does not list them.
+_NOT_SETTINGS = ("func", "parser", "command", "config")
 _AXIS_FLAGS = {"linear": "linear_snr", "ebn0": "eb_n0_db"}
 
 
@@ -167,7 +171,7 @@ def _write_manifest(args, outputs, started: float) -> None:
     config = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
-        if k not in ("func", "parser", "command", "config")
+        if k not in _NOT_SETTINGS
     }
     manifest = {
         "command": args.command,
@@ -369,7 +373,7 @@ def main(argv=None) -> int:
             if key == "config":  # the --config in argv would win over it unseen
                 usage_error(f"config key 'config' in {args.config!r}: a config file cannot name another")
             # argparse also takes a prefix of a flag name, so check the key.
-            if not hasattr(args, key):
+            if key in _NOT_SETTINGS or not hasattr(args, key):
                 usage_error(f"config key {key!r} is not a flag of {args.command!r}")
             parsed = getattr(args, key)
             if isinstance(value, list) and not isinstance(parsed, list):

@@ -13,7 +13,9 @@ over the rule folded by the rule's symmetries that fix it. The orbits,
 their offsets and their symmetries depend on the alphabet alone, so
 each :class:`Constellation` finds them once, in its kernel plan
 (:func:`_alphabet_plan`), and a call does only the work that depends on the
-noise.
+noise. The plan runs the classes in passes by one rule in either
+dimension, runs of consecutive classes that share a folded rule within a
+fixed buffer budget, and one matrix product forms each pass's exponents.
 
 Every kernel runs on one Gauss-Hermite rule, :func:`_unit_rule`: the
 tensor-product rule pruned once, when it is built, to the nodes whose
@@ -139,6 +141,9 @@ _LADDER = {d: (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, cap) for d, cap in _DEFA
 # The quadrature rule keeps only nodes whose normalised weight is above this;
 # the bound on what the dropped ones carry is in _unit_rule.
 _WEIGHT_FLOOR = 1e-30
+# The most (classes x components x nodes) entries one kernel pass may stack,
+# counted on the unpruned rule of the cap: 256 KB of float64 (_alphabet_plan).
+_PASS_ENTRIES = 1 << 15
 
 
 def _is_integer(value) -> bool:
@@ -383,14 +388,20 @@ def _alphabet_plan(points: np.ndarray, priors) -> tuple:
     search proves x -> 2c - x, c the centroid, a symmetry of the alphabet,
     and None otherwise: the low-SNR series is taken from it.
 
-    In 1-D the classes that share a stabilizer share a rule, so they form
-    one pass: 4-ASK and the cocktail 4-PAM make one sequence of numpy calls
-    instead of two. Their rows are a few hundred numbers, so numpy's
-    per-call cost, not the arithmetic, is what a pass saves. A 2-D class is
-    its own pass: its rows are thousands of nodes long, so stacking would
-    save little time and multiply the work buffers by C. A pass lists its
-    classes in the order of :func:`_symmetry_classes`, and the passes run in
-    the order of their first class. The arrays are read-only, because a
+    One rule makes the passes in every dimension: a pass is a run of
+    consecutive classes, in the order of :func:`_symmetry_classes`, that
+    share a stabilizer and so a rule. It holds as many as keep its
+    (C, n, nodes) work buffer within ``_PASS_ENTRIES`` = 2^15 entries on
+    the unpruned rule of the cap ``_DEFAULT_ORDER[d]``, and at least one:
+    max(1, 2^15 // (n cap^d)), so no rule is built to find it. 4-ASK and
+    the cocktail 4-PAM (limit 32) stack their two classes and make one
+    sequence of numpy calls instead of two; their rows are a few hundred
+    numbers, so numpy's per-call cost, not the arithmetic, is what a pass
+    saves. Each 2-D class (limit 1 at every n, as 192^2 > 2^15), and each
+    class of a 1-D alphabet of more than 64 live points, is its own pass,
+    so the buffers grow with n, not with n^2. Runs, not all the classes of one
+    stabilizer, keep the classes in their order, the order in which the
+    kernel subtracts their terms. The arrays are read-only, because a
     :class:`Constellation` keeps its plan for every call.
     """
     pri = np.asarray(priors, dtype=float)
@@ -399,13 +410,15 @@ def _alphabet_plan(points: np.ndarray, priors) -> tuple:
     log_ratio = np.log(pri / pri.max())
     centred, tol = _centred(pts, pri)
     classes, central = _symmetry_classes(centred, pri, tol)
-    groups = {}
+    limit = max(1, _PASS_ENTRIES // (len(pri) * _DEFAULT_ORDER[pts.shape[1]] ** pts.shape[1]))
+    runs = []
     for k, weight, maps in classes:
-        _, reps, weights = groups.setdefault(maps if pts.shape[1] == 1 else k, (maps, [], []))
-        reps.append(k)
-        weights.append(weight)
+        if not runs or runs[-1][0] != maps or len(runs[-1][1]) == limit:
+            runs.append((maps, [], []))
+        runs[-1][1].append(k)
+        runs[-1][2].append(weight)
     passes = []
-    for maps, reps, weights in groups.values():
+    for maps, reps, weights in runs:
         delta = pts[reps, None] - pts
         sq = np.sum(delta * delta, axis=2, keepdims=True)
         delta.flags.writeable = sq.flags.writeable = False
@@ -484,14 +497,14 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
 
     The kernel runs the plan's passes (:func:`_alphabet_plan`), each a
     (C, n, nodes) block for its C classes, and subtracts each class's term
-    as its pass runs. Stacking moves no bit: every entry takes the same
-    operations on the same operands in the same order as one class at a
-    time. In 1-D, u is the outer product of (m_k - m_j) * -sqrt(2/v) and t,
-    formed by a broadcasting multiply, and an (n x 1) @ (1 x nodes) matrix
-    product has one term per entry, that same product. A 2-D pass fills
-    each class's slice with its own (n x 2) @ (2 x nodes) product, since a
-    batched product may sum in another order. The maxima are exact in any
-    order, and each p @ u row is the same vector-matrix product.
+    as its pass runs, so the classes in their order. One product forms
+    every pass's exponents in either dimension: (C, n, d) offsets times
+    -sqrt(2/v), @ the (d, nodes) nodes. Stacking moves no bit: every entry
+    takes the same operations on the same operands in the same order as
+    one class at a time. A stacked pass is 1-D, where a (C, n, 1) @
+    (1, nodes) product has one term per entry; a 2-D pass is one class.
+    The maxima are exact in any order, and each p @ u row is the same
+    vector-matrix product.
 
     The rule is the pruned one of :func:`_unit_rule`, so the (components x
     nodes) work buffers are a fifth of the full rule's in 2-D, and a tenth
@@ -500,21 +513,30 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
     8-PSK, 16-QAM, 4-ASK and a random set, SNR 1e-6..1e4, one prior of
     1e-200 or none), rates move by at most 1.3e-15 bits: the summation order
     changed, and nothing else.
+
+    Below v = 2 / (largest float), about 1.1e-308 (SNR 4.5e307 on a
+    unit-energy alphabet), 2 / v overflows. There alone the scale is formed
+    as sqrt(2) / sqrt(v), and a |m_k - m_j|^2 / 2v that overflows enters u
+    as -inf, whose expm1 is the -1 to which any u - c below -38 rounds; so
+    the rates of the unit-energy alphabets saturate up to the largest SNR.
     """
+    scale = -math.sqrt(2.0 / var_per_dim)
+    if scale > -math.inf:
+        return _pass_sum(plan, var_per_dim, order, scale)
+    with np.errstate(over="ignore"):
+        return _pass_sum(plan, var_per_dim, order, -_SQRT2 / math.sqrt(var_per_dim))
+
+
+def _pass_sum(plan: tuple, var_per_dim: float, order: int, scale: float) -> float:
+    """:func:`_rate_nats` at its exponent scale ``scale``, -sqrt(2 / v)."""
     pri, log_ratio, passes = plan[:3]
     d = passes[0][2].shape[2]
-    scale = -math.sqrt(2.0 / var_per_dim)
     rate = 0.0
     for maps, class_weights, delta, sq in passes:
         nodes, weights = _unit_rule(order, d, maps)
         # Fresh buffers per pass: a pass's rule size is its own. Rows index
         # j, so each reduction over j combines whole contiguous rows.
-        u = np.empty((len(class_weights), len(pri), weights.size))
-        if d == 1:
-            np.multiply(delta * scale, nodes, u)
-        else:
-            for rows, scaled in zip(u, delta * scale):
-                np.matmul(scaled, nodes, rows)
+        u = np.matmul(delta * scale, nodes)
         u -= sq / (2.0 * var_per_dim)
         c = np.maximum.reduce(u if log_ratio is None else u + log_ratio[:, None], 1)
         u -= c[:, None]

@@ -754,17 +754,20 @@ class TestConfigFile:
         rows = out_file.read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 grid points
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+    # command, parser and func name entries of the parsed namespace, not
+    # flags, so a file cannot set them either.
+    @pytest.mark.parametrize("key", ["bogus", "command", "parser", "func"])
+    def test_unknown_config_key_is_usage_error(self, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
+        cfg.write_text(json.dumps({key: 1}))
         with pytest.raises(SystemExit) as exc:
             main(["mi", "--scheme", "bpsk", "--config", str(cfg)])
         assert exc.value.code == 2
         # The key is named, under the command's usage line, not as a flag
         # the user never typed.
         err = capsys.readouterr().err
-        assert err.startswith("usage: cbpsk mi ") and "config key 'bogus' is not a flag of 'mi'" in err
-        assert "--bogus" not in err
+        assert err.startswith("usage: cbpsk mi ") and f"config key {key!r} is not a flag of 'mi'" in err
+        assert f"--{key}" not in err
 
     @pytest.mark.parametrize("ratio", [[1.0], ["abc"], 0.5])
     def test_config_ratio_validated_like_flag(self, ratio, tmp_path, capsys):

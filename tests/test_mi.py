@@ -12,6 +12,7 @@ import hashlib
 import math
 import pickle
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -1288,9 +1289,8 @@ class TestLeanKernelBits:
         assert sorted(self.MIXTURE_DIGESTS) == sorted(MIXTURES)
         assert not moved, f"rates moved on {moved}"
 
-    # The centroid's class lies between two classes of one pass, so the
-    # passes run the classes in another order than _symmetry_classes lists
-    # them.
+    # The centroid's class lies between two classes that share a
+    # stabilizer, so they are not one run: three passes of one class each.
     INTERLEAVED = (_column((-2.0, 0.0, 2.0, -1.0, 1.0)), np.array([0.15, 0.3, 0.15, 0.2, 0.2]))
 
     @pytest.mark.parametrize(
@@ -1306,6 +1306,9 @@ class TestLeanKernelBits:
         self.assert_same_bits(pairs)
 
     def test_stacks_only_1d_classes_that_share_a_rule(self):
+        # A pass is a run of consecutive classes with one stabilizer, of at
+        # most 2^15 // (n cap^d) classes: 32 for 4 points and 25 for 5 in
+        # 1-D, and 1 in 2-D, where 192^2 alone exceeds 2^15.
         def passes(name):
             means, priors = MIXTURES[name]
             return [(len(weights), maps) for maps, weights, _, _ in mi._alphabet_plan(means, priors)[2]]
@@ -1315,13 +1318,41 @@ class TestLeanKernelBits:
         plan = mi._alphabet_plan(*self.INTERLEAVED)
         # Each class by its representative, the component of zero offset.
         reps = [[int(np.flatnonzero(~rows.any(axis=1))[0]) for rows in delta] for _, _, delta, _ in plan[2]]
-        assert reps == [[0, 3], [1]]
+        assert reps == [[0], [1], [3]]
         # The point on the centroid has the mirror (map 1) for stabilizer.
         assert passes("1d-with-origin") == [(1, ()), (1, (1,))]
         # 16qam's corner and inner classes share the swap of the axes, but a
         # 2-D class is its own pass.
         qam = passes("16qam")
         assert [n for n, _ in qam] == [1, 1, 1] and qam[0][1] == qam[2][1] != qam[1][1]
+
+    # A 1-D alphabet of more than 64 points runs one class per pass, so its
+    # work buffers grow with n, not with n^2.
+    LARGE = (_column(np.random.default_rng(30).uniform(-1.0, 1.0, 300)), np.full(300, 1.0 / 300))
+
+    @pytest.mark.parametrize("order", [8, 256])
+    def test_large_1d_alphabet_runs_one_class_per_pass(self, order):
+        plan = mi._alphabet_plan(*self.LARGE)
+        assert [len(weights) for _, weights, _, _ in plan[2]] == [1] * 300
+        pairs = []
+        for rho in (1e-3, 1.0, 100.0):
+            plan = mi._alphabet_plan(self.LARGE[0] * math.sqrt(rho), self.LARGE[1])
+            pairs.append((rho, mi._rate_nats(plan, 0.5, order), unstacked_rate_nats(plan, 0.5, order)))
+        self.assert_same_bits(pairs)
+
+    def test_large_1d_call_stays_within_2_mb(self):
+        # One call at order 256 on a built plan. One pass of all 256 classes
+        # would hold (256 x 256 x 116) floats, 61 MB; one class per pass
+        # peaks at 0.48 MB.
+        c = Constellation(np.random.default_rng(256).uniform(-1.0, 1.0, 256))
+        c._plan  # built before the trace starts
+        tracemalloc.start()
+        try:
+            constellation_mi(c, NoiseModel(0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_threads_give_serial_bits(self):
         # Each call keeps its own buffers, so calls from several threads at

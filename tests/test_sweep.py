@@ -1,6 +1,7 @@
 """Tests for the sweep module: grids, scheme rates, curve datasets."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +154,14 @@ class TestSchemeRates:
         assert scheme_rate("qpsk", 1e4) == pytest.approx(2.0, abs=1e-3)
         assert scheme_rate("4ask", 1e4) == pytest.approx(2.0, abs=1e-3)
         assert scheme_rate("8psk", 1e4) == pytest.approx(3.0, abs=1e-3)
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "4ask", "qpsk", "8psk"])
+    @pytest.mark.parametrize("rho", [4.5e307, 1e308, sys.float_info.max])
+    def test_saturates_up_to_the_largest_snr(self, scheme, rho):
+        # From rho = 4.5e307 on, 2 / v overflows for v = 1/(2 rho) per
+        # dimension; the rate stays the saturated one of rho = 1e306, with
+        # no warning, rather than NaN clamped to 0.
+        assert scheme_rate(scheme, rho).hex() == scheme_rate(scheme, 1e306).hex()
 
     def test_low_snr_linearity_at_symbol_snr(self):
         # the figure-level rates run at the full capacity slope: every
