@@ -16,6 +16,9 @@ each :class:`Constellation` finds them once, in its kernel plan
 noise. The plan runs the classes in passes by one rule in either
 dimension, runs of consecutive classes that share a folded rule within a
 fixed buffer budget, and one matrix product forms each pass's exponents.
+A 2-D alphabet that is an axis-aligned product, QPSK or any square QAM,
+is two independent channels over isotropic noise, so its plan holds the
+1-D passes of its factors, and its rate is their sum.
 
 Every kernel runs on one Gauss-Hermite rule, :func:`_unit_rule`: the
 tensor-product rule pruned once, when it is built, to the nodes whose
@@ -28,10 +31,10 @@ and |t|^2 whatever the SNR, so the dropped nodes can move a rate by at most
 signed permutation of the axes, and a component's integrand keeps those
 that fix the component (its stabilizer), so the rule is folded by them:
 one node per orbit, weighted by the orbit's size. At order 192 that leaves
-3813 nodes for QPSK and 3778 for 8-PSK, whose eight points are one orbit
-under its rotations by pi / 4, represented by (1, 0); 1-D alphabets fold
-only at a point on their centroid. The folded rule moves a rate by
-summation order only. The grouping is exact for an exact rule, but the
+3813 nodes for a class on a diagonal and 3778 for 8-PSK, whose eight
+points are one orbit under its rotations by pi / 4, represented by
+(1, 0); 1-D alphabets fold only at a point on their centroid. The folded
+rule moves a rate by summation order only. The grouping is exact for an exact rule, but the
 tensor rule keeps only the signed axis maps, not the rotations by pi / 4,
 so it moves 8-PSK by the difference of its axis and diagonal points' rule
 errors (below).
@@ -65,10 +68,15 @@ points a decade) is 5.2e-13, 1.6e-13, 3.4e-14, 1.4e-14 and 1.7e-14: there
 rounding, not the rule, sets the error, and orders 192 and 256 gave 1.3e-13,
 5.5e-14, 3.1e-14, 5.8e-15 and 1.6e-15. Over SNR 1e-8..1e4 the default order
 is within 3.3e-16 bits of the cap on BPSK, 4-ASK, the cocktail 4-PAM, QPSK,
-8-PSK and 16-QAM. In 2-D (order 192 per dimension), QPSK is
-within 5.5e-9 bits of its exact rate, two antipodal channels, with the peak
-near SNR 12.8. The tensor rule factorises into the 1-D rule, so QPSK at
-order 256 carries twice the 1-D error, up to 7.1e-10 bits. 8-PSK, one
+8-PSK and 16-QAM. QPSK runs as its 1-D rail, with the weight doubled
+(:func:`_alphabet_plan`), so it carries twice the 1-D rule's error: within
+7.2e-10 bits of its exact rate, two antipodal channels (-7.17e-10 at SNR
+12.9, the worst of the 60-point grid SNR 1e-3..1e2 and of 121 points over
+3..30), and within 6.7e-16 bits of 2 x :func:`bpsk_mi`. On the 2-D tensor
+rule of order 192 it erred by up to 5.5e-9 bits, near SNR 12.8. In 2-D
+(order 192 per dimension), QPSK turned by pi / 4, which is no axis product,
+is within 6.0e-10 bits of 2 x the BPSK rate at half the SNR on that grid
+(``cbpsk check``). 8-PSK, one
 class summed as its axis point's term, is within 2.0e-12 bits of a 2-D
 trapezoid-rule oracle (steps 0.06 and 0.07 agree to 8.9e-16 bits) over the
 60-point grid SNR 1e-3..1e2: -2.0e-12 at SNR 7.9, -1.5e-12 at 9.6,
@@ -101,6 +109,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +139,9 @@ _SERIES_MAX_S = 1e-8
 # 256; 256 nodes already put the Hermite/Simpson discrepancy below 1e-9.
 _MIN_ORDER = 8
 _MAX_ORDER = 256
-# Per-dimension cap of constellation_mi's default order: the 2-D tensor rule
-# has order**2 nodes, so it stops at a lower order.
+# Per-dimension cap of constellation_mi's default order, by the dimension of
+# the kernel's rule (1 for an axis product, which runs as its factors): the
+# 2-D tensor rule has order**2 nodes, so it stops at a lower order.
 _DEFAULT_ORDER = {1: _MAX_ORDER, 2: 192}
 # The ladder of default orders (module docstring): a call takes the first
 # order whose limit is >= its s = max |m_k - m_j|^2 / v, v the variance per
@@ -274,7 +284,7 @@ class Constellation:
         return Constellation, (self.points, self.priors)
 
     @cached_property
-    def _plan(self) -> tuple:
+    def _plan(self) -> "_Plan":
         """The alphabet's :func:`_alphabet_plan`, built on the first rate call
         and kept: the one record :func:`constellation_mi` reads, for the
         kernel, the order and the low-SNR series alike. It is not a field,
@@ -366,27 +376,63 @@ def _mixture_logpdf(y: np.ndarray, means: np.ndarray, priors: np.ndarray, var_pe
     return out - 0.5 * d * math.log(2.0 * math.pi * var_per_dim)
 
 
-def _alphabet_plan(points: np.ndarray, priors) -> tuple:
-    """What :func:`constellation_mi` needs of an alphabet at any noise
-    level, as (priors, log_ratio, passes, widest, series), for the alphabet
-    ``points`` (a checked (n, d) array) with ``priors`` (n checked weights).
-    The first three fields are what :func:`_rate_nats` reads.
+class _Pass(NamedTuple):
+    """One pass of the rate kernel: C classes of components that share a
+    folded rule. ``maps`` is the stabilizer that selects the rule,
+    ``weights`` the summed prior of each class, ``delta`` the offsets
+    m_k - m_j of each class's representative k to the n live components of
+    its alphabet, shape (C, n, d), and ``sq`` their squared lengths, shape
+    (C, n, 1). ``priors`` are those components' priors, and ``log_ratio``
+    the column ln(p_j / p_max), or None when every one of them is p_max.
+    The arrays are read-only."""
 
-    ``priors`` are the live ones, prior > 0, to which everything else
-    refers. ``log_ratio`` is the column ln(p_j / p_max), or None when every
-    live prior is p_max. ``passes`` are the passes the kernel runs over the
-    classes of :func:`_symmetry_classes`, one record (maps, weights, delta,
-    sq) per pass of C classes: the stabilizer ``maps`` that selects the
-    pass's folded rule, the summed prior of each class, the offsets
-    delta = m_k - m_j of each class's representative k, and their squared
-    lengths, stacked to shapes (C, n, d) and (C, n, 1) for n live
-    components. ``widest`` is the largest of those squared lengths, the
-    widest |m_k - m_j|^2 of the alphabet, since every representative holds
-    its offset to every component: the numerator of the s that picks the
-    default order. ``series`` is (tr C, tr C^2, tr C^3) of the
-    prior-weighted covariance C of the live components when the symmetry
-    search proves x -> 2c - x, c the centroid, a symmetry of the alphabet,
-    and None otherwise: the low-SNR series is taken from it.
+    maps: tuple
+    weights: tuple
+    delta: np.ndarray
+    sq: np.ndarray
+    priors: np.ndarray
+    log_ratio: np.ndarray | None
+
+
+class _Plan(NamedTuple):
+    """What :func:`constellation_mi` needs of an alphabet at any noise
+    level (:func:`_alphabet_plan`): the kernel's ``passes``, the
+    ``dimension`` of their rule, the numerator ``widest`` of the s that picks
+    the default order, and the low-SNR ``series``."""
+
+    passes: tuple
+    dimension: int
+    widest: float
+    series: tuple | None
+
+
+def _alphabet_plan(points: np.ndarray, priors) -> _Plan:
+    """The :class:`_Plan` of the alphabet ``points`` (a checked (n, d)
+    array) with ``priors`` (n checked weights). Everything in it refers to
+    the live components, prior > 0.
+
+    ``passes`` are the passes the kernel runs over the classes of
+    :func:`_symmetry_classes` (:class:`_Pass`), and ``dimension`` is that
+    of their offsets and rule. ``widest`` is the largest squared offset of
+    the passes, since every representative holds its offset to every
+    component. ``series`` is (tr C, tr C^2, tr C^3) of the prior-weighted
+    covariance C of the live points when the symmetry search proves x ->
+    2c - x, c the centroid, a symmetry of the alphabet, and None otherwise:
+    the low-SNR series is taken from it.
+
+    A 2-D alphabet that is an axis-aligned product (:func:`_axis_factors`),
+    such as QPSK or any square QAM, is planned as its 1-D factors. Over
+    isotropic noise its two coordinates are two independent channels, so
+    its rate is the sum of its factors' rates (parallel Gaussian channels),
+    and the passes of each factor's own 1-D plan, at the factor's marginal
+    priors, are the passes of the alphabet. Two equal factors, as QPSK's
+    two rails are, are one factor with its class weights doubled, which
+    doubles its term exactly. A factor of one point carries no information
+    and runs no pass. The dimension is then 1 and ``widest`` the widest
+    offset of a factor, so the order comes from the 1-D ladder, whose rule
+    at order n is the 2-D tensor rule of order n in each coordinate. The
+    series stays that of the 2-D covariance, and the symmetry x -> 2c - x
+    holds exactly when it holds for every factor.
 
     One rule makes the passes in every dimension: a pass is a run of
     consecutive classes, in the order of :func:`_symmetry_classes`, that
@@ -407,9 +453,33 @@ def _alphabet_plan(points: np.ndarray, priors) -> tuple:
     pri = np.asarray(priors, dtype=float)
     live = pri > 0.0
     pts, pri = points[live], pri[live]
-    log_ratio = np.log(pri / pri.max())
     centred, tol = _centred(pts, pri)
-    classes, central = _symmetry_classes(centred, pri, tol)
+    factors = _axis_factors(pts, pri, tol)
+    if factors:
+        plans = [(_alphabet_plan(values[:, None], marginal), times) for values, marginal, times in factors]
+        passes = tuple(
+            p._replace(weights=tuple(times * w for w in p.weights)) for plan, times in plans for p in plan.passes
+        )
+        dimension, central = 1, all(plan.series is not None for plan, _ in plans)
+    else:
+        classes, central = _symmetry_classes(centred, pri, tol)
+        passes, dimension = _class_passes(pts, pri, classes), pts.shape[1]
+    series = None
+    if central:
+        cov = centred.T @ (centred * pri[:, None])
+        square = cov @ cov
+        series = float(np.trace(cov)), float(np.trace(square)), float(np.trace(square @ cov))
+    widest = max(float(p.sq.max()) for p in passes)
+    return _Plan(passes, dimension, widest, series)
+
+
+def _class_passes(pts: np.ndarray, pri: np.ndarray, classes: list) -> tuple:
+    """The passes (:class:`_Pass`) of the live components ``pts`` (n, d)
+    with priors ``pri`` over their symmetry ``classes``, by the rule of
+    :func:`_alphabet_plan`."""
+    log_ratio = np.log(pri / pri.max())
+    pri.flags.writeable = log_ratio.flags.writeable = False
+    log_ratio = log_ratio if log_ratio.any() else None
     limit = max(1, _PASS_ENTRIES // (len(pri) * _DEFAULT_ORDER[pts.shape[1]] ** pts.shape[1]))
     runs = []
     for k, weight, maps in classes:
@@ -422,18 +492,49 @@ def _alphabet_plan(points: np.ndarray, priors) -> tuple:
         delta = pts[reps, None] - pts
         sq = np.sum(delta * delta, axis=2, keepdims=True)
         delta.flags.writeable = sq.flags.writeable = False
-        passes.append((maps, tuple(weights), delta, sq))
-    series = None
-    if central:
-        cov = centred.T @ (centred * pri[:, None])
-        square = cov @ cov
-        series = float(np.trace(cov)), float(np.trace(square)), float(np.trace(square @ cov))
-    widest = max(float(sq.max()) for *_, sq in passes)
-    pri.flags.writeable = log_ratio.flags.writeable = False
-    return pri, log_ratio if log_ratio.any() else None, tuple(passes), widest, series
+        passes.append(_Pass(maps, tuple(weights), delta, sq, pri, log_ratio))
+    return tuple(passes)
 
 
-def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
+def _axis_factors(pts: np.ndarray, pri: np.ndarray, tol: float) -> list:
+    """The 1-D factors of the live 2-D points ``pts`` with priors ``pri``
+    when they are an axis-aligned product, as (values, marginal priors,
+    times) per factor of two points or more, ``times`` 2 for one factor that
+    stands for both equal ones; an empty list otherwise, for a 1-D alphabet
+    and for a single point.
+
+    The distinct values of each coordinate are found within ``tol``, the
+    symmetry tolerance of :func:`_centred`, each named by its least member.
+    The points are a product when there are |X| |Y| of them, one in each
+    cell of the grid, and each prior p times the prior sum S equals the
+    product of its marginals to rounding: within 2 n eps relative, which
+    is more than the n-term sums that form S and the marginals can
+    round by."""
+    n, d = pts.shape
+    if d != 2 or n < 2:
+        return []
+    cells, margins = [], []
+    for coord in pts.T:
+        order = np.argsort(coord, kind="stable")
+        first = np.diff(coord[order], prepend=-np.inf) > tol
+        cell = np.empty(n, dtype=np.intp)
+        cell[order] = np.cumsum(first) - 1
+        cells.append(cell)
+        margins.append((coord[order][first], np.bincount(cell, weights=pri)))
+    (xs, px), (ys, py) = margins
+    if xs.size * ys.size != n:
+        return []
+    joint = np.zeros((xs.size, ys.size))
+    joint[cells[0], cells[1]] = pri * pri.sum()  # an empty cell stays 0
+    product = np.multiply.outer(px, py)
+    if not (np.abs(joint - product) <= 2 * n * np.finfo(float).eps * product).all():
+        return []
+    if np.array_equal(xs, ys) and np.array_equal(px, py):
+        return [(xs, px, 2)]
+    return [(values, marginal, 1) for values, marginal in margins if values.size > 1]
+
+
+def _rate_nats(plan: _Plan, var_per_dim: float, order: int) -> float:
     """Mutual information I(X; Y), in nats, of the alphabet whose
     :func:`_alphabet_plan` is ``plan`` over isotropic Gaussian noise of
     variance ``var_per_dim`` per dimension, on the rule of checked
@@ -465,11 +566,12 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
 
     Components in one orbit of the alphabet's isometries have equal terms
     (:func:`_symmetry_classes`), so one representative per orbit is
-    evaluated, weighted by the orbit's summed prior: one class for BPSK,
-    QPSK and 8-PSK, two for 4-ASK and the cocktail 4-PAM, three for 16-QAM.
-    The terms are equal in exact arithmetic. The tensor rule is not
-    rotation-invariant, so on it 8-PSK's axis and diagonal points differ by
-    their rule errors, up to 2.7e-12 bits at order 192 on the 60-point grid
+    evaluated, weighted by the orbit's summed prior: one class for BPSK and
+    8-PSK, two for 4-ASK and the cocktail 4-PAM. QPSK and 16-QAM are axis
+    products and run as their 1-D rail, of one class and of two, with the
+    weights doubled (:func:`_alphabet_plan`). The terms are equal in exact
+    arithmetic. The tensor rule is not rotation-invariant, so on it 8-PSK's
+    axis and diagonal points differ by their rule errors, up to 2.7e-12 bits at order 192 on the 60-point grid
     SNR 1e-3..1e2; the rate is the axis point's, within 2.0e-12 bits of the
     exact rate there (module docstring). Zero-prior components take no
     part.
@@ -482,8 +584,9 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
     so u_rj(g t) = u_rj'(t) and L_r(g t) = L_r(t). The rule is invariant
     under g as well, so the class is summed over one node per orbit of its
     stabilizer, weighted by the orbit's size (:func:`_unit_rule`). At order
-    192, QPSK's class takes 3813 of the 7556 nodes and 8-PSK's, fixed by
-    the reflection in the x axis, 3778. A class whose stabilizer is the
+    192, a class fixed by the swap of the axes, such as a diagonal point,
+    takes 3813 of the 7556 nodes and 8-PSK's, fixed by the reflection in
+    the x axis, 3778. A class whose stabilizer is the
     identity alone takes the pruned rule itself, so BPSK, 4-ASK and the
     cocktail 4-PAM keep their bits. Where the alphabet is symmetric to its
     rounding, folding moves a rate by summation order alone: at most 4.4e-16
@@ -496,15 +599,15 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
     that depends on v.
 
     The kernel runs the plan's passes (:func:`_alphabet_plan`), each a
-    (C, n, nodes) block for its C classes, and subtracts each class's term
-    as its pass runs, so the classes in their order. One product forms
-    every pass's exponents in either dimension: (C, n, d) offsets times
-    -sqrt(2/v), @ the (d, nodes) nodes. Stacking moves no bit: every entry
-    takes the same operations on the same operands in the same order as
-    one class at a time. A stacked pass is 1-D, where a (C, n, 1) @
-    (1, nodes) product has one term per entry; a 2-D pass is one class.
-    The maxima are exact in any order, and each p @ u row is the same
-    vector-matrix product.
+    (C, n, nodes) block for its C classes on the priors it carries, and
+    subtracts each class's term as its pass runs, so the classes in their
+    order. One product forms every pass's exponents in either dimension:
+    (C, n, d) offsets times -sqrt(2/v), @ the (d, nodes) nodes. Stacking
+    moves no bit: every entry takes the same operations on the same
+    operands in the same order as one class at a time. A stacked pass is
+    1-D, where a (C, n, 1) @ (1, nodes) product has one term per entry; a
+    2-D pass is one class. The maxima are exact in any order, and each
+    p @ u row is the same vector-matrix product.
 
     The rule is the pruned one of :func:`_unit_rule`, so the (components x
     nodes) work buffers are a fifth of the full rule's in 2-D, and a tenth
@@ -514,26 +617,30 @@ def _rate_nats(plan: tuple, var_per_dim: float, order: int) -> float:
     1e-200 or none), rates move by at most 1.3e-15 bits: the summation order
     changed, and nothing else.
 
-    Below v = 2 / (largest float), about 1.1e-308 (SNR 4.5e307 on a
-    unit-energy alphabet), 2 / v overflows. There alone the scale is formed
-    as sqrt(2) / sqrt(v), and a |m_k - m_j|^2 / 2v that overflows enters u
+    Where |m_k - m_j|^2 / 2v overflows for the plan's widest offset, from
+    SNR 2.5e307 on for 4-ASK of unit energy, that term enters u
     as -inf, whose expm1 is the -1 to which any u - c below -38 rounds; so
-    the rates of the unit-energy alphabets saturate up to the largest SNR.
+    the rates of the unit-energy alphabets saturate up to the largest SNR,
+    and the overflow is expected there, not warned of. Below v = 2 /
+    (largest float), about 1.1e-308 (SNR 4.5e307 on a unit-energy
+    alphabet), 2 / v overflows as well, and the scale is formed as sqrt(2) /
+    sqrt(v).
     """
     scale = -math.sqrt(2.0 / var_per_dim)
-    if scale > -math.inf:
-        return _pass_sum(plan, var_per_dim, order, scale)
+    if scale > -math.inf and plan.widest / (2.0 * var_per_dim) < math.inf:
+        return _pass_sum(plan.passes, var_per_dim, order, scale)
+    if scale == -math.inf:
+        scale = -_SQRT2 / math.sqrt(var_per_dim)
     with np.errstate(over="ignore"):
-        return _pass_sum(plan, var_per_dim, order, -_SQRT2 / math.sqrt(var_per_dim))
+        return _pass_sum(plan.passes, var_per_dim, order, scale)
 
 
-def _pass_sum(plan: tuple, var_per_dim: float, order: int, scale: float) -> float:
-    """:func:`_rate_nats` at its exponent scale ``scale``, -sqrt(2 / v)."""
-    pri, log_ratio, passes = plan[:3]
-    d = passes[0][2].shape[2]
+def _pass_sum(passes: tuple, var_per_dim: float, order: int, scale: float) -> float:
+    """:func:`_rate_nats` over ``passes`` at its exponent scale ``scale``,
+    -sqrt(2 / v)."""
     rate = 0.0
-    for maps, class_weights, delta, sq in passes:
-        nodes, weights = _unit_rule(order, d, maps)
+    for maps, class_weights, delta, sq, pri, log_ratio in passes:
+        nodes, weights = _unit_rule(order, delta.shape[2], maps)
         # Fresh buffers per pass: a pass's rule size is its own. Rows index
         # j, so each reduction over j combines whole contiguous rows.
         u = np.matmul(delta * scale, nodes)
@@ -888,8 +995,14 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     s = max |m_k - m_j|^2 / v over the live components, v the variance per
     dimension, and above the last limit the cap, 256 in 1-D and 192 in 2-D
     (module docstring): over SNR 1e-8..1e4 it is within 3.3e-16 bits of the
-    cap on BPSK, 4-ASK, the cocktail 4-PAM, QPSK, 8-PSK and 16-QAM. A
-    given ``order`` is used as it is.
+    cap on BPSK, 4-ASK, the cocktail 4-PAM, QPSK, 8-PSK and 16-QAM. An
+    axis-aligned product such as QPSK or 16-QAM runs as its 1-D factors
+    (:func:`_alphabet_plan`), so its s is that of its widest factor, on the
+    1-D ladder and its cap 256; QPSK is then within 7.2e-10 bits of its
+    exact rate, twice the 1-D rule's error, where the 2-D tensor rule erred
+    by up to 5.5e-9. A given ``order`` is used as it is, and keeps its
+    meaning for a product, since the tensor rule of order n is the product
+    of the 1-D rules of order n.
     A call reads one record, the constellation's kernel plan
     (:func:`_alphabet_plan`), built from its checked points and priors on
     the first call and kept: the numerator of s, the low-SNR series and the
@@ -919,7 +1032,7 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     if order is not None:
         order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
     plan = c._plan
-    widest, series = plan[3:]
+    series = plan.series
     if series is not None and series[0] / var_per_dim <= _SERIES_MAX_S:
         # Divided once per power, so a term underflows to 0 rather than
         # meeting an overflowed or underflowed power of v.
@@ -929,6 +1042,6 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
         rate = (0.5 * s - 0.25 * s2 + s3 / 6.0) / _LN2
     else:
         if order is None:
-            order = _LADDER[c.dimension][bisect_left(_LADDER_LIMITS, widest / var_per_dim)]
+            order = _LADDER[plan.dimension][bisect_left(_LADDER_LIMITS, plan.widest / var_per_dim)]
         rate = _rate_nats(plan, var_per_dim, order) / _LN2
     return min(math.log2(len(c.points)), max(0.0, rate))

@@ -332,8 +332,17 @@ class TestMi:
         assert code == EXIT_OK
         assert "passed" in out
 
+    def test_check_alphabet_runs_the_2d_rule(self):
+        # QPSK itself is an axis product and runs as its 1-D rail; turned by
+        # pi/4 it is not, so the check exercises the 2-D tensor rule.
+        plan = cli._TURNED_QPSK._plan
+        assert plan.dimension == 2 and cli._TURNED_QPSK.dimension == 2
+        assert cli._TURNED_QPSK.mean_energy() == 1.0
+
     def test_check_failure_is_numeric_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "scheme_rate", lambda scheme, rho: 1.0)  # qpsk - 2 * bpsk = -1
+        # Turned qpsk - 2 * bpsk = 1 - 2 = -1.
+        monkeypatch.setattr(cli, "constellation_mi", lambda c, noise: 1.0)
+        monkeypatch.setattr(cli, "scheme_rate", lambda scheme, rho: 1.0)
         code, out, err = run_cli(capsys, "check", "--grid", "1:2:lin:2")
         assert code == EXIT_NUMERIC
         assert out == ""
