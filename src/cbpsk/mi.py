@@ -20,6 +20,18 @@ A 2-D alphabet that is an axis-aligned product, QPSK or any square QAM,
 is two independent channels over isotropic noise, so its plan holds the
 1-D passes of its factors, and its rate is their sum.
 
+Every plan holds its alphabet in one unit, a power of two 2^k, with k from
+the largest magnitude of a live coordinate, so the unit coordinates lie in
+(-1, 1). A call forms the noise variance per dimension in that unit once,
+v 2^-2k floored at 2^-1020, and the choice of order, the low-SNR series
+and the kernel all read that one value. A power of two scales exactly, so
+a rate keeps its bits when the alphabet is scaled by 2^j and the noise by
+4^j, wherever the variance stays a normal float; and every exponent the
+kernel forms is finite at any noise level, so it has no overflow path.
+The floor moves a rate only for an alphabet whose nearest pair lies closer
+than about 1e-152 of its largest coordinate (9.9e-153 measured on
+{0, d, 1}): at any wider spacing the rate is log2 M already at the floor.
+
 Every kernel runs on one Gauss-Hermite rule, :func:`_unit_rule`: the
 tensor-product rule pruned once, when it is built, to the nodes whose
 normalised weight is above 1e-30: 116 of 256 nodes at order 256 in 1-D and
@@ -151,6 +163,12 @@ _LADDER = {d: (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, cap) for d, cap in _DEFA
 # The quadrature rule keeps only nodes whose normalised weight is above this;
 # the bound on what the dropped ones carry is in _unit_rule.
 _WEIGHT_FLOOR = 1e-30
+# The least noise variance per dimension, in the unit of an alphabet's
+# kernel plan, that constellation_mi passes on: it keeps every exponent of
+# the kernel finite (_rate_nats), and moves no rate of an alphabet whose
+# nearest pair lies farther apart than about 1e-152 of its largest
+# coordinate (module docstring).
+_UNIT_VAR_FLOOR = 2.0**-1020
 # The most (classes x components x nodes) entries one kernel pass may stack,
 # counted on the unpruned rule of the cap: 256 KB of float64 (_alphabet_plan).
 _PASS_ENTRIES = 1 << 15
@@ -396,20 +414,31 @@ class _Pass(NamedTuple):
 
 class _Plan(NamedTuple):
     """What :func:`constellation_mi` needs of an alphabet at any noise
-    level (:func:`_alphabet_plan`): the kernel's ``passes``, the
-    ``dimension`` of their rule, the numerator ``widest`` of the s that picks
-    the default order, and the low-SNR ``series``."""
+    level (:func:`_alphabet_plan`), in units of a power of two: the
+    kernel's ``passes``, the ``dimension`` of their rule, the numerator
+    ``widest`` of the s that picks the default order, the low-SNR
+    ``series``, and the ``factor`` that takes the alphabet's own units to
+    the plan's."""
 
     passes: tuple
     dimension: int
     widest: float
     series: tuple | None
+    factor: float
 
 
 def _alphabet_plan(points: np.ndarray, priors) -> _Plan:
     """The :class:`_Plan` of the alphabet ``points`` (a checked (n, d)
     array) with ``priors`` (n checked weights). Everything in it refers to
-    the live components, prior > 0.
+    the live components, prior > 0, in one unit: 2^k, for the exponent k
+    that :func:`math.frexp` gives the largest magnitude of a live
+    coordinate, clamped at -1022. ``factor`` is 2^-k, so the unit
+    coordinates lie in (-1, 1), the largest in [0.5, 1) unless k was
+    clamped. A power of two scales exactly, so the plan holds the
+    alphabet's offsets, traces and symmetry tolerance to the bit, and none
+    of them overflows: in the alphabet's own units tr C^3 would overflow
+    from energy 5.6e102 on, and |m_k - m_j|^2 from 4.5e307. The body is
+    :func:`_unit_plan`.
 
     ``passes`` are the passes the kernel runs over the classes of
     :func:`_symmetry_classes` (:class:`_Pass`), and ``dimension`` is that
@@ -425,9 +454,9 @@ def _alphabet_plan(points: np.ndarray, priors) -> _Plan:
     isotropic noise its two coordinates are two independent channels, so
     its rate is the sum of its factors' rates (parallel Gaussian channels),
     and the passes of each factor's own 1-D plan, at the factor's marginal
-    priors, are the passes of the alphabet. Two equal factors, as QPSK's
-    two rails are, are one factor with its class weights doubled, which
-    doubles its term exactly. A factor of one point carries no information
+    priors and in the alphabet's unit, are the passes of the alphabet. Two
+    equal factors, as QPSK's two rails are, are one factor with its class
+    weights doubled, which doubles its term exactly. A factor of one point carries no information
     and runs no pass. The dimension is then 1 and ``widest`` the widest
     offset of a factor, so the order comes from the 1-D ladder, whose rule
     at order n is the 2-D tensor rule of order n in each coordinate. The
@@ -452,11 +481,19 @@ def _alphabet_plan(points: np.ndarray, priors) -> _Plan:
     """
     pri = np.asarray(priors, dtype=float)
     live = pri > 0.0
-    pts, pri = points[live], pri[live]
+    pts = points[live]
+    factor = math.ldexp(1.0, -max(math.frexp(float(np.abs(pts).max()))[1], -1022))
+    return _unit_plan(pts * factor, pri[live], factor)
+
+
+def _unit_plan(pts: np.ndarray, pri: np.ndarray, factor: float) -> _Plan:
+    """The :class:`_Plan` of the live components ``pts`` (n, d), already
+    in the unit 1 / ``factor``, with priors ``pri``: the body of
+    :func:`_alphabet_plan`, which the factors of an axis product share."""
     centred, tol = _centred(pts, pri)
     factors = _axis_factors(pts, pri, tol)
     if factors:
-        plans = [(_alphabet_plan(values[:, None], marginal), times) for values, marginal, times in factors]
+        plans = [(_unit_plan(values[:, None], marginal, factor), times) for values, marginal, times in factors]
         passes = tuple(
             p._replace(weights=tuple(times * w for w in p.weights)) for plan, times in plans for p in plan.passes
         )
@@ -470,7 +507,7 @@ def _alphabet_plan(points: np.ndarray, priors) -> _Plan:
         square = cov @ cov
         series = float(np.trace(cov)), float(np.trace(square)), float(np.trace(square @ cov))
     widest = max(float(p.sq.max()) for p in passes)
-    return _Plan(passes, dimension, widest, series)
+    return _Plan(passes, dimension, widest, series, factor)
 
 
 def _class_passes(pts: np.ndarray, pri: np.ndarray, classes: list) -> tuple:
@@ -534,11 +571,11 @@ def _axis_factors(pts: np.ndarray, pri: np.ndarray, tol: float) -> list:
     return [(values, marginal, 1) for values, marginal in margins if values.size > 1]
 
 
-def _rate_nats(plan: _Plan, var_per_dim: float, order: int) -> float:
+def _rate_nats(plan: _Plan, var: float, order: int) -> float:
     """Mutual information I(X; Y), in nats, of the alphabet whose
     :func:`_alphabet_plan` is ``plan`` over isotropic Gaussian noise of
-    variance ``var_per_dim`` per dimension, on the rule of checked
-    ``order``.
+    variance ``var`` per dimension in the plan's units (below), on the rule
+    of checked ``order``.
 
     Given X = m_k, write Y = m_k + n with n = sqrt(2v) t, t a node of the
     d-dimensional rule of :func:`_unit_rule`. Then p(y | m_j) / p(y | m_k) =
@@ -617,34 +654,21 @@ def _rate_nats(plan: _Plan, var_per_dim: float, order: int) -> float:
     1e-200 or none), rates move by at most 1.3e-15 bits: the summation order
     changed, and nothing else.
 
-    Where |m_k - m_j|^2 / 2v overflows for the plan's widest offset, from
-    SNR 2.5e307 on for 4-ASK of unit energy, that term enters u
-    as -inf, whose expm1 is the -1 to which any u - c below -38 rounds; so
-    the rates of the unit-energy alphabets saturate up to the largest SNR,
-    and the overflow is expected there, not warned of. Below v = 2 /
-    (largest float), about 1.1e-308 (SNR 4.5e307 on a unit-energy
-    alphabet), 2 / v overflows as well, and the scale is formed as sqrt(2) /
-    sqrt(v).
+    The plan holds the alphabet in one unit, a power of two
+    (:func:`_alphabet_plan`), and ``var`` is in that unit, floored at
+    2^-1020 by :func:`constellation_mi`. Every unit coordinate is below 1
+    in magnitude, so |m_k - m_j|^2 < 8, |m_k - m_j|^2 / 2v < 2^1022 and
+    2 / v <= 2^1021: every exponent, and every u_kj - c, is finite at any
+    noise level, and no step of the kernel overflows.
     """
-    scale = -math.sqrt(2.0 / var_per_dim)
-    if scale > -math.inf and plan.widest / (2.0 * var_per_dim) < math.inf:
-        return _pass_sum(plan.passes, var_per_dim, order, scale)
-    if scale == -math.inf:
-        scale = -_SQRT2 / math.sqrt(var_per_dim)
-    with np.errstate(over="ignore"):
-        return _pass_sum(plan.passes, var_per_dim, order, scale)
-
-
-def _pass_sum(passes: tuple, var_per_dim: float, order: int, scale: float) -> float:
-    """:func:`_rate_nats` over ``passes`` at its exponent scale ``scale``,
-    -sqrt(2 / v)."""
+    scale = -math.sqrt(2.0 / var)
     rate = 0.0
-    for maps, class_weights, delta, sq, pri, log_ratio in passes:
+    for maps, class_weights, delta, sq, pri, log_ratio in plan.passes:
         nodes, weights = _unit_rule(order, delta.shape[2], maps)
         # Fresh buffers per pass: a pass's rule size is its own. Rows index
         # j, so each reduction over j combines whole contiguous rows.
         u = np.matmul(delta * scale, nodes)
-        u -= sq / (2.0 * var_per_dim)
+        u -= sq / (2.0 * var)
         c = np.maximum.reduce(u if log_ratio is None else u + log_ratio[:, None], 1)
         u -= c[:, None]
         np.expm1(u, u)
@@ -1006,8 +1030,11 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     A call reads one record, the constellation's kernel plan
     (:func:`_alphabet_plan`), built from its checked points and priors on
     the first call and kept: the numerator of s, the low-SNR series and the
-    kernel's passes all come from its one symmetry search, so the choice of
-    order costs a division and a bisection of the ladder's limits.
+    kernel's passes all come from its one symmetry search, in one unit, a
+    power of two. The call forms v in that unit once, ``noise.variance / 2``
+    times ``factor``^2, floored at 2^-1020 (module docstring), and s, the
+    series and the kernel all read it, so the choice of order costs a
+    division and a bisection of the ladder's limits.
     The rate kernel :func:`_rate_nats` forms I directly, so the rate keeps
     its relative accuracy at low SNR: within 1.1e-12 of 30-digit mpmath at
     SNR 1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. Further
@@ -1028,20 +1055,20 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     same integrand written out, within 5e-16 bits.
     The result is clamped into [0, log2(alphabet size)].
     """
-    var_per_dim = noise.variance / 2.0
     if order is not None:
         order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
     plan = c._plan
+    var = max(noise.variance / 2.0 * plan.factor * plan.factor, _UNIT_VAR_FLOOR)
     series = plan.series
-    if series is not None and series[0] / var_per_dim <= _SERIES_MAX_S:
+    if series is not None and series[0] / var <= _SERIES_MAX_S:
         # Divided once per power, so a term underflows to 0 rather than
-        # meeting an overflowed or underflowed power of v.
-        s = series[0] / var_per_dim
-        s2 = series[1] / var_per_dim / var_per_dim
-        s3 = series[2] / var_per_dim / var_per_dim / var_per_dim
+        # meeting an underflowed power of v.
+        s = series[0] / var
+        s2 = series[1] / var / var
+        s3 = series[2] / var / var / var
         rate = (0.5 * s - 0.25 * s2 + s3 / 6.0) / _LN2
     else:
         if order is None:
-            order = _LADDER[plan.dimension][bisect_left(_LADDER_LIMITS, plan.widest / var_per_dim)]
-        rate = _rate_nats(plan, var_per_dim, order) / _LN2
+            order = _LADDER[plan.dimension][bisect_left(_LADDER_LIMITS, plan.widest / var)]
+        rate = _rate_nats(plan, var, order) / _LN2
     return min(math.log2(len(c.points)), max(0.0, rate))

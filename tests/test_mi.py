@@ -604,9 +604,9 @@ def _spy_kernel(monkeypatch):
     orders = []
     rate_nats = mi._rate_nats
 
-    def spy(plan, var_per_dim, order):
+    def spy(plan, var, order):
         orders.append(order)
-        return rate_nats(plan, var_per_dim, order)
+        return rate_nats(plan, var, order)
 
     monkeypatch.setattr(mi, "_rate_nats", spy)
     return orders
@@ -641,7 +641,7 @@ class TestLowSnrSeries:
         # No rate above tr S = 1e-8 leaves the kernel, so none moves there.
         orders = _spy_kernel(monkeypatch)
         for c in (Constellation.bpsk(), Constellation.qpsk(), Constellation(_QAM16)):
-            trace = c._plan.series[0]
+            trace = c._plan.series[0] / c._plan.factor**2
             constellation_mi(c, NoiseModel(2.0 * trace / (mi._SERIES_MAX_S * (1.0 + 1e-9))))
             assert orders == [8]
             constellation_mi(c, NoiseModel(2.0 * trace / (mi._SERIES_MAX_S * (1.0 - 1e-9))))
@@ -659,7 +659,8 @@ class TestLowSnrSeries:
 
     def test_zero_prior_points_do_not_break_the_symmetry(self):
         c = Constellation((1.0, -1.0, 5.0), (0.5, 0.5, 0.0))
-        assert c._plan.series == (1.0, 1.0, 1.0)
+        plan = c._plan
+        assert tuple(t / plan.factor ** (2 * k) for k, t in enumerate(plan.series, 1)) == (1.0, 1.0, 1.0)
         want = bpsk_mi(1.0, NoiseModel(1e12))
         assert abs(constellation_mi(c, NoiseModel(1e12)) - want) <= 4e-16 * want
 
@@ -695,7 +696,8 @@ class TestOrderLadder:
         # rail {+-sqrt(1/2)}, so its s is 2 / v, on the 1-D ladder.
         turned = Constellation(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
         for c, widest, dimension in ((Constellation.bpsk(), 4.0, 1), (turned, 4.0, 2), (Constellation.qpsk(), 2.0, 1)):
-            assert c._plan.widest == pytest.approx(widest, rel=1e-15) and c._plan.dimension == dimension
+            plan = c._plan
+            assert plan.widest / plan.factor**2 == pytest.approx(widest, rel=1e-15) and plan.dimension == dimension
             ladder = mi._LADDER[dimension]
             for i, limit in enumerate(mi._LADDER_LIMITS):
                 for s, want in ((limit * (1.0 - 1e-9), ladder[i]), (limit * (1.0 + 1e-9), ladder[i + 1])):
@@ -769,7 +771,14 @@ def all_components_rate(means, priors, var_per_dim, order, term_weights=None):
 
 def kernel_rate(means, priors, var_per_dim, order):
     """The library's rate kernel on a checked (n, d) array, in bits."""
-    return mi._rate_nats(mi._alphabet_plan(means, priors), var_per_dim, order) / math.log(2.0)
+    plan = mi._alphabet_plan(means, priors)
+    return mi._rate_nats(plan, unit_var(plan, var_per_dim), order) / math.log(2.0)
+
+
+def unit_var(plan, var_per_dim):
+    """The variance per dimension ``var_per_dim`` in the units of ``plan``,
+    as _rate_nats takes it."""
+    return var_per_dim * plan.factor * plan.factor
 
 
 def _psk8_points():
@@ -1189,8 +1198,8 @@ class TestFoldedRule:
         order = mi._DEFAULT_ORDER[means.shape[1]]
         plan = mi._alphabet_plan(means, priors)
         unfolded = plan._replace(passes=tuple(p._replace(maps=()) for p in plan.passes))
-        got = mi._rate_nats(plan, 0.5, order) / math.log(2.0)
-        want = mi._rate_nats(unfolded, 0.5, order) / math.log(2.0)
+        got = mi._rate_nats(plan, unit_var(plan, 0.5), order) / math.log(2.0)
+        want = mi._rate_nats(unfolded, unit_var(plan, 0.5), order) / math.log(2.0)
         assert abs(got - want) <= bound, f"{name} at rho={rho}: {got!r} vs {want!r}"
         if not any(p.maps for p in plan.passes):
             assert got.hex() == want.hex()
@@ -1249,12 +1258,18 @@ class TestAxisProducts:
         means, priors, factors = AXIS_PRODUCTS[name]
         plan = mi._alphabet_plan(means, priors)
         assert plan.dimension == 1
+        # Offsets in the alphabet's own units: a factor's own plan may take
+        # another unit than the product's.
+        def raw(p, f):
+            return (p.delta / f).tolist(), (p.sq / f**2).tolist()
+
         want = [
-            (p.maps, tuple(count * w for w in p.weights), p.delta.tolist(), p.sq.tolist(), p.priors.tolist())
+            (p.maps, tuple(count * w for w in p.weights), *raw(p, fp.factor), p.priors.tolist())
             for points, marginal, count in factors
-            for p in mi._alphabet_plan(_column(points), np.array(marginal)).passes
+            for fp in [mi._alphabet_plan(_column(points), np.array(marginal))]
+            for p in fp.passes
         ]
-        got = [(p.maps, p.weights, p.delta.tolist(), p.sq.tolist(), p.priors.tolist()) for p in plan.passes]
+        got = [(p.maps, p.weights, *raw(p, plan.factor), p.priors.tolist()) for p in plan.passes]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g[0] == w[0] and g[1] == pytest.approx(w[1], abs=1e-15)
@@ -1285,7 +1300,7 @@ class TestAxisProducts:
             plan = mi._alphabet_plan(means, priors)
             assert plan.dimension == 2
             rates.append([
-                mi._rate_nats(mi._alphabet_plan(means * math.sqrt(rho), priors), 0.5, order).hex()
+                kernel_rate(means * math.sqrt(rho), priors, 0.5, order).hex()
                 for rho in (1e-3, 1.0, 7.0, 100.0)
                 for order in (64, 192)
             ])
@@ -1300,7 +1315,72 @@ class TestAxisProducts:
         plan = mi._alphabet_plan(means, priors)
         centred = means - priors @ means
         cov = centred.T @ (centred * priors[:, None])
-        assert plan.series == pytest.approx((np.trace(cov), np.trace(cov @ cov), np.trace(cov @ cov @ cov)), rel=1e-15)
+        series = tuple(t / plan.factor ** (2 * k) for k, t in enumerate(plan.series, 1))
+        assert series == pytest.approx((np.trace(cov), np.trace(cov @ cov), np.trace(cov @ cov @ cov)), rel=1e-15)
+
+
+BUILT_IN = (Constellation.bpsk, Constellation.ask4, Constellation.qpsk, Constellation.psk8)
+# The alphabets of the domain test: the built-in ones and every mixture.
+SCALE_ALPHABETS = {
+    **{make.__name__: (c.as_array(), np.array(c.priors)) for make in BUILT_IN for c in [make()]},
+    **MIXTURES,
+}
+
+
+class TestOneScale:
+    """constellation_mi over the whole domain of energies and noise levels,
+    with warnings as errors: the kernel plan holds each alphabet in units of
+    a power of two, and the kernel reads one variance in those units."""
+
+    @pytest.mark.parametrize("name", sorted(SCALE_ALPHABETS))
+    def test_power_of_two_rescaling_keeps_every_bit(self, name):
+        # c.scaled(2^j) at 4^j times the noise is c in other units: every
+        # product is exact while the variance stays a normal float, so the
+        # rate must keep its bits.
+        points, priors = SCALE_ALPHABETS[name]
+        moved = []
+        for rho in (1e-12, 3.0, 1e306):
+            want = constellation_mi(Constellation(points, priors), NoiseModel(1.0 / rho)).hex()
+            for j in range(-500, 501, 25):
+                variance = 4.0**j / rho
+                if 2.0 * sys.float_info.min <= variance <= sys.float_info.max:
+                    got = constellation_mi(Constellation(points * 2.0**j, priors), NoiseModel(variance)).hex()
+                    if got != want:
+                        moved.append((rho, j, got, want))
+        assert not moved, f"{len(moved)} rates moved, first {moved[:3]}"
+
+    @pytest.mark.parametrize("make", BUILT_IN)
+    def test_energy_1e104_at_snr_1e_20(self, make):
+        # tr C^3 in the alphabet's own units would overflow here, and the
+        # rate would read log2 M.
+        got = constellation_mi(make().scaled(1e52), NoiseModel(1e124))
+        assert abs(got / (1e-20 * LOG2E) - 1.0) <= 1e-15, got
+
+    def test_4_pam_at_energy_5e200(self):
+        got = constellation_mi(Constellation(np.array([-3.0, -1.0, 1.0, 3.0]) * 1e100), NoiseModel(1e300))
+        assert abs(got / (5e-100 * LOG2E) - 1.0) <= 1e-15, got
+
+    @pytest.mark.parametrize("make", BUILT_IN)
+    def test_energy_1e308_at_snr_1(self, make):
+        # |m_k - m_j|^2 in the alphabet's own units would overflow here.
+        c = make()
+        got = constellation_mi(c.scaled(1e154), NoiseModel(1e308))
+        assert abs(got - constellation_mi(c, NoiseModel(1.0))) <= 1e-15
+
+    def test_subnormal_variance_keeps_the_digits(self):
+        # Half of 2 x 4^-532 is 2^-1064, a subnormal power of two; in the
+        # plan's units it is 2^-4, as at NoiseModel(2.0).
+        c = Constellation.ask4()
+        got = constellation_mi(c.scaled(2.0**-532), NoiseModel(2.0 * 4.0**-532))
+        assert got.hex() == constellation_mi(c, NoiseModel(2.0)).hex()
+
+    def test_floor_keeps_pairs_wider_than_1e_152_resolved(self):
+        # At the least noise the pair {0, d} of {0, d, 1} is resolved, and
+        # the floor on the variance in the plan's unit keeps the rate at
+        # log2 3 for d from 9.9e-153 up (below that it holds the rate under
+        # log2 3: the floor's measured cost).
+        for d in (1e-152, 1e-100, 0.5):
+            assert constellation_mi(Constellation((0.0, d, 1.0)), NoiseModel(1e-323)) == math.log2(3.0)
 
 
 def plain_bpsk_mi(amplitude, variance, order=256):
@@ -1321,17 +1401,18 @@ def plain_bpsk_mi(amplitude, variance, order=256):
     return min(1.0, max(0.0, -float(np.dot(w, f)) / math.log(2.0)))
 
 
-def unstacked_rate_nats(plan, var_per_dim, order):
+def unstacked_rate_nats(plan, var, order):
     """_rate_nats one class at a time, in the order the plan's passes list
-    them, each exponent by its own matrix product: the reference for the
-    bits of the library's stacked passes."""
-    scale = -math.sqrt(2.0 / var_per_dim)
+    them, each exponent by its own matrix product, at the variance ``var``
+    in the plan's units: the reference for the bits of the library's
+    stacked passes."""
+    scale = -math.sqrt(2.0 / var)
     rate = 0.0
     for maps, class_weights, deltas, sqs, pri, log_ratio in plan.passes:
         for weight, delta, sq in zip(class_weights, deltas, sqs):
             nodes, weights = mi._unit_rule(order, plan.dimension, maps)
             u = np.matmul(delta * scale, nodes)
-            u -= sq / (2.0 * var_per_dim)
+            u -= sq / (2.0 * var)
             c = np.max(u if log_ratio is None else u + log_ratio[:, None], axis=0)
             u -= c
             np.expm1(u, out=u)
@@ -1392,7 +1473,8 @@ class TestLeanKernelBits:
         pairs = []
         for rho in (1e-6, 1e-3, 1.0, 7.0, 100.0, 1e4):
             plan = mi._alphabet_plan(means * math.sqrt(rho), priors)
-            pairs.append((rho, mi._rate_nats(plan, 0.5, order), unstacked_rate_nats(plan, 0.5, order)))
+            var = unit_var(plan, 0.5)
+            pairs.append((rho, mi._rate_nats(plan, var, order), unstacked_rate_nats(plan, var, order)))
         self.assert_same_bits(pairs)
 
     # The sha256 of the float.hex of each mixture's 12 rates: the rho of
@@ -1460,7 +1542,8 @@ class TestLeanKernelBits:
         pairs = []
         for rho in np.geomspace(1e-6, 1e4, 25).tolist():
             plan = mi._alphabet_plan(means * math.sqrt(rho), priors)
-            pairs.append((rho, mi._rate_nats(plan, 0.5, order), unstacked_rate_nats(plan, 0.5, order)))
+            var = unit_var(plan, 0.5)
+            pairs.append((rho, mi._rate_nats(plan, var, order), unstacked_rate_nats(plan, var, order)))
         self.assert_same_bits(pairs)
 
     def test_stacks_only_1d_classes_that_share_a_rule(self):
@@ -1496,7 +1579,8 @@ class TestLeanKernelBits:
         pairs = []
         for rho in (1e-3, 1.0, 100.0):
             plan = mi._alphabet_plan(self.LARGE[0] * math.sqrt(rho), self.LARGE[1])
-            pairs.append((rho, mi._rate_nats(plan, 0.5, order), unstacked_rate_nats(plan, 0.5, order)))
+            var = unit_var(plan, 0.5)
+            pairs.append((rho, mi._rate_nats(plan, var, order), unstacked_rate_nats(plan, var, order)))
         self.assert_same_bits(pairs)
 
     def test_large_1d_call_stays_within_2_mb(self):

@@ -158,11 +158,11 @@ class TestSchemeRates:
     @pytest.mark.parametrize("scheme", ["bpsk", "4ask", "qpsk", "8psk"])
     @pytest.mark.parametrize("rho", [4.12e307, 4.5e307, 1e308, sys.float_info.max])
     def test_saturates_up_to_the_largest_snr(self, scheme, rho):
-        # From rho = 4.5e307 on, 2 / v overflows for v = 1/(2 rho) per
-        # dimension; the rate stays the saturated one of rho = 1e306, with
-        # no warning, rather than NaN clamped to 0. Below that, from about
-        # 2.5e307, 4ask's widest |m_k - m_j|^2 / 2v = 7.2 rho overflows
-        # alone, and that overflow must not warn either.
+        # At each of these rho the variance per dimension 1/(2 rho), in the
+        # unit of the alphabet's kernel plan, lies below the floor 2^-1020
+        # that keeps every exponent of the kernel finite: the rate stays
+        # the saturated one of rho = 1e306, with no warning, rather than NaN
+        # clamped to 0.
         assert scheme_rate(scheme, rho).hex() == scheme_rate(scheme, 1e306).hex()
 
     def test_low_snr_linearity_at_symbol_snr(self):
