@@ -11,23 +11,31 @@ Within a shard the draw order is fixed. :func:`run_link` first takes both
 symbol streams from one ``bit_generator.random_raw(ceil(2 count / 64))``
 call, unpacked least significant bit first (x1 the first ``count`` bits, x2
 the next ``count``), and then draws its normals. :func:`mc_bpsk_mi` draws
-normals only: its density is even in y, so y = A + sigma n has the law of
-y = x + sigma n with x uniform on {+A, -A}. Normals come block by block
-from ``Generator.standard_normal`` (ziggurat), scaled by the noise standard
-deviation; golden tests pin these choices.
+normals only: its statistic at (-q, -n) is the one at (q, n), so sending
++A alone has the law of x uniform on {+A, -A}. Normals come block by block
+from ``Generator.standard_normal`` (ziggurat); golden tests pin these
+choices.
+
+One scale: every statistic is formed in units of the noise deviation
+sigma, from a mean q = a / sigma and the drawn n (:func:`_stage`), and the
+received value y = sigma (q + n) itself is never formed. At full scale y
+would round sigma n away next to a large a. Means are capped at
+``_MEAN_CAP``, past which the statistic no longer moves, so nothing
+overflows at any finite amplitude or accepted variance.
 
 Execution: :func:`run_link` runs its shards on ``max_workers`` threads, at
 most one per core the process may use, and :func:`mc_bpsk_mi` on every such
 core. A shard walks its range in blocks of at most ``_BLOCK`` elements, in
 ascending order: each block draws its normals and runs the float arithmetic
 in block-sized buffers that stay in cache, and returns its sums. Lookups in
-tables built from :func:`cbpsk.cocktail.encode` give the transmitted
-values, amplitudes and stage-2 offsets. Counts add as Python ints, and the
-float sums of all blocks of all shards are added exactly rounded
+tables built from :func:`cbpsk.cocktail.encode` give each stage's signed
+mean in noise deviations. Counts add as Python ints, and the float sums of
+all blocks of all shards are added exactly rounded
 (``math.fsum``), so the result depends on neither the worker count nor the
 order in which shards finish. No sum goes through BLAS, so the BLAS thread
-count does not move a bit either. A worker peaks at about 5 MB in
-``run_link`` and 1 MB in ``mc_bpsk_mi``.
+count does not move a bit either. A worker peaks at about 4 MB in
+``run_link`` (its shard's symbol bits and the block buffers) and 1 MB in
+``mc_bpsk_mi``.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocktail import CocktailParams, SymbolPair, encode
-from .mi import LOG2E, NoiseModel, _LN2, _integer, _real, noise_entropy
+from .mi import LOG2E, NoiseModel, _LN2, _integer, _real
 
 __all__ = [
     "SimConfig",
@@ -52,11 +60,15 @@ __all__ = [
 DETECTION_MODES = ("decision_directed", "genie_aided")
 
 _SHARD_SYMBOLS = 1 << 20
-# Elements per block of a shard's arithmetic: the eight block buffers of
-# run_link (1.6 MB) fit in a 2 MB per-core L2 cache. On 2 vCPUs, 1 << 14 ran
+# Elements per block of a shard's arithmetic: the block buffers of run_link
+# (1.6 MB) fit in a 2 MB per-core L2 cache. On 2 vCPUs, 1 << 14 ran
 # two workers about 10 % slower (twice the GIL hand-offs per element) and
 # 1 << 16 one worker about 6 % slower.
 _BLOCK = 1 << 15
+# Cap on a mean in noise deviations. From about 40 on, the exponential of
+# _stage underflows and its statistic no longer moves; below 2^500 its
+# products (2 mean t, r^2) stay finite, at any amplitude and variance.
+_MEAN_CAP = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -91,10 +103,12 @@ class LinkSimReport:
 
     ``empirical_mi_x1``/``empirical_mi_x2`` are plug-in estimates of the
     per-stream terms of the ADR formula (:func:`cbpsk.cocktail.adr_breakdown`)
-    on the simulated real channel: the sample mean of -log2 p(y) under the
-    two-Gaussian mixture conditioned on each symbol's case x1*x2, minus the
-    noise entropy. The receiver never observes the case, so these check the
-    formula's integral, not a rate the receiver can achieve. In
+    on the simulated real channel: the sample mean of -log2 p(y) - h(N)
+    under the two-Gaussian mixture conditioned on each symbol's case x1*x2,
+    formed in noise deviations by :func:`_stage`. Stage 1's mixture sits at
+    the sent value, stage 2's at the sent value less beta x1. The receiver
+    never observes the case, so these check the formula's integral, not a
+    rate the receiver can achieve. In
     decision-directed mode the stage-2 estimate absorbs whatever error
     propagation occurred.
     """
@@ -164,38 +178,52 @@ def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.unpackbits(raw.view(np.uint8), bitorder="little")[:n].view(np.bool_)
 
 
-def _bpsk_mixture_neg_log2_pdf(y, amplitude, variance: float, out, tmp1, tmp2) -> np.ndarray:
-    """-log2 of 0.5*N(y; a, var) + 0.5*N(y; -a, var), elementwise in (y, a)
-    for a >= 0, written into ``out`` and returned; ``tmp1`` and ``tmp2`` are
-    scratch. None of the three may alias ``y`` or ``amplitude``.
+def _mean(value: float, sigma: float) -> float:
+    """``value / sigma``, a mean in noise deviations, with its magnitude
+    capped at ``_MEAN_CAP``."""
+    return math.copysign(min(abs(value) / sigma, _MEAN_CAP), value)
 
-    The density is even in y; factoring out the nearer component,
 
-        -ln p = (|y| - a)^2 / (2 var) - log1p(exp(-2 a |y| / var))
-                + ln 2 + ln(2 pi var) / 2,
+def _stage(mean, n, t, z, e) -> np.ndarray:
+    """One detection stage in noise deviations: the sent point over sigma is
+    ``mean`` (an array, or one float) and the draw is ``n``, so the received
+    value over sigma is t = mean + n. Writes t into ``t`` and the per-draw
+    statistic into ``z``, which it returns; ``e`` is scratch.
 
-    where the log1p term lies in [-ln 2, 0] and no two large terms cancel.
-    One ufunc call per operation, in this order, so the bits do not depend
-    on the buffers.
+    Folding onto the nearer point of the two-point mixture, at distance r,
+
+        -ln p(y) - h(N) = r^2 / 2 - log1p(exp(-2 |mean t|)) + ln 2 - 1/2,
+
+    where r = n if mean and t share a sign and r = n + 2 mean if not. The
+    statistic is the first two terms; the caller adds ln 2 - 1/2 to its
+    mean. r is n plus mean - copysign(mean, t), which is exactly 0 or
+    2 mean, so n keeps its digits at any SNR and no two large terms cancel
+    on either lobe. One ufunc call per operation, in this order, so the
+    bits do not depend on the buffers.
     """
-    t, e = tmp1, tmp2
-    np.abs(y, out=t)
-    np.multiply(t, amplitude, out=e)
-    np.multiply(e, -2.0 / variance, out=e)
+    np.add(mean, n, out=t)
+    np.copysign(mean, t, out=z)
+    np.subtract(mean, z, out=z)
+    np.add(z, n, out=z)  # r
+    np.multiply(t, mean, out=e)
+    np.abs(e, out=e)
+    np.multiply(e, -2.0, out=e)
     np.exp(e, out=e)
     np.log1p(e, out=e)
-    np.subtract(t, amplitude, out=t)
-    np.multiply(t, t, out=t)
-    np.multiply(t, 0.5 / variance, out=t)
-    np.subtract(t, e, out=out)
-    np.add(out, _LN2 + 0.5 * math.log(2.0 * math.pi * variance), out=out)
-    return np.multiply(out, LOG2E, out=out)
+    np.multiply(z, z, out=z)
+    np.multiply(z, 0.5, out=z)
+    return np.subtract(z, e, out=z)
+
+
+def _bits(mean_statistic: float) -> float:
+    """The plug-in rate, in bits, of a statistic of :func:`_stage` whose
+    sample mean is ``mean_statistic``."""
+    return (mean_statistic + (_LN2 - 0.5)) * LOG2E
 
 
 def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple:
     p = config.params
-    var = config.noise.variance / 2.0
-    sigma = math.sqrt(var)
+    sigma = math.sqrt(config.noise.variance / 2.0)
     genie = config.detection_mode == "genie_aided"
 
     # The draw order (the raw bits of both streams, then the normals) is part
@@ -203,50 +231,44 @@ def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple
     # count; the normals, drawn last, may come block by block.
     bits = _random_bits(rng, 2 * count)
     plus1, plus2 = bits[:count], bits[count:]
-    # Tables indexed by k = 2 [x1 = +1] + [x2 = +1]. Stage 1 sees the sent
-    # value with amplitude |sent|; stage 2 subtracts the offset beta * x1 and
-    # sees amplitude |sent - beta * x1|.
+    # Signed means over sigma, indexed by k = 2 [x1 = +1] + [x2 = +1]: stage
+    # 1 sees the sent value, stage 2 the sent value less beta x1.
     pairs = [SymbolPair(x1, x2) for x1 in (-1, 1) for x2 in (-1, 1)]
-    sent = np.array([encode(pair, p) for pair in pairs])
-    genie_offset = np.array([p.beta * pair.x1 for pair in pairs])
-    amp1 = np.abs(sent)
-    amp2 = np.abs(sent - genie_offset)
-    # Decision-directed mode indexes the offset by [x1_hat = +1], which picks
-    # the entries k = 0 and k = 2.
-    offset = genie_offset if genie else genie_offset[::2]
+    sent = [encode(pair, p) for pair in pairs]
+    means1 = np.array([_mean(s, sigma) for s in sent])
+    means2 = np.array([_mean(s - p.beta * pair.x1, sigma) for s, pair in zip(sent, pairs)])
+    # Stage 2 subtracts beta x1_hat: its draw is moved by beta (x1 - x1_hat)
+    # / sigma, which is 2 beta / sigma times [x1 = +1] - [x1_hat = +1]. The
+    # cap binds only where beta / 2 sigma > 2^498, where x1_hat is never wrong.
+    step = _mean(2.0 * p.beta, sigma)
     # Every index is in range, so mode="clip" only skips the buffered bounds
-    # check of the default mode. Received signal, amplitude, -log2 p, two
-    # scratch; k; a decision is +1, scratch.
+    # check of the default mode. Draw, mean, received value, statistic,
+    # scratch; decisions, scratch; k; the move of the draw.
     buffers = _block_buffers(count, 5, 2)
     index = np.empty(min(count, _BLOCK), np.intp)
+    moved = np.empty(min(count, _BLOCK), np.int8)
 
     def block(lo, hi):
-        y, amp, z, tmp1, tmp2, hat, mask = (b[: hi - lo] for b in buffers)
+        n, m, t, z, e, hat, mask = (b[: hi - lo] for b in buffers)
         k = index[: hi - lo]
         x1, x2 = plus1[lo:hi], plus2[lo:hi]
         np.multiply(x1, 2, out=k)
         np.add(k, x2, out=k)
+        rng.standard_normal(out=n)
 
-        # y1 = x + sigma n
-        rng.standard_normal(out=y)
-        y *= sigma
-        y += np.take(sent, k, out=z, mode="clip")
+        def stage(means, truth):
+            np.take(means, k, out=m, mode="clip")
+            total = float(_stage(m, n, t, z, e).sum())
+            np.greater_equal(t, 0.0, out=hat)
+            return int(np.count_nonzero(np.not_equal(hat, truth, out=mask))), total
 
-        np.greater_equal(y, 0.0, out=hat)  # x1_hat
-        errors_x1 = int(np.count_nonzero(np.not_equal(hat, x1, out=mask)))
-        np.take(amp1, k, out=amp, mode="clip")
-        sum_z1 = float(_bpsk_mixture_neg_log2_pdf(y, amp, var, z, tmp1, tmp2).sum())
-
-        # y2 = y1 - beta * (x1 if genie else x1_hat), in place
-        y -= np.take(offset, k if genie else hat, out=z, mode="clip")
-
-        np.greater_equal(y, 0.0, out=hat)  # x2_hat
-        errors_x2 = int(np.count_nonzero(np.not_equal(hat, x2, out=mask)))
-        np.take(amp2, k, out=amp, mode="clip")
-        sum_z2 = float(_bpsk_mixture_neg_log2_pdf(y, amp, var, z, tmp1, tmp2).sum())
-
+        errors_x1, sum_1 = stage(means1, x1)
+        if not genie:
+            d = np.subtract(x1.view(np.int8), hat.view(np.int8), out=moved[: hi - lo])
+            n += np.multiply(d, step, out=t)
+        errors_x2, sum_2 = stage(means2, x2)
         case1 = hi - lo - int(np.count_nonzero(np.not_equal(x1, x2, out=mask)))
-        return errors_x1, errors_x2, case1, sum_z1, sum_z2
+        return errors_x1, errors_x2, case1, sum_1, sum_2
 
     return _each_block(count, block)
 
@@ -265,20 +287,19 @@ def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
     """
     max_workers = _integer("max_workers", max_workers, 1)
     n = config.n_symbols
-    err1, err2, case1, sum_z1, sum_z2 = _sharded_sums(
+    err1, err2, case1, sum_1, sum_2 = _sharded_sums(
         n,
         config.seed,
         lambda rng, count: _run_shard(config, rng, count),
         max_workers,
     )
-    h_n = noise_entropy(NoiseModel(config.noise.variance / 2.0))
     return LinkSimReport(
         n_symbols=n,
         errors_x1=err1,
         errors_x2=err2,
         case1_count=case1,
-        empirical_mi_x1=sum_z1 / n - h_n,
-        empirical_mi_x2=sum_z2 / n - h_n,
+        empirical_mi_x1=_bits(sum_1 / n),
+        empirical_mi_x2=_bits(sum_2 / n),
         seed=config.seed,
     )
 
@@ -287,14 +308,15 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     """Monte Carlo plug-in estimate of the antipodal-signaling mutual
     information, with its standard error.
 
-    Draws y = amplitude + sigma n with n standard normal and sigma^2 =
-    ``noise.variance / 2``, the variance of one real dimension, as in
-    :func:`cbpsk.mi.bpsk_mi`, and estimates H(Y)
-    as the sample mean of -log2 p(y) under the exact two-Gaussian mixture
-    density; the estimate is that mean minus the noise entropy. No symbol is
-    drawn: -log2 p is even in y, so -log2 p(A + sigma n) has the law of
-    -log2 p(x + sigma n) with x uniform on {+A, -A}. The standard error
-    comes from the sample variance of -log2 p(y). This is the independent
+    The channel is y = amplitude + sigma n with n standard normal and
+    sigma^2 = ``noise.variance / 2``, the variance of one real dimension,
+    as in :func:`cbpsk.mi.bpsk_mi`. In units of sigma the sent point is
+    q = amplitude / sigma (capped at ``_MEAN_CAP``), and the estimate is the
+    sample mean of -log2 p(y) - h(N) under the exact two-Gaussian mixture,
+    formed from q and n by :func:`_stage`; y is never formed. No symbol is
+    drawn: the statistic at (-q, -n) is the one at (q, n), so sending +A
+    alone has the law of x uniform on {+A, -A}. The standard error comes
+    from the sample variance of the statistic. This is the independent
     oracle for the quadrature kernel. The draw is sharded like
     :func:`run_link`, normals only and block by block, and runs on every
     available core; the result depends only on (amplitude, noise,
@@ -304,25 +326,22 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     amplitude = _real("amplitude", amplitude, at_least=0.0)
     n_samples = _integer("n_samples", n_samples, 10_000)  # fewer make no usable estimate
     seed = _integer("seed", seed, 0, 2**64)
-    var = noise.variance / 2.0
-    sigma = math.sqrt(var)
+    q = _mean(amplitude, math.sqrt(noise.variance / 2.0))
 
     def draw(rng, count):
         buffers = _block_buffers(count, 4, 0)
 
         def block(lo, hi):
-            y, z, tmp1, tmp2 = (b[: hi - lo] for b in buffers)
-            rng.standard_normal(out=y)
-            y *= sigma
-            y += amplitude
-            _bpsk_mixture_neg_log2_pdf(y, amplitude, var, z, tmp1, tmp2)
+            n, t, z, e = (b[: hi - lo] for b in buffers)
+            rng.standard_normal(out=n)
+            _stage(q, n, t, z, e)
             # Sum of squares by numpy's pairwise sum: np.dot would go through
             # BLAS, whose summation order depends on its thread count.
-            return float(z.sum()), float(np.multiply(z, z, out=tmp1).sum())
+            return float(z.sum()), float(np.multiply(z, z, out=e).sum())
 
         return _each_block(count, block)
 
     total, total_sq = _sharded_sums(n_samples, seed, draw, _available_cores())
     mean = total / n_samples
     sample_var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
-    return mean - noise_entropy(NoiseModel(var)), math.sqrt(sample_var / n_samples)
+    return _bits(mean), math.sqrt(sample_var / n_samples) * LOG2E

@@ -23,11 +23,11 @@ GOLDEN_REPORT = LinkSimReport(
     errors_x1=299976,
     errors_x2=577476,
     case1_count=1249888,
-    empirical_mi_x1=0.6449996570383014,
-    empirical_mi_x2=0.45802097523434915,
+    empirical_mi_x1=0.6449996570383013,
+    empirical_mi_x2=0.4580209752343489,
     seed=9,
 )
-GOLDEN_MC = (0.4858027067692632, 0.0005535039720593863)
+GOLDEN_MC = (0.4858027067692633, 0.0005535039720593858)
 
 
 def qfunc(x: float) -> float:
@@ -345,37 +345,55 @@ def test_goldens_do_not_depend_on_blas_threads():
 
 @pytest.mark.parametrize("variance", [1e-3, 0.5, 10.0])
 def test_mixture_density_against_mpmath(variance):
-    # -log2 of 0.5 N(y; a, v) + 0.5 N(y; -a, v) at 40 digits, on both lobes
-    # and at y = 0, for separations q = a / sqrt(v) from 0 to 40. Writing the
-    # exponent as (y^2 + a^2) / 2v - a |y| / v cancels at large q (1.6e-13
-    # relative error on these points); the bound leaves a few roundings.
+    # -ln p(y) - h(N) - (ln 2 - 1/2) of y = sigma (q + n) under
+    # 0.5 N(y; q sigma, sigma^2) + 0.5 N(y; -q sigma, sigma^2), at 400 digits
+    # (y exact), for separations q from 0 to 1e100 and the cap, each formed
+    # from an amplitude q sqrt(variance) as run_link forms its means: draws
+    # n on the sent lobe, at the decision boundary n = -q and on the far
+    # lobe n = -2q - k. A form at the scale of y keeps only the digits of n
+    # that y carries: about 8 at q = 1e8 and none from q = 1e16 on.
     import mpmath
 
     sd = math.sqrt(variance)
-    ys, amps = [], []
-    for q in (0.0, 1e-4, 0.3, 1.0, 3.0, 10.0, 40.0):
-        a = q * sd
-        for y in [0.0] + [s * (a + k * sd) for s in (1.0, -1.0) for k in (-1.5, -0.5, 0.0, 0.5, 2.0)]:
-            ys.append(y)
-            amps.append(a)
-    y, amp = np.array(ys), np.array(amps)
-    got = linksim._bpsk_mixture_neg_log2_pdf(y, amp, variance, *(np.empty(len(ys)) for _ in range(3)))
-    with mpmath.workdps(40):
-        v = mpmath.mpf(variance)
+    rows = []
+    for q in (0.0, 1e-4, 0.3, 1.0, 3.0, 10.0, 40.0, 1e8, 1e16, 1e100, linksim._MEAN_CAP):
+        q = linksim._mean(q * sd, sd)
+        for k in (-1.5, -0.5, 0.0, 0.5, 2.0):
+            rows += [(q, k), (q, -2.0 * q - k)]
+        rows.append((q, -q))
+    mean = np.array([r[0] for r in rows])
+    n = np.array([r[1] for r in rows])
+    got = linksim._stage(mean, n, *_scratch(len(rows)))
+    with mpmath.workdps(400):
         refs = []
-        for yi, ai in zip(ys, amps):
-            yy, aa = mpmath.mpf(yi), mpmath.mpf(ai)
-            p = (mpmath.exp(-((yy - aa) ** 2) / (2 * v)) + mpmath.exp(-((yy + aa) ** 2) / (2 * v))) / (
-                2 * mpmath.sqrt(2 * mpmath.pi * v)
-            )
-            refs.append(float(-mpmath.log(p, 2)))
-    for yi, ai, gi, ref in zip(ys, amps, got, refs):
-        assert abs(gi - ref) <= 2e-15 * max(1.0, abs(ref)), (yi, ai, gi, ref)
-    # A scalar amplitude gives the same bits as the array.
-    for a in sorted(set(amps)):
-        rows = amp == a
-        scalar = linksim._bpsk_mixture_neg_log2_pdf(y[rows], a, variance, *(np.empty(rows.sum()) for _ in range(3)))
-        np.testing.assert_array_equal(scalar, got[rows])
+        for q, d in rows:
+            m = mpmath.mpf(q)
+            y = m + mpmath.mpf(d)
+            p = (mpmath.exp(-((y - m) ** 2) / 2) + mpmath.exp(-((y + m) ** 2) / 2)) / 2
+            # p is the density times sqrt(2 pi); h(N) + ln 2 - 1/2 is
+            # ln(2 pi) / 2 + ln 2 at sigma = 1.
+            refs.append(float(-mpmath.log(p) - mpmath.log(2)))
+    for (q, d), g, ref in zip(rows, got, refs):
+        assert abs(g - ref) <= 2e-15 * max(1.0, abs(ref)), (q, d, g, ref)
+    # Negative means, as run_link's tables hold them: the statistic at
+    # (-q, -n) is the one at (q, n), to the bit.
+    np.testing.assert_array_equal(linksim._stage(-mean, -n, *_scratch(len(rows))), got)
+    # A scalar mean, as mc_bpsk_mi passes it, gives the same bits as the array.
+    for q in sorted(set(mean)):
+        rows = mean == q
+        np.testing.assert_array_equal(linksim._stage(q, n[rows], *_scratch(rows.sum())), got[rows])
+    # Capped means: past the cap the statistic is n^2 / 2 - 0 to the bit, and
+    # the cap keeps its sign at any amplitude and deviation.
+    sent = np.array([-1.5, -0.5, 0.0, 0.5, 2.0])
+    capped = linksim._stage(linksim._MEAN_CAP, sent, *_scratch(len(sent)))
+    np.testing.assert_array_equal(capped, sent * sent / 2)
+    assert linksim._mean(1.7e308, 2.2e-162) == linksim._MEAN_CAP == -linksim._mean(-1e160, 1.0)
+    assert linksim._mean(-3.0, 2.0) == -1.5
+
+
+def _scratch(n):
+    """The t, z and e buffers of linksim._stage for n draws."""
+    return [np.empty(n) for _ in range(3)]
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, linksim._BLOCK, (1 << 20) - 1, 1 << 20])
