@@ -20,8 +20,9 @@ One scale: every statistic is formed in units of the noise deviation
 sigma, from a mean q = a / sigma and the drawn n (:func:`_stage`), and the
 received value y = sigma (q + n) itself is never formed. At full scale y
 would round sigma n away next to a large a. Means are capped at
-``_MEAN_CAP``, past which the statistic no longer moves, so nothing
-overflows at any finite amplitude or accepted variance.
+``cbpsk.mi._MEAN_CAP``, past which the statistic no longer moves, so
+nothing overflows at any finite amplitude or accepted variance; the
+quadrature kernel :func:`cbpsk.mi.bpsk_mi` caps its q there too.
 
 Execution: :func:`run_link` runs its shards on ``max_workers`` threads, at
 most one per core the process may use, and :func:`mc_bpsk_mi` on every such
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocktail import CocktailParams, SymbolPair, encode
-from .mi import LOG2E, NoiseModel, _LN2, _integer, _real
+from .mi import LOG2E, NoiseModel, _LN2, _MEAN_CAP, _integer, _real
 
 __all__ = [
     "SimConfig",
@@ -65,10 +66,6 @@ _SHARD_SYMBOLS = 1 << 20
 # two workers about 10 % slower (twice the GIL hand-offs per element) and
 # 1 << 16 one worker about 6 % slower.
 _BLOCK = 1 << 15
-# Cap on a mean in noise deviations. From about 40 on, the exponential of
-# _stage underflows and its statistic no longer moves; below 2^500 its
-# products (2 mean t, r^2) stay finite, at any amplitude and variance.
-_MEAN_CAP = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,8 @@ def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _mean(value: float, sigma: float) -> float:
     """``value / sigma``, a mean in noise deviations, with its magnitude
-    capped at ``_MEAN_CAP``."""
+    capped at ``cbpsk.mi._MEAN_CAP``, as :func:`cbpsk.mi.bpsk_mi` caps its
+    q."""
     return math.copysign(min(abs(value) / sigma, _MEAN_CAP), value)
 
 
@@ -311,7 +309,8 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     The channel is y = amplitude + sigma n with n standard normal and
     sigma^2 = ``noise.variance / 2``, the variance of one real dimension,
     as in :func:`cbpsk.mi.bpsk_mi`. In units of sigma the sent point is
-    q = amplitude / sigma (capped at ``_MEAN_CAP``), and the estimate is the
+    q = amplitude / sigma, capped at ``cbpsk.mi._MEAN_CAP`` as the kernel
+    caps its q, so both read the same q at every input. The estimate is the
     sample mean of -log2 p(y) - h(N) under the exact two-Gaussian mixture,
     formed from q and n by :func:`_stage`; y is never formed. No symbol is
     drawn: the statistic at (-q, -n) is the one at (q, n), so sending +A

@@ -116,7 +116,6 @@ bool.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
@@ -139,13 +138,17 @@ __all__ = [
 LOG2E = math.log2(math.e)
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
-# Above this q = A / sqrt(v), 2q(q + sqrt(2) t) overflows at the outer
-# Hermite nodes; bpsk_mi already rounds to 1.0 from q of about 10 on.
-_Q_SATURATED = math.sqrt(sys.float_info.max) / 4.0
 # At or below this s = q^2, bpsk_mi returns the series (s/2 - s^2/4 + s^3/6)
 # / ln 2: the dropped terms are 5/12 s^3 relative (4e-25 here), while the
 # quadrature loses about 1e-16 / q relative to rounding (7e-13 just above).
 _SERIES_MAX_S = 1e-8
+# Cap on a mean q = A / sigma in noise deviations, for bpsk_mi and for
+# cbpsk.linksim (its _mean), so the kernel and its Monte Carlo oracle read
+# the same q. bpsk_mi stops moving from q of about 10 on, and linksim's
+# statistic from about 40. Below 2^500 their products stay finite at any
+# amplitude and variance: 2q(q + sqrt(2) t) at every Hermite node in
+# bpsk_mi, and 2qt and r^2 (r at most 2q plus a draw) in linksim's _stage.
+_MEAN_CAP = 2.0**500
 
 # numpy's hermgauss develops overflow (NaN weights) somewhere above order
 # 256; 256 nodes already put the Hermite/Simpson discrepancy below 1e-9.
@@ -980,21 +983,25 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
     accuracy at low SNR, where
     I = (s/2 - s^2/4 + s^3/6 - ...) / ln 2 with s = q^2 (within 1e-12
     relative down to s = 1e-8). Below that the quadrature would lose about
-    1e-16 / q relative to rounding, so for s <= 1e-8 the rate is this
-    three-term series, whose dropped terms are below 5e-25 relative. The
-    result is clamped into [0, 1], and is 1 once q is too large for q^2 to
-    be formed. Amplitude 0 is the degenerate no-information case.
+    1e-16 / q relative to rounding. So a call takes one of two paths: for
+    s <= 1e-8 the rate is this three-term series, whose dropped terms are
+    below 5e-25 relative (amplitude 0 gives s = 0 and so 0), and above it
+    the kernel. q is first capped at ``_MEAN_CAP`` = 2^500, the cap
+    :func:`cbpsk.linksim.mc_bpsk_mi`, its Monte Carlo oracle, puts on its
+    mean as well, so both read the same q at every input. At the cap u is
+    about -2^1001 at every node, so f = -ln 2 and the kernel returns the
+    rounded sum of the weights, as it does from q of about 10 on: 1 at
+    orders 8 and 256, and at most 4 ulps below 1 at the others. The
+    result is clamped into [0, 1].
     """
     # A plain float and an int order, the common case, are checked inline.
     if not (type(amplitude) is float and 0.0 <= amplitude < math.inf):
         amplitude = _real("amplitude", amplitude, at_least=0.0)
     if not (type(order) is int and _MIN_ORDER <= order <= _MAX_ORDER):
         order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
-    if amplitude == 0.0:
-        return 0.0
     q = amplitude / math.sqrt(noise.variance / 2.0)
-    if q > _Q_SATURATED:
-        return 1.0
+    if q > _MEAN_CAP:
+        q = _MEAN_CAP
     s = q * q
     if s <= _SERIES_MAX_S:
         return s * (0.5 - s * (0.25 - s / 6.0)) / _LN2

@@ -94,15 +94,7 @@ class RateCurve:
     rows: tuple
 
     def __post_init__(self) -> None:
-        rows = self.rows
-        # Rows built by this package are already such a tuple: one pass
-        # accepts them as they are (x - x is nan for inf and nan).
-        if not (type(rows) is tuple and all(
-            type(r) is tuple and len(r) == 2 and type(r[0]) is float and type(r[1]) is float
-            and r[0] - r[0] == 0.0 and r[1] - r[1] == 0.0
-            for r in rows
-        )):
-            rows = tuple((_real("rows", x), _real("rows", y)) for x, y in _pairs(rows))
+        rows = tuple((_real("rows", x), _real("rows", y)) for x, y in _pairs(self.rows))
         if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
             raise ValueError(f"curve {self.label!r}: axis values must be strictly ascending")
         object.__setattr__(self, "rows", rows)

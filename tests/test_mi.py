@@ -366,6 +366,22 @@ class TestConstellationMi:
         c = Constellation((1.7, -1.7))
         assert constellation_mi(c, noise) == pytest.approx(bpsk_mi(1.7, noise), abs=1e-10)
 
+    @pytest.mark.parametrize("points", [
+        ((0.0, 0.0), (1.0, 1.0)),
+        ((3.0, 1.0), (1.0, 1.0)),
+        (0.0, 1.0),
+    ])
+    def test_one_live_point_carries_nothing(self, points):
+        # With one point of prior > 0 the 2-D symmetry search has no point
+        # off the centroid to map, so _plane_isometries finds no candidate;
+        # the 1-D alphabet is the same case on the line. Off-centre or not,
+        # the rate is exactly 0 at any noise, without a warning.
+        c = Constellation(points, (1.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = [constellation_mi(c, NoiseModel(v)) for v in (1e-300, 1.0, 1e300, sys.float_info.max)]
+        assert [r.hex() for r in rates] == [(0.0).hex()] * 4
+
     def test_qpsk_is_two_independent_antipodal_channels(self):
         # qpsk is an axis product, so it runs as its rail {+-sqrt(1/2)} with
         # the weight doubled, and meets two 1-D detections at the same
@@ -1387,12 +1403,8 @@ def plain_bpsk_mi(amplitude, variance, order=256):
     """bpsk_mi as the plain numpy expression of its docstring, at
     ``variance`` per real dimension, one temporary per operation: the
     reference for the bits of the library's in-place chain."""
-    if amplitude == 0.0:
-        return 0.0
     nodes, w = mi._unit_rule(order, 1, ())
-    q = amplitude / math.sqrt(variance)
-    if q > mi._Q_SATURATED:
-        return 1.0
+    q = min(amplitude / math.sqrt(variance), mi._MEAN_CAP)
     s = q * q
     if s <= mi._SERIES_MAX_S:
         return s * (0.5 - s * (0.25 - s / 6.0)) / math.log(2.0)
@@ -1443,7 +1455,7 @@ class TestLeanKernelBits:
         series = (10.0 ** rng.uniform(-160.0, -4.0, 300)).tolist()
         assert all(a * a <= mi._SERIES_MAX_S for a in series)
         saturated = (10.0 ** rng.uniform(154.0, 300.0, 100)).tolist()
-        assert all(a > mi._Q_SATURATED for a in saturated)
+        assert all(a > mi._MEAN_CAP for a in saturated)
         noise = NoiseModel(2.0)
         self.assert_same_bits((a, bpsk_mi(a, noise), plain_bpsk_mi(a, 1.0)) for a in series + saturated)
 
@@ -1464,6 +1476,26 @@ class TestLeanKernelBits:
         rates = [bpsk_mi(a, noise).hex() for a in np.geomspace(1e-3, 8.0, 60).tolist()]
         digest = hashlib.sha256(" ".join(rates).encode()).hexdigest()
         assert digest == "102890624fad145249e1952a382166a347ae4b1163f3d35b4c0e82e36c7947f9"
+
+    def test_bpsk_mi_keeps_its_bits_over_its_whole_domain(self):
+        # The sha256 of the float.hex of 24,168 rates, captured while
+        # bpsk_mi still returned 0 at amplitude 0 and 1 above q = 3.35e153
+        # on their own branches: amplitudes from 0 to the float maximum
+        # (3.3e153 and 3.4e153 straddle that threshold at variance 2) at
+        # noise variances from 1e-323 to the float maximum, orders 8 and
+        # 256. Under the suite's filterwarnings = error an overflow fails it.
+        amplitudes = [
+            0.0, 5e-324, 1e-300, 1e-160, 0.3, 7.0, 40.0, 1e16, 1e100, 2.0**500,
+            3.3e153, 3.4e153, 1e300, sys.float_info.max,
+        ] + (10.0 ** np.random.default_rng(34).uniform(-320.0, 308.0, 2000)).tolist()
+        rates = [
+            bpsk_mi(a, NoiseModel(v), order).hex()
+            for order in (8, 256)
+            for v in (1e-323, 1e-300, 0.5, 2.0, 1e300, sys.float_info.max)
+            for a in amplitudes
+        ]
+        digest = hashlib.sha256(" ".join(rates).encode()).hexdigest()
+        assert digest == "5ba428de49579321cb9ea32ddd8b402aa3b40958f6464b1905abdb2e73f83f62"
 
     @pytest.mark.parametrize("name", sorted(MIXTURES))
     def test_rate_nats_on_every_mixture(self, name):

@@ -106,10 +106,6 @@ class TestRateCurveRows:
             assert curve.rows == ((1.0, 0.5), (2.0, 0.25))
             assert all(type(v) is float and type(r) is tuple for r in curve.rows for v in r)
 
-    def test_plain_rows_are_kept_as_they_are(self):
-        rows = ((1e-300, -0.0), (1.0, 1e300), (1.5, -2.0))
-        assert RateCurve("a", rows).rows is rows
-
 
 class TestLogGrid:
     def test_endpoints_and_count(self):
