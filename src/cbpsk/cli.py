@@ -10,10 +10,14 @@ usage error. A command only computes: it returns its outputs as
 ``(path, text)`` pairs, a falsy path meaning stdout, and :func:`main`
 writes them and the run manifest.
 
+A ``--grid`` flag ``start:stop:lin|log:count`` is only split here:
+:mod:`cbpsk.sweep` builds and checks every grid, and its first and last
+points are exactly ``start`` and ``stop``.
+
 Exit codes: 0 on success, 2 for usage errors (bad flags, malformed grids,
 ``--snr`` values not strictly ascending, out-of-range or repeated ratios,
 unreadable config files), 3 for numeric or domain failures during
-execution.
+execution (a ValueError or any ArithmeticError).
 
 Dataset CSVs use the long format ``curve,x,y`` with floats printed to 12
 significant digits and "\\n" line endings; identical flags (including
@@ -43,7 +47,7 @@ from .sweep import (
     SweepSpec,
     _ascending,
     _distinct,
-    _log_points,
+    _grid,
     cocktail_gain_curves,
     cocktail_rate_curves,
     modulation_rate_curves,
@@ -71,36 +75,15 @@ _AXIS_FLAGS = {"linear": "linear_snr", "ebn0": "eb_n0_db"}
 
 
 def grid_arg(spec: str):
-    """Parse a grid flag ``start:stop:lin|log:count`` into a tuple of values >= 0."""
+    """Split a grid flag ``start:stop:lin|log:count`` for :func:`cbpsk.sweep._grid`,
+    which builds the grid and checks it; a malformed flag is a usage error."""
     parts = spec.split(":")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"grid must look like start:stop:lin|log:count, got {spec!r}"
-        )
+    if len(parts) != 4 or parts[2] not in ("lin", "log"):
+        raise argparse.ArgumentTypeError(f"grid must look like start:stop:lin|log:count, got {spec!r}")
     try:
-        start, stop = (_real("grid bounds", float(x)) for x in parts[:2])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"grid needs finite bounds, got {spec!r}") from None
-    count = _int_arg(parts[3], "a grid count: an integer >= 1", 1)
-    mode = parts[2]
-    if mode not in ("lin", "log"):
-        raise argparse.ArgumentTypeError(f"grid mode must be lin or log, got {mode!r}")
-    if start < 0:
-        raise argparse.ArgumentTypeError(f"grid values must be >= 0, got {spec!r}")
-    if stop <= start:
-        raise argparse.ArgumentTypeError(f"grid needs start < stop, got {spec!r}")
-    if mode == "log" and start <= 0:
-        raise argparse.ArgumentTypeError("log grids need start > 0")
-    if count == 1:
-        return (start,)
-    if mode == "lin":
-        step = (stop - start) / (count - 1)
-        grid = tuple(start + i * step for i in range(count))
-    else:
-        grid = _log_points(start, stop, count)
-    if not _ascending(grid):
-        raise argparse.ArgumentTypeError(f"grid points must be strictly ascending, but {spec!r} repeats a value")
-    return grid
+        return _grid(float(parts[0]), float(parts[1]), int(parts[3]), log=parts[2] == "log")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"grid {spec!r}: {exc}") from None
 
 
 def _positive_grid_arg(spec: str):
@@ -407,7 +390,7 @@ def main(argv=None) -> int:
         if written:
             _write_manifest(args, written, started)
         return EXIT_OK
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"cbpsk: error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

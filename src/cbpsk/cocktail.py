@@ -173,16 +173,36 @@ def energy_report(params: CocktailParams) -> EnergyReport:
     Each case occurs with probability 1/2. e1 is the transmitted (input)
     energy (alpha^2 + (beta/2)^2) / 2; e2 is the energy available to the
     second stage, ((alpha-beta)^2 + (beta/2)^2) / 2, which equals the total
-    minus the input, i.e. the reused energy.
+    minus the input, i.e. the reused energy. An energy beyond the float
+    range reads inf.
     """
-    e1 = _input_energy(params)
-    e2 = 0.5 * (params.alpha - params.beta) ** 2 + 0.5 * (0.5 * params.beta) ** 2
+    e1, e2 = _energies(params.alpha, params.beta)
     return EnergyReport(e_in=e1, e1=e1, e2=e2, e_total=e1 + e2, delta_e=e2)
 
 
-def _input_energy(params: CocktailParams) -> float:
-    # e1 = e_in of energy_report, for callers that need no other field.
-    return 0.5 * params.alpha**2 + 0.5 * (0.5 * params.beta) ** 2
+def _energies(alpha: float, beta: float) -> tuple:
+    """(e1, e2) of :func:`energy_report` for amplitudes alpha > beta,
+    squared by product, half first, so that a square past the float range
+    gives inf where ``x ** 2`` would raise OverflowError."""
+    h = 0.5 * beta
+    return 0.5 * alpha * alpha + 0.5 * h * h, 0.5 * (alpha - beta) * (alpha - beta) + 0.5 * h * h
+
+
+def _energies_over_noise(params: CocktailParams, noise: NoiseModel) -> tuple:
+    """(e1, e2) of :func:`energy_report` over ``noise.variance``, each a
+    float wherever the ratio is one, though an energy or the variance may
+    not be. The energies are formed at amplitudes in units of 2^k and
+    divided by the variance in units of 2^j, k and j the exponents
+    :func:`math.frexp` gives alpha and the variance; both quotients lie in
+    [0.025, 1.25], and a scale of 2^(2k - j), applied as two powers of two
+    that stay floats, takes them back. A power of two scales exactly, so
+    wherever the ratio is a normal float it has the bits of e / variance."""
+    _, k = math.frexp(params.alpha)
+    unit_var, j = math.frexp(noise.variance)
+    n = max(-2000, min(2 * k - j, 2000))  # beyond, 2^n takes both quotients to 0 or inf
+    up, down = math.ldexp(1.0, n // 2), math.ldexp(1.0, n - n // 2)
+    e1, e2 = _energies(math.ldexp(params.alpha, -k), math.ldexp(params.beta, -k))
+    return e1 / unit_var * up * down, e2 / unit_var * up * down
 
 
 def adr_breakdown(params: CocktailParams, noise: NoiseModel) -> AdrBreakdown:
@@ -204,7 +224,7 @@ def adr_gain_low_snr(params: CocktailParams, noise: NoiseModel) -> float:
 
     First-order approximation; only meaningful for e_in / variance << 1.
     """
-    return energy_report(params).delta_e / noise.variance * LOG2E
+    return _energies_over_noise(params, noise)[1] * LOG2E
 
 
 def eb_over_n0(params: CocktailParams, noise: NoiseModel) -> float:
@@ -217,4 +237,4 @@ def eb_over_n0(params: CocktailParams, noise: NoiseModel) -> float:
     total = adr_breakdown(params, noise).total
     if total <= 0.0:
         raise ZeroDivisionError("total data rate underflowed to 0; Eb/N0 is undefined at this SNR")
-    return _input_energy(params) / noise.variance / total
+    return _energies_over_noise(params, noise)[0] / total

@@ -121,23 +121,38 @@ def _pairs(rows) -> list:
 
 
 def log_grid(start: float, stop: float, count: int) -> tuple:
-    """A log-spaced grid of ``count`` points from start to stop inclusive,
-    strictly ascending: a ``count`` too large for the range to hold that many
-    distinct floats raises ValueError naming it."""
-    start = _real("start", start, above=0.0)
+    """A log-spaced grid of ``count`` points from start > 0 to stop > start,
+    strictly ascending, whose first and last points are exactly ``start``
+    and ``stop``. It is :func:`_grid`, the one builder of every SNR grid of
+    the package, ``cbpsk --grid`` included: a bad argument, or a ``count``
+    too large for the range to hold that many distinct floats, raises
+    ValueError naming it."""
+    return _grid(start, stop, count, log=True)
+
+
+def _grid(start: float, stop: float, count: int, log: bool) -> tuple:
+    """``count`` points from ``start`` to ``stop``, evenly spaced in log10
+    when ``log`` holds and linearly otherwise. The first and last points are
+    ``start`` and ``stop`` themselves (one point is ``start``), and only the
+    inner points are computed, so none lies beyond the range of floats: an
+    inner log point that rounds past it cannot lie below ``stop``, and is
+    refused as a repeat. ``start`` must be > 0 on a log grid and >= 0 on a
+    lin one, ``stop`` > ``start``, ``count`` >= 1, and the points strictly
+    ascending; anything else raises ValueError naming the argument."""
+    start = _real("start", start, **({"above": 0.0} if log else {"at_least": 0.0}))
     stop = _real("stop", stop, above=start)
-    grid = _log_points(start, stop, _integer("count", count, 1))
+    count = _integer("count", count, 1)
+    a, b = (math.log10(start), math.log10(stop)) if log else (start, stop)
+    step = (b - a) / max(count - 1, 1)
+    try:
+        inner = tuple(10.0 ** (a + i * step) if log else a + i * step for i in range(1, count - 1))
+    except OverflowError:  # a point past the float range lies past stop
+        inner = (stop,)
+    grid = (start, *inner, stop)[:count]
     if not _ascending(grid):
-        raise ValueError(f"count {count!r} repeats points between {start!r} and {stop!r}; use fewer points")
+        raise ValueError(f"count {count!r} repeats points between {start!r} and {stop!r}, "
+                         "so the grid is not strictly ascending; use fewer points")
     return grid
-
-
-def _log_points(start: float, stop: float, count: int) -> tuple:
-    """``count`` log-spaced points from ``start`` to ``stop``, both > 0, unchecked."""
-    if count == 1:
-        return (start,)
-    step = (math.log10(stop) - math.log10(start)) / (count - 1)
-    return tuple(10.0 ** (math.log10(start) + i * step) for i in range(count))
 
 
 def _ascending(grid: tuple) -> bool:

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -136,6 +137,19 @@ class TestGridFlag:
     def test_malformed(self, bad):
         with pytest.raises(Exception):
             grid_arg(bad)
+
+    @pytest.mark.parametrize("mode", ["lin", "log"])
+    def test_end_points_are_exact_over_the_float_range(self, mode):
+        rng = random.Random(7)
+        bounds = [(5e-324, sys.float_info.max), (1e307, sys.float_info.max), (1e300, 1.7e308)]
+        bounds += [tuple(sorted(10.0 ** rng.uniform(-323.3, 308.25) for _ in range(2))) for _ in range(400)]
+        if mode == "lin":
+            bounds.append((0.0, sys.float_info.max))
+        for start, stop in bounds:
+            for count in (1, 2, 3, 7):
+                g = grid_arg(f"{start!r}:{stop!r}:{mode}:{count}")
+                assert len(g) == count and g[0] == start and g[-1] == (stop if count > 1 else start)
+                assert all(a < b for a, b in zip(g, g[1:]))
 
 
 # Ranges one ulp wide: their three points cannot all differ, in either
@@ -286,7 +300,7 @@ class TestCapacity:
         with pytest.raises(SystemExit) as exc:
             main(["capacity", "--grid=-1:1:lin:3"])
         assert exc.value.code == 2
-        assert "grid values must be >= 0" in capsys.readouterr().err
+        assert "start must be a finite number >= 0" in capsys.readouterr().err
 
     def test_manifest_alongside_output(self, tmp_path, capsys):
         out_file = tmp_path / "cap.csv"
@@ -354,6 +368,50 @@ class TestMi:
         assert code == EXIT_OK
         assert (tmp_path / "mi_4ask.csv").exists()
         assert (tmp_path / "mi_4ask.manifest.json").exists()
+
+
+FLOAT_MAX = "1.7976931348623157e308"
+
+
+class TestGridAtTheTopOfTheFloats:
+    # The last point is the stop itself, so no grid point overflows: each
+    # run exits 0 with warnings as errors and nothing on stderr.
+    @pytest.mark.parametrize(
+        "argv, output",
+        [
+            pytest.param(("mi", "--scheme", "bpsk", "--grid", f"1e307:{FLOAT_MAX}:log:3", "--output", "mi.csv"),
+                         "mi.csv", id="mi"),
+            pytest.param(("cocktail", "--ratio", "3.5", "--grid", f"1e300:{FLOAT_MAX}:log:3", "--axis", "linear",
+                          "--plot"), "cocktail_rates.csv", id="cocktail-linear"),
+            pytest.param(("cocktail", "--ratio", "3.5", "--grid", f"1e300:{FLOAT_MAX}:log:3", "--axis", "ebn0",
+                          "--plot"), "cocktail_rates.csv", id="cocktail-ebn0"),
+            pytest.param(("capacity", "--grid", f"0:{FLOAT_MAX}:lin:3", "--output", "cap.csv"), "cap.csv",
+                         id="capacity"),
+        ],
+    )
+    def test_exits_0_with_nothing_on_stderr(self, argv, output, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cbpsk", *argv],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "CBPSK_OUTPUT_DIR": str(tmp_path)},
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert (tmp_path / output).is_file()
+        if argv[0] == "mi":
+            assert (tmp_path / output).read_text().splitlines()[-1] == "bpsk,1.79769313486e+308,1"
+
+
+class TestNumericFailures:
+    def test_any_arithmetic_error_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def overflowing(*args):
+            raise OverflowError("math range error")
+
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        monkeypatch.setattr(cli, "cmd_capacity", overflowing)
+        code, out, err = run_cli(capsys, "capacity", "--snr", "1", "--output", "cap.csv")
+        assert code == EXIT_NUMERIC
+        assert out == "" and err.startswith("cbpsk: error:")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGridAtZero:

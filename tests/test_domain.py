@@ -1,6 +1,6 @@
 """The public number functions over their whole domain, with warnings as
-errors: amplitudes from 1e-150 to the largest float, noise variances from
-1e-323 to 1e300, and SNRs from 5.6e-309 to the largest float.
+errors: amplitudes from 1e-300 to the largest float, noise variances from
+1e-323 to the largest float, and SNRs from 5.6e-309 to the largest float.
 
 The simulator rows hold the Monte Carlo oracle to the kernel at every
 scale, on small sample counts. Each row sits where every antipodal pair is
@@ -13,12 +13,13 @@ scale invariance.
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cbpsk.cli import main
-from cbpsk.cocktail import CocktailParams, adr_breakdown, eb_over_n0
+from cbpsk.cocktail import CocktailParams, adr_breakdown, adr_gain_low_snr, eb_over_n0, energy_report
 from cbpsk.linksim import SimConfig, mc_bpsk_mi, run_link
 from cbpsk.mi import LOG2E, NoiseModel, bpsk_mi
 from cbpsk.sweep import CONVENTIONAL_SCHEMES, scheme_rate
@@ -119,3 +120,46 @@ class TestCoverage:
         top = {"capacity": math.inf, "bpsk": 1.0, "qpsk": 2.0, "4ask": 2.0, "8psk": 3.0}[scheme]
         assert all(math.isfinite(r) and 0.0 <= r <= top for r in rates)
         assert rates == sorted(rates), scheme
+
+
+def exact(value: Fraction) -> float:
+    """``value`` rounded to a float, inf past the float range."""
+    return math.inf if value >= 2**1024 else float(value)
+
+
+def close(got: float, want: float) -> bool:
+    """Within a few roundings of ``want``, or equal where it is inf or subnormal."""
+    return got == want or abs(got - want) <= 1e-15 * want or abs(got - want) <= 2e-323
+
+
+class TestCocktailEnergies:
+    # Energies are squares, and ratios of squares to the noise: each reads
+    # its exact value rounded, inf where that lies past the float range.
+    # Past alpha = 1.34e154, alpha ** 2 would raise OverflowError, and below
+    # alpha = 1e-154 an energy is subnormal and keeps few digits.
+    @pytest.mark.parametrize(
+        "alpha", [1e-300, 1e-160, 1e-150, 1.0, 1e100, 1.34e154, 1.35e154, 1e200, 1e300, 1e308, 1.7e308]
+    )
+    def test_energy_report_eb_over_n0_and_low_snr_gain(self, alpha):
+        params = CocktailParams(alpha, alpha / 3.5)
+        a, h = Fraction(params.alpha), Fraction(params.beta) / 2
+        e1, e2 = a * a / 2 + h * h / 2, (a - 2 * h) ** 2 / 2 + h * h / 2
+        rep = energy_report(params)
+        for got, want in ((rep.e1, e1), (rep.e2, e2), (rep.e_total, e1 + e2)):
+            assert close(got, exact(want)), (got, want)
+        for variance in (1e-323, 1e-300, 1.0, 1e300, sys.float_info.max):
+            noise = NoiseModel(variance)
+            gain = adr_gain_low_snr(params, noise)
+            assert close(gain, exact(e2 / Fraction(variance) * Fraction(LOG2E))), (variance, gain)
+            # A subnormal total rate keeps too few digits for its Eb/N0.
+            total = adr_breakdown(params, noise).total
+            if total >= sys.float_info.min:
+                ebn0 = eb_over_n0(params, noise)
+                assert close(ebn0, exact(e1 / Fraction(variance) / Fraction(total))), (variance, ebn0)
+
+    def test_input_energy_1e308(self):
+        # Input energy 1e308 by construction, and Eb/N0 (1e308 / 1e300) / 2
+        # bits at the top of the rate.
+        params = CocktailParams.from_ratio(3.5, 1e308)
+        assert abs(energy_report(params).e_in / 1e308 - 1.0) <= 4e-16
+        assert abs(eb_over_n0(params, NoiseModel(1e300)) / 5e7 - 1.0) <= 4e-16

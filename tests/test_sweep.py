@@ -124,6 +124,22 @@ class TestLogGrid:
         with pytest.raises(ValueError, match="count 3"):
             log_grid(1.0, 1.0000000000000002, 3)
 
+    def test_end_points_are_exact_over_the_float_range(self):
+        rng = np.random.default_rng(11)
+        bounds = [(5e-324, sys.float_info.max), (1e307, sys.float_info.max), (1e300, 1.7e308)]
+        bounds += [tuple(sorted(10.0 ** rng.uniform(-323.3, 308.25, 2))) for _ in range(400)]
+        for start, stop in bounds:
+            for count in (1, 2, 3, 7):
+                g = log_grid(start, stop, count)
+                assert len(g) == count and g[0] == start and g[-1] == (stop if count > 1 else start)
+                assert all(type(x) is float and a < b for a, b in zip(g, g[1:]) for x in (a, b))
+
+    def test_inner_point_past_the_float_range_is_a_repeat(self):
+        # log10 of both bounds rounds to within an ulp of log10(float max),
+        # and 10 ** log10(float max) overflows.
+        with pytest.raises(ValueError, match="count 3"):
+            log_grid(1.7976931348623e308, sys.float_info.max, 3)
+
 
 class TestSchemeRates:
     def test_capacity_passthrough(self):
