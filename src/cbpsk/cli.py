@@ -133,8 +133,9 @@ def _seed_arg(s: str) -> int:
 
 
 def _csv_text(rows) -> str:
-    # Every x and y is a plain float: each command's values pass the
-    # package's number rule, which stores plain floats.
+    # Every x and y is a plain float: each x passes the package's number
+    # rule, which stores plain floats. A y may be inf: low_snr_capacity
+    # passes the float range from SNR 1.246e308 on, and prints "inf".
     lines = ["curve,x,y"]
     lines.extend(f"{label},{x:.12g},{y:.12g}" for label, x, y in rows)
     return "\n".join(lines) + "\n"

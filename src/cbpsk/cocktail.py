@@ -22,9 +22,10 @@ variance/2, the package's one noise rule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .mi import LOG2E, NoiseModel, _is_integer, _real, bpsk_mi
+from .mi import LOG2E, NoiseModel, _LN2, _is_integer, _real, bpsk_mi
 
 __all__ = [
     "CocktailParams",
@@ -230,11 +231,21 @@ def adr_gain_low_snr(params: CocktailParams, noise: NoiseModel) -> float:
 def eb_over_n0(params: CocktailParams, noise: NoiseModel) -> float:
     """Energy per information bit over noise power, (e_in / variance) / total.
 
-    This is the horizontal-axis quantity of the decibel rate plots. Raises
-    ZeroDivisionError when the total rate underflows to zero (SNR
-    effectively 0).
+    This is the horizontal-axis quantity of the decibel rate plots. Where the
+    total rate is below the smallest normal float, it has lost digits or
+    underflowed to 0, but there every stage is on the low-SNR series, with
+    s below 2^-1000, and Eb/N0 is its limit ln 2 e1 / e_total = ln 2
+    (alpha^2 + beta^2 / 4) / (alpha^2 + (alpha - beta)^2 + beta^2 / 2) to
+    every digit. It is formed from the energies at amplitudes in units of
+    2^k, k the exponent of alpha, as in ``_energies_over_noise``, so it is
+    within a few roundings of that limit for every alpha and variance.
+    Wherever the total is a normal float it is (e_in / variance) / total.
+    Zero amplitudes, which :class:`CocktailParams` refuses, raise
+    ZeroDivisionError.
     """
     total = adr_breakdown(params, noise).total
-    if total <= 0.0:
-        raise ZeroDivisionError("total data rate underflowed to 0; Eb/N0 is undefined at this SNR")
+    if total < sys.float_info.min:
+        _, k = math.frexp(params.alpha)
+        e1, e2 = _energies(math.ldexp(params.alpha, -k), math.ldexp(params.beta, -k))
+        return _LN2 * e1 / (e1 + e2)
     return _energies_over_noise(params, noise)[0] / total

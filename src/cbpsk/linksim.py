@@ -24,19 +24,21 @@ would round sigma n away next to a large a. Means are capped at
 nothing overflows at any finite amplitude or accepted variance; the
 quadrature kernel :func:`cbpsk.mi.bpsk_mi` caps its q there too.
 
-Execution: :func:`run_link` runs its shards on ``max_workers`` threads, at
-most one per core the process may use, and :func:`mc_bpsk_mi` on every such
-core. A shard walks its range in blocks of at most ``_BLOCK`` elements, in
-ascending order: each block draws its normals and runs the float arithmetic
-in block-sized buffers that stay in cache, and returns its sums. Lookups in
-tables built from :func:`cbpsk.cocktail.encode` give each stage's signed
+Execution: every shard runs on a thread of one executor, a pool of one
+when one worker is allowed. :func:`run_link` allows ``max_workers``
+threads, at most one per core the process may use, and :func:`mc_bpsk_mi`
+one per such core. One helper, ``_each_block``, walks a shard's range in
+blocks of at most ``_BLOCK`` elements, in ascending order, and owns the
+block buffers: one per dtype, allocated once per shard and handed to each
+block sliced to its length, so they stay in cache. Each block draws its
+normals, runs its arithmetic in those buffers and returns its sums. Lookups
+in tables built from :func:`cbpsk.cocktail.encode` give each stage's signed
 mean in noise deviations. Counts add as Python ints, and the float sums of
-all blocks of all shards are added exactly rounded
-(``math.fsum``), so the result depends on neither the worker count nor the
-order in which shards finish. No sum goes through BLAS, so the BLAS thread
-count does not move a bit either. A worker peaks at about 4 MB in
-``run_link`` (its shard's symbol bits and the block buffers) and 1 MB in
-``mc_bpsk_mi``.
+all blocks of all shards are added exactly rounded (``math.fsum``), so the
+result depends on neither the worker count nor the order in which shards
+finish. No sum goes through BLAS, so the BLAS thread count does not move a
+bit either. A worker peaks at about 4 MB in ``run_link`` (its shard's
+symbol bits and the block buffers) and 1 MB in ``mc_bpsk_mi``.
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ def _sharded_sums(n: int, seed: int, draw, max_workers: int = 1) -> tuple:
     Python ints, float columns exactly rounded by ``math.fsum``. Neither
     ``max_workers`` nor the order in which shards finish moves a bit.
 
-    It starts min(max_workers, shards, available cores) workers: a worker
-    beyond the core count adds its memory but no speed.
+    Every shard runs on a pool of min(max_workers, shards, available cores)
+    threads, one thread when that is 1: a worker beyond the core count adds
+    its memory but no speed.
     """
     counts = [min(_SHARD_SYMBOLS, n - start) for start in range(0, n, _SHARD_SYMBOLS)]
     workers = max(1, min(max_workers, len(counts), _available_cores()))
@@ -145,26 +148,20 @@ def _sharded_sums(n: int, seed: int, draw, max_workers: int = 1) -> tuple:
     def shard(i):
         return draw(_shard_rng(seed, i), counts[i])
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(shard, range(len(counts))))
-    else:
-        shards = [shard(i) for i in range(len(counts))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        shards = list(pool.map(shard, range(len(counts))))
     columns = zip(*(sums for blocks in shards for sums in blocks))
     return tuple(sum(c) if isinstance(c[0], int) else math.fsum(c) for c in columns)
 
 
-def _each_block(count: int, block) -> list:
-    """``block(lo, hi)`` over the blocks of [0, count), at most ``_BLOCK``
-    long, in ascending order."""
-    return [block(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
-
-
-def _block_buffers(count: int, floats: int, masks: int) -> list:
-    """``floats`` float64 and ``masks`` bool buffers, long enough for any
-    block of a ``count``-element shard."""
-    m = min(count, _BLOCK)
-    return [np.empty(m) for _ in range(floats)] + [np.empty(m, np.bool_) for _ in range(masks)]
+def _each_block(count: int, dtypes, block) -> list:
+    """``block(lo, hi, views)`` over the blocks of [0, count), at most
+    ``_BLOCK`` long, in ascending order. The shard's buffers, one per dtype
+    in ``dtypes`` and ``min(count, _BLOCK)`` long, are allocated once here;
+    ``views`` holds each of them sliced to the block."""
+    buffers = [np.empty(min(count, _BLOCK), dtype) for dtype in dtypes]
+    bounds = [(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
+    return [block(lo, hi, [b[: hi - lo] for b in buffers]) for lo, hi in bounds]
 
 
 def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -242,13 +239,10 @@ def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple
     # Every index is in range, so mode="clip" only skips the buffered bounds
     # check of the default mode. Draw, mean, received value, statistic,
     # scratch; decisions, scratch; k; the move of the draw.
-    buffers = _block_buffers(count, 5, 2)
-    index = np.empty(min(count, _BLOCK), np.intp)
-    moved = np.empty(min(count, _BLOCK), np.int8)
+    dtypes = [np.float64] * 5 + [np.bool_] * 2 + [np.intp, np.int8]
 
-    def block(lo, hi):
-        n, m, t, z, e, hat, mask = (b[: hi - lo] for b in buffers)
-        k = index[: hi - lo]
+    def block(lo, hi, views):
+        n, m, t, z, e, hat, mask, k, moved = views
         x1, x2 = plus1[lo:hi], plus2[lo:hi]
         np.multiply(x1, 2, out=k)
         np.add(k, x2, out=k)
@@ -262,13 +256,13 @@ def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple
 
         errors_x1, sum_1 = stage(means1, x1)
         if not genie:
-            d = np.subtract(x1.view(np.int8), hat.view(np.int8), out=moved[: hi - lo])
+            d = np.subtract(x1.view(np.int8), hat.view(np.int8), out=moved)
             n += np.multiply(d, step, out=t)
         errors_x2, sum_2 = stage(means2, x2)
         case1 = hi - lo - int(np.count_nonzero(np.not_equal(x1, x2, out=mask)))
         return errors_x1, errors_x2, case1, sum_1, sum_2
 
-    return _each_block(count, block)
+    return _each_block(count, dtypes, block)
 
 
 def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
@@ -328,17 +322,15 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     q = _mean(amplitude, math.sqrt(noise.variance / 2.0))
 
     def draw(rng, count):
-        buffers = _block_buffers(count, 4, 0)
-
-        def block(lo, hi):
-            n, t, z, e = (b[: hi - lo] for b in buffers)
+        def block(lo, hi, views):
+            n, t, z, e = views
             rng.standard_normal(out=n)
             _stage(q, n, t, z, e)
             # Sum of squares by numpy's pairwise sum: np.dot would go through
             # BLAS, whose summation order depends on its thread count.
             return float(z.sum()), float(np.multiply(z, z, out=e).sum())
 
-        return _each_block(count, block)
+        return _each_block(count, [np.float64] * 4, block)
 
     total, total_sq = _sharded_sums(n_samples, seed, draw, _available_cores())
     mean = total / n_samples

@@ -375,7 +375,10 @@ def awgn_capacity(snr_linear: float) -> float:
 def low_snr_capacity(snr_linear: float) -> float:
     """First-order capacity approximation snr * log2(e).
 
-    Valid only for snr << 1; it overshoots log2(1 + snr) elsewhere.
+    Valid only for snr << 1; it overshoots log2(1 + snr) elsewhere. From
+    snr of about 1.246e308 on, the product passes the float range and reads
+    inf, without a warning; every accepted snr below that reads a finite
+    value.
     """
     return _real("snr_linear", snr_linear, at_least=0.0) * LOG2E
 

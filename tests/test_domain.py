@@ -13,6 +13,7 @@ scale invariance.
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from cbpsk.cli import main
 from cbpsk.cocktail import CocktailParams, adr_breakdown, adr_gain_low_snr, eb_over_n0, energy_report
 from cbpsk.linksim import SimConfig, mc_bpsk_mi, run_link
-from cbpsk.mi import LOG2E, NoiseModel, bpsk_mi
+from cbpsk.mi import LOG2E, NoiseModel, bpsk_mi, low_snr_capacity
 from cbpsk.sweep import CONVENTIONAL_SCHEMES, scheme_rate
 
 DRAWS = 1 << 15
@@ -157,9 +158,42 @@ class TestCocktailEnergies:
                 ebn0 = eb_over_n0(params, noise)
                 assert close(ebn0, exact(e1 / Fraction(variance) / Fraction(total))), (variance, ebn0)
 
+    # Below the smallest normal float the total rate has lost its digits,
+    # or is 0; every stage is then on the series, where Eb/N0 is the
+    # exact-amplitude limit ln 2 (a^2 + b^2/4) / (a^2 + (a-b)^2 + b^2/2).
+    @pytest.mark.parametrize("ratio", [1.1, 3.5, 8.0])
+    @pytest.mark.parametrize("alpha", [1e-158, 1e-160, 1e-162, 1e-200, 1e-300, 1e-310, 1e-320, 1e-322])
+    def test_eb_over_n0_where_the_total_is_below_the_normal_floats(self, alpha, ratio):
+        params = CocktailParams(alpha, alpha / ratio)
+        a, b = Fraction(params.alpha), Fraction(params.beta)
+        limit = float(Fraction(math.log(2.0)) * (a * a + b * b / 4) / (a * a + (a - b) ** 2 + b * b / 2))
+        checked = 0
+        for variance in (5e-323, 1e-310, 1e-300, 1.0, 1e300, sys.float_info.max):
+            noise = NoiseModel(variance)
+            if adr_breakdown(params, noise).total < sys.float_info.min:
+                ebn0 = eb_over_n0(params, noise)
+                assert abs(ebn0 / limit - 1.0) <= 2e-15, (variance, ebn0, limit)
+                checked += 1
+        assert checked >= 3
+
     def test_input_energy_1e308(self):
         # Input energy 1e308 by construction, and Eb/N0 (1e308 / 1e300) / 2
         # bits at the top of the rate.
         params = CocktailParams.from_ratio(3.5, 1e308)
         assert abs(energy_report(params).e_in / 1e308 - 1.0) <= 4e-16
         assert abs(eb_over_n0(params, NoiseModel(1e300)) / 5e7 - 1.0) <= 4e-16
+
+
+class TestLowSnrCapacity:
+    # snr * log2(e) passes the float range from snr of about 1.246e308 on.
+    def test_inf_past_the_float_range_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert low_snr_capacity(sys.float_info.max) == math.inf
+            assert low_snr_capacity(1.2e308) == 1.2e308 * LOG2E < math.inf
+
+    def test_capacity_command_prints_the_inf_row(self, capsys):
+        code = main(["capacity", "--grid", f"0:{sys.float_info.max!r}:lin:3"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.splitlines()[-1] == "low_snr,1.79769313486e+308,inf"

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo link simulator and the plug-in MI oracle."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -295,6 +296,36 @@ def test_block_sums_add_exactly(monkeypatch, workers):
     totals = linksim._sharded_sums(shards * linksim._SHARD_SYMBOLS, 0, lambda rng, count: blocks, workers)
     assert totals == (shards, float(shards))
     assert type(totals[0]) is int
+
+
+# Counts at the edges of the block walk: one short of a block, one past it,
+# one past a shard, and two shards plus a block plus 7 (a short last block
+# in a short last shard). The digests are sha256 of the reports' reprs.
+EDGE_COUNTS = (
+    linksim._BLOCK - 1,
+    linksim._BLOCK + 1,
+    linksim._SHARD_SYMBOLS + 1,
+    2 * linksim._SHARD_SYMBOLS + linksim._BLOCK + 7,
+)
+EDGE_LINK_DIGEST = "889f2f01989e751338d6da403c123c72b49f86b2f990dac287f33b59831bcc8c"
+EDGE_MC_DIGEST = "0f1c90202bf0298b03fb27f49811c3c3292bd8f317e9e9ca0be2c3c0ba46e0a4"
+
+
+def sha256_of_lines(values) -> str:
+    return hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_block_walk_edges_keep_their_bits(monkeypatch, workers):
+    monkeypatch.setattr(linksim, "_available_cores", lambda: workers)
+    reports = [
+        run_link(make_config(n_symbols=n, seed=5, detection_mode=mode), max_workers=workers)
+        for n in EDGE_COUNTS
+        for mode in ("decision_directed", "genie_aided")
+    ]
+    estimates = [mc_bpsk_mi(1.0, NoiseModel(2.0), n, seed=5) for n in EDGE_COUNTS]
+    assert sha256_of_lines(reports) == EDGE_LINK_DIGEST
+    assert sha256_of_lines(estimates) == EDGE_MC_DIGEST
 
 
 def test_peak_memory_per_worker(monkeypatch):
