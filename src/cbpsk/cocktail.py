@@ -76,15 +76,29 @@ class CocktailParams:
         Each value is checked once: the two arguments by the package's rule,
         then the derived amplitudes, which are plain floats already, for
         what the constructor would still refuse.
+
+        Every ratio > 1 and energy > 0 up to the largest float is served,
+        on one path in units of powers of two, so neither ratio^2 nor the
+        quotient overflows or loses digits to the subnormal range: with
+        ratio = m 2^a and k = floor(e/2) for E_in's binary exponent e,
+        s = sqrt(E_in 4^-k / (m^2/2 + 4^-a/8)), beta = s 2^(k-a) and
+        alpha = (m s) 2^k. Each operand is the plain formula's times an exact
+        power of two, so wherever E_in / (ratio^2/2 + 1/8) is a normal float
+        the bits are those of sqrt of that quotient and ratio * beta. beta is
+        within 2 ulp of the exact root wherever it is normal; alpha, rounded
+        once more by the product, reads up to about 2.04 ulp. A pair is
+        refused only where beta is below the least subnormal float, so that
+        it rounds to 0.
         """
         if _real("eta", eta) != 0.5:
             raise ValueError(f"the case split is fixed at eta = 0.5, got eta={eta!r}")
         ratio = _real("ratio", ratio, above=1.0)
         input_energy = _real("input_energy", input_energy, above=0.0)
-        beta = math.sqrt(input_energy / (0.5 * ratio * ratio + 0.125))
-        alpha = ratio * beta
-        if alpha == math.inf:  # 2 E_in / (ratio^2 + 1/4) overflowed
-            raise ValueError(f"alpha must be a finite number, got {alpha!r}")
+        k = math.frexp(input_energy)[1] // 2
+        m, a = math.frexp(ratio)
+        s = math.sqrt(math.ldexp(input_energy, -2 * k) / (0.5 * m * m + math.ldexp(0.125, -2 * a)))
+        beta = math.ldexp(s, k - a)
+        alpha = math.ldexp(m * s, k)
         _check_amplitudes(alpha, beta)
         params = object.__new__(cls)
         object.__setattr__(params, "alpha", alpha)

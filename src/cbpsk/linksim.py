@@ -17,9 +17,12 @@ from ``Generator.standard_normal`` (ziggurat); golden tests pin these
 choices.
 
 One scale: every statistic is formed in units of the noise deviation
-sigma, from a mean q = a / sigma and the drawn n (:func:`_stage`), and the
-received value y = sigma (q + n) itself is never formed. At full scale y
-would round sigma n away next to a large a. Means are capped at
+sigma = sqrt(variance / 2), rounded once by the package's deviation rule
+(``cbpsk.mi._deviation``, which halves a variance below 2^-1021 at a scale
+of 2^600, as :func:`cbpsk.mi.bpsk_mi` does), from a mean q = a / sigma and
+the drawn n (:func:`_stage`), and the received value y = sigma (q + n)
+itself is never formed. At full scale y would round sigma n away next to a
+large a. Means are capped at
 ``cbpsk.mi._MEAN_CAP``, past which the statistic no longer moves, so
 nothing overflows at any finite amplitude or accepted variance; the
 quadrature kernel :func:`cbpsk.mi.bpsk_mi` caps its q there too.
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocktail import CocktailParams, SymbolPair, encode
-from .mi import LOG2E, NoiseModel, _LN2, _MEAN_CAP, _integer, _real
+from .mi import LOG2E, NoiseModel, _LN2, _MEAN_CAP, _deviation, _integer, _real
 
 __all__ = [
     "SimConfig",
@@ -218,7 +221,7 @@ def _bits(mean_statistic: float) -> float:
 
 def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple:
     p = config.params
-    sigma = math.sqrt(config.noise.variance / 2.0)
+    sigma = _deviation(config.noise.variance)
     genie = config.detection_mode == "genie_aided"
 
     # The draw order (the raw bits of both streams, then the normals) is part
@@ -319,7 +322,7 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     amplitude = _real("amplitude", amplitude, at_least=0.0)
     n_samples = _integer("n_samples", n_samples, 10_000)  # fewer make no usable estimate
     seed = _integer("seed", seed, 0, 2**64)
-    q = _mean(amplitude, math.sqrt(noise.variance / 2.0))
+    q = _mean(amplitude, _deviation(noise.variance))
 
     def draw(rng, count):
         def block(lo, hi, views):

@@ -172,9 +172,21 @@ _WEIGHT_FLOOR = 1e-30
 # nearest pair lies farther apart than about 1e-152 of its largest
 # coordinate (module docstring).
 _UNIT_VAR_FLOOR = 2.0**-1020
+# From this variance up half of it is a normal float, so halving is exact;
+# below it an odd last bit would round away (_deviation).
+_EXACT_HALF = 2.0**-1021
 # The most (classes x components x nodes) entries one kernel pass may stack,
 # counted on the unpruned rule of the cap: 256 KB of float64 (_alphabet_plan).
 _PASS_ENTRIES = 1 << 15
+
+
+def _deviation(variance: float) -> float:
+    """sqrt(variance / 2), the noise deviation of one real dimension, rounded
+    once: below ``_EXACT_HALF`` the half would round an odd last bit, so the
+    variance is halved at a scale of 2^600, which keeps it a normal float."""
+    if variance >= _EXACT_HALF:
+        return math.sqrt(variance / 2.0)
+    return math.sqrt(variance * 2.0**600 / 2.0) * 2.0**-300
 
 
 def _is_integer(value) -> bool:
@@ -264,7 +276,10 @@ class NoiseModel:
     ``variance`` is the total noise power of a complex channel, and each real
     dimension carries ``variance / 2``, in every module of the package. It
     must be finite and above 5e-324, the least positive float, so that its
-    half is above 0 as well.
+    half is above 0 as well. Every module forms that half exactly: the
+    deviation sqrt(variance / 2) of one dimension (``_deviation``) halves a
+    variance below 2^-1021, whose half is subnormal, at a scale of 2^600, and
+    :func:`constellation_mi` halves only after scaling to its alphabet's unit.
     """
 
     variance: float
@@ -965,7 +980,10 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
     equal priors over one real dimension of the channel, whose noise
     variance is v = ``noise.variance / 2``.
 
-    The rate depends only on q = A / sqrt(v). Given X = +A, the output is
+    The rate depends only on q = A / sqrt(v), with sqrt(v) rounded once by
+    the package's deviation rule (:class:`NoiseModel`): a variance below
+    2^-1021 is halved at a scale of 2^600, so an odd last bit is not
+    rounded away. Given X = +A, the output is
     Y = A + n, and I = 1 - E_n[log2(1 + exp(u))] with u = -2A(A + n)/v, the
     log-likelihood ratio against the other point. With n = sqrt(2v) t on the
     1-D rule of :func:`_unit_rule` (nodes t, weights w summing to 1),
@@ -1002,7 +1020,7 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
         amplitude = _real("amplitude", amplitude, at_least=0.0)
     if not (type(order) is int and _MIN_ORDER <= order <= _MAX_ORDER):
         order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
-    q = amplitude / math.sqrt(noise.variance / 2.0)
+    q = amplitude / _deviation(noise.variance)
     if q > _MEAN_CAP:
         q = _MEAN_CAP
     s = q * q
@@ -1042,9 +1060,11 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     the first call and kept: the numerator of s, the low-SNR series and the
     kernel's passes all come from its one symmetry search, in one unit, a
     power of two. The call forms v in that unit once, ``noise.variance / 2``
-    times ``factor``^2, floored at 2^-1020 (module docstring), and s, the
-    series and the kernel all read it, so the choice of order costs a
-    division and a bisection of the ladder's limits.
+    times ``factor``^2 (halved after the scaling where the variance is
+    below 2^-1021, so that the half is exact), floored at 2^-1020 (module
+    docstring), and s, the series and the kernel all read it, so the
+    choice of order costs a division and a bisection of the ladder's
+    limits.
     The rate kernel :func:`_rate_nats` forms I directly, so the rate keeps
     its relative accuracy at low SNR: within 1.1e-12 of 30-digit mpmath at
     SNR 1e-8..1e-4 for BPSK, 4-ASK, QPSK and the cocktail 4-PAM. Further
@@ -1068,7 +1088,10 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     if order is not None:
         order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
     plan = c._plan
-    var = max(noise.variance / 2.0 * plan.factor * plan.factor, _UNIT_VAR_FLOOR)
+    variance, factor = noise.variance, plan.factor
+    # Halved after the unit's factor^2 where the half alone would round.
+    var = variance / 2.0 * factor * factor if variance >= _EXACT_HALF else variance * factor * factor / 2.0
+    var = max(var, _UNIT_VAR_FLOOR)
     series = plan.series
     if series is not None and series[0] / var <= _SERIES_MAX_S:
         # Divided once per power, so a term underflows to 0 rather than

@@ -3,6 +3,11 @@
 Data files are the primary artifact; these charts exist so a sweep can be
 eyeballed without external plotting dependencies. Output is a plain string,
 deterministic for identical input.
+
+One helper, ``_text``, writes every ``<text>`` element (title, tick labels,
+axis labels, legend), and one map places every x: the axis transform,
+``math.log10`` on a log axis and the identity otherwise, is chosen once per
+chart, not per point.
 """
 
 from __future__ import annotations
@@ -47,6 +52,15 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _text(x, y, size: int, body: str, anchor: str = "middle", extra: str = "") -> str:
+    # x and y are written as given; an empty anchor leaves the attribute out.
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{_escape(body)}</text>\n'
+    )
+
+
 def render_line_chart(
     curves,
     title: str = "",
@@ -83,12 +97,11 @@ def render_line_chart(
     ml, mr, mt, mb = 64, 16, 34 if title else 16, 46
     pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
+    f = math.log10 if log_x else (lambda v: v)
+    f_lo, f_span = f(x_lo), f(x_hi) - f(x_lo)
+
     def tx(x: float) -> float:
-        if log_x:
-            f = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            f = (x - x_lo) / (x_hi - x_lo)
-        return ml + f * pw
+        return ml + (f(x) - f_lo) / f_span * pw
 
     def ty(y: float) -> float:
         return mt + (1.0 - (y - y_lo) / (y_hi - y_lo)) * ph
@@ -100,40 +113,23 @@ def render_line_chart(
     )
     out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n')
     if title:
-        out.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>\n'
-        )
-    out.append(
-        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>\n'
-    )
+        out.append(_text(f"{_WIDTH / 2:.1f}", 20, 14, title))
+    out.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>\n')
 
     xticks = _log_ticks(x_lo, x_hi) if log_x else _ticks(x_lo, x_hi)
     for v in xticks:
-        px = tx(v)
-        out.append(f'<line x1="{px:.1f}" y1="{mt + ph}" x2="{px:.1f}" y2="{mt + ph + 4}" stroke="black"/>\n')
-        out.append(
-            f'<text x="{px:.1f}" y="{mt + ph + 17}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(v)}</text>\n'
-        )
+        px = f"{tx(v):.1f}"
+        out.append(f'<line x1="{px}" y1="{mt + ph}" x2="{px}" y2="{mt + ph + 4}" stroke="black"/>\n')
+        out.append(_text(px, mt + ph + 17, 11, _fmt(v)))
     for v in _ticks(y_lo, y_hi):
         py = ty(v)
         out.append(f'<line x1="{ml - 4}" y1="{py:.1f}" x2="{ml}" y2="{py:.1f}" stroke="black"/>\n')
-        out.append(
-            f'<text x="{ml - 7}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(v)}</text>\n'
-        )
+        out.append(_text(ml - 7, f"{py + 4:.1f}", 11, _fmt(v), "end"))
     if x_label:
-        out.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>\n'
-        )
+        out.append(_text(f"{ml + pw / 2:.1f}", _HEIGHT - 8, 12, x_label))
     if y_label:
-        out.append(
-            f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{_escape(y_label)}</text>\n'
-        )
+        yc = f"{mt + ph / 2:.1f}"
+        out.append(_text(14, yc, 12, y_label, extra=f' transform="rotate(-90 14 {yc})"'))
 
     for i, c in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
@@ -147,10 +143,7 @@ def render_line_chart(
             f'<line x1="{ml + pw - 150}" y1="{ly - 4}" x2="{ml + pw - 128}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>\n'
         )
-        out.append(
-            f'<text x="{ml + pw - 122}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{_escape(c.label)}</text>\n'
-        )
+        out.append(_text(ml + pw - 122, ly, 11, c.label, anchor=""))
         ly += 15
 
     out.append("</svg>\n")

@@ -106,6 +106,15 @@ FIGURE_DIGESTS = {
     "cocktail_gain.svg": "53b7ad9ce8c34cbc9544bf18e1311356d7503c3dc5c67f787418e127802025c1",
 }
 
+# The same four ratios and grid on the linear-SNR axis, which draws the
+# charts with a log x axis.
+LOG_FIGURE_DIGESTS = {
+    "cocktail_rates.csv": "9f6bd62459056ad80d56483392b68a5ea4a42b380aae18dce1da57dca6d0101e",
+    "cocktail_gain.csv": "cabe20ebc69a551880de20b0703c108c421b3ad6a8300c9afc0301b30a8e91a4",
+    "cocktail_rates.svg": "ea487c6c7af09b45b2e600d4bd1e02e89d8797f68708a78dd35a65407c18857c",
+    "cocktail_gain.svg": "1b90e9c82e6384c8f72d15d062d2760fb0638b9efa26660362f175a0b2d9d0de",
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -531,6 +540,14 @@ class TestCocktail:
         assert code == EXIT_OK, err
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FIGURE_DIGESTS}
         assert digests == FIGURE_DIGESTS
+
+    def test_log_axis_figure_bytes_keep_their_digests(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        ratios = [f for r in ("1.5", "2.5", "3.5", "5") for f in ("--ratio", r)]
+        code, _, err = run_cli(capsys, "cocktail", *ratios, "--grid", "0.001:100:log:60", "--axis", "linear", "--plot")
+        assert code == EXIT_OK, err
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in LOG_FIGURE_DIGESTS}
+        assert digests == LOG_FIGURE_DIGESTS
 
     def test_curve_labels_in_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))

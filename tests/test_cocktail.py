@@ -85,16 +85,29 @@ class TestParams:
         (3.5, True, "input_energy must be a finite number > 0, got True"),
         (3.5, 0.0, "input_energy must be a finite number > 0, got 0.0"),
         (3.5, -1.0, "input_energy must be a finite number > 0, got -1.0"),
-        # ratio^2 overflows, so beta and alpha round to 0.
-        (1e200, 1e300, "amplitudes must satisfy alpha > beta > 0, got alpha=0.0, beta=0.0"),
-        (1e160, 5e-324, "amplitudes must satisfy alpha > beta > 0, got alpha=0.0, beta=0.0"),
-        # 2 * E_in / (ratio^2 + 1/4) overflows.
-        (1.0000001, 1.7e308, "alpha must be a finite number, got inf"),
+        # The exact beta, 1.4e-450, is below the least subnormal float.
+        (1e300, 1e-300, "amplitudes must satisfy alpha > beta > 0, got alpha=1.4142135623730952e-150, beta=0.0"),
     ])
     def test_from_ratio_rejection_messages(self, ratio, energy, message):
         with pytest.raises(ValueError) as exc:
             CocktailParams.from_ratio(ratio, energy)
         assert str(exc.value) == message
+
+    # Where ratio^2 overflows, or the quotient E_in / (ratio^2/2 + 1/8)
+    # overflows or is subnormal, the amplitudes still exist as floats.
+    @pytest.mark.parametrize("ratio,energy", [(1e200, 1e300), (1e160, 5e-324), (1.0000001, 1.7e308)])
+    def test_from_ratio_past_the_plain_quotient(self, ratio, energy):
+        import mpmath
+
+        p = CocktailParams.from_ratio(ratio, energy)
+        with mpmath.workdps(60):
+            r = mpmath.mpf(ratio)
+            beta = mpmath.sqrt(mpmath.mpf(energy) / (r * r / 2 + mpmath.mpf(1) / 8))
+            for got, want in ((p.alpha, r * beta), (p.beta, beta)):
+                # Two ulp where the exact value is a normal float, one
+                # subnormal step below that.
+                step = math.ulp(got) * (2 if want >= sys.float_info.min else 1)
+                assert abs(mpmath.mpf(got) - want) <= step, (got, want)
 
     def test_from_ratio_takes_eta_as_a_number(self):
         # A complex 0.5 compares equal to 0.5, but is no number by the rule.

@@ -22,7 +22,7 @@ import pytest
 from cbpsk.cli import main
 from cbpsk.cocktail import CocktailParams, adr_breakdown, adr_gain_low_snr, eb_over_n0, energy_report
 from cbpsk.linksim import SimConfig, mc_bpsk_mi, run_link
-from cbpsk.mi import LOG2E, NoiseModel, bpsk_mi, low_snr_capacity
+from cbpsk.mi import LOG2E, Constellation, NoiseModel, bpsk_mi, constellation_mi, low_snr_capacity
 from cbpsk.sweep import CONVENTIONAL_SCHEMES, scheme_rate
 
 DRAWS = 1 << 15
@@ -182,6 +182,71 @@ class TestCocktailEnergies:
         params = CocktailParams.from_ratio(3.5, 1e308)
         assert abs(energy_report(params).e_in / 1e308 - 1.0) <= 4e-16
         assert abs(eb_over_n0(params, NoiseModel(1e300)) / 5e7 - 1.0) <= 4e-16
+
+
+def within_steps(got: float, square: Fraction, steps: int) -> bool:
+    """``got`` within ``steps`` float steps (ulp) of the root of ``square``."""
+    step = Fraction(math.ulp(got)) * steps
+    lo, hi = max(Fraction(got) - step, Fraction(0)), Fraction(got) + step
+    return lo * lo <= square <= hi * hi
+
+
+class TestFromRatio:
+    # Energies from the least subnormal to the largest float, at ratios
+    # from just above 1 to the largest float: the plain quotient
+    # E_in / (ratio^2/2 + 1/8) overflows, is subnormal, or has an
+    # overflowed ratio^2 in many of these rows.
+    @pytest.mark.parametrize(
+        "ratio", [1.0000001, 1.1, 1.2, 1.27, 3.5, 8.0, 1e100, 1.9e154, 1e155, 1e200, 1e300, sys.float_info.max]
+    )
+    @pytest.mark.parametrize(
+        "energy", [5e-324, 1e-320, 1e-310, 2.2e-308, 1e-300, 1.0, 1e300, 1.7e308, sys.float_info.max]
+    )
+    def test_amplitudes_against_the_exact_roots(self, ratio, energy):
+        r = Fraction(ratio)
+        beta_sq = Fraction(energy) / (r * r / 2 + Fraction(1, 8))
+        if beta_sq < Fraction(1, 2**2150):  # beta below half the least subnormal
+            with pytest.raises(ValueError, match=r"alpha > beta > 0, got alpha=.*, beta=0\.0$"):
+                CocktailParams.from_ratio(ratio, energy)
+            return
+        p = CocktailParams.from_ratio(ratio, energy)
+        # Two ulp where a value is a normal float, one subnormal step below.
+        for got, square in ((p.alpha, r * r * beta_sq), (p.beta, beta_sq)):
+            steps = 2 if square >= Fraction(sys.float_info.min) ** 2 else 1
+            assert within_steps(got, square, steps), (got, float(square) ** 0.5)
+
+    def test_limit_command_at_ratio_1e155(self, capsys):
+        code = main(["limit", "--ratio", "1e155"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "limiting Eb/N0 -4.60 dB" in captured.out
+
+    def test_cocktail_command_at_the_top_of_the_energies(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code = main(["cocktail", "--ratio", "1.2", "--grid", "1e300:1.7e308:log:3"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        rows = (tmp_path / "cocktail_rates.csv").read_text().splitlines()
+        assert [row.rsplit(",", 1)[1] for row in rows if row.startswith("cocktail r=1.2,")] == ["2", "2", "2"]
+
+
+class TestSubnormalVariance:
+    # Half of a subnormal variance with an odd last bit is not a float; each
+    # kernel halves it exactly, so it reads its exact three-term series
+    # I = (s/2 - s^2/4 + s^3/6) / ln 2, s = 2 A^2 / variance.
+    @pytest.mark.parametrize("variance", [1e-315, 1e-310, 3e-320, 7e-322])
+    @pytest.mark.parametrize(
+        "kernel, amplitude",
+        [
+            pytest.param(lambda a, noise: bpsk_mi(a, noise), 1e-170, id="bpsk_mi"),
+            pytest.param(lambda a, noise: constellation_mi(Constellation((a, -a)), noise), 1e-200, id="constellation_mi"),
+        ],
+    )
+    def test_kernels_read_the_exact_series(self, kernel, amplitude, variance):
+        s = 2 * Fraction(amplitude) ** 2 / Fraction(variance)
+        want = float(s * (Fraction(1, 2) - s * (Fraction(1, 4) - s / 6)) / Fraction(math.log(2.0)))
+        got = kernel(amplitude, NoiseModel(variance))
+        assert abs(got / want - 1.0) <= 4.5e-16, (got, want)
 
 
 class TestLowSnrCapacity:
