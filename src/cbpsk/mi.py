@@ -15,7 +15,9 @@ each :class:`Constellation` finds them once, in its kernel plan
 (:func:`_alphabet_plan`), and a call does only the work that depends on the
 noise. The plan runs the classes in passes by one rule in either
 dimension, runs of consecutive classes that share a folded rule within a
-fixed buffer budget, and one matrix product forms each pass's exponents.
+fixed buffer budget, and one matrix product forms each pass's exponents,
+the constant term -|m_k - m_j|^2 / 2v included: the rule carries a row of
+ones beside its node coordinates, so the product is affine in the node.
 A 2-D alphabet that is an axis-aligned product, QPSK or any square QAM,
 is two independent channels over isotropic noise, so its plan holds the
 1-D passes of its factors, and its rate is their sum.
@@ -604,7 +606,15 @@ def _rate_nats(plan: _Plan, var: float, order: int) -> float:
 
         u_kj = -sqrt(2/v) (m_k - m_j).t - |m_k - m_j|^2 / 2v,   u_kk = 0,
 
-    one (n x d) @ (d x nodes) product per component, and
+    one (n x (d + 1)) @ ((d + 1) x nodes) product per component: the rule's
+    nodes come with a last row of ones (:func:`_unit_rule`), so the
+    offsets times -sqrt(2/v), with -|m_k - m_j|^2 / 2v as a last column,
+    form u whole. Its bits are those of the product over the d node rows
+    with |m_k - m_j|^2 / 2v subtracted after it: |m_k - m_j|^2 / (-2v) is
+    exactly the negative of that quotient, since rounding is symmetric in
+    sign, the ones row multiplies exactly, and the matrix product adds its
+    d + 1 terms in order, which the tests check on nine alphabets at every
+    order of the ladder. And
 
         I = -sum_k p_k E[L_k],   L_k = log sum_j p_j exp(u_kj).
 
@@ -660,11 +670,12 @@ def _rate_nats(plan: _Plan, var: float, order: int) -> float:
     (C, n, nodes) block for its C classes on the priors it carries, and
     subtracts each class's term as its pass runs, so the classes in their
     order. One product forms every pass's exponents in either dimension:
-    (C, n, d) offsets times -sqrt(2/v), @ the (d, nodes) nodes. Stacking
-    moves no bit: every entry takes the same operations on the same
-    operands in the same order as one class at a time. A stacked pass is
-    1-D, where a (C, n, 1) @ (1, nodes) product has one term per entry; a
-    2-D pass is one class. The maxima are exact in any order, and each
+    the (C, n, d) offsets times -sqrt(2/v), with the (C, n, 1)
+    -|m_k - m_j|^2 / 2v beside them, @ the (d + 1, nodes) affine rule.
+    Stacking moves no bit: every entry takes the same operations on the
+    same operands in the same order as one class at a time. A stacked pass
+    is 1-D, where a (C, n, 2) @ (2, nodes) product adds two terms per
+    entry; a 2-D pass is one class. The maxima are exact in any order, and each
     p @ u row is the same vector-matrix product.
 
     The rule is the pruned one of :func:`_unit_rule`, so the (components x
@@ -688,8 +699,7 @@ def _rate_nats(plan: _Plan, var: float, order: int) -> float:
         nodes, weights = _unit_rule(order, delta.shape[2], maps)
         # Fresh buffers per pass: a pass's rule size is its own. Rows index
         # j, so each reduction over j combines whole contiguous rows.
-        u = np.matmul(delta * scale, nodes)
-        u -= sq / (2.0 * var)
+        u = np.matmul(np.concatenate((delta * scale, sq / (-2.0 * var)), axis=2), nodes)
         c = np.maximum.reduce(u if log_ratio is None else u + log_ratio[:, None], 1)
         u -= c[:, None]
         np.expm1(u, u)
@@ -713,8 +723,15 @@ def _unit_rule(order: int, d: int, maps: tuple) -> tuple:
     takes 256.0 for the key 256),
     pruned to the nodes whose weight exceeds ``_WEIGHT_FLOOR`` and folded by
     the signed axis maps ``maps`` (indices into ``_AXIS_MATRICES[d]``, the
-    identity left out); nodes as a contiguous (d, kept) array and weights
-    summing to 1, read-only because every caller shares them.
+    identity left out); nodes as a contiguous (d + 1, kept) array and
+    weights summing to 1, read-only because every caller shares them.
+
+    The rule is affine: rows 0 to d - 1 of the nodes are the node
+    coordinates t and row d is ones, so one product of a row
+    (a_1, ..., a_d, b) with them forms a.t + b at every node, the exponent
+    of :func:`_rate_nats` with its constant term. Folding reads and maps
+    the coordinate rows alone; the ones row goes with its column.
+    :func:`bpsk_mi` reads row 0.
 
     Pruning keeps 116 of 256 nodes at order 256 in 1-D and 7556 of 36864 at
     order 192 in 2-D; the dropped weight is 2.1e-31 and 1.1e-28. The weights
@@ -749,11 +766,11 @@ def _unit_rule(order: int, d: int, maps: tuple) -> tuple:
         # node, whose entries are sums of 0 and +-1 times a coordinate, is
         # again a node to the bit. Each node is named by the indices of its
         # coordinates among the sorted distinct ones.
-        coords = np.sort(nodes, axis=None)  # np.unique would import numpy.ma, 20 ms
+        coords = np.sort(nodes[:d], axis=None)  # np.unique would import numpy.ma, 20 ms
         coords = coords[np.diff(coords, prepend=-np.inf) > 0]
         shape = (coords.size,) * d
         group = _AXIS_MATRICES[d][[0, *maps]]  # the identity first
-        images = np.ravel_multi_index(np.searchsorted(coords, group @ nodes).swapaxes(0, 1), shape)
+        images = np.ravel_multi_index(np.searchsorted(coords, group @ nodes[:d]).swapaxes(0, 1), shape)
         own = images[0]
         images = np.sort(images, axis=0)
         # An orbit is kept as its lowest node, weighted by the orbit's size,
@@ -764,10 +781,11 @@ def _unit_rule(order: int, d: int, maps: tuple) -> tuple:
         nodes.flags.writeable = weights.flags.writeable = False
         return nodes, weights
     t, w = np.polynomial.hermite.hermgauss(order)
-    nodes = np.stack([axis.ravel() for axis in np.meshgrid(*[t] * d, indexing="ij")])
     weights = reduce(np.multiply.outer, [w] * d).ravel() / math.pi ** (d / 2)
     kept = weights > _WEIGHT_FLOOR
-    nodes = np.ascontiguousarray(nodes[:, kept])
+    nodes = np.ones((d + 1, np.count_nonzero(kept)))  # the last row stays ones
+    for row, axis in zip(nodes, np.meshgrid(*[t] * d, indexing="ij")):
+        row[:] = axis.ravel()[kept]
     weights = weights[kept]
     nodes.flags.writeable = False
     weights.flags.writeable = False

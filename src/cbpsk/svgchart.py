@@ -7,7 +7,9 @@ deterministic for identical input.
 One helper, ``_text``, writes every ``<text>`` element (title, tick labels,
 axis labels, legend), and one map places every x: the axis transform,
 ``math.log10`` on a log axis and the identity otherwise, is chosen once per
-chart, not per point.
+chart, not per point. A log axis labels each decade, and on a span of more
+than ten decades every n-th, n a step of 1, 2 or 5 times a power of ten, so
+that at most ten labels share the axis.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ _PALETTE = (
 
 _WIDTH, _HEIGHT = 720, 480
 _N_TICKS = 5
+_MAX_LOG_TICKS = 10
 
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -36,9 +39,16 @@ def _ticks(lo: float, hi: float) -> list:
 
 
 def _log_ticks(lo: float, hi: float) -> list:
+    # Every decade on a span of at most _MAX_LOG_TICKS of them; on a wider
+    # one, the decades that are multiples of the least step of 1, 2 or 5
+    # times a power of ten that keeps at most that many. The float range
+    # spans 632 decades, so a step of 100 always does.
     first = math.ceil(math.log10(lo) - 1e-9)
     last = math.floor(math.log10(hi) + 1e-9)
-    ticks = [10.0**d for d in range(first, last + 1)]
+    for step in (m * 10**k for k in range(3) for m in (1, 2, 5)):
+        ticks = [10.0**d for d in range(-(-first // step) * step, last + 1, step)]
+        if len(ticks) <= _MAX_LOG_TICKS:
+            break
     return ticks if ticks else [lo, hi]
 
 

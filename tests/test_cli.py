@@ -549,6 +549,24 @@ class TestCocktail:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in LOG_FIGURE_DIGESTS}
         assert digests == LOG_FIGURE_DIGESTS
 
+    def test_wide_log_axis_draws_at_most_ten_x_labels(self, tmp_path, capsys, monkeypatch):
+        # 601 decades: one label per decade would put 601 on the 640-px
+        # axis. Every 100th decade is labelled instead.
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, _, err = run_cli(
+            capsys, "cocktail", "--ratio", "3.5", "--grid", "1e-300:1e300:log:5", "--axis", "linear", "--plot"
+        )
+        assert code == EXIT_OK, err
+        for name in ("cocktail_rates.svg", "cocktail_gain.svg"):
+            root = ET.fromstring((tmp_path / name).read_bytes())
+            # x-tick labels are the 11-px texts centred on their tick.
+            labels = [
+                e.text for e in root.iter()
+                if e.tag.endswith("text") and e.get("font-size") == "11" and e.get("text-anchor") == "middle"
+            ]
+            assert len(labels) <= 10
+            assert labels == ["1e-300", "1e-200", "1e-100", "1", "1e+100", "1e+200", "1e+300"]
+
     def test_curve_labels_in_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
         run_cli(capsys, "cocktail", "--ratio", "1.5", "--ratio", "3.5", "--grid", "0.1:1:log:3")

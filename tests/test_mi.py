@@ -747,9 +747,10 @@ class TestOrderLadder:
 
 def unpruned_rule(order, d):
     """The full order**d tensor-product rule, with every node the library's
-    pruned rule drops: nodes as a (d, order**d) array, weights summing to 1."""
+    pruned rule drops, in the affine form of ``mi._unit_rule``: nodes as a
+    (d + 1, order**d) array whose last row is ones, weights summing to 1."""
     t, w = np.polynomial.hermite.hermgauss(order)
-    nodes = np.stack([axis.ravel() for axis in np.meshgrid(*[t] * d, indexing="ij")])
+    nodes = np.stack([axis.ravel() for axis in np.meshgrid(*[t] * d, indexing="ij")] + [np.ones(order**d)])
     return nodes, reduce(np.multiply.outer, [w] * d).ravel() / math.pi ** (d / 2)
 
 
@@ -770,7 +771,7 @@ def all_components_rate(means, priors, var_per_dim, order, term_weights=None):
     priors = np.asarray(priors, dtype=float)
     d = means.shape[1]
     nodes, weights = unpruned_rule(order, d)
-    offsets = nodes.T * (math.sqrt(2.0) * math.sqrt(var_per_dim))
+    offsets = nodes[:d].T * (math.sqrt(2.0) * math.sqrt(var_per_dim))
     # log p(y | m_k) at y = m_k + offset
     log_own = -np.sum(offsets * offsets, axis=1) / (2.0 * var_per_dim) - 0.5 * d * math.log(
         2.0 * math.pi * var_per_dim
@@ -1063,7 +1064,8 @@ class TestPrunedRule:
         nodes, weights = mi._unit_rule(order, d, ())
         full_nodes, full_weights = unpruned_rule(order, d)
         keep = full_weights > mi._WEIGHT_FLOOR
-        assert nodes.shape == (d, kept) and weights.shape == (kept,)
+        assert nodes.shape == (d + 1, kept) and weights.shape == (kept,)
+        assert np.all(nodes[d] == 1.0)
         assert nodes.flags.c_contiguous and not nodes.flags.writeable and not weights.flags.writeable
         np.testing.assert_array_equal(nodes, full_nodes[:, keep])
         assert weights.min() > mi._WEIGHT_FLOOR
@@ -1073,7 +1075,7 @@ class TestPrunedRule:
         assert abs(math.fsum(full_weights) - math.fsum(weights)) <= 1e-27
         # The a-priori bound of _unit_rule, for any prior down to e^-700.
         dropped = ~keep
-        t2 = np.sum(full_nodes[:, dropped] ** 2, axis=0)
+        t2 = np.sum(full_nodes[:d, dropped] ** 2, axis=0)
         assert math.fsum(full_weights[dropped] * (t2 + 700.0)) / math.log(2.0) <= 1e-20
 
     @pytest.mark.parametrize("name", ["qpsk", "8psk", "16qam", "1d-4ask", "random-1"])
@@ -1180,20 +1182,21 @@ class TestFoldedRule:
         if plan.dimension == d:
             assert stabilizers == [p.maps for p in plan.passes for _ in p.weights]
         pruned_nodes, pruned_weights = mi._unit_rule(order, d, ())
-        pruned = dict(zip(map(tuple, pruned_nodes.T.tolist()), pruned_weights.tolist()))
+        pruned = dict(zip(map(tuple, pruned_nodes[:d].T.tolist()), pruned_weights.tolist()))
         assert [mi._unit_rule(order, d, maps)[1].size for maps in stabilizers] == counts
         for maps in stabilizers:
             nodes, weights = mi._unit_rule(order, d, maps)
             assert nodes.flags.c_contiguous and not nodes.flags.writeable and not weights.flags.writeable
+            assert nodes.shape == (d + 1, weights.size) and np.all(nodes[d] == 1.0)
             if not maps:
                 # A trivial stabilizer takes the pruned rule itself.
                 assert nodes is pruned_nodes and weights is pruned_weights
                 continue
-            orbits = rule_orbits(nodes, maps)
+            orbits = rule_orbits(nodes[:d], maps)
             # The orbits are disjoint and cover the pruned rule; each folded
             # weight is a pruned weight times its orbit's size, exactly.
             assert sum(map(len, orbits)) == len(pruned) and set().union(*orbits) == set(pruned)
-            for orbit, t, w in zip(orbits, nodes.T.tolist(), weights.tolist()):
+            for orbit, t, w in zip(orbits, nodes[:d].T.tolist(), weights.tolist()):
                 assert w == len(orbit) * pruned[tuple(t)]
                 assert len({pruned[u] for u in orbit}) == 1
             assert abs(math.fsum(weights) - math.fsum(pruned_weights)) <= 1e-15
@@ -1415,15 +1418,16 @@ def plain_bpsk_mi(amplitude, variance, order=256):
 
 def unstacked_rate_nats(plan, var, order):
     """_rate_nats one class at a time, in the order the plan's passes list
-    them, each exponent by its own matrix product, at the variance ``var``
-    in the plan's units: the reference for the bits of the library's
-    stacked passes."""
+    them, each exponent in two steps, the offsets' own matrix product with
+    the rule's node rows and then -|m_k - m_j|^2 / 2v, at the variance
+    ``var`` in the plan's units: the reference for the bits of the
+    library's stacked passes and their one affine product."""
     scale = -math.sqrt(2.0 / var)
     rate = 0.0
     for maps, class_weights, deltas, sqs, pri, log_ratio in plan.passes:
         for weight, delta, sq in zip(class_weights, deltas, sqs):
             nodes, weights = mi._unit_rule(order, plan.dimension, maps)
-            u = np.matmul(delta * scale, nodes)
+            u = np.matmul(delta * scale, nodes[: plan.dimension])
             u -= sq / (2.0 * var)
             c = np.max(u if log_ratio is None else u + log_ratio[:, None], axis=0)
             u -= c
@@ -1648,3 +1652,46 @@ class TestLeanKernelBits:
         finally:
             sys.setswitchinterval(interval)
         assert sum(g != want for g in got) == 0
+
+
+# The alphabets whose exponents TestAffineExponent checks, as Constellations:
+# every pass kind of the kernel, 1-D and 2-D, folded and not, with and
+# without ln(p_j / p_max).
+AFFINE_ALPHABETS = {
+    "bpsk": Constellation.bpsk,
+    "4ask": Constellation.ask4,
+    "qpsk-rail": Constellation.qpsk,
+    "8psk": Constellation.psk8,
+    "qpsk-turned-pi/4": lambda: Constellation(NOT_AXIS_PRODUCTS["qpsk-turned-pi/4"][0]),
+    "8psk-turned-0.3": lambda: Constellation(_turned(Constellation.psk8().points, 0.3)),
+    "16qam": lambda: Constellation(_QAM16),
+    "1d-skewed": lambda: Constellation((-1.0, 0.0, 2.0), (0.4, 0.4, 0.2)),
+    "tiny-prior": lambda: Constellation(((-1.0, 0.0), (0.5, 1.0), (0.3, -2.0)), (1e-200, 0.5, 0.5)),
+}
+
+
+class TestAffineExponent:
+    """_rate_nats forms each pass's exponents by one product with the affine
+    rule, whose ones row carries -|m_k - m_j|^2 / 2v. That keeps the bits of
+    the two-step form only if the matrix product adds its d + 1 terms in
+    order, and so it is checked on every platform the suite runs on."""
+
+    @pytest.mark.parametrize("name", sorted(AFFINE_ALPHABETS))
+    def test_one_product_gives_the_two_step_exponents(self, name):
+        plan = AFFINE_ALPHABETS[name]()._plan
+        d = plan.dimension
+        # s = widest / v from 1e-9 to 1e6, and the least variance the kernel
+        # is given.
+        variances = [plan.widest / s for s in np.geomspace(1e-9, 1e6, 16).tolist()] + [mi._UNIT_VAR_FLOOR]
+        assert mi._LADDER[d][-1] == mi._DEFAULT_ORDER[d]
+        moved = []
+        for order in mi._LADDER[d]:
+            for maps, _, delta, sq, _, _ in plan.passes:
+                nodes, _ = mi._unit_rule(order, d, maps)
+                for var in variances:
+                    scale = -math.sqrt(2.0 / var)
+                    got = np.matmul(np.concatenate((delta * scale, sq / (-2.0 * var)), axis=2), nodes)
+                    want = np.matmul(delta * scale, nodes[:d]) - sq / (2.0 * var)
+                    if not np.array_equal(got.view(np.int64), want.view(np.int64)):
+                        moved.append((order, maps, var))
+        assert not moved, f"{len(moved)} passes moved, first {moved[:3]}"

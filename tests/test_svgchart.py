@@ -1,10 +1,13 @@
 """Tests for the minimal SVG line-chart emitter."""
 
+import math
+import random
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from cbpsk.svgchart import _HEIGHT, _WIDTH, render_line_chart
+from cbpsk.svgchart import _HEIGHT, _WIDTH, _log_ticks, render_line_chart
 from cbpsk.sweep import RateCurve
 
 CURVES = [
@@ -64,3 +67,41 @@ class TestRender:
 
     def test_deterministic(self):
         assert render_line_chart(CURVES) == render_line_chart(CURVES)
+
+
+class TestLogTicks:
+    # Decade exponents of normal floats: below 1e-307, 10.0**d is subnormal
+    # and its log10 is off by more than the tick search forgives.
+    LOWEST, HIGHEST = -307, 308
+
+    def spans(self):
+        rng = random.Random(5)
+        pairs = [(self.LOWEST, self.HIGHEST), (-300, 300), (-5, 4), (-5, 5)]
+        pairs += [(first, first + n) for first in (self.LOWEST, -7, 0, 3) for n in range(1, 60)]
+        for _ in range(2000):
+            a, b = sorted(rng.sample(range(self.LOWEST, self.HIGHEST + 1), 2))
+            pairs.append((a, b))
+        return pairs
+
+    def test_at_most_ten_evenly_spaced_decades(self):
+        for first, last in self.spans():
+            # The axis ends on the end decades, and a little outside them.
+            wider = (10.0**first * 0.97, min(10.0**last * 1.03, sys.float_info.max))
+            for lo, hi in ((10.0**first, 10.0**last), wider):
+                exps = [round(math.log10(t)) for t in _log_ticks(lo, hi)]
+                assert [10.0**e for e in exps] == _log_ticks(lo, hi)
+                if last - first < 10:
+                    # Ten decades or fewer keep every tick.
+                    assert exps == list(range(first, last + 1)), (first, last)
+                    continue
+                step = exps[1] - exps[0]
+                assert step in (2, 5, 10, 20, 50, 100) and 2 <= len(exps) <= 10, (first, last)
+                assert exps == list(range(exps[0], exps[-1] + 1, step))
+                assert exps[0] % step == 0 and exps[0] - step < first and exps[-1] + step > last
+
+    def test_whole_float_range(self):
+        want = [10.0**d for d in range(-300, 301, 100)]
+        assert _log_ticks(5e-324, sys.float_info.max) == want
+
+    def test_no_decade_inside_keeps_the_ends(self):
+        assert _log_ticks(2.0, 3.0) == [2.0, 3.0]
