@@ -259,7 +259,14 @@ def eb_over_n0(params: CocktailParams, noise: NoiseModel) -> float:
     """
     total = adr_breakdown(params, noise).total
     if total < sys.float_info.min:
-        _, k = math.frexp(params.alpha)
-        e1, e2 = _energies(math.ldexp(params.alpha, -k), math.ldexp(params.beta, -k))
-        return _LN2 * e1 / (e1 + e2)
+        return _low_snr_eb_over_n0(params)
     return _energies_over_noise(params, noise)[0] / total
+
+
+def _low_snr_eb_over_n0(params: CocktailParams) -> float:
+    """The low-SNR limit ln 2 e1 / e_total of :func:`eb_over_n0`, formed
+    from the energies at amplitudes in units of 2^k, k the exponent of
+    alpha, so that no energy underflows."""
+    _, k = math.frexp(params.alpha)
+    e1, e2 = _energies(math.ldexp(params.alpha, -k), math.ldexp(params.beta, -k))
+    return _LN2 * e1 / (e1 + e2)

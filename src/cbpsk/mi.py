@@ -1105,12 +1105,27 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
     """
     if order is not None:
         order = _integer("quadrature order", order, _MIN_ORDER, _MAX_ORDER + 1)
-    plan = c._plan
-    variance, factor = noise.variance, plan.factor
+    return _plan_rate(c._plan, math.log2(len(c.points)), noise.variance, order)
+
+
+def _constellation_rates(c: Constellation, variances) -> list:
+    """:func:`constellation_mi` of ``c`` at each of ``variances`` on the
+    default order, in bits, to the bit; each is a total noise power that
+    :class:`NoiseModel` would accept, as the caller has made sure. A curve
+    reads the alphabet's plan and its log2 M cap once."""
+    plan, cap = c._plan, math.log2(len(c.points))
+    return [_plan_rate(plan, cap, variance, None) for variance in variances]
+
+
+def _plan_rate(plan: _Plan, cap: float, variance: float, order: int | None) -> float:
+    """The one body of every rate of a :class:`Constellation`: the rate, in
+    bits, of the alphabet whose plan is ``plan`` at total noise power
+    ``variance``, on the checked ``order`` or the ladder's, clamped into
+    [0, ``cap``]."""
+    factor, series = plan.factor, plan.series
     # Halved after the unit's factor^2 where the half alone would round.
     var = variance / 2.0 * factor * factor if variance >= _EXACT_HALF else variance * factor * factor / 2.0
     var = max(var, _UNIT_VAR_FLOOR)
-    series = plan.series
     if series is not None and series[0] / var <= _SERIES_MAX_S:
         # Divided once per power, so a term underflows to 0 rather than
         # meeting an underflowed power of v.
@@ -1122,4 +1137,4 @@ def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = No
         if order is None:
             order = _LADDER[plan.dimension][bisect_left(_LADDER_LIMITS, plan.widest / var)]
         rate = _rate_nats(plan, var, order) / _LN2
-    return min(math.log2(len(c.points)), max(0.0, rate))
+    return min(cap, max(0.0, rate))

@@ -42,9 +42,16 @@ def _log_ticks(lo: float, hi: float) -> list:
     # Every decade on a span of at most _MAX_LOG_TICKS of them; on a wider
     # one, the decades that are multiples of the least step of 1, 2 or 5
     # times a power of ten that keeps at most that many. The float range
-    # spans 632 decades, so a step of 100 always does.
-    first = math.ceil(math.log10(lo) - 1e-9)
-    last = math.floor(math.log10(hi) + 1e-9)
+    # spans 632 decades, so a step of 100 always does. A decade is on the
+    # axis where the log10 of its float is, within 1e-9: a subnormal
+    # decade's float lies off 10^d (10.0**-320 reads -320.0000048), so the
+    # decade beyond each end is tried by its float as well.
+    a, b = math.log10(lo) - 1e-9, math.log10(hi) + 1e-9
+    first, last = math.ceil(a), math.floor(b)
+    if first > -323 and math.log10(10.0 ** (first - 1)) >= a:
+        first -= 1
+    if last < 308 and math.log10(10.0 ** (last + 1)) <= b:
+        last += 1
     for step in (m * 10**k for k in range(3) for m in (1, 2, 5)):
         ticks = [10.0**d for d in range(-(-first // step) * step, last + 1, step)]
         if len(ticks) <= _MAX_LOG_TICKS:

@@ -4,16 +4,33 @@ rate-curve datasets behind the capacity-comparison figures.
 All rates are evaluated at a reference total noise power of 1, so the grid
 value rho is both the linear SNR and the mean symbol energy. Axis modes:
 "linear_snr" uses rho itself as the abscissa; "eb_n0_db" uses
-10*log10(rho / rate), the per-information-bit SNR implied by each point.
+10*log10(rho / rate), the per-information-bit SNR implied by each point,
+and where the rate is below the smallest normal float, the low-SNR limit
+of that quotient.
+
+A conventional scheme's curve is one call of the rate kernel over the
+whole grid, which reads the alphabet's plan once; each row keeps the bits
+of :func:`scheme_rate` at its point. A cocktail curve is built point by
+point.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .cocktail import CocktailParams, adr_breakdown
-from .mi import Constellation, NoiseModel, _integer, _real, awgn_capacity, constellation_mi
+from .cocktail import CocktailParams, _low_snr_eb_over_n0, adr_breakdown
+from .mi import (
+    _LN2,
+    Constellation,
+    NoiseModel,
+    _constellation_rates,
+    _integer,
+    _real,
+    awgn_capacity,
+    constellation_mi,
+)
 
 __all__ = [
     "CONVENTIONAL_SCHEMES",
@@ -189,51 +206,65 @@ def scheme_rate(scheme: str, snr_linear: float) -> float:
     return constellation_mi(base, NoiseModel(variance))
 
 
-def _axis_value(axis_mode: str, rho: float, rate: float) -> float:
+def _axis_value(axis_mode: str, rho: float, rate: float, params: CocktailParams | None = None) -> float:
+    """The abscissa of a row of rate ``rate`` at grid point ``rho``; on the
+    Eb/N0 axis, ``params`` names a cocktail point's amplitudes, and None a
+    conventional scheme or capacity."""
     if axis_mode == "linear_snr":
         return rho
-    if rate <= 0.0:
-        raise ZeroDivisionError(f"rate underflowed at rho={rho}; Eb/N0 axis undefined")
+    if rate < sys.float_info.min:
+        # The rate has lost digits or is 0, and the point is on its low-SNR
+        # series, whose Eb/N0 is the limit to every digit: ln 2 for capacity
+        # and for every zero-mean, unit-energy scheme, and eb_over_n0's for
+        # a cocktail point.
+        return 10.0 * math.log10(_LN2 if params is None else _low_snr_eb_over_n0(params))
     return 10.0 * math.log10(rho / rate)
 
 
-def _curve(label: str, spec: SweepSpec, rate_at) -> RateCurve:
-    # Callers pass lambdas that look rate functions up in module globals at
-    # call time, so wrappers swapped onto module attributes see every call.
-    rows = []
-    for rho in spec.snr_grid:
-        rate = rate_at(rho)
-        rows.append((_axis_value(spec.axis_mode, rho, rate), rate))
-    return RateCurve(label, tuple(rows))
+def _scheme_curve(scheme: str, spec: SweepSpec) -> RateCurve:
+    """The curve of ``scheme``, each row's rate :func:`scheme_rate` at its
+    grid point to the bit. The grid's points are checked > 0 and ascending,
+    so a curve is one :func:`cbpsk.mi._constellation_rates` call on the
+    reference variances 1 / rho, or capacity point by point; where the first
+    point's variance overflows, the scalar path raises its own error."""
+    grid = spec.snr_grid
+    if scheme == "capacity":
+        rates = [awgn_capacity(rho) for rho in grid]
+    elif math.isinf(1.0 / grid[0]):
+        rates = [scheme_rate(scheme, rho) for rho in grid]
+    else:
+        rates = _constellation_rates(_CONSTELLATIONS[scheme], [1.0 / rho for rho in grid])
+    return RateCurve(scheme, [(_axis_value(spec.axis_mode, rho, rate), rate) for rho, rate in zip(grid, rates)])
 
 
 def modulation_rate_curves(spec: SweepSpec) -> list:
     """Rate curves of the conventional schemes (and capacity) over the grid."""
-    return [_curve(s, spec, lambda rho, s=s: scheme_rate(s, rho)) for s in spec.schemes]
+    return [_scheme_curve(s, spec) for s in spec.schemes]
 
 
-def _cocktail_total(ratio: float, rho: float) -> float:
+def _cocktail_row(ratio: float, rho: float, axis_mode: str) -> tuple:
     # Same mean input energy as the comparison schemes: E_in = rho * noise.
+    # adr_breakdown is looked up in the module's globals at each call, so
+    # a wrapper swapped onto that attribute sees every point.
     params = CocktailParams.from_ratio(ratio, rho * _TOTAL_NOISE)
-    return adr_breakdown(params, _REFERENCE_NOISE).total
+    total = adr_breakdown(params, _REFERENCE_NOISE).total
+    return _axis_value(axis_mode, rho, total, params), total
 
 
 def _cocktail_curves(spec: SweepSpec) -> list:
     if not spec.ratios:
         raise ValueError("ratios must be nonempty")
-    return [_curve(f"cocktail r={r:.12g}", spec, lambda rho, r=r: _cocktail_total(r, rho)) for r in spec.ratios]
+    return [
+        RateCurve(f"cocktail r={r:.12g}", [_cocktail_row(r, rho, spec.axis_mode) for rho in spec.snr_grid])
+        for r in spec.ratios
+    ]
 
 
 def cocktail_rate_curves(spec: SweepSpec) -> list:
     """Cocktail total-rate curves per amplitude ratio, plus any reference
     curves ("capacity", "bpsk") present in the scheme set."""
     cocktails = _cocktail_curves(spec)
-    refs = [
-        _curve(ref, spec, lambda rho, ref=ref: scheme_rate(ref, rho))
-        for ref in ("capacity", "bpsk")
-        if ref in spec.schemes
-    ]
-    return refs + cocktails
+    return [_scheme_curve(ref, spec) for ref in ("capacity", "bpsk") if ref in spec.schemes] + cocktails
 
 
 def cocktail_gain_curves(spec: SweepSpec) -> list:

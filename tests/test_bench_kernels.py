@@ -1,11 +1,16 @@
 """Tests for tools/bench_kernels.py, the per-point kernel benchmark."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_kernels.py"
+from cbpsk.sweep import CONVENTIONAL_SCHEMES, SweepSpec, modulation_rate_curves
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "tools" / "bench_kernels.py"
+REFERENCE = ROOT / "perfbench" / "reference" / "modcurves.json"
 SCHEMES = {"bpsk", "4ask", "qpsk", "8psk"}
 CALLS = {"bpsk_mi", "adr_breakdown", "cocktail_point"}
 
@@ -21,7 +26,8 @@ def test_three_point_runs_append_their_records(tmp_path):
     assert {k: len(v) for k, v in doc["runs"].items()} == {"parent": 1, "change": 1}
     record = doc["runs"]["change"][0]
     assert set(record) == {
-        "grid", "passes", "per_point_ms", "max_dev_bits", "bits", "per_call_us", "call_bits", "host"
+        "grid", "passes", "per_point_ms", "max_dev_bits", "bits", "per_call_us", "call_bits", "curve_ms",
+        "curve_bits", "host",
     }
     assert record["grid"] == {"start": 1e-3, "stop": 1e2, "points": 3} and record["passes"] == 15
     assert set(record["per_point_ms"]) == set(record["max_dev_bits"]) == set(record["bits"]) == SCHEMES
@@ -29,8 +35,17 @@ def test_three_point_runs_append_their_records(tmp_path):
     # One source tree gives the same rates, to the bit, in every run.
     assert record["bits"] == doc["runs"]["parent"][0]["bits"]
     assert record["call_bits"] == doc["runs"]["parent"][0]["call_bits"]
-    assert all(len(digest) == 64 for digest in [*record["bits"].values(), *record["call_bits"].values()])
-    assert all(t > 0.0 for t in [*record["per_point_ms"].values(), *record["per_call_us"].values()])
+    assert record["curve_bits"] == doc["runs"]["parent"][0]["curve_bits"]
+    digests = [*record["bits"].values(), *record["call_bits"].values(), record["curve_bits"]]
+    assert all(len(digest) == 64 for digest in digests)
+    times = [*record["per_point_ms"].values(), *record["per_call_us"].values(), record["curve_ms"]]
+    assert all(t > 0.0 for t in times)
+    # The curve digest is that of the five-scheme figure's rows, x and y,
+    # on the three points of the reference grid that --points 3 keeps.
+    grid = tuple(json.loads(REFERENCE.read_text())["grid"][i] for i in (0, 30, 59))
+    curves = modulation_rate_curves(SweepSpec(snr_grid=grid, schemes=CONVENTIONAL_SCHEMES, axis_mode="eb_n0_db"))
+    hexes = " ".join(v.hex() for c in curves for row in c.rows for v in row)
+    assert record["curve_bits"] == hashlib.sha256(hexes.encode()).hexdigest()
     # The reference rows are this kernel's rates to rounding; a moved rate shows here.
     assert all(0.0 <= d <= 1e-12 for d in record["max_dev_bits"].values())
     assert set(record["host"]) == {"machine", "system", "cpus", "python", "numpy", "blas_threads"}

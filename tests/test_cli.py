@@ -106,6 +106,15 @@ FIGURE_DIGESTS = {
     "cocktail_gain.svg": "53b7ad9ce8c34cbc9544bf18e1311356d7503c3dc5c67f787418e127802025c1",
 }
 
+# `cbpsk mi --scheme <scheme> --grid 0.001:100:log:60 --axis ebn0`: each
+# conventional scheme's curve of the capacity-comparison figure.
+MI_DIGESTS = {
+    "bpsk": "3b9110b3a1bd331f34c2cf609f7d0728b2f58a05bdc732438e88dd599f142866",
+    "4ask": "ca35ca9a0eb1165ddca6553923b553576e7ce7020151a27cc88a367ee328625c",
+    "qpsk": "650e20acf1978717716d9c29da785b6beb0d73482374ca4d253ecc0cb66870d0",
+    "8psk": "5bd88e5fc40fafda3988522459ee31446304b8b55d7ef8fa5dcad38f2c4b3589",
+}
+
 # The same four ratios and grid on the linear-SNR axis, which draws the
 # charts with a log x axis.
 LOG_FIGURE_DIGESTS = {
@@ -540,6 +549,13 @@ class TestCocktail:
         assert code == EXIT_OK, err
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FIGURE_DIGESTS}
         assert digests == FIGURE_DIGESTS
+
+    @pytest.mark.parametrize("scheme", sorted(MI_DIGESTS))
+    def test_scheme_curve_bytes_keep_their_digests(self, scheme, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, _, err = run_cli(capsys, "mi", "--scheme", scheme, "--grid", "0.001:100:log:60", "--axis", "ebn0")
+        assert code == EXIT_OK, err
+        assert hashlib.sha256((tmp_path / f"mi_{scheme}.csv").read_bytes()).hexdigest() == MI_DIGESTS[scheme]
 
     def test_log_axis_figure_bytes_keep_their_digests(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))

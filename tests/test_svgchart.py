@@ -70,9 +70,8 @@ class TestRender:
 
 
 class TestLogTicks:
-    # Decade exponents of normal floats: below 1e-307, 10.0**d is subnormal
-    # and its log10 is off by more than the tick search forgives.
-    LOWEST, HIGHEST = -307, 308
+    # Every decade exponent of the floats, the subnormal ones included.
+    LOWEST, HIGHEST = -323, 308
 
     def spans(self):
         rng = random.Random(5)
@@ -102,6 +101,16 @@ class TestLogTicks:
     def test_whole_float_range(self):
         want = [10.0**d for d in range(-300, 301, 100)]
         assert _log_ticks(5e-324, sys.float_info.max) == want
+
+    @pytest.mark.parametrize("lo,hi,want", [
+        (1e-322, 1e-320, [1e-322, 1e-321, 1e-320]),
+        (1e-323, 1e-322, [1e-323, 1e-322]),
+    ])
+    def test_subnormal_end_decades_are_ticks(self, lo, hi, want):
+        # math.log10(10.0**-320) is -320.0000048 and math.log10(1e-322) is
+        # -322.0052: a subnormal decade's float lies off 10^d by more than
+        # 1e-9 in log10, and is a tick all the same.
+        assert _log_ticks(lo, hi) == want
 
     def test_no_decade_inside_keeps_the_ends(self):
         assert _log_ticks(2.0, 3.0) == [2.0, 3.0]

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from cbpsk import mi
+from cbpsk.cocktail import CocktailParams, eb_over_n0
 from cbpsk.mi import NoiseModel, awgn_capacity, bpsk_mi
 from cbpsk.sweep import (
+    CONVENTIONAL_SCHEMES,
     RateCurve,
     SweepSpec,
     cocktail_gain_curves,
@@ -20,6 +22,10 @@ from cbpsk.sweep import (
 )
 
 LOG2E = math.log2(math.e)
+# The figures' grid, perfbench's reference grid, and a log grid over every
+# rho whose reference noise variance 1 / rho is finite.
+REFERENCE_GRID = log_grid(1e-3, 1e2, 60)
+WIDE_GRID = log_grid(5.6e-309, 1.7e308, 300)
 
 
 def by_label(curves):
@@ -345,6 +351,73 @@ class TestCocktailCurves:
             for rho, (x, total), (gx, g) in zip(spec.snr_grid, rates[f"cocktail r={ratio:g}"].rows, gain.rows):
                 assert gx == x
                 assert g == total - awgn_capacity(rho)
+
+
+class TestCurvesAreScalarRates:
+    # A scheme curve is one kernel call over its grid, not a scheme_rate
+    # call per point; every row keeps scheme_rate's bits all the same.
+    @pytest.mark.parametrize("grid,axis", [
+        pytest.param(REFERENCE_GRID, "linear_snr", id="reference-linear"),
+        pytest.param(REFERENCE_GRID, "eb_n0_db", id="reference-ebn0"),
+        pytest.param(WIDE_GRID, "linear_snr", id="wide-linear"),
+    ])
+    def test_rows_are_scheme_rate_to_the_bit(self, grid, axis):
+        spec = SweepSpec(snr_grid=grid, ratios=(3.5,), axis_mode=axis)
+        curves = modulation_rate_curves(spec) + cocktail_rate_curves(spec)[:2]
+        assert [c.label for c in curves] == [*CONVENTIONAL_SCHEMES, "capacity", "bpsk"]
+        for curve in curves:
+            want = [scheme_rate(curve.label, rho) for rho in grid]
+            assert [y.hex() for y in curve.ys] == [w.hex() for w in want], curve.label
+            if axis == "linear_snr":
+                assert curve.xs == grid
+            else:
+                xs = [(10.0 * math.log10(rho / w)).hex() for rho, w in zip(grid, want)]
+                assert [x.hex() for x in curve.xs] == xs, curve.label
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "4ask", "qpsk", "8psk"])
+    def test_point_below_the_grid_raises_scheme_rates_error(self, scheme):
+        # 1 / 5.5e-309 overflows; 1 / 5.6e-309, the wide grid's start, does not.
+        message = "snr_linear is too small for a finite noise variance, got 5.5e-309"
+        with pytest.raises(ValueError) as scalar:
+            scheme_rate(scheme, 5.5e-309)
+        with pytest.raises(ValueError) as curve:
+            modulation_rate_curves(SweepSpec(snr_grid=(5.5e-309, 5.6e-309, 1.0), schemes=(scheme,)))
+        assert str(scalar.value) == str(curve.value) == message
+
+    def test_point_below_the_grid_raises_in_the_cocktail_reference_rows(self):
+        message = "snr_linear is too small for a finite noise variance, got 5.5e-309"
+        with pytest.raises(ValueError) as curve:
+            cocktail_rate_curves(SweepSpec(snr_grid=(5.5e-309, 1.0), ratios=(3.5,), schemes=("capacity", "bpsk")))
+        assert str(curve.value) == message
+
+
+class TestEbN0BelowTheNormalFloats:
+    # Where a rate is below the smallest normal float it has lost digits,
+    # or is 0, and rho / rate with it; the point is on its low-SNR series,
+    # whose Eb/N0 is the limit to every digit.
+    LN2_DB = 10.0 * math.log10(math.log(2.0))
+
+    def test_cocktail_and_capacity_take_their_limits(self):
+        spec = SweepSpec(snr_grid=(1e-320,), ratios=(3.5,), schemes=("capacity",), axis_mode="eb_n0_db")
+        curves = by_label(cocktail_rate_curves(spec))
+        limit = 10.0 * math.log10(eb_over_n0(CocktailParams.from_ratio(3.5, 1e-320), NoiseModel(1.0)))
+        assert curves["cocktail r=3.5"].xs == (limit,) and round(limit, 9) == -3.410181269
+        assert curves["capacity"].xs == (self.LN2_DB,) and round(self.LN2_DB, 11) == -1.59174538955
+        assert cocktail_gain_curves(spec)[0].xs == (limit,)
+
+    @pytest.mark.parametrize("rho", [5.6e-309, 1e-308, 1.5e-308])
+    def test_schemes_with_a_subnormal_rate_take_ln_2(self, rho):
+        spec = SweepSpec(snr_grid=(rho,), axis_mode="eb_n0_db")
+        for curve in modulation_rate_curves(spec):
+            assert curve.ys[0] < sys.float_info.min and curve.xs == (self.LN2_DB,), curve.label
+
+    def test_normal_rates_tend_to_the_limits(self):
+        spec = SweepSpec(snr_grid=(1e-300,), ratios=(3.5,), axis_mode="eb_n0_db")
+        limit = 10.0 * math.log10(eb_over_n0(CocktailParams.from_ratio(3.5, 1e-320), NoiseModel(1.0)))
+        for curve in modulation_rate_curves(spec) + cocktail_rate_curves(spec):
+            assert curve.ys[0] >= sys.float_info.min
+            want = limit if curve.label.startswith("cocktail") else self.LN2_DB
+            assert curve.xs[0] == pytest.approx(want, abs=1e-12), curve.label
 
 
 class TestTable:

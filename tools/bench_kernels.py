@@ -23,6 +23,13 @@ median over passes of each one's pass time divided by the grid size, in
 microseconds, and ``call_bits`` the sha256 of its results' ``float.hex``
 (r1, r2 and total for ``adr_breakdown``, the total for ``cocktail_point``).
 
+Last, the record times one whole curve call, as the capacity-comparison
+figure makes it: ``modulation_rate_curves`` of all five schemes (capacity,
+bpsk, qpsk, 4ask, 8psk) on the same grid and the Eb/N0 axis, in the same
+passes. ``curve_ms`` holds the median over passes of that call's time in
+milliseconds, and ``curve_bits`` the sha256 of the ``float.hex`` of every
+row's x and y, curve by curve.
+
 Each run appends one record, under ``--label``, to the JSON file named by
 ``--output``. Times are raw seconds, which follow the speed of a shared
 host, so to set two source trees side by side, alternate runs:
@@ -55,6 +62,7 @@ ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference" / "modcurves.json"
 SCHEMES = ("bpsk", "4ask", "qpsk", "8psk")
 CALLS = ("bpsk_mi", "adr_breakdown", "cocktail_point")
+CURVES = "modulation_rate_curves"
 PASSES = 15
 
 
@@ -66,12 +74,13 @@ def _grid(reference: dict, points: int) -> list:
 
 def measure(points: int) -> dict:
     """One record: per-point times in ms, deviations in bits and digests per
-    scheme, and per-call times in us and digests per scalar call."""
+    scheme, per-call times in us and digests per scalar call, and the time
+    in ms and digest of the five-scheme curve call."""
     import numpy as np
 
     from cbpsk.cocktail import CocktailParams, adr_breakdown
     from cbpsk.mi import NoiseModel, bpsk_mi
-    from cbpsk.sweep import scheme_rate
+    from cbpsk.sweep import CONVENTIONAL_SCHEMES, SweepSpec, modulation_rate_curves, scheme_rate
 
     with open(REFERENCE) as fh:
         reference = json.load(fh)
@@ -86,7 +95,9 @@ def measure(points: int) -> dict:
         x for b in (adr_breakdown(p, noise) for p in params) for x in (b.r1, b.r2, b.total)
     ]
     runs["cocktail_point"] = lambda: [adr_breakdown(CocktailParams.from_ratio(3.5, rho), noise).total for rho in grid]
-    names = SCHEMES + CALLS
+    spec = SweepSpec(snr_grid=tuple(grid), schemes=CONVENTIONAL_SCHEMES, axis_mode="eb_n0_db")
+    runs[CURVES] = lambda: [v for c in modulation_rate_curves(spec) for row in c.rows for v in row]
+    names = SCHEMES + CALLS + (CURVES,)
 
     rates = {name: run() for name, run in runs.items()}  # the warm-up pass
     times = {name: [] for name in names}
@@ -109,6 +120,8 @@ def measure(points: int) -> dict:
         "bits": {s: digest(s) for s in SCHEMES},
         "per_call_us": {c: statistics.median(times[c]) * 1e6 for c in CALLS},
         "call_bits": {c: digest(c) for c in CALLS},
+        "curve_ms": statistics.median(times[CURVES]) * len(grid) * 1e3,
+        "curve_bits": digest(CURVES),
         "host": {
             "machine": platform.machine(),
             "system": platform.system(),
@@ -138,7 +151,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=1) + "\n")
     cells = "  ".join(f"{s} {record['per_point_ms'][s]:.4f} ms" for s in SCHEMES)
     calls = "  ".join(f"{c} {record['per_call_us'][c]:.2f} us" for c in CALLS)
-    print(f"{args.label}: {cells}  {calls}  max dev {max(record['max_dev_bits'].values()):.2e} bits")
+    curve = f"{CURVES} {record['curve_ms']:.3f} ms"
+    print(f"{args.label}: {cells}  {calls}  {curve}  max dev {max(record['max_dev_bits'].values()):.2e} bits")
     return 0
 
 
