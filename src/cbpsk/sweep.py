@@ -8,10 +8,12 @@ value rho is both the linear SNR and the mean symbol energy. Axis modes:
 and where the rate is below the smallest normal float, the low-SNR limit
 of that quotient.
 
-A conventional scheme's curve is one call of the rate kernel over the
-whole grid, which reads the alphabet's plan once; each row keeps the bits
-of :func:`scheme_rate` at its point. A cocktail curve is built point by
-point.
+One row builder, ``_rows``, forms the rows of every scheme and cocktail
+curve from its rates. A conventional scheme's rates are one call of the
+rate kernel over the whole grid, which reads the alphabet's plan once, and
+:func:`scheme_rate` is the one-point case of that call, so each row keeps
+the bits of :func:`scheme_rate` at its point. A cocktail curve's totals
+are computed point by point.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .mi import (
     _integer,
     _real,
     awgn_capacity,
-    constellation_mi,
 )
 
 __all__ = [
@@ -184,29 +185,38 @@ def _distinct(ratios: tuple) -> bool:
 
 
 def scheme_rate(scheme: str, snr_linear: float) -> float:
-    """Rate, in bits/sec/Hz, of one conventional scheme at symbol SNR rho.
+    """Rate, in bits/sec/Hz, of one conventional scheme at symbol SNR rho:
+    the one-point curve, :func:`_scheme_rates` at rho alone.
 
     The symbol energy is rho on the reference channel, so the unit-energy
     alphabet is evaluated as declared at total noise power 1/rho, 1/(2 rho)
     on each real dimension. At subnormal rho (below about 5.6e-309) the
     noise variance overflows, and ``ValueError`` is raised.
     """
-    snr_linear = _real("snr_linear", snr_linear, at_least=0.0)
+    return _scheme_rates(scheme, (_real("snr_linear", snr_linear, at_least=0.0),))[0]
+
+
+def _scheme_rates(scheme: str, grid) -> list:
+    """The rates of ``scheme`` at each point of ``grid``, checked >= 0 and
+    ascending: capacity point by point, and any other scheme from one
+    :func:`cbpsk.mi._constellation_rates` call on the reference variances
+    1 / rho, which reads the alphabet's plan once; 0 at rho = 0, which can
+    only lead the grid. An unknown scheme, or a point whose variance
+    overflows (the first point > 0, the smallest), raises ValueError."""
     if scheme == "capacity":
-        return awgn_capacity(snr_linear)
+        return [awgn_capacity(rho) for rho in grid]
     try:
         base = _CONSTELLATIONS[scheme]
     except KeyError:
         raise ValueError(f"unknown scheme {scheme!r}; valid schemes: {CONVENTIONAL_SCHEMES}") from None
-    if snr_linear == 0.0:
-        return 0.0
-    variance = 1.0 / snr_linear
-    if math.isinf(variance):
-        raise ValueError(f"snr_linear is too small for a finite noise variance, got {snr_linear!r}")
-    return constellation_mi(base, NoiseModel(variance))
+    variances = [1.0 / rho for rho in grid if rho]
+    zeros = len(grid) - len(variances)
+    if variances and math.isinf(variances[0]):
+        raise ValueError(f"snr_linear is too small for a finite noise variance, got {grid[zeros]!r}")
+    return [0.0] * zeros + _constellation_rates(base, variances)
 
 
-def _axis_value(axis_mode: str, rho: float, rate: float, params: CocktailParams | None = None) -> float:
+def _axis_value(axis_mode: str, rho: float, rate: float, params: CocktailParams | None) -> float:
     """The abscissa of a row of rate ``rate`` at grid point ``rho``; on the
     Eb/N0 axis, ``params`` names a cocktail point's amplitudes, and None a
     conventional scheme or capacity."""
@@ -221,20 +231,17 @@ def _axis_value(axis_mode: str, rho: float, rate: float, params: CocktailParams 
     return 10.0 * math.log10(rho / rate)
 
 
+def _rows(spec: SweepSpec, rates, params=None) -> list:
+    """The one row builder: the (axis value, rate) rows of ``rates`` over
+    the grid of ``spec``. ``params`` holds a cocktail curve's amplitudes at
+    each point, and None marks a conventional scheme or capacity."""
+    params = params or [None] * len(rates)
+    return [(_axis_value(spec.axis_mode, rho, rate, p), rate) for rho, rate, p in zip(spec.snr_grid, rates, params)]
+
+
 def _scheme_curve(scheme: str, spec: SweepSpec) -> RateCurve:
-    """The curve of ``scheme``, each row's rate :func:`scheme_rate` at its
-    grid point to the bit. The grid's points are checked > 0 and ascending,
-    so a curve is one :func:`cbpsk.mi._constellation_rates` call on the
-    reference variances 1 / rho, or capacity point by point; where the first
-    point's variance overflows, the scalar path raises its own error."""
-    grid = spec.snr_grid
-    if scheme == "capacity":
-        rates = [awgn_capacity(rho) for rho in grid]
-    elif math.isinf(1.0 / grid[0]):
-        rates = [scheme_rate(scheme, rho) for rho in grid]
-    else:
-        rates = _constellation_rates(_CONSTELLATIONS[scheme], [1.0 / rho for rho in grid])
-    return RateCurve(scheme, [(_axis_value(spec.axis_mode, rho, rate), rate) for rho, rate in zip(grid, rates)])
+    """The curve of ``scheme`` over the grid of ``spec``."""
+    return RateCurve(scheme, _rows(spec, _scheme_rates(scheme, spec.snr_grid)))
 
 
 def modulation_rate_curves(spec: SweepSpec) -> list:
@@ -242,22 +249,18 @@ def modulation_rate_curves(spec: SweepSpec) -> list:
     return [_scheme_curve(s, spec) for s in spec.schemes]
 
 
-def _cocktail_row(ratio: float, rho: float, axis_mode: str) -> tuple:
-    # Same mean input energy as the comparison schemes: E_in = rho * noise.
-    # adr_breakdown is looked up in the module's globals at each call, so
-    # a wrapper swapped onto that attribute sees every point.
-    params = CocktailParams.from_ratio(ratio, rho * _TOTAL_NOISE)
-    total = adr_breakdown(params, _REFERENCE_NOISE).total
-    return _axis_value(axis_mode, rho, total, params), total
-
-
 def _cocktail_curves(spec: SweepSpec) -> list:
     if not spec.ratios:
         raise ValueError("ratios must be nonempty")
-    return [
-        RateCurve(f"cocktail r={r:.12g}", [_cocktail_row(r, rho, spec.axis_mode) for rho in spec.snr_grid])
-        for r in spec.ratios
-    ]
+    curves = []
+    for r in spec.ratios:
+        # Same mean input energy as the comparison schemes: E_in = rho * noise.
+        params = [CocktailParams.from_ratio(r, rho * _TOTAL_NOISE) for rho in spec.snr_grid]
+        # adr_breakdown is looked up in the module's globals at each call, so
+        # a wrapper swapped onto that attribute sees every point.
+        totals = [adr_breakdown(p, _REFERENCE_NOISE).total for p in params]
+        curves.append(RateCurve(f"cocktail r={r:.12g}", _rows(spec, totals, params)))
+    return curves
 
 
 def cocktail_rate_curves(spec: SweepSpec) -> list:

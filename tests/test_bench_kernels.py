@@ -6,7 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cbpsk.sweep import CONVENTIONAL_SCHEMES, SweepSpec, modulation_rate_curves
+from cbpsk.sweep import (
+    CONVENTIONAL_SCHEMES,
+    DEFAULT_RATIOS,
+    SweepSpec,
+    cocktail_gain_curves,
+    cocktail_rate_curves,
+    modulation_rate_curves,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "tools" / "bench_kernels.py"
@@ -27,7 +34,7 @@ def test_three_point_runs_append_their_records(tmp_path):
     record = doc["runs"]["change"][0]
     assert set(record) == {
         "grid", "passes", "per_point_ms", "max_dev_bits", "bits", "per_call_us", "call_bits", "curve_ms",
-        "curve_bits", "host",
+        "curve_bits", "cocktail_ms", "cocktail_bits", "host",
     }
     assert record["grid"] == {"start": 1e-3, "stop": 1e2, "points": 3} and record["passes"] == 15
     assert set(record["per_point_ms"]) == set(record["max_dev_bits"]) == set(record["bits"]) == SCHEMES
@@ -36,9 +43,11 @@ def test_three_point_runs_append_their_records(tmp_path):
     assert record["bits"] == doc["runs"]["parent"][0]["bits"]
     assert record["call_bits"] == doc["runs"]["parent"][0]["call_bits"]
     assert record["curve_bits"] == doc["runs"]["parent"][0]["curve_bits"]
-    digests = [*record["bits"].values(), *record["call_bits"].values(), record["curve_bits"]]
+    assert record["cocktail_bits"] == doc["runs"]["parent"][0]["cocktail_bits"]
+    digests = [*record["bits"].values(), *record["call_bits"].values(), record["curve_bits"], record["cocktail_bits"]]
     assert all(len(digest) == 64 for digest in digests)
-    times = [*record["per_point_ms"].values(), *record["per_call_us"].values(), record["curve_ms"]]
+    times = [*record["per_point_ms"].values(), *record["per_call_us"].values()]
+    times += [record["curve_ms"], record["cocktail_ms"]]
     assert all(t > 0.0 for t in times)
     # The curve digest is that of the five-scheme figure's rows, x and y,
     # on the three points of the reference grid that --points 3 keeps.
@@ -46,6 +55,12 @@ def test_three_point_runs_append_their_records(tmp_path):
     curves = modulation_rate_curves(SweepSpec(snr_grid=grid, schemes=CONVENTIONAL_SCHEMES, axis_mode="eb_n0_db"))
     hexes = " ".join(v.hex() for c in curves for row in c.rows for v in row)
     assert record["curve_bits"] == hashlib.sha256(hexes.encode()).hexdigest()
+    # The cocktail digest is that of the cocktail figure's rate rows and
+    # then its gain rows, on the same three points.
+    figure = SweepSpec(snr_grid=grid, ratios=DEFAULT_RATIOS, schemes=("capacity", "bpsk"), axis_mode="eb_n0_db")
+    curves = cocktail_rate_curves(figure) + cocktail_gain_curves(figure)
+    hexes = " ".join(v.hex() for c in curves for row in c.rows for v in row)
+    assert record["cocktail_bits"] == hashlib.sha256(hexes.encode()).hexdigest()
     # The reference rows are this kernel's rates to rounding; a moved rate shows here.
     assert all(0.0 <= d <= 1e-12 for d in record["max_dev_bits"].values())
     assert set(record["host"]) == {"machine", "system", "cpus", "python", "numpy", "blas_threads"}

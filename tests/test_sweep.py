@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cbpsk import mi
-from cbpsk.cocktail import CocktailParams, eb_over_n0
+from cbpsk.cocktail import CocktailParams, adr_breakdown, eb_over_n0
 from cbpsk.mi import NoiseModel, awgn_capacity, bpsk_mi
 from cbpsk.sweep import (
     CONVENTIONAL_SCHEMES,
@@ -383,6 +383,28 @@ class TestCurvesAreScalarRates:
         with pytest.raises(ValueError) as curve:
             modulation_rate_curves(SweepSpec(snr_grid=(5.5e-309, 5.6e-309, 1.0), schemes=(scheme,)))
         assert str(scalar.value) == str(curve.value) == message
+
+    # The linear axis over every rho with a finite reference variance; the
+    # Eb/N0 axis from 1e-12 up, led by one point whose total is subnormal.
+    @pytest.mark.parametrize("grid,axis", [
+        pytest.param(WIDE_GRID, "linear_snr", id="wide-linear"),
+        pytest.param((1e-320, *log_grid(1e-12, 1e8, 81)), "eb_n0_db", id="low-to-high-ebn0"),
+    ])
+    def test_cocktail_rows_are_scalar_totals_to_the_bit(self, grid, axis):
+        spec = SweepSpec(snr_grid=grid, ratios=(1.01, 3.5, 1e155), schemes=(), axis_mode=axis)
+        for ratio, curve, gain in zip(spec.ratios, cocktail_rate_curves(spec), cocktail_gain_curves(spec)):
+            assert curve.label == f"cocktail r={ratio:.12g}"
+            for rho, (x, y), (gx, g) in zip(grid, curve.rows, gain.rows):
+                params = CocktailParams.from_ratio(ratio, rho)
+                total = adr_breakdown(params, NoiseModel(1.0)).total
+                if axis == "linear_snr":
+                    want_x = rho
+                elif total < sys.float_info.min:
+                    want_x = 10.0 * math.log10(eb_over_n0(params, NoiseModel(1.0)))
+                else:
+                    want_x = 10.0 * math.log10(rho / total)
+                assert (x.hex(), y.hex()) == (want_x.hex(), total.hex()), (ratio, rho)
+                assert (gx.hex(), g.hex()) == (want_x.hex(), (total - awgn_capacity(rho)).hex()), (ratio, rho)
 
     def test_point_below_the_grid_raises_in_the_cocktail_reference_rows(self):
         message = "snr_linear is too small for a finite noise variance, got 5.5e-309"

@@ -28,7 +28,13 @@ figure makes it: ``modulation_rate_curves`` of all five schemes (capacity,
 bpsk, qpsk, 4ask, 8psk) on the same grid and the Eb/N0 axis, in the same
 passes. ``curve_ms`` holds the median over passes of that call's time in
 milliseconds, and ``curve_bits`` the sha256 of the ``float.hex`` of every
-row's x and y, curve by curve.
+row's x and y, curve by curve. The cocktail figure's pair is timed the same
+way: ``cocktail_rate_curves`` and then ``cocktail_gain_curves`` at the
+ratios ``DEFAULT_RATIOS`` with the capacity and bpsk reference rows, on the
+same grid and the Eb/N0 axis, as ``cbpsk cocktail --axis ebn0`` makes them.
+``cocktail_ms`` holds its median time in milliseconds, and
+``cocktail_bits`` the sha256 of every row's x and y ``float.hex``, the rate
+curves first.
 
 Each run appends one record, under ``--label``, to the JSON file named by
 ``--output``. Times are raw seconds, which follow the speed of a shared
@@ -63,6 +69,7 @@ REFERENCE = ROOT / "perfbench" / "reference" / "modcurves.json"
 SCHEMES = ("bpsk", "4ask", "qpsk", "8psk")
 CALLS = ("bpsk_mi", "adr_breakdown", "cocktail_point")
 CURVES = "modulation_rate_curves"
+COCKTAIL = "cocktail_figure"
 PASSES = 15
 
 
@@ -75,12 +82,21 @@ def _grid(reference: dict, points: int) -> list:
 def measure(points: int) -> dict:
     """One record: per-point times in ms, deviations in bits and digests per
     scheme, per-call times in us and digests per scalar call, and the time
-    in ms and digest of the five-scheme curve call."""
+    in ms and digest of the five-scheme curve call and of the cocktail
+    figure's pair."""
     import numpy as np
 
     from cbpsk.cocktail import CocktailParams, adr_breakdown
     from cbpsk.mi import NoiseModel, bpsk_mi
-    from cbpsk.sweep import CONVENTIONAL_SCHEMES, SweepSpec, modulation_rate_curves, scheme_rate
+    from cbpsk.sweep import (
+        CONVENTIONAL_SCHEMES,
+        DEFAULT_RATIOS,
+        SweepSpec,
+        cocktail_gain_curves,
+        cocktail_rate_curves,
+        modulation_rate_curves,
+        scheme_rate,
+    )
 
     with open(REFERENCE) as fh:
         reference = json.load(fh)
@@ -97,7 +113,11 @@ def measure(points: int) -> dict:
     runs["cocktail_point"] = lambda: [adr_breakdown(CocktailParams.from_ratio(3.5, rho), noise).total for rho in grid]
     spec = SweepSpec(snr_grid=tuple(grid), schemes=CONVENTIONAL_SCHEMES, axis_mode="eb_n0_db")
     runs[CURVES] = lambda: [v for c in modulation_rate_curves(spec) for row in c.rows for v in row]
-    names = SCHEMES + CALLS + (CURVES,)
+    figure = SweepSpec(snr_grid=tuple(grid), ratios=DEFAULT_RATIOS, schemes=("capacity", "bpsk"), axis_mode="eb_n0_db")
+    runs[COCKTAIL] = lambda: [
+        v for c in cocktail_rate_curves(figure) + cocktail_gain_curves(figure) for row in c.rows for v in row
+    ]
+    names = SCHEMES + CALLS + (CURVES, COCKTAIL)
 
     rates = {name: run() for name, run in runs.items()}  # the warm-up pass
     times = {name: [] for name in names}
@@ -122,6 +142,8 @@ def measure(points: int) -> dict:
         "call_bits": {c: digest(c) for c in CALLS},
         "curve_ms": statistics.median(times[CURVES]) * len(grid) * 1e3,
         "curve_bits": digest(CURVES),
+        "cocktail_ms": statistics.median(times[COCKTAIL]) * len(grid) * 1e3,
+        "cocktail_bits": digest(COCKTAIL),
         "host": {
             "machine": platform.machine(),
             "system": platform.system(),
@@ -151,7 +173,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=1) + "\n")
     cells = "  ".join(f"{s} {record['per_point_ms'][s]:.4f} ms" for s in SCHEMES)
     calls = "  ".join(f"{c} {record['per_call_us'][c]:.2f} us" for c in CALLS)
-    curve = f"{CURVES} {record['curve_ms']:.3f} ms"
+    curve = f"{CURVES} {record['curve_ms']:.3f} ms  cocktail {record['cocktail_ms']:.3f} ms"
     print(f"{args.label}: {cells}  {calls}  {curve}  max dev {max(record['max_dev_bits'].values()):.2e} bits")
     return 0
 
