@@ -18,7 +18,9 @@ dimension, runs of consecutive classes that share a folded rule within a
 fixed buffer budget, and one matrix product forms each pass's exponents,
 the constant term -|m_k - m_j|^2 / 2v included: the rule carries a row of
 ones beside its node coordinates, so the product is affine in the node.
-A 2-D alphabet that is an axis-aligned product, QPSK or any square QAM,
+A 1-D pass of two points of prior 1/2 forms the one exponent that is not
+0 and runs the antipodal integrand of :func:`bpsk_mi` on it, to the same
+bits. A 2-D alphabet that is an axis-aligned product, QPSK or any square QAM,
 is two independent channels over isotropic noise, so its plan holds the
 1-D passes of its factors, and its rate is their sum.
 
@@ -630,7 +632,8 @@ def _rate_nats(plan: _Plan, var: float, order: int) -> float:
     would send the argument to -1 when a component of tiny prior dominates,
     and log1p would return -inf. For uniform priors ln(p_j / p_max) is 0 and
     c is the row maximum, which needs no second buffer. For two equiprobable
-    points L_k is the f(u) of :func:`bpsk_mi` with c = max(0, u).
+    points L_k is the f(u) of :func:`bpsk_mi` with c = max(0, u), and the
+    kernel runs it as such (below).
 
     Components in one orbit of the alphabet's isometries have equal terms
     (:func:`_symmetry_classes`), so one representative per orbit is
@@ -678,6 +681,20 @@ def _rate_nats(plan: _Plan, var: float, order: int) -> float:
     entry; a 2-D pass is one class. The maxima are exact in any order, and each
     p @ u row is the same vector-matrix product.
 
+    A 1-D pass of two components whose priors are both exactly 1/2, as
+    BPSK's and QPSK's rail are, skips that block. Per class it forms the
+    other point's exponent u = (D scale) t + |D|^2 / (-2v) on row 0 of the
+    rule, one product and one sum, and hands it to
+    :func:`_antipodal_mean`, the body :func:`bpsk_mi` runs on its own u.
+    That keeps the general pass's bits on any BLAS, for two reasons. With
+    the ones row, the product's entry is D scale times t rounded, then
+    |D|^2 / (-2v) added and rounded, with or without FMA; the own row's
+    exponent is +-0. With p = 1/2 each prior product is exact, and one of
+    the two terms is the own row's +-0, so p @ expm1(u - c) is exactly
+    expm1(-|u|) / 2, and the row maximum c is max(u, 0). Equal priors that
+    are not exactly 1/2 (a pair may sum to 1 within 1e-12) keep the
+    block, since their prior product rounds.
+
     The rule is the pruned one of :func:`_unit_rule`, so the (components x
     nodes) work buffers are a fifth of the full rule's in 2-D, and a tenth
     once folded; the a-priori bound on what the dropped nodes carry, 2e-25
@@ -697,6 +714,14 @@ def _rate_nats(plan: _Plan, var: float, order: int) -> float:
     rate = 0.0
     for maps, class_weights, delta, sq, pri, log_ratio in plan.passes:
         nodes, weights = _unit_rule(order, delta.shape[2], maps)
+        if len(pri) == 2 and delta.shape[2] == 1 and log_ratio is None and pri[0] == 0.5:
+            # Two points of prior 1/2. A class's own row has offset 0, so
+            # each sum below is the other point's offset or squared length.
+            for weight, ((d0,), (d1,)), ((s0,), (s1,)) in zip(class_weights, delta.tolist(), sq.tolist()):
+                u = np.multiply(nodes[0], (d0 + d1) * scale)
+                np.add(u, (s0 + s1) / (-2.0 * var), u)
+                rate -= weight * _antipodal_mean(u, weights)
+            continue
         # Fresh buffers per pass: a pass's rule size is its own. Rows index
         # j, so each reduction over j combines whole contiguous rows.
         u = np.matmul(np.concatenate((delta * scale, sq / (-2.0 * var)), axis=2), nodes)
@@ -993,6 +1018,24 @@ _MINUS_ONE = np.array(-1.0)
 _ZERO.flags.writeable = _TWO.flags.writeable = _MINUS_ONE.flags.writeable = False
 
 
+def _antipodal_mean(u: np.ndarray, weights: np.ndarray) -> float:
+    """sum_i w_i f(u_i), in nats, with f(u) = log1p(expm1(u) / 2) =
+    max(u, 0) + log1p(expm1(-|u|) / 2): the mean of L_k over the rule for
+    two equiprobable points, u the exponent of the other point at each node
+    (:func:`_rate_nats`). The one body of the antipodal integrand, for
+    :func:`bpsk_mi` and the kernel's two-point passes; it writes over ``u``.
+    Each numpy call writes into ``u`` or one more buffer, in the order and
+    with the operands written above; -|u| is one copysign, which gives the
+    bits of abs then negate."""
+    f = np.copysign(u, _MINUS_ONE)  # -|u|, to the bit
+    np.expm1(f, f)
+    np.divide(f, _TWO, f)
+    np.log1p(f, f)
+    np.maximum(u, _ZERO, out=u)  # numpy deprecates a positional out here
+    np.add(u, f, u)
+    return float(weights.dot(u))  # the method skips np.dot's dispatch
+
+
 def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> float:
     """Mutual information, in bits, of antipodal signaling {+A, -A} with
     equal priors over one real dimension of the channel, whose noise
@@ -1010,15 +1053,16 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
         f(u) = log1p(expm1(u) / 2) = max(u, 0) + log1p(expm1(-|u|) / 2).
 
     This is :func:`_rate_nats` on {+A, -A}, where L_k = f(u) with the shift
-    c = max(0, u), written out for its cost: sqrt(2) t is kept per order,
-    and u and f are formed in two per-call buffers, each numpy call writing
-    into one of them, in the order and with the operands written above;
-    -|u| is one copysign, which gives the bits of abs then negate.
-    A call costs 5.3 us against 13 us through :func:`constellation_mi` once
-    the alphabet's kernel plan is built, and 98 us on a fresh
-    :class:`Constellation`, whose first call builds it (best of 60 batches
-    of 100 calls in one process, A = 0.7, v = 0.5, one BLAS thread, 2-vCPU
-    x86_64). No two entropies cancel, so the rate keeps its relative
+    c = max(0, u), with its u formed as written above on sqrt(2) t, kept per
+    order. Both take f and its weighted sum from one body,
+    :func:`_antipodal_mean`; the kernel's two-point pass forms u from the
+    plan's offsets instead. A call costs 5.9-6.0 us, and a bpsk point of
+    :func:`cbpsk.sweep.scheme_rate`, which runs that pass on the built plan,
+    8.9-9.7 us, against 13.2-13.4 us on the general pass (medians of 15
+    passes over the 60-point grid 1e-3..1e2 of ``tools/bench_kernels.py``,
+    records ``two_point_pass`` and ``general_two_point`` of
+    ``BENCH_kernels.json``, one BLAS thread, 2-vCPU x86_64). No two
+    entropies cancel, so the rate keeps its relative
     accuracy at low SNR, where
     I = (s/2 - s^2/4 + s^3/6 - ...) / ln 2 with s = q^2 (within 1e-12
     relative down to s = 1e-8). Below that the quadrature would lose about
@@ -1047,13 +1091,7 @@ def bpsk_mi(amplitude: float, noise: NoiseModel, order: int = _MAX_ORDER) -> flo
     root2_t, w = _antipodal_rule(order)
     u = np.add(root2_t, q)
     np.multiply(u, -2.0 * q, u)
-    f = np.copysign(u, _MINUS_ONE)  # -|u|, to the bit
-    np.expm1(f, f)
-    np.divide(f, _TWO, f)
-    np.log1p(f, f)
-    np.maximum(u, _ZERO, out=u)  # numpy deprecates a positional out here
-    np.add(u, f, u)
-    return min(1.0, max(0.0, -float(w.dot(u)) / _LN2))  # the method skips np.dot's dispatch
+    return min(1.0, max(0.0, -_antipodal_mean(u, w) / _LN2))
 
 
 def constellation_mi(c: Constellation, noise: NoiseModel, order: int | None = None) -> float:

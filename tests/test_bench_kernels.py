@@ -63,5 +63,16 @@ def test_three_point_runs_append_their_records(tmp_path):
     assert record["cocktail_bits"] == hashlib.sha256(hexes.encode()).hexdigest()
     # The reference rows are this kernel's rates to rounding; a moved rate shows here.
     assert all(0.0 <= d <= 1e-12 for d in record["max_dev_bits"].values())
-    assert set(record["host"]) == {"machine", "system", "cpus", "python", "numpy", "blas_threads"}
+    assert set(record["host"]) == {"machine", "system", "cpus", "python", "numpy", "blas_threads", "blas_core", "simd"}
     assert record["host"]["blas_threads"] == "1"
+    # The host profile: the OpenBLAS core by name where numpy bundles
+    # scipy-openblas, and the CPU features numpy has enabled, as this
+    # process's numpy reads them, sorted.
+    core = record["host"]["blas_core"]
+    assert core is None or (isinstance(core, str) and core)
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    assert record["host"]["simd"] == sorted(name for name, on in umath.__cpu_features__.items() if on)
+    assert record["host"] == doc["runs"]["parent"][0]["host"]

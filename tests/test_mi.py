@@ -1695,3 +1695,76 @@ class TestAffineExponent:
                     if not np.array_equal(got.view(np.int64), want.view(np.int64)):
                         moved.append((order, maps, var))
         assert not moved, f"{len(moved)} passes moved, first {moved[:3]}"
+
+
+# Alphabets of two points of prior 1/2 each, which _rate_nats runs as a
+# two-point pass, and alphabets of two points that keep the general pass.
+TWO_POINT_ALPHABETS = {
+    "bpsk": Constellation.bpsk,
+    "qpsk": Constellation.qpsk,
+    "shifted": lambda: Constellation((1e3, 1e3 + 1.0)),
+    "tiny": lambda: Constellation((0.3 * 2.0**-532, 1.7 * 2.0**-532)),
+    "huge": lambda: Constellation((1e150, 3e150)),
+    # One ulp apart: the centroid's rounding exceeds the symmetry tolerance,
+    # so each point is its own class, and the pass holds two.
+    "adjacent": lambda: Constellation((1.0, 1.0 + 2.0**-52)),
+}
+GENERAL_PAIRS = {
+    "unequal-priors": lambda: Constellation((-1.0, 1.0), (0.3, 0.7)),
+    # Equal priors within the 1e-12 that priors may miss 1 by: their prior
+    # products round, so p @ expm1(u - c) is not expm1(-|u|) / 2.
+    "equal-not-half": lambda: Constellation((-1.0, 1.0), (0.5 - 4e-14, 0.5 - 4e-14)),
+    "2d-diagonal": lambda: Constellation(((0.0, 0.0), (1.0, 1.0))),
+}
+
+
+class TestTwoPointPass:
+    """A 1-D pass of two components of prior 1/2 runs bpsk_mi's chain on
+    the other point's exponent instead of the general block. Its bits are
+    the general pass's: the ones row adds |D|^2 / (-2v) after the product
+    is rounded, and with p = 1/2 and the own row's exponent +-0 the prior
+    product is exactly expm1(-|u|) / 2 and the row maximum max(u, 0)."""
+
+    ORDERS = sorted(set(mi._LADDER[1]) | {8, 33, 100, 256})
+    # Unit variances per dimension over 18 decades, and the kernel's floor.
+    VARIANCES = np.geomspace(1e-9, 1e9, 37).tolist() + [mi._UNIT_VAR_FLOOR]
+
+    @staticmethod
+    def spy_pairs(monkeypatch):
+        """The number of _antipodal_mean calls from here on, in a list."""
+        calls = [0]
+        antipodal_mean = mi._antipodal_mean
+
+        def spy(u, weights):
+            calls[0] += 1
+            return antipodal_mean(u, weights)
+
+        monkeypatch.setattr(mi, "_antipodal_mean", spy)
+        return calls
+
+    def moved(self, plan):
+        return [
+            (order, var)
+            for order in self.ORDERS
+            for var in self.VARIANCES
+            if mi._rate_nats(plan, var, order).hex() != unstacked_rate_nats(plan, var, order).hex()
+        ]
+
+    @pytest.mark.parametrize("name", sorted(TWO_POINT_ALPHABETS))
+    def test_two_point_pass_keeps_the_general_bits(self, name, monkeypatch):
+        plan = TWO_POINT_ALPHABETS[name]()._plan
+        (shape,) = [p.delta.shape for p in plan.passes]
+        assert shape == ((2, 2, 1) if name == "adjacent" else (1, 2, 1))
+        assert mi._LADDER[1][-1] == mi._MAX_ORDER == 256
+        calls = self.spy_pairs(monkeypatch)
+        moved = self.moved(plan)
+        assert calls[0] == shape[0] * len(self.ORDERS) * len(self.VARIANCES)
+        assert not moved, f"{len(moved)} rates moved, first {moved[:3]}"
+
+    @pytest.mark.parametrize("name", sorted(GENERAL_PAIRS))
+    def test_other_pairs_keep_the_general_pass(self, name, monkeypatch):
+        plan = GENERAL_PAIRS[name]()._plan
+        calls = self.spy_pairs(monkeypatch)
+        moved = self.moved(plan)
+        assert calls[0] == 0
+        assert not moved, f"{len(moved)} rates moved, first {moved[:3]}"

@@ -36,6 +36,12 @@ same grid and the Eb/N0 axis, as ``cbpsk cocktail --axis ebn0`` makes them.
 ``cocktail_bits`` the sha256 of every row's x and y ``float.hex``, the rate
 curves first.
 
+Its ``host`` block names the host, and with it what besides the source
+picks a rate's bits: the core of numpy's bundled OpenBLAS (``blas_core``,
+null where the symbol that names it is absent) and the CPU features numpy
+dispatches its loops on (``simd``). So a digest that differs on another
+host can be told from a regression.
+
 Each run appends one record, under ``--label``, to the JSON file named by
 ``--output``. Times are raw seconds, which follow the speed of a shared
 host, so to set two source trees side by side, alternate runs:
@@ -151,8 +157,31 @@ def measure(points: int) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+            **_kernel_profile(),
         },
     }
+
+
+def _kernel_profile() -> dict:
+    """What picks the bits of a rate on this host besides the source: the
+    core of numpy's bundled OpenBLAS that runs its matrix products and
+    dots (``blas_core``, None where numpy bundles no scipy-openblas), and
+    the CPU features numpy dispatches its loops on (``simd``, sorted)."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        # The extension's handle finds symbols in the libraries it links.
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        core = None
+    else:
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return {"blas_core": core, "simd": sorted(name for name, on in umath.__cpu_features__.items() if on)}
 
 
 def main(argv=None) -> int:
