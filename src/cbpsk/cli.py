@@ -38,7 +38,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .cocktail import CocktailParams, eb_over_n0, energy_report
+from .cocktail import CocktailParams, _low_snr_eb_over_n0, eb_over_n0
 from .linksim import SimConfig, _available_cores, run_link
 from .mi import Constellation, NoiseModel, _integer, _real, awgn_capacity, constellation_mi, low_snr_capacity
 from .sweep import (
@@ -227,9 +227,8 @@ def cmd_limit(args) -> list:
     lines = []
     for r in ratios:
         params = CocktailParams.from_ratio(r, 1e-4)
-        rep = energy_report(params)
         measured_db = 10.0 * math.log10(eb_over_n0(params, NoiseModel(1.0)))
-        closed_db = cap_limit_db - 10.0 * math.log10(rep.e_total / rep.e1)
+        closed_db = 10.0 * math.log10(_low_snr_eb_over_n0(params))
         gain_db = cap_limit_db - measured_db
         lines.append(
             f"ratio {r:.12g}: limiting Eb/N0 {measured_db:.2f} dB "

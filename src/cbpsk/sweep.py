@@ -14,6 +14,11 @@ rate kernel over the whole grid, which reads the alphabet's plan once, and
 :func:`scheme_rate` is the one-point case of that call, so each row keeps
 the bits of :func:`scheme_rate` at its point. A cocktail curve's totals
 are computed point by point.
+
+Each curve has one row per grid point, in grid order. The grid is checked
+strictly ascending, and that is the one order rule: x need not ascend. On
+the Eb/N0 axis a curve may stay flat at its low-SNR limit, or turn back
+where its least Eb/N0 lies above zero SNR.
 """
 
 from __future__ import annotations
@@ -102,20 +107,22 @@ def _entries(name: str, values) -> tuple:
 
 @dataclass(frozen=True)
 class RateCurve:
-    """A labeled list of (axis value, rate) rows, strictly ascending in axis.
+    """A labeled list of (axis value, rate) rows, in the order given.
 
     ``rows`` holds (x, y) pairs of numbers by the package's rule, stored as a
-    tuple of pairs of plain floats.
+    tuple of pairs of plain floats. Every curve the package builds has one
+    row per point of its :class:`SweepSpec` grid, in grid order, and the
+    grid is the one that must ascend: x need not. On the Eb/N0 axis x is
+    derived from the grid point and its rate, and may stay flat at its
+    low-SNR limit or turn back. A caller that needs rho per row zips
+    ``rows`` with the grid.
     """
 
     label: str
     rows: tuple
 
     def __post_init__(self) -> None:
-        rows = tuple((_real("rows", x), _real("rows", y)) for x, y in _pairs(self.rows))
-        if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
-            raise ValueError(f"curve {self.label!r}: axis values must be strictly ascending")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple((_real("rows", x), _real("rows", y)) for x, y in _pairs(self.rows)))
 
     @property
     def xs(self) -> tuple:

@@ -19,6 +19,7 @@ import pytest
 
 from cbpsk import __version__, cli
 from cbpsk.cli import EXIT_NUMERIC, EXIT_OK, grid_arg, main
+from cbpsk.sweep import cocktail_rate_curves
 
 GOLDEN_CAPACITY_CSV = (
     "curve,x,y\n"
@@ -380,6 +381,21 @@ class TestMi:
         assert out == ""
         assert "consistency check failed" in err
 
+    def test_eb_n0_axis_stays_flat_far_down_the_series(self, tmp_path, capsys):
+        # At rho 1e-20 the bpsk rate is its series rho log2 e to every digit,
+        # so each row's x = 10 log10(rho / rate) is the limit 10 log10(ln 2).
+        out_file = tmp_path / "mi.csv"
+        code, _, err = run_cli(
+            capsys, "mi", "--scheme", "bpsk", "--grid", "1e-20:1e-19:log:3", "--axis", "ebn0", "--output", str(out_file)
+        )
+        assert code == EXIT_OK, err
+        assert out_file.read_text() == (
+            "curve,x,y\n"
+            "bpsk,-1.59174538955,1.44269504089e-20\n"
+            "bpsk,-1.59174538955,4.56220229824e-20\n"
+            "bpsk,-1.59174538955,1.44269504089e-19\n"
+        )
+
     def test_default_output_name(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
         code, _, _ = run_cli(capsys, "mi", "--scheme", "4ask", "--grid", "1:2:lin:2")
@@ -449,6 +465,23 @@ class TestGridAtZero:
         assert out.splitlines()[1] == "capacity,0,0"
 
 
+def csv_xs(path) -> dict:
+    """The x column of a written curve CSV, per curve label."""
+    xs = {}
+    for row in path.read_text().splitlines()[1:]:
+        label, x, _ = row.split(",")
+        xs.setdefault(label, []).append(float(x))
+    return xs
+
+
+def assert_each_curve_ascends(xs: dict) -> None:
+    # The reference curves and the cocktail curve of the dense grids: an
+    # axis that turns back there shows a low-SNR rate that lost digits.
+    assert list(xs) == ["capacity", "bpsk", "cocktail r=3.5"]
+    for label, values in xs.items():
+        assert len(values) == 40 and all(a < b for a, b in zip(values, values[1:])), label
+
+
 class TestCocktail:
     def test_ratio_at_most_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -473,6 +506,7 @@ class TestCocktail:
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
         code, _, err = run_cli(capsys, "cocktail", "--ratio", "3.5", "--grid", "1e-6:1.01e-6:lin:40")
         assert code == EXIT_OK, err
+        assert_each_curve_ascends(csv_xs(tmp_path / "cocktail_rates.csv"))
 
     def test_dense_grid_below_1e_6_keeps_bpsk_ascending(self, tmp_path, capsys, monkeypatch):
         # 40 points 7.7e-10 apart near rho = 3e-7 move the bpsk Eb/N0 by
@@ -490,8 +524,18 @@ class TestCocktail:
         # the bpsk Eb/N0 axis back; bpsk is centrally symmetric, so its rate
         # below s = 1e-8 is the low-SNR series.
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        # Steps of about 1e-12 dB repeat in the CSV's 12 digits, so the
+        # check reads the curves the command builds, at full precision.
+        built = []
+
+        def recording(spec):
+            built.extend(cocktail_rate_curves(spec))
+            return built
+
+        monkeypatch.setattr(cli, "cocktail_rate_curves", recording)
         code, _, err = run_cli(capsys, "cocktail", "--ratio", "3.5", "--grid", "1e-11:1e-10:log:40")
         assert code == EXIT_OK, err
+        assert_each_curve_ascends({c.label: c.xs for c in built})
 
     def test_plot_manifest_lists_csvs_then_svgs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
