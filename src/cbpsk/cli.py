@@ -57,7 +57,6 @@ from .sweep import (
 from .svgchart import render_line_chart
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 OUTPUT_DIR_ENV = "CBPSK_OUTPUT_DIR"
@@ -157,11 +156,7 @@ def _write_text(path: str, text: str) -> str:
 
 
 def _write_manifest(args, outputs, started: float) -> None:
-    config = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in vars(args).items()
-        if k not in _NOT_SETTINGS
-    }
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
     manifest = {
         "command": args.command,
         "config": config,

@@ -6,14 +6,18 @@ through a real subprocess in the acceptance suite.
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,9 @@ LOG_FIGURE_DIGESTS = {
     "cocktail_rates.svg": "ea487c6c7af09b45b2e600d4bd1e02e89d8797f68708a78dd35a65407c18857c",
     "cocktail_gain.svg": "1b90e9c82e6384c8f72d15d062d2760fb0638b9efa26660362f175a0b2d9d0de",
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -381,6 +388,14 @@ class TestMi:
         assert out == ""
         assert "consistency check failed" in err
 
+    # The default grid, the figure's SNR range, and a grid from 1e-6 up: each
+    # runs the 2-D rule at every order of the ladder.
+    @pytest.mark.parametrize("grid,count", [((), 40), (("--grid", "1e-6:1e2:log:81"), 81)], ids=["default", "from-1e-6"])
+    def test_check_passes_over_the_ladder(self, grid, count, capsys):
+        code, out, err = run_cli(capsys, "check", *grid)
+        assert code == EXIT_OK, err
+        assert out.startswith("consistency check passed: ") and out.endswith(f" over {count} points\n")
+
     def test_eb_n0_axis_stays_flat_far_down_the_series(self, tmp_path, capsys):
         # At rho 1e-20 the bpsk rate is its series rho log2 e to every digit,
         # so each row's x = 10 log10(rho / rate) is the limit 10 log10(ln 2).
@@ -435,6 +450,58 @@ class TestGridAtTheTopOfTheFloats:
             assert (tmp_path / output).read_text().splitlines()[-1] == "bpsk,1.79769313486e+308,1"
 
 
+def record_curves(monkeypatch, name):
+    """The curves that ``cli.<name>`` builds for the command, kept at full
+    precision; the CSV prints 12 significant digits."""
+    built = []
+    build = getattr(cli, name)
+
+    def recording(spec):
+        curves = build(spec)
+        built.extend(curves)
+        return curves
+
+    monkeypatch.setattr(cli, name, recording)
+    return built
+
+
+TOP_GRID = "1e307:1.7e308:log:3"
+
+# (argv, the curve builder cli calls, the CSV, one line it must hold, the
+# exact rate of that line's curve at every point, or None): the alphabets
+# saturate at log2 M, where the noise variance in the unit of the kernel
+# plan falls to its floor. 8psk reads 3 - 3 * 2**-51 at every point on the
+# AVX-512 host the pins were taken on, so only its 12 printed digits are
+# asserted (ROADMAP item 24).
+TOP_ROWS = [
+    pytest.param(("mi", "--scheme", "8psk", "--grid", TOP_GRID), "modulation_rate_curves", "mi_8psk.csv",
+                 "8psk,1.7e+308,3", None, id="8psk"),
+    pytest.param(("mi", "--scheme", "4ask", "--grid", TOP_GRID), "modulation_rate_curves", "mi_4ask.csv",
+                 "4ask,4.12310562562e+307,2", 2.0, id="4ask"),
+    pytest.param(("mi", "--scheme", "qpsk", "--grid", TOP_GRID, "--axis", "ebn0"), "modulation_rate_curves",
+                 "mi_qpsk.csv", "qpsk,3079.29418926,2", 2.0, id="qpsk-ebn0"),
+    # bpsk_mi caps q = A / sigma at 2^500 here, the cap the simulator puts
+    # on its means.
+    pytest.param(("cocktail", "--ratio", "3.5", "--grid", "1e300:1.7e308:log:3"), "cocktail_rate_curves",
+                 "cocktail_rates.csv", "cocktail r=3.5,3079.29418926,2", 2.0, id="cocktail"),
+]
+
+
+class TestRatesAtTheTopOfTheFloats:
+    # Warnings are errors, so an exponent that overflowed would fail the run.
+    @pytest.mark.parametrize("argv,builder,output,line,rate", TOP_ROWS)
+    def test_rates_saturate_with_nothing_on_stderr(self, argv, builder, output, line, rate, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        built = record_curves(monkeypatch, builder)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK and err == "", err
+        assert line in (tmp_path / output).read_text().splitlines()
+        if rate is not None:
+            (curve,) = [c for c in built if c.label == line.split(",")[0]]
+            assert curve.ys == (rate,) * 3
+
+
 class TestNumericFailures:
     def test_any_arithmetic_error_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         def overflowing(*args):
@@ -446,6 +513,18 @@ class TestNumericFailures:
         assert code == EXIT_NUMERIC
         assert out == "" and err.startswith("cbpsk: error:")
         assert list(tmp_path.iterdir()) == []
+
+    # 1 / 1e-310 overflows: the first point of a scheme curve, from mi and
+    # from the cocktail figure's reference rows, has no noise variance.
+    @pytest.mark.parametrize("argv", [("mi", "--scheme", "bpsk"), ("cocktail", "--ratio", "3.5", "--axis", "linear")],
+                             ids=["mi", "cocktail"])
+    def test_point_without_a_finite_noise_variance_exits_3_with_scheme_rates_error(self, argv, tmp_path, capsys,
+                                                                                 monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, out, err = run_cli(capsys, *argv, "--grid", "1e-310:1e-300:log:3")
+        assert code == EXIT_NUMERIC
+        assert err == "cbpsk: error: snr_linear is too small for a finite noise variance, got 1e-310\n"
+        assert out == "" and list(tmp_path.iterdir()) == []
 
 
 class TestGridAtZero:
@@ -518,6 +597,14 @@ class TestCocktail:
         rows = (tmp_path / "cocktail_rates.csv").read_text().splitlines()[1:]
         xs = [float(row.split(",")[1]) for row in rows if row.startswith("bpsk,")]
         assert len(xs) == 40 and all(b > a for a, b in zip(xs, xs[1:]))
+
+    def test_dense_grid_below_1e_6_keeps_every_curve_ascending(self, tmp_path, capsys, monkeypatch):
+        # The same grid: the capacity and cocktail curves ascend too, in the
+        # CSV's 12 digits.
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        code, _, err = run_cli(capsys, "cocktail", "--ratio", "3.5", "--grid", "3e-7:3.3e-7:lin:40")
+        assert code == EXIT_OK, err
+        assert_each_curve_ascends(csv_xs(tmp_path / "cocktail_rates.csv"))
 
     def test_dense_grid_below_1e_10_keeps_bpsk_ascending(self, tmp_path, capsys, monkeypatch):
         # Here the kernel would lose about 1e-16/sqrt(rho) relative and turn
@@ -982,3 +1069,28 @@ class TestPackageEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "capacity,1,1\n" in proc.stdout
         assert "capacity,3,2\n" in proc.stdout
+
+    def test_console_script_is_main(self):
+        # pyproject.toml read by regex: Python 3.10 has no tomllib.
+        text = (ROOT / "pyproject.toml").read_text()
+        section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+        scripts = re.findall(r'^(\S+)\s*=\s*"(\S+)"', section, re.M)
+        assert scripts == [("cbpsk", "cbpsk.cli:main")]
+        module, name = scripts[0][1].split(":")
+        assert getattr(importlib.import_module(module), name) is main
+
+
+def readme_commands():
+    """The ``cbpsk`` lines of the README's shell block under "Command line",
+    each as the argv that follows ``cbpsk``."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cbpsk ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CBPSK_OUTPUT_DIR", raising=False)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK, err
