@@ -38,7 +38,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .cocktail import CocktailParams, _low_snr_eb_over_n0, eb_over_n0
+from .cocktail import CocktailParams, _eb_over_n0, eb_over_n0
 from .linksim import SimConfig, _available_cores, run_link
 from .mi import Constellation, NoiseModel, _integer, _real, awgn_capacity, constellation_mi, low_snr_capacity
 from .sweep import (
@@ -187,6 +187,11 @@ def cmd_check(args) -> list:
     # detections at the same per-dimension SNR. QPSK itself is an axis
     # product and runs as its 1-D rail, so the check turns it by pi/4,
     # which leaves the rate alone and sends it through the 2-D tensor rule.
+    # The bpsk half's noise variance 1 / (rho / 2) is the first to overflow,
+    # at the grid's first and least point; the error names that point, as
+    # the rate curves of mi and cocktail do.
+    if math.isinf(1.0 / (args.grid[0] / 2.0)):
+        raise ValueError(f"snr_linear is too small for a finite noise variance, got {args.grid[0]!r}")
     worst = 0.0
     for rho in args.grid:
         dev = abs(constellation_mi(_TURNED_QPSK, NoiseModel(1.0 / rho)) - 2.0 * scheme_rate("bpsk", rho / 2.0))
@@ -218,12 +223,13 @@ def cmd_cocktail(args) -> list:
 
 def cmd_limit(args) -> list:
     ratios = tuple(args.ratio) if args.ratio else DEFAULT_RATIOS
-    cap_limit_db = 10.0 * math.log10(math.log(2.0))
+    # At zero SNR, energy and rate 0, the Eb/N0 rule gives the low-SNR limit.
+    cap_limit_db = 10.0 * math.log10(_eb_over_n0(0.0, 0.0))
     lines = []
     for r in ratios:
         params = CocktailParams.from_ratio(r, 1e-4)
         measured_db = 10.0 * math.log10(eb_over_n0(params, NoiseModel(1.0)))
-        closed_db = 10.0 * math.log10(_low_snr_eb_over_n0(params))
+        closed_db = 10.0 * math.log10(_eb_over_n0(0.0, 0.0, params))
         gain_db = cap_limit_db - measured_db
         lines.append(
             f"ratio {r:.12g}: limiting Eb/N0 {measured_db:.2f} dB "

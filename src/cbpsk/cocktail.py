@@ -203,20 +203,28 @@ def _energies(alpha: float, beta: float) -> tuple:
     return 0.5 * alpha * alpha + 0.5 * h * h, 0.5 * (alpha - beta) * (alpha - beta) + 0.5 * h * h
 
 
+def _unit_energies(params: CocktailParams) -> tuple:
+    """(k, e1, e2): the exponent k that :func:`math.frexp` gives alpha, and
+    the energies of :func:`energy_report` at the amplitudes in units of
+    2^k, where alpha lies in [0.5, 1), so that no energy overflows or
+    underflows to 0."""
+    _, k = math.frexp(params.alpha)
+    return (k, *_energies(math.ldexp(params.alpha, -k), math.ldexp(params.beta, -k)))
+
+
 def _energies_over_noise(params: CocktailParams, noise: NoiseModel) -> tuple:
     """(e1, e2) of :func:`energy_report` over ``noise.variance``, each a
     float wherever the ratio is one, though an energy or the variance may
-    not be. The energies are formed at amplitudes in units of 2^k and
-    divided by the variance in units of 2^j, k and j the exponents
-    :func:`math.frexp` gives alpha and the variance; both quotients lie in
+    not be. The energies are those of :func:`_unit_energies`, at amplitudes
+    in units of 2^k, divided by the variance in units of 2^j, j the
+    exponent :func:`math.frexp` gives it; both quotients lie in
     [0.025, 1.25], and a scale of 2^(2k - j), applied as two powers of two
     that stay floats, takes them back. A power of two scales exactly, so
     wherever the ratio is a normal float it has the bits of e / variance."""
-    _, k = math.frexp(params.alpha)
+    k, e1, e2 = _unit_energies(params)
     unit_var, j = math.frexp(noise.variance)
     n = max(-2000, min(2 * k - j, 2000))  # beyond, 2^n takes both quotients to 0 or inf
     up, down = math.ldexp(1.0, n // 2), math.ldexp(1.0, n - n // 2)
-    e1, e2 = _energies(math.ldexp(params.alpha, -k), math.ldexp(params.beta, -k))
     return e1 / unit_var * up * down, e2 / unit_var * up * down
 
 
@@ -245,28 +253,35 @@ def adr_gain_low_snr(params: CocktailParams, noise: NoiseModel) -> float:
 def eb_over_n0(params: CocktailParams, noise: NoiseModel) -> float:
     """Energy per information bit over noise power, (e_in / variance) / total.
 
-    This is the horizontal-axis quantity of the decibel rate plots. Where the
-    total rate is below the smallest normal float, it has lost digits or
-    underflowed to 0, but there every stage is on the low-SNR series, with
-    s below 2^-1000, and Eb/N0 is its limit ln 2 e1 / e_total = ln 2
-    (alpha^2 + beta^2 / 4) / (alpha^2 + (alpha - beta)^2 + beta^2 / 2) to
-    every digit. It is formed from the energies at amplitudes in units of
-    2^k, k the exponent of alpha, as in ``_energies_over_noise``, so it is
-    within a few roundings of that limit for every alpha and variance.
-    Wherever the total is a normal float it is (e_in / variance) / total.
-    Zero amplitudes, which :class:`CocktailParams` refuses, raise
-    ZeroDivisionError.
+    This is the horizontal-axis quantity of the decibel rate plots, by the
+    package's one rule, :func:`_eb_over_n0`: where the total rate is below
+    the smallest normal float it is the low-SNR limit ln 2 e1 / e_total =
+    ln 2 (alpha^2 + beta^2 / 4) / (alpha^2 + (alpha - beta)^2 + beta^2 / 2),
+    and wherever the total is a normal float it is (e_in / variance) /
+    total, with e_in / variance from ``_energies_over_noise``. Both are
+    formed from the energies at amplitudes in units of 2^k, k the exponent
+    of alpha, so they are within a few roundings of the exact values for
+    every alpha and variance. Zero amplitudes, which :class:`CocktailParams`
+    refuses, raise ZeroDivisionError.
     """
-    total = adr_breakdown(params, noise).total
-    if total < sys.float_info.min:
-        return _low_snr_eb_over_n0(params)
-    return _energies_over_noise(params, noise)[0] / total
+    return _eb_over_n0(_energies_over_noise(params, noise)[0], adr_breakdown(params, noise).total, params)
 
 
-def _low_snr_eb_over_n0(params: CocktailParams) -> float:
-    """The low-SNR limit ln 2 e1 / e_total of :func:`eb_over_n0`, formed
-    from the energies at amplitudes in units of 2^k, k the exponent of
-    alpha, so that no energy underflows."""
-    _, k = math.frexp(params.alpha)
-    e1, e2 = _energies(math.ldexp(params.alpha, -k), math.ldexp(params.beta, -k))
-    return _LN2 * e1 / (e1 + e2)
+def _eb_over_n0(energy: float, rate: float, params: CocktailParams | None = None) -> float:
+    """Eb/N0, the one rule of every Eb/N0 the package forms: ``energy``, a
+    symbol energy over the noise power, per bit of ``rate``, energy / rate.
+
+    Where the rate is below the smallest normal float it has lost digits or
+    underflowed to 0, but the point is on its low-SNR series, whose Eb/N0
+    is the limit to every digit, and that limit is returned: ln 2 for
+    capacity and every zero-mean alphabet (``params`` None), and
+    ln 2 e1 / e_total for the cocktail point of amplitudes ``params``, every
+    stage then on its series, with s below 2^-1000. So a rate of 0, the
+    rate at zero SNR, gives the limit itself.
+    """
+    if rate < sys.float_info.min:
+        if params is None:
+            return _LN2
+        _, e1, e2 = _unit_energies(params)
+        return _LN2 * e1 / (e1 + e2)
+    return energy / rate

@@ -43,9 +43,10 @@ normalised weight is above 1e-30: 116 of 256 nodes at order 256 in 1-D and
 rule; P. Jaeckel, "A note on multivariate Gauss-Hermite quadrature", 2005).
 The integrand each kernel evaluates at a unit node t lies between ln p_min
 and |t|^2 whatever the SNR, so the dropped nodes can move a rate by at most
-2e-25 bits at any order, for priors down to e^-700. The rule keeps every
-signed permutation of the axes, and a component's integrand keeps those
-that fix the component (its stabilizer), so the rule is folded by them:
+2e-25 bits at any order, since no prior the kernel takes is below 2^-1022
+(:func:`_alphabet_plan`). The rule keeps every signed permutation of the
+axes, and a component's integrand keeps those that fix the component (its
+stabilizer), so the rule is folded by them:
 one node per orbit, weighted by the orbit's size. At order 192 that leaves
 3813 nodes for a class on a diagonal and 3778 for 8-PSK, whose eight
 points are one orbit under its rotations by pi / 4, represented by
@@ -176,6 +177,10 @@ _WEIGHT_FLOOR = 1e-30
 # nearest pair lies farther apart than about 1e-152 of its largest
 # coordinate (module docstring).
 _UNIT_VAR_FLOOR = 2.0**-1020
+# The least prior the kernel takes: a smaller one, subnormal or 0, takes
+# no part (_alphabet_plan), so that no exp(u_kj - c) of the kernel exceeds
+# p_max / p_j < 2^1023 (_rate_nats).
+_LIVE_PRIOR = 2.0**-1022
 # From this variance up half of it is a normal float, so halving is exact;
 # below it an odd last bit would round away (_deviation).
 _EXACT_HALF = 2.0**-1021
@@ -301,6 +306,8 @@ class Constellation:
     shape (n,), (n, 1) or (n, 2). ``priors``: n weights >= 0 summing to 1
     within 1e-12 as a sequence or array, uniform when empty. Both follow the
     module's alphabet rule and are stored as tuples of plain floats (or pairs).
+    Its rates take a point of prior below 2^-1022 as no part of the alphabet
+    (:func:`_alphabet_plan`), within 1e-300 bits for up to 4096 points.
     """
 
     points: tuple
@@ -455,9 +462,9 @@ class _Plan(NamedTuple):
 def _alphabet_plan(points: np.ndarray, priors) -> _Plan:
     """The :class:`_Plan` of the alphabet ``points`` (a checked (n, d)
     array) with ``priors`` (n checked weights). Everything in it refers to
-    the live components, prior > 0, in one unit: 2^k, for the exponent k
-    that :func:`math.frexp` gives the largest magnitude of a live
-    coordinate, clamped at -1022. ``factor`` is 2^-k, so the unit
+    the live components, prior >= ``_LIVE_PRIOR`` = 2^-1022, in one unit:
+    2^k, for the exponent k that :func:`math.frexp` gives the largest
+    magnitude of a live coordinate, clamped at -1022. ``factor`` is 2^-k, so the unit
     coordinates lie in (-1, 1), the largest in [0.5, 1) unless k was
     clamped. A power of two scales exactly, so the plan holds the
     alphabet's offsets, traces and symmetry tolerance to the bit, and none
@@ -503,9 +510,18 @@ def _alphabet_plan(points: np.ndarray, priors) -> _Plan:
     stabilizer, keep the classes in their order, the order in which the
     kernel subtracts their terms. The arrays are read-only, because a
     :class:`Constellation` keeps its plan for every call.
+
+    A prior below 2^-1022, a subnormal one or 0, takes no part: the
+    kernel's own-row term for a component of prior p_k is up to
+    p_max / p_k, which overflows once p_k is below about 5.6e-309 p_max.
+    At least one prior is live, so the dropped priors sum to
+    e < (n - 1) 2^-1022, and dropping them moves the exact rate by at most
+    h(e) + e log2 n bits, h the binary entropy: below 2.3e-305 bits for
+    n = 2, and below 1e-300 bits for n up to 4096. The kernel takes the
+    live priors' sum as 1, as it does any sum the alphabet rule accepts.
     """
     pri = np.asarray(priors, dtype=float)
-    live = pri > 0.0
+    live = pri >= _LIVE_PRIOR
     pts = points[live]
     factor = math.ldexp(1.0, -max(math.frexp(float(np.abs(pts).max()))[1], -1022))
     return _unit_plan(pts * factor, pri[live], factor)
@@ -628,9 +644,10 @@ def _rate_nats(plan: _Plan, var: float, order: int) -> float:
     The kernel takes c = max_j (u_kj + ln(p_j / p_max)). Then the largest
     term p_j exp(u_kj - c) is p_max, so 1 + the log1p argument lies in
     [p_max, n p_max], and no exp(u_kj - c) exceeds p_max / p_j, which is
-    finite for priors down to e^-700. The plain row maximum c = max_j u_kj
-    would send the argument to -1 when a component of tiny prior dominates,
-    and log1p would return -inf. For uniform priors ln(p_j / p_max) is 0 and
+    below 2^1023, since the plan keeps no prior below 2^-1022 and p_max is
+    at most 1 + 1e-12 (:func:`_alphabet_plan`). The plain row maximum
+    c = max_j u_kj would send the argument to -1 when a component of tiny
+    prior dominates, and log1p would return -inf. For uniform priors ln(p_j / p_max) is 0 and
     c is the row maximum, which needs no second buffer. For two equiprobable
     points L_k is the f(u) of :func:`bpsk_mi` with c = max(0, u), and the
     kernel runs it as such (below).
@@ -644,8 +661,8 @@ def _rate_nats(plan: _Plan, var: float, order: int) -> float:
     arithmetic. The tensor rule is not rotation-invariant, so on it 8-PSK's
     axis and diagonal points differ by their rule errors, up to 2.7e-12 bits at order 192 on the 60-point grid
     SNR 1e-3..1e2; the rate is the axis point's, within 2.0e-12 bits of the
-    exact rate there (module docstring). Zero-prior components take no
-    part.
+    exact rate there (module docstring). Components of prior below
+    2^-1022, zero included, take no part (:func:`_alphabet_plan`).
 
     What is left of the symmetry folds the rule. Let g be in the stabilizer
     of the representative r: a symmetry that fixes m_r - c, c the centroid.
@@ -780,8 +797,10 @@ def _unit_rule(order: int, d: int, maps: tuple) -> tuple:
     <= ln p_j + |t|^2, D the scaled separation (m_j - m_k) / sqrt(v), so
     ln p_k <= L_k <= |t|^2. The antipodal integrand of :func:`bpsk_mi` is
     this L_k for p_k = 1/2. A dropped node therefore changes a rate by at
-    most w (|t|^2 + |ln p_min|) nats. Summed over the dropped nodes with |ln p_min| <= 700, that is at
-    most 2e-25 bits at every order from 8 to 256 in either dimension:
+    most w (|t|^2 + |ln p_min|) nats. Summed over the dropped nodes with
+    |ln p_min| <= 1022 ln 2 = 708.4, the plan's least prior being 2^-1022
+    (:func:`_alphabet_plan`), that is at most 2e-25 bits at every order
+    from 8 to 256 in either dimension:
     1.2e-25 bits at order 192 in 2-D and 2.3e-28 bits at order 256 in 1-D.
     """
     if maps:
@@ -873,9 +892,9 @@ def _plane_isometries(centred: np.ndarray, pri: np.ndarray, tol: float) -> np.nd
 
 def _symmetry_classes(centred: np.ndarray, pri: np.ndarray, tol: float) -> tuple:
     """(classes, central) for the live components of a mixture, those of
-    prior > 0, given as :func:`_centred` returns them: ``centred`` (n, d),
-    the points less their centroid, and ``tol``, with ``pri`` (n,) their
-    priors. ``classes`` holds (representative index, summed prior,
+    prior >= 2^-1022 (:func:`_alphabet_plan`), given as :func:`_centred`
+    returns them: ``centred`` (n, d), the points less their centroid, and
+    ``tol``, with ``pri`` (n,) their priors. ``classes`` holds (representative index, summed prior,
     stabilizer) for each class of components whose terms are equal in exact
     arithmetic, indices referring to the live components. ``central`` says
     whether x -> -x about the centroid is among the symmetries proved.

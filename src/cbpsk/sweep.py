@@ -24,12 +24,10 @@ where its least Eb/N0 lies above zero SNR.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .cocktail import CocktailParams, _low_snr_eb_over_n0, adr_breakdown
+from .cocktail import CocktailParams, _eb_over_n0, adr_breakdown
 from .mi import (
-    _LN2,
     Constellation,
     NoiseModel,
     _constellation_rates,
@@ -224,18 +222,11 @@ def _scheme_rates(scheme: str, grid) -> list:
 
 
 def _axis_value(axis_mode: str, rho: float, rate: float, params: CocktailParams | None) -> float:
-    """The abscissa of a row of rate ``rate`` at grid point ``rho``; on the
-    Eb/N0 axis, ``params`` names a cocktail point's amplitudes, and None a
-    conventional scheme or capacity."""
-    if axis_mode == "linear_snr":
-        return rho
-    if rate < sys.float_info.min:
-        # The rate has lost digits or is 0, and the point is on its low-SNR
-        # series, whose Eb/N0 is the limit to every digit: ln 2 for capacity
-        # and for every zero-mean, unit-energy scheme, and eb_over_n0's for
-        # a cocktail point.
-        return 10.0 * math.log10(_LN2 if params is None else _low_snr_eb_over_n0(params))
-    return 10.0 * math.log10(rho / rate)
+    """The abscissa of a row of rate ``rate`` at grid point ``rho``: rho
+    itself, or on the Eb/N0 axis 10 log10 of :func:`cbpsk.cocktail._eb_over_n0`
+    of rho per bit of the rate, ``params`` naming a cocktail point's
+    amplitudes, and None a conventional scheme or capacity."""
+    return rho if axis_mode == "linear_snr" else 10.0 * math.log10(_eb_over_n0(rho, rate, params))
 
 
 def _rows(spec: SweepSpec, rates, params=None) -> list:

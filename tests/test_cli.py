@@ -526,6 +526,19 @@ class TestNumericFailures:
         assert err == "cbpsk: error: snr_linear is too small for a finite noise variance, got 1e-310\n"
         assert out == "" and list(tmp_path.iterdir()) == []
 
+    # check runs bpsk at rho / 2, whose noise variance 1 / (rho / 2) is the
+    # first to overflow: at 1e-308 it does, though 1 / 1e-308 does not. The
+    # error names the grid point given, as mi and cocktail do.
+    @pytest.mark.parametrize("grid,point", [("1e-310:1e-300:log:3", "1e-310"), ("1e-308:1e-300:log:3", "1e-308")])
+    def test_check_without_a_finite_noise_variance_names_the_grid_point(self, grid, point, tmp_path, capsys,
+                                                                        monkeypatch):
+        monkeypatch.setenv("CBPSK_OUTPUT_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "check", "--grid", grid)
+        assert code == EXIT_NUMERIC
+        assert err == f"cbpsk: error: snr_linear is too small for a finite noise variance, got {point}\n"
+        assert out == "" and list(tmp_path.iterdir()) == []
+
 
 class TestGridAtZero:
     # A rate, and so its Eb/N0, needs SNR > 0; the capacity rows exist at 0.

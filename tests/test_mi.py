@@ -382,6 +382,41 @@ class TestConstellationMi:
             rates = [constellation_mi(c, NoiseModel(v)) for v in (1e-300, 1.0, 1e300, sys.float_info.max)]
         assert [r.hex() for r in rates] == [(0.0).hex()] * 4
 
+    # A prior below 2^-1022 takes no part: the kernel's own-row term for a
+    # component of prior p is up to p_max / p, past the float range once p is
+    # below about 5.6e-309 p_max. Dropping it moves the exact rate, here the
+    # entropy h(p), about 1.03e-307 bits at 1e-310, by less than 1e-300.
+    @pytest.mark.parametrize("prior", [1e-310, 5e-324])
+    @pytest.mark.parametrize("points", [(0.0, 1.0), ((0.0, 0.0), (1.0, 0.0))], ids=["1d", "2d"])
+    def test_subnormal_prior_takes_no_part(self, points, prior):
+        c = Constellation(points, (prior, 1.0 - prior))
+        exact = -prior * math.log2(prior)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = [constellation_mi(c, NoiseModel(v)) for v in (1e-300, 1e-30, 1e-6)]
+        assert all(abs(r - exact) <= 1e-300 for r in rates), rates
+
+    @pytest.mark.parametrize("prior", [1e-310, 5e-324])
+    def test_subnormal_prior_leaves_the_other_points_rate(self, prior):
+        # The third point drops out, and 0.5 - prior rounds to 0.5, so the
+        # rate is that of {-1, 1} to the bit.
+        c = Constellation((-1.0, 0.0, 1.0), (0.5, prior, 0.5 - prior))
+        variances = (1e-300, 1e-30, 1e-6, 1.0, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = [constellation_mi(c, NoiseModel(v)).hex() for v in variances]
+        assert rates == [constellation_mi(Constellation((-1.0, 1.0)), NoiseModel(v)).hex() for v in variances]
+
+    def test_least_live_prior_is_served(self):
+        # 2^-1022 takes part: the own-row term stays below 2^1023, and the
+        # rate is h(p) = p (log2 e - log2 p) to first order.
+        p = 2.0**-1022
+        c = Constellation((0.0, 1.0), (p, 1.0 - p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = [constellation_mi(c, NoiseModel(v)) for v in (1e-300, 1e-30, 1e-6)]
+        assert rates == pytest.approx([p * (LOG2E - math.log2(p))] * 3, rel=1e-12)
+
     def test_qpsk_is_two_independent_antipodal_channels(self):
         # qpsk is an axis product, so it runs as its rail {+-sqrt(1/2)} with
         # the weight doubled, and meets two 1-D detections at the same

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cbpsk import mi
+from cbpsk import cocktail, mi
 from cbpsk.cocktail import CocktailParams, adr_breakdown, eb_over_n0
 from cbpsk.mi import Constellation, NoiseModel, awgn_capacity, bpsk_mi, constellation_mi
 from cbpsk.svgchart import render_line_chart
@@ -472,6 +472,37 @@ class TestEbN0BelowTheNormalFloats:
         assert len(curve.rows) == 60 and curve.xs[0] == self.LN2_DB
         assert any(a == b for a, b in zip(curve.xs, curve.xs[1:]))
         assert [y.hex() for y in curve.ys] == [awgn_capacity(rho).hex() for rho in grid]
+
+
+class TestOneEbN0Rule:
+    # The sweep's cocktail x is 10 log10 of rho / total, and eb_over_n0 forms
+    # (e1 / variance) / total with e1 rebuilt from from_ratio's alpha and
+    # beta. Where the total is a normal float the two quotients were measured
+    # at most 3 ulp apart on these grids and ratios.
+    @pytest.mark.parametrize("grid", [
+        pytest.param(REFERENCE_GRID, id="reference"),
+        pytest.param(log_grid(1e-300, 1e300, 601), id="float-range"),
+        pytest.param(log_grid(1e-12, 1e8, 81), id="low-to-high"),
+    ])
+    def test_sweep_quotient_and_eb_over_n0_agree(self, grid):
+        spec = SweepSpec(snr_grid=grid, ratios=(*DEFAULT_RATIOS, 1.01, 1e155), schemes=(), axis_mode="eb_n0_db")
+        for ratio, curve in zip(spec.ratios, cocktail_rate_curves(spec)):
+            for rho, (x, total) in zip(grid, curve.rows):
+                assert total >= sys.float_info.min and x == 10.0 * math.log10(rho / total), (ratio, rho)
+                want = eb_over_n0(CocktailParams.from_ratio(ratio, rho), NoiseModel(1.0))
+                assert abs(rho / total - want) <= 3 * math.ulp(want), (ratio, rho)
+
+    @pytest.mark.parametrize("scheme", CONVENTIONAL_SCHEMES)
+    def test_zero_mean_limit_is_ln_2_exactly(self, scheme):
+        # rho 1e-308 gives each scheme a subnormal rate; a rate of 0 is the
+        # limit at zero SNR itself, as cbpsk limit reads it.
+        rate = scheme_rate(scheme, 1e-308)
+        assert 0.0 < rate < sys.float_info.min
+        assert cocktail._eb_over_n0(1e-308, rate) == cocktail._eb_over_n0(0.0, 0.0) == math.log(2.0)
+
+    def test_cocktail_limit_is_eb_over_n0s(self):
+        params = CocktailParams.from_ratio(3.5, 1e-320)
+        assert cocktail._eb_over_n0(0.0, 0.0, params) == eb_over_n0(params, NoiseModel(1.0))
 
 
 class TestCurveThatTurnsBack:
