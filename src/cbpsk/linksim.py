@@ -7,14 +7,15 @@ quadrature mutual-information kernels.
 Reproducibility contract: all randomness comes from numpy's Philox
 generator, which is counter-based. A run is split into fixed-size shards of
 2**20 symbols; shard i draws from ``SeedSequence(seed, spawn_key=(i,))``.
-Within a shard the draw order is fixed. :func:`run_link` first takes both
-symbol streams from one ``bit_generator.random_raw(ceil(2 count / 64))``
-call, unpacked least significant bit first (x1 the first ``count`` bits, x2
-the next ``count``), and then draws its normals. :func:`mc_bpsk_mi` draws
-normals only: its statistic at (-q, -n) is the one at (q, n), so sending
+Within a shard the draw order is fixed, and ``_sharded_sums`` is the one
+site that draws. For :func:`run_link` it first takes both symbol streams
+from one ``bit_generator.random_raw(ceil(2 count / 64))`` call, unpacked
+least significant bit first (x1 the first ``count`` bits, x2 the next
+``count``), and then draws the normals. For :func:`mc_bpsk_mi` it draws
+normals only: the statistic at (-q, -n) is the one at (q, n), so sending
 +A alone has the law of x uniform on {+A, -A}. Normals come block by block
 from ``Generator.standard_normal`` (ziggurat); golden tests pin these
-choices.
+choices, and a test rebuilds the order with numpy alone.
 
 One scale: every statistic is formed in units of the noise deviation
 sigma = sqrt(variance / 2), rounded once by the package's deviation rule
@@ -30,18 +31,19 @@ quadrature kernel :func:`cbpsk.mi.bpsk_mi` caps its q there too.
 Execution: every shard runs on a thread of one executor, a pool of one
 when one worker is allowed. :func:`run_link` allows ``max_workers``
 threads, at most one per core the process may use, and :func:`mc_bpsk_mi`
-one per such core. One helper, ``_each_block``, walks a shard's range in
+one per such core. ``_sharded_sums`` also walks each shard's range in
 blocks of at most ``_BLOCK`` elements, in ascending order, and owns the
 block buffers: one per dtype, allocated once per shard and handed to each
-block sliced to its length, so they stay in cache. Each block draws its
-normals, runs its arithmetic in those buffers and returns its sums. Lookups
-in tables built from :func:`cbpsk.cocktail.encode` give each stage's signed
-mean in noise deviations. Counts add as Python ints, and the float sums of
-all blocks of all shards are added exactly rounded (``math.fsum``), so the
-result depends on neither the worker count nor the order in which shards
-finish. No sum goes through BLAS, so the BLAS thread count does not move a
-bit either. A worker peaks at about 4 MB in ``run_link`` (its shard's
-symbol bits and the block buffers) and 1 MB in ``mc_bpsk_mi``.
+block sliced to its length, so they stay in cache. It draws each block's
+normals into the first buffer; the block only runs its arithmetic in the
+buffers and returns its sums. Lookups in tables built once per
+:func:`run_link` call from :func:`cbpsk.cocktail.encode` give each stage's
+signed mean in noise deviations. Counts add as Python ints, and the float
+sums of all blocks of all shards are added exactly rounded (``math.fsum``),
+so the result depends on neither the worker count nor the order in which
+shards finish. No sum goes through BLAS, so the BLAS thread count does not
+move a bit either. A worker peaks at about 4 MB in ``run_link`` (its
+shard's symbol bits and the block buffers) and 1 MB in ``mc_bpsk_mi``.
 """
 
 from __future__ import annotations
@@ -135,11 +137,20 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _sharded_sums(n: int, seed: int, draw, max_workers: int = 1) -> tuple:
-    """Run ``draw(rng, count)`` on each shard of an n-draw run and add up
-    the sum tuples it returns, one per block, elementwise: int columns as
-    Python ints, float columns exactly rounded by ``math.fsum``. Neither
-    ``max_workers`` nor the order in which shards finish moves a bit.
+def _sharded_sums(n: int, seed: int, streams: int, dtypes, block, max_workers: int = 1) -> tuple:
+    """The one site of the seed contract's draw order. For shard i of an
+    n-draw run it takes ``_shard_rng(seed, i)``, draws the raw bits of
+    ``streams`` symbol streams of the shard's ``count`` symbols by one
+    ``_random_bits`` call (stream j is bits j count to (j + 1) count), and
+    allocates one buffer per dtype in ``dtypes``, ``min(count, _BLOCK)``
+    long. Then, for each block of [0, count) of at most ``_BLOCK``, in
+    ascending order, it draws the normals into the first buffer and calls
+    ``block(lo, hi, views, bits)``, with the buffers and the (streams,
+    hi - lo) bits sliced to the block; the block only does arithmetic and
+    returns a tuple of sums. The sums of all blocks are added elementwise:
+    int columns as Python ints, float columns exactly rounded by
+    ``math.fsum``. Neither ``max_workers`` nor the order in which shards
+    finish moves a bit.
 
     Every shard runs on a pool of min(max_workers, shards, available cores)
     threads, one thread when that is 1: a worker beyond the core count adds
@@ -148,23 +159,22 @@ def _sharded_sums(n: int, seed: int, draw, max_workers: int = 1) -> tuple:
     counts = [min(_SHARD_SYMBOLS, n - start) for start in range(0, n, _SHARD_SYMBOLS)]
     workers = max(1, min(max_workers, len(counts), _available_cores()))
 
-    def shard(i):
-        return draw(_shard_rng(seed, i), counts[i])
+    def shard(i, count):
+        rng = _shard_rng(seed, i)
+        bits = _random_bits(rng, streams * count).reshape(streams, count)
+        buffers = [np.empty(min(count, _BLOCK), dtype) for dtype in dtypes]
+        sums = []
+        for lo in range(0, count, _BLOCK):
+            hi = min(lo + _BLOCK, count)
+            views = [b[: hi - lo] for b in buffers]
+            rng.standard_normal(out=views[0])
+            sums.append(block(lo, hi, views, bits[:, lo:hi]))
+        return sums
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        shards = list(pool.map(shard, range(len(counts))))
+        shards = list(pool.map(shard, range(len(counts)), counts))
     columns = zip(*(sums for blocks in shards for sums in blocks))
     return tuple(sum(c) if isinstance(c[0], int) else math.fsum(c) for c in columns)
-
-
-def _each_block(count: int, dtypes, block) -> list:
-    """``block(lo, hi, views)`` over the blocks of [0, count), at most
-    ``_BLOCK`` long, in ascending order. The shard's buffers, one per dtype
-    in ``dtypes`` and ``min(count, _BLOCK)`` long, are allocated once here;
-    ``views`` holds each of them sliced to the block."""
-    buffers = [np.empty(min(count, _BLOCK), dtype) for dtype in dtypes]
-    bounds = [(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
-    return [block(lo, hi, [b[: hi - lo] for b in buffers]) for lo, hi in bounds]
 
 
 def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -219,16 +229,25 @@ def _bits(mean_statistic: float) -> float:
     return (mean_statistic + (_LN2 - 0.5)) * LOG2E
 
 
-def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple:
+def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
+    """Simulate the full encode/AWGN/detect chain.
+
+    Draws i.i.d. equiprobable symbol streams, applies the amplitude mapping,
+    adds Gaussian noise of variance ``config.noise.variance / 2`` on the
+    scheme's one real dimension, runs two-stage detection per
+    ``detection_mode``, and tallies errors and case frequencies. Fully
+    reproducible from the seed; the result does not depend on
+    ``max_workers``. At most ``max_workers`` threads run the shards, and no
+    more than there are shards or cores the process may use;
+    ``max_workers`` must be an integer >= 1. The mean tables are built once
+    per call; ``_sharded_sums`` draws both symbol streams (x1, then x2) and
+    the normals, and each block only does arithmetic.
+    """
+    max_workers = _integer("max_workers", max_workers, 1)
+    n = config.n_symbols
     p = config.params
     sigma = _deviation(config.noise.variance)
     genie = config.detection_mode == "genie_aided"
-
-    # The draw order (the raw bits of both streams, then the normals) is part
-    # of the seed contract. x1 takes the first count bits and x2 the next
-    # count; the normals, drawn last, may come block by block.
-    bits = _random_bits(rng, 2 * count)
-    plus1, plus2 = bits[:count], bits[count:]
     # Signed means over sigma, indexed by k = 2 [x1 = +1] + [x2 = +1]: stage
     # 1 sees the sent value, stage 2 the sent value less beta x1.
     pairs = [SymbolPair(x1, x2) for x1 in (-1, 1) for x2 in (-1, 1)]
@@ -244,12 +263,11 @@ def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple
     # scratch; decisions, scratch; k; the move of the draw.
     dtypes = [np.float64] * 5 + [np.bool_] * 2 + [np.intp, np.int8]
 
-    def block(lo, hi, views):
+    def block(lo, hi, views, bits):
         n, m, t, z, e, hat, mask, k, moved = views
-        x1, x2 = plus1[lo:hi], plus2[lo:hi]
+        x1, x2 = bits
         np.multiply(x1, 2, out=k)
         np.add(k, x2, out=k)
-        rng.standard_normal(out=n)
 
         def stage(means, truth):
             np.take(means, k, out=m, mode="clip")
@@ -265,29 +283,7 @@ def _run_shard(config: SimConfig, rng: np.random.Generator, count: int) -> tuple
         case1 = hi - lo - int(np.count_nonzero(np.not_equal(x1, x2, out=mask)))
         return errors_x1, errors_x2, case1, sum_1, sum_2
 
-    return _each_block(count, dtypes, block)
-
-
-def run_link(config: SimConfig, max_workers: int = 1) -> LinkSimReport:
-    """Simulate the full encode/AWGN/detect chain.
-
-    Draws i.i.d. equiprobable symbol streams, applies the amplitude mapping,
-    adds Gaussian noise of variance ``config.noise.variance / 2`` on the
-    scheme's one real dimension, runs two-stage detection per
-    ``detection_mode``, and tallies errors and case frequencies. Fully
-    reproducible from the seed; the result does not depend on
-    ``max_workers``. At most ``max_workers`` threads run the shards, and no
-    more than there are shards or cores the process may use;
-    ``max_workers`` must be an integer >= 1.
-    """
-    max_workers = _integer("max_workers", max_workers, 1)
-    n = config.n_symbols
-    err1, err2, case1, sum_1, sum_2 = _sharded_sums(
-        n,
-        config.seed,
-        lambda rng, count: _run_shard(config, rng, count),
-        max_workers,
-    )
+    err1, err2, case1, sum_1, sum_2 = _sharded_sums(n, config.seed, 2, dtypes, block, max_workers)
     return LinkSimReport(
         n_symbols=n,
         errors_x1=err1,
@@ -313,9 +309,10 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     drawn: the statistic at (-q, -n) is the one at (q, n), so sending +A
     alone has the law of x uniform on {+A, -A}. The standard error comes
     from the sample variance of the statistic. This is the independent
-    oracle for the quadrature kernel. The draw is sharded like
-    :func:`run_link`, normals only and block by block, and runs on every
-    available core; the result depends only on (amplitude, noise,
+    oracle for the quadrature kernel. ``_sharded_sums`` draws the normals,
+    sharded and block by block like :func:`run_link` but with no symbol
+    bits, and runs every shard on the available cores; the block only does
+    arithmetic. The result depends only on (amplitude, noise,
     n_samples, seed), not on the number of cores or BLAS threads. ``seed``,
     as in :class:`SimConfig`, is an integer in [0, 2**64).
     """
@@ -324,18 +321,14 @@ def mc_bpsk_mi(amplitude: float, noise: NoiseModel, n_samples: int, seed: int) -
     seed = _integer("seed", seed, 0, 2**64)
     q = _mean(amplitude, _deviation(noise.variance))
 
-    def draw(rng, count):
-        def block(lo, hi, views):
-            n, t, z, e = views
-            rng.standard_normal(out=n)
-            _stage(q, n, t, z, e)
-            # Sum of squares by numpy's pairwise sum: np.dot would go through
-            # BLAS, whose summation order depends on its thread count.
-            return float(z.sum()), float(np.multiply(z, z, out=e).sum())
+    def block(lo, hi, views, bits):
+        n, t, z, e = views
+        _stage(q, n, t, z, e)
+        # Sum of squares by numpy's pairwise sum: np.dot would go through
+        # BLAS, whose summation order depends on its thread count.
+        return float(z.sum()), float(np.multiply(z, z, out=e).sum())
 
-        return _each_block(count, [np.float64] * 4, block)
-
-    total, total_sq = _sharded_sums(n_samples, seed, draw, _available_cores())
+    total, total_sq = _sharded_sums(n_samples, seed, 0, [np.float64] * 4, block, _available_cores())
     mean = total / n_samples
     sample_var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     return _bits(mean), math.sqrt(sample_var / n_samples) * LOG2E

@@ -109,15 +109,16 @@ class TestRunLink:
     def test_workers_capped_at_available_cores(self, monkeypatch):
         # A worker beyond the core count adds memory but no speed; on one
         # core, eight requested workers must run as one.
+        # Each shard takes its generator once, on the thread that runs it.
         threads = set()
-        run_shard = linksim._run_shard
+        shard_rng = linksim._shard_rng
 
         def recording(*args):
             threads.add(threading.get_ident())
-            return run_shard(*args)
+            return shard_rng(*args)
 
         monkeypatch.setattr(linksim, "_available_cores", lambda: 1)
-        monkeypatch.setattr(linksim, "_run_shard", recording)
+        monkeypatch.setattr(linksim, "_shard_rng", recording)
         cfg = make_config(noise=NoiseModel(1.0), n_symbols=2_500_000, seed=9)
         assert run_link(cfg, max_workers=8) == GOLDEN_REPORT
         assert len(threads) == 1
@@ -191,6 +192,59 @@ class TestRunLink:
         observed = report.errors_x2 / n
         tol = 3.0 * math.sqrt(expected * (1 - expected) / n)
         assert abs(observed - expected) < tol
+
+    @pytest.mark.parametrize("mode", ["decision_directed", "genie_aided"])
+    def test_documented_draw_order_rebuilt_by_hand(self, mode):
+        # The order the module docstring states, rebuilt with numpy alone on
+        # one shard of two blocks: raw words of ceil(2n / 64), unpacked least
+        # significant bit first (x1 the first n bits, x2 the next n), then
+        # standard normals block by block. y2 is formed at the scale of y1
+        # here, so only a draw within a few ulp of the threshold could split
+        # the counts; on this seed none is.
+        n, seed, p, variance = 50_000, 77, CocktailParams(1.3, 0.6), 0.8
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+        raw = rng.bit_generator.random_raw(-(-2 * n // 64))
+        bits = ((raw[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).ravel()[: 2 * n]
+        x1, x2 = np.where(bits[:n] == 1, 1.0, -1.0), np.where(bits[n:] == 1, 1.0, -1.0)
+        block = linksim._BLOCK
+        assert block < n <= 2 * block
+        z = np.concatenate([rng.standard_normal(min(block, n - lo)) for lo in range(0, n, block)])
+        sigma = math.sqrt(variance / 2.0)
+        sent = np.where(x1 == x2, p.alpha, p.beta / 2.0) * x1
+        y1 = sent / sigma + z
+        x1_hat = np.where(y1 >= 0.0, 1.0, -1.0)
+        y2 = y1 - p.beta * (x1 if mode == "genie_aided" else x1_hat) / sigma
+        x2_hat = np.where(y2 >= 0.0, 1.0, -1.0)
+        report = run_link(
+            make_config(params=p, noise=NoiseModel(variance), n_symbols=n, seed=seed, detection_mode=mode)
+        )
+        assert report.errors_x1 == int(np.count_nonzero(x1_hat != x1))
+        assert report.errors_x2 == int(np.count_nonzero(x2_hat != x2))
+        assert report.case1_count == int(np.count_nonzero(x1 == x2))
+
+    @pytest.mark.parametrize("variance", [4.0, 1.0, 0.2])
+    def test_decision_directed_error_rates_match_closed_forms(self, variance):
+        # Stage 1 errs on x1 with P1 = [Q(alpha / sigma) + Q(beta / 2 sigma)]
+        # / 2. Stage 2 subtracts beta x1_hat, so where x1_hat is wrong its
+        # draw sits 2 beta / sigma further off; averaged over the four
+        # pairs, x2 errs with P2 below. Each count is gated at 4.5 binomial
+        # standard deviations, on one fixed seed.
+        p = CocktailParams(3.5, 1.0)
+        a, b = p.alpha, p.beta
+        sigma = math.sqrt(variance / 2.0)
+        n = 2_000_000
+
+        def phi(x):
+            return qfunc(-x)
+
+        p1 = 0.5 * (qfunc(a / sigma) + qfunc(b / 2 / sigma))
+        p2 = 0.5 * (phi((b - a) / sigma) - phi(-a / sigma) + phi(-(a + b) / sigma)) + 0.5 * (
+            qfunc(b / 2 / sigma) + phi(-b / 2 / sigma) - phi(-3 * b / 2 / sigma)
+        )
+        report = run_link(make_config(params=p, noise=NoiseModel(variance), n_symbols=n, seed=5), max_workers=2)
+        for errors, expected in ((report.errors_x1, p1), (report.errors_x2, p2)):
+            z = (errors / n - expected) / math.sqrt(expected * (1 - expected) / n)
+            assert abs(z) <= 4.5, (variance, errors / n, expected, z)
 
     def test_empirical_mi_matches_kernel_in_genie_mode(self):
         # The simulator and the rate formula at one NoiseModel agree within
@@ -287,13 +341,19 @@ class TestMcBpskMi:
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_block_sums_add_exactly(monkeypatch, workers):
-    # Blocks summing to 1e16, 1 and -1e16 give exactly 1 per shard; a plain
-    # left-to-right sum loses the 1 to rounding and gives 0. Counts stay ints.
+    # Blocks summing to 1e16, 1 and -1e16 (and 0 after them) give exactly 1
+    # per shard; a plain left-to-right sum loses the 1 to rounding and gives
+    # 0. Counts stay ints.
     monkeypatch.setattr(linksim, "_available_cores", lambda: 3)
     shards = 3
     blocks = [(10**16, 1e16), (1, 1.0), (-(10**16), -1e16)]
     assert sum(b[1] for b in blocks) == 0.0
-    totals = linksim._sharded_sums(shards * linksim._SHARD_SYMBOLS, 0, lambda rng, count: blocks, workers)
+
+    def block(lo, hi, views, bits):
+        i = lo // linksim._BLOCK
+        return blocks[i] if i < len(blocks) else (0, 0.0)
+
+    totals = linksim._sharded_sums(shards * linksim._SHARD_SYMBOLS, 0, 0, [np.float64], block, workers)
     assert totals == (shards, float(shards))
     assert type(totals[0]) is int
 
